@@ -41,6 +41,11 @@ class FanInvalidError(InputError):
     """The file is well-formed JSON but describes something that is not a fan."""
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true``/``false`` load as ``bool``, a subclass of ``int``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_fan_file(text: str) -> tuple[Fan, Optional[list[str]], list[str]]:
     """Parse a fan file; returns (fan, labels, warnings).
 
@@ -58,11 +63,11 @@ def parse_fan_file(text: str) -> tuple[Fan, Optional[list[str]], list[str]]:
         if key not in data:
             raise InputError(f"fan file is missing the key {key!r}")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise InputError("dim must be a positive integer")
     rays_in = data["rays"]
     if not isinstance(rays_in, list) or not all(
-        isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rays_in
+        isinstance(r, list) and all(_is_int(x) for x in r) for r in rays_in
     ):
         raise InputError("rays must be a list of integer vectors")
     warnings: list[str] = []
@@ -80,7 +85,7 @@ def parse_fan_file(text: str) -> tuple[Fan, Optional[list[str]], list[str]]:
         raise InputError("duplicate rays after primitivization")
     max_cones = data["max_cones"]
     if not isinstance(max_cones, list) or not all(
-        isinstance(mc, list) and all(isinstance(i, int) for i in mc) for mc in max_cones
+        isinstance(mc, list) and all(_is_int(i) for i in mc) for mc in max_cones
     ):
         raise InputError("max_cones must be a list of ray-index lists")
     labels = data.get("labels")
@@ -104,7 +109,7 @@ def parse_divisor_file(text: str, fan: Fan) -> tuple[int, ...]:
     if not isinstance(data, dict) or "coefficients" not in data:
         raise InputError("divisor file must be a JSON object with a 'coefficients' key")
     coeffs = data["coefficients"]
-    if not isinstance(coeffs, list) or not all(isinstance(x, int) for x in coeffs):
+    if not isinstance(coeffs, list) or not all(_is_int(x) for x in coeffs):
         raise InputError("coefficients must be a list of integers")
     if len(coeffs) != len(fan.rays):
         raise InputError(

@@ -16,16 +16,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .errors import InvariantError
 from .exactlin import (
     LatticeVector,
     cross_kernel,
     dot,
-    feasible_point,
     matrix_rank,
     primitive,
     primitive_direction,
@@ -292,13 +289,14 @@ class Cone:
 
     # -- relations ---------------------------------------------------------
 
-    def intersect(self, other: "Cone") -> "Cone":
-        """Exact intersection, back-converted to ray form.
+    def meet_rays(self, other: "Cone") -> tuple[LatticeVector, ...]:
+        """Sorted primitive extreme rays of the intersection with ``other``.
 
         The rays of ``self`` are cut successively by the other cone's span
         equations and facet inequalities (keeping boundary combinations of
         ray pairs straddling each hyperplane); the resulting generating set
         is then pruned to extreme rays by an active-constraint rank test.
+        No cone is built, so fan validation can stay on ray sets.
         """
         if self.ambient_rank != other.ambient_rank:
             raise ValueError("ambient rank mismatch")
@@ -308,8 +306,6 @@ class Cone:
             rays = _cut(rays, eq, keep_positive=False)
         for m in other.facet_normals:
             rays = _cut(rays, m, keep_positive=True)
-        if not rays:
-            return Cone._zero(n)
         eqs = list(self.span_equations) + list(other.span_equations)
         ineqs = list(self.facet_normals) + list(other.facet_normals)
         extreme = []
@@ -317,32 +313,35 @@ class Cone:
             active = eqs + [m for m in ineqs if dot(m, r) == 0]
             if matrix_rank(active) == n - 1:
                 extreme.append(r)
-        if not extreme:
-            return Cone._zero(n)
-        return Cone._build(n, extreme)
+        return tuple(sorted(extreme))
+
+    def intersect(self, other: "Cone") -> "Cone":
+        """Exact intersection: the cone built on ``meet_rays(other)``."""
+        return Cone._build(self.ambient_rank, list(self.meet_rays(other)))
+
+    def has_face(self, rays: Iterable[Sequence[int]]) -> bool:
+        """Whether the cone spanned by ``rays`` (primitive extreme rays) is a face.
+
+        A face of a polyhedral cone is spanned by the extreme rays it
+        contains, and the faces are exactly the intersections of facets, so
+        the test is a lookup of the ray-index set in the face lattice.
+        """
+        index_of = {r: i for i, r in enumerate(self.rays)}
+        try:
+            indices = frozenset(index_of[tuple(r)] for r in rays)
+        except KeyError:
+            return False
+        return indices in self._face_sets()
 
     def is_face_of(self, other: "Cone") -> bool:
         """Whether this cone is a face of ``other``.
 
-        Decided exactly: the extreme rays must nest, and there must exist a
-        functional that vanishes on this cone and is strictly positive on the
-        remaining rays of ``other`` (hence nonnegative on all of it).
+        Decided combinatorially: the extreme rays must nest, and their index
+        set in ``other`` must be in its face lattice (``has_face``).
         """
         if self.ambient_rank != other.ambient_rank:
             raise ValueError("ambient rank mismatch")
-        mine = set(self.rays)
-        theirs = set(other.rays)
-        if not mine <= theirs:
-            return False
-        if mine == theirs:
-            return True
-        outside = [r for r in other.rays if r not in mine]
-        witness = feasible_point(
-            self.ambient_rank,
-            list(self.rays), [0] * len(self.rays),
-            outside, [1] * len(outside),
-        )
-        return witness is not None
+        return other.has_face(self.rays)
 
 
 def _cut(rays: list, functional: Sequence[int], keep_positive: bool) -> list:

@@ -18,18 +18,13 @@ reported rather than silently merged into beneath.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cone import Cone, Position, classify_position
 from .errors import InvariantError
 from .exactlin import LatticeVector, dot, primitive
-from .fan import Fan, Wall, WallCurveKind
-
-_MEMBERSHIP_SEED = 0x5EED
-_MEMBERSHIP_SAMPLES = 100
+from .fan import Fan, WallCurveKind
 
 
 class PyramidalKind(enum.Enum):
@@ -191,9 +186,9 @@ def small_modification(fan: Fan, ray: int, allow_incomplete: bool = False) -> Mo
     the update cone simultaneously; everything else is carried over
     unchanged.  The result is revalidated as a fan, keeps exactly the
     original rays, stays complete when the input was, and each split is
-    checked to cover its cone: the two pieces meet exactly in the beyond
-    facet, and seeded random points of the original cone all land in one of
-    the pieces.
+    checked exactly to cover its cone (``_check_split``): the two pieces
+    meet exactly in the beyond facet, and every other facet of either piece
+    lies in a facet hyperplane of the original cone.
     """
     report = egyptian_report(fan, ray, allow_incomplete=allow_incomplete)
     if not report.verdict:
@@ -211,20 +206,19 @@ def small_modification(fan: Fan, ray: int, allow_incomplete: bool = False) -> Mo
     new_cones: list[list[int]] = []
     splits: list[tuple[int, tuple[int, int]]] = []
     walls: list[tuple[tuple[int, ...], tuple[int, int]]] = []
-    pending_checks: list[tuple[int, int, int, tuple[int, ...]]] = []
     for ci, mc in enumerate(fan.max_cones):
         cls = classifications.get(ci)
         if cls is None or not cls.splits:
             new_cones.append(list(mc))
             continue
+        eta = cls.beyond_facets[0]
+        _check_split(fan.cones[ci], cls.base, cls.update, eta.rays)
         base_idx = len(new_cones)
         new_cones.append(to_indices(cls.base))
         update_idx = len(new_cones)
         new_cones.append(to_indices(cls.update))
         splits.append((ci, (base_idx, update_idx)))
-        eta_indices = tuple(to_indices(cls.beyond_facets[0]))
-        walls.append((eta_indices, (base_idx, update_idx)))
-        pending_checks.append((ci, base_idx, update_idx, eta_indices))
+        walls.append((tuple(to_indices(eta)), (base_idx, update_idx)))
 
     refined = Fan.from_cones(n, fan.rays, new_cones)
     if refined.rays != fan.rays:
@@ -232,25 +226,28 @@ def small_modification(fan: Fan, ray: int, allow_incomplete: bool = False) -> Mo
     if not allow_incomplete and fan.is_complete() and not refined.is_complete():
         raise InvariantError("modification of a complete fan must stay complete")
 
-    rng = random.Random(_MEMBERSHIP_SEED)
-    for ci, base_idx, update_idx, eta_indices in pending_checks:
-        original = fan.cones[ci]
-        base = refined.cones[base_idx]
-        update = refined.cones[update_idx]
-        meet = base.intersect(update)
-        eta_rays = tuple(sorted(fan.rays[i] for i in eta_indices))
-        if meet.rays != eta_rays:
-            raise InvariantError("split cones do not meet exactly in the beyond facet")
-        for _ in range(_MEMBERSHIP_SAMPLES):
-            point = [0] * n
-            for g in original.rays:
-                weight = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                point = [p + weight * x for p, x in zip(point, g)]
-            if not (base.contains(point) or update.contains(point)):
-                raise InvariantError("split cones do not cover the original cone")
-
     exceptional = tuple(ExceptionalWall(w, siblings) for w, siblings in walls)
     return ModificationResult(fan, refined, tuple(splits), exceptional, ray)
+
+
+def _check_split(sigma: Cone, base: Cone, update: Cone, eta_rays: tuple) -> None:
+    """Raise unless ``base`` and ``update`` tile ``sigma``.
+
+    Both pieces are full-dimensional and spanned by rays of sigma.  They
+    meet exactly in eta, so they lie on opposite sides of it, and
+    every other facet of either piece lies in a facet hyperplane of sigma,
+    so the union has no boundary inside sigma's interior; being nonempty and
+    closed, it is all of sigma.
+    """
+    if base.meet_rays(update) != eta_rays:
+        raise InvariantError("split cones do not meet exactly in the beyond facet")
+    for piece in (base, update):
+        for facet in piece.facets():
+            rays = tuple(piece.rays[i] for i in facet.ray_indices)
+            if rays == eta_rays:
+                continue
+            if not any(all(dot(m, r) == 0 for r in rays) for m in sigma.facet_normals):
+                raise InvariantError("split cones do not cover the original cone")
 
 
 def verify_modification(result: ModificationResult) -> ModificationChecks:

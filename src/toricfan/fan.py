@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
-from .cone import Cone, Face
+from .cone import Cone
 from .errors import InvariantError
 from .exactlin import (
     LatticeVector,
@@ -24,7 +23,6 @@ from .exactlin import (
     hermite_normal_form,
     matrix_rank,
     primitive,
-    solve_linear,
 )
 
 
@@ -105,12 +103,12 @@ class Fan:
 
         for i in range(len(cones)):
             for j in range(i + 1, len(cones)):
-                meet = cones[i].intersect(cones[j])
-                if meet.rays == cones[i].rays or meet.rays == cones[j].rays:
+                meet = cones[i].meet_rays(cones[j])
+                if meet == cones[i].rays or meet == cones[j].rays:
                     raise ValueError(f"redundant maximal cone: {i} and {j} are nested")
-                if not (meet.is_face_of(cones[i]) and meet.is_face_of(cones[j])):
+                if not (cones[i].has_face(meet) and cones[j].has_face(meet)):
                     raise ValueError(
-                        f"not a fan: cones {i},{j} overlap badly; intersection rays {list(meet.rays)}"
+                        f"not a fan: cones {i},{j} overlap badly; intersection rays {list(meet)}"
                     )
 
         walls = cls._collect_walls(n, ray_list, mc_list, cones)

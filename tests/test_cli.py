@@ -86,6 +86,16 @@ class TestExitCodes:
         overlap.write_text('{"dim":2,"rays":[[1,0],[1,2],[1,1],[0,1]],"max_cones":[[0,1],[2,3]]}')
         assert run(["validate", "--fan", str(overlap)]) == EXIT_PROPERTY_FAILS
 
+    @pytest.mark.parametrize("text", [
+        '{"dim": true, "rays": [[true], [-1]], "max_cones": [[0], [1]]}',
+        '{"dim": 1, "rays": [[true], [-1]], "max_cones": [[0], [1]]}',
+        '{"dim": 1, "rays": [[1], [-1]], "max_cones": [[false], [1]]}',
+    ])
+    def test_json_booleans_are_input_errors(self, tmp_path, capsys, text):
+        fan = tmp_path / "bools.json"
+        fan.write_text(text)
+        assert run(["validate", "--fan", str(fan)]) == EXIT_INPUT_ERROR
+
     def test_complete(self, yu_file, tmp_path, capsys):
         assert run(["complete", "--fan", str(yu_file)]) == EXIT_OK
         part = tmp_path / "part.json"
@@ -142,6 +152,11 @@ class TestDivisorCommands:
     def test_wrong_length_divisor(self, yu_file, tmp_path, capsys):
         divisor = tmp_path / "short.json"
         divisor.write_text('{"coefficients":[1,0]}')
+        assert run(["cartier", "--fan", str(yu_file), "--divisor", str(divisor)]) == EXIT_INPUT_ERROR
+
+    def test_boolean_coefficient_rejected(self, yu_file, tmp_path, capsys):
+        divisor = tmp_path / "bool.json"
+        divisor.write_text(json.dumps({"coefficients": [True] + [0] * 7}))
         assert run(["cartier", "--fan", str(yu_file), "--divisor", str(divisor)]) == EXIT_INPUT_ERROR
 
 

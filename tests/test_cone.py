@@ -1,9 +1,11 @@
 """Cones: construction, dual descriptions, faces, intersections, positions."""
 
 import random
+from itertools import combinations
 
 import pytest
 
+from oracles import feasible_by_vertex_enumeration
 from toricfan.cone import Cone, Position, classify_position
 from toricfan.exactlin import dot
 
@@ -176,6 +178,64 @@ class TestIsFaceOf:
         assert edge.is_face_of(square_cone)
         diagonal = Cone.from_rays(3, [(1, 0, 1), (-1, 0, 1)])
         assert not diagonal.is_face_of(square_cone)
+
+
+def _random_cone(rng, d, k):
+    """A full-dimensional cone on k random generators; the last coordinate keeps it pointed."""
+    while True:
+        gens = [tuple(rng.randint(-3, 3) for _ in range(d - 1)) + (rng.randint(1, 3),) for _ in range(k)]
+        cone = Cone.from_rays(d, gens)
+        if cone.dim == d:
+            return cone
+
+
+def _face_by_lp(face, cone):
+    """The LP definition: the rays nest, and some functional vanishes on the
+    face and is positive on every other ray of the cone."""
+    if not set(face.rays) <= set(cone.rays):
+        return False
+    outside = [r for r in cone.rays if r not in face.rays]
+    return feasible_by_vertex_enumeration(cone.ambient_rank, list(face.rays), outside)
+
+
+class TestFaceLatticeDifferential:
+    """``is_face_of`` (a face-lattice lookup) against the LP definition, and
+    ``meet_rays`` against ``intersect``, on seeded random cones."""
+
+    @pytest.mark.parametrize("d, sizes, seed", [(3, (3, 4, 5, 6, 4, 5, 6), 31), (4, (5, 6), 41)])
+    def test_face_cones_and_ray_subsets(self, d, sizes, seed):
+        rng = random.Random(seed)
+        verdicts = set()
+        for k in sizes:
+            cone = _random_cone(rng, d, k)
+            for j in range(d + 1):
+                for face in cone.faces(j):
+                    sub = cone.face_cone(face)
+                    assert sub.is_face_of(cone) and _face_by_lp(sub, cone), (cone, face)
+            for size in range(2, len(cone.rays)):
+                sub = Cone.from_rays(d, rng.sample(cone.rays, size))
+                verdict = sub.is_face_of(cone)
+                assert verdict == _face_by_lp(sub, cone), (cone, sub)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    # 4-D meets use simplicial cones: ``_cut`` keeps every straddling
+    # combination without pruning, and some 4-D pairs with five or more rays
+    # then take seconds to minutes.
+    @pytest.mark.parametrize("d, k, count, seed", [(3, 5, 8, 32), (3, 6, 6, 33), (4, 4, 8, 42)])
+    def test_pairwise_meets(self, d, k, count, seed):
+        rng = random.Random(seed)
+        cones = [_random_cone(rng, d, k) for _ in range(count)]
+        verdicts = set()
+        for a, b in combinations(cones, 2):
+            rays = a.meet_rays(b)
+            meet = a.intersect(b)
+            assert rays == b.meet_rays(a) == meet.rays
+            for cone in (a, b):
+                verdict = meet.is_face_of(cone)
+                assert verdict == _face_by_lp(meet, cone), (a, b)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestClassifyPosition:

@@ -9,16 +9,19 @@ import pytest
 from toricfan.cone import Cone
 from toricfan.egyptian import (
     PyramidalKind,
+    _check_split,
     classify_pyramidal,
     egyptian_report,
     remaining_cone,
     small_modification,
     verify_modification,
 )
+from toricfan.errors import InvariantError
 from toricfan.exactlin import dot, matrix_rank
 from toricfan.fan import Fan
 
 SQUARE_RAYS = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+PENTAGON_RAYS = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (1, -1, 1)]
 NOT_PYRAMIDAL_RAYS = [(1, 1, 0, 1), (1, -1, 0, 1), (-1, -1, 0, 1), (-1, 1, 0, 1), (0, 0, 1, 1), (0, 3, -1, 1)]
 
 
@@ -226,3 +229,38 @@ class TestSmallModification:
                 base = remaining_cone(cone, fan.rays[ray])
                 assert base.dim == fan.ambient_rank - 1
             assert is_q_cartier(result.fan, divisor)
+
+
+class TestSplitCoverage:
+    """The exact check that a split's two pieces tile the original cone."""
+
+    @staticmethod
+    def pieces(rays, base, update, eta):
+        def cone(indices):
+            return Cone.from_rays(3, [rays[i] for i in indices])
+        return cone(range(len(rays))), cone(base), cone(update), tuple(sorted(rays[i] for i in eta))
+
+    def test_square_split_covers(self):
+        _check_split(*self.pieces(SQUARE_RAYS, (0, 1, 2), (0, 2, 3), (0, 2)))
+
+    def test_pentagon_gap_rejected(self):
+        # The pieces meet exactly in eta = (p0, p2), but their union misses
+        # the triangle (p0, p3, p4): the facet (p0, p3) is inside sigma.
+        with pytest.raises(InvariantError, match="do not cover"):
+            _check_split(*self.pieces(PENTAGON_RAYS, (0, 1, 2), (0, 2, 3), (0, 2)))
+
+    def test_overlapping_pieces_rejected(self):
+        # (p0, p1, p2) and (p1, p2, p3) lie on the same side of (p1, p2).
+        with pytest.raises(InvariantError, match="meet exactly"):
+            _check_split(*self.pieces(PENTAGON_RAYS, (0, 1, 2), (1, 2, 3), (1, 2)))
+
+    def test_cube_fan_modification(self):
+        # The face fan of the 3-cube: six square cones, three in each star.
+        from itertools import product
+        rays = list(product([-1, 1], repeat=3))
+        cones = [[i for i, r in enumerate(rays) if r[axis] == sign] for axis in range(3) for sign in (-1, 1)]
+        fan = Fan.from_cones(3, rays, cones)
+        result = small_modification(fan, 0)
+        assert len(result.split_cones) == 3
+        assert result.fan.is_complete() and len(result.fan.max_cones) == 9
+        assert verify_modification(result).passed
