@@ -1,6 +1,6 @@
 """Exact rational arithmetic for polyhedral fans, toric divisors, and fan modifications."""
 
-from .errors import InvariantError
+from .errors import InvariantError, ResourceLimitError
 from .exactlin import (
     FGAbelianGroup,
     FeasibilityResult,
@@ -15,6 +15,7 @@ from .exactlin import (
 
 __all__ = [
     "InvariantError",
+    "ResourceLimitError",
     "FGAbelianGroup",
     "FeasibilityResult",
     "LinearSolution",

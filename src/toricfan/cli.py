@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from . import divisor as divisor_ops
 from .egyptian import PyramidalKind, egyptian_report, small_modification, verify_modification
-from .errors import InvariantError
+from .errors import InvariantError, ResourceLimitError
 from .exactlin import primitive
 from .fan import Fan
 from .families import yu_fan
@@ -472,6 +472,9 @@ def run(argv: Sequence[str]) -> int:
         code = _COMMANDS[args.command](args, report)
     except InputError as exc:
         report["error"] = str(exc)
+        code = EXIT_INPUT_ERROR
+    except ResourceLimitError as exc:  # input beyond the supported scale, not a bug
+        report["resource_limit"] = str(exc)
         code = EXIT_INPUT_ERROR
     except InvariantError as exc:
         report["internal_error"] = str(exc)

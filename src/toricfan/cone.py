@@ -25,7 +25,6 @@ from .exactlin import (
     dot,
     matrix_rank,
     primitive,
-    primitive_direction,
     rational_kernel,
 )
 
@@ -125,8 +124,7 @@ class Cone:
             span_eqs: tuple = ()
         else:
             span_eqs = tuple(sorted(
-                _sign_canonical(primitive_direction(k))
-                for k in rational_kernel(gens, ambient_rank)
+                _sign_canonical(k) for k in rational_kernel(gens, ambient_rank)
             ))
 
         # Candidate facet normals from (dim-1)-subsets of the generators.
@@ -144,10 +142,11 @@ class Cone:
                     continue  # subset rank below dim - 1
                 vals = [dot(normal, g) for g in gens]
             else:
-                if sub and matrix_rank(sub) != dim - 1:
-                    continue
+                kernel = rational_kernel(sub, ambient_rank)
+                if ambient_rank - len(kernel) != dim - 1:
+                    continue  # subset rank below dim - 1
                 normal = None
-                for k in rational_kernel(sub, ambient_rank):
+                for k in kernel:
                     values = [dot(k, g) for g in gens]
                     if any(v != 0 for v in values):
                         normal, vals = k, values
@@ -161,7 +160,7 @@ class Cone:
             else:
                 continue
             incident = frozenset(i for i, v in enumerate(vals) if v == 0)
-            found.setdefault(incident, primitive_direction(normal))
+            found.setdefault(incident, primitive(normal))
 
         # Strict convexity: every valid inequality vanishes on the lineality
         # space, so the dual description has full rank iff the cone is pointed.
@@ -216,13 +215,11 @@ class Cone:
             return cls._zero(n)
         candidates: dict[LatticeVector, None] = {}
         for subset in combinations(ineqs, k):
-            stacked = eqs + list(subset)
-            if matrix_rank(stacked) != n - 1:
-                continue
-            kernel = rational_kernel(stacked, n)
+            # A one-dimensional kernel means rank n-1; it is already primitive.
+            kernel = rational_kernel(eqs + list(subset), n)
             if len(kernel) != 1:
                 continue
-            v = primitive_direction(kernel[0])
+            v = kernel[0]
             values = [dot(m, v) for m in ineqs]
             if all(x >= 0 for x in values):
                 candidates.setdefault(v, None)

@@ -289,10 +289,8 @@ def divisor_polytope(fan: Fan, divisor: ToricDivisor) -> Polytope:
     rows = list(fan.rays)
     vertices: dict[RationalVector, None] = {}
     for subset in combinations(range(len(rows)), n):
-        sub = [rows[i] for i in subset]
-        if matrix_rank(sub) != n:
-            continue
-        sol = solve_linear(sub, [-coeffs[i] for i in subset], mode="rational")
+        # A vertex needs n independent rows: a kernel or no solution rules it out.
+        sol = solve_linear([rows[i] for i in subset], [-coeffs[i] for i in subset], mode="rational")
         if sol is None or sol.kernel:
             continue
         m = sol.particular

@@ -1,9 +1,13 @@
 """Exact integer and rational linear algebra.
 
-Everything here runs on Python's arbitrary-precision integers and
-``fractions.Fraction``.  No floating point is used anywhere in the package:
-all downstream geometry (cones, fans, divisors) reduces to exact lattice
-computations built on the primitives in this module.
+Everything here runs on Python's arbitrary-precision integers.  Rank,
+kernels and rational solving share one fraction-free elimination on integer
+rows (Bareiss-style cross-multiplication, as in ``determinant``);
+``fractions.Fraction`` appears only in rational results (particular
+solutions, feasibility witnesses) and in Fourier-Motzkin elimination.  No
+floating point is used anywhere in the package: all downstream geometry
+(cones, fans, divisors) reduces to exact lattice computations built on the
+primitives in this module.
 
 Conventions:
 
@@ -19,18 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import InvariantError
+from .errors import InvariantError, ResourceLimitError
 
 LatticeVector = tuple[int, ...]
 RationalVector = tuple[Fraction, ...]
 IntegerMatrix = tuple[LatticeVector, ...]
 
-# Fourier-Motzkin safety valve; the instances this package targets stay far
-# below this.
+# Fourier-Motzkin safety valve on the rows held at once (input included); the
+# instances this package targets stay far below this.
 _FM_ROW_LIMIT = 200_000
 
 
@@ -70,15 +73,6 @@ def primitive(v: Sequence[int]) -> LatticeVector:
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
-
-
-def primitive_direction(v: Sequence) -> LatticeVector:
-    """Clear denominators of a rational vector and reduce to a primitive one."""
-    fracs = [Fraction(x) for x in v]
-    den = 1
-    for x in fracs:
-        den = lcm(den, x.denominator)
-    return primitive([int(x * den) for x in fracs])
 
 
 def determinant(m: Sequence[Sequence[int]]) -> int:
@@ -126,90 +120,97 @@ def cross_kernel(rows: Sequence[Sequence[int]]) -> LatticeVector:
     return tuple(out)
 
 
-def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals, computed exactly.
-
-    Integer input takes a fraction-free elimination path; rational rows are
-    scaled to integers first (row scaling preserves rank).
-    """
-    if not rows:
-        return 0
-    work = []
+def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Scale each row by the lcm of its denominators (row scaling keeps the row space)."""
+    out = []
     for row in rows:
         if all(type(x) is int for x in row):
-            work.append(list(row))
+            out.append(list(row))
         else:
             fr = [Fraction(x) for x in row]
             den = 1
             for x in fr:
                 den = lcm(den, x.denominator)
-            work.append([int(x * den) for x in fr])
+            out.append([x.numerator * (den // x.denominator) for x in fr])
+    return out
+
+
+def _eliminate(work: list[list[int]], cols: int, reduce: bool = True) -> list[int]:
+    """Fraction-free elimination of integer rows, in place; returns the pivot columns.
+
+    Pivots are taken in the first ``cols`` columns only, so an augmented
+    right-hand side is carried along but never pivoted on.  Rows are updated
+    by cross-multiplication, ``row * p - pivot_row * q``.  With ``reduce``
+    rows above each pivot are cleared too and updated rows are divided by
+    their gcd: the first ``len(pivots)`` rows are then a reduced echelon form
+    up to one integer scale per row, and the rest are zero in the first
+    ``cols`` columns.  Without it only rows below a pivot are cleared (rank).
+    """
     rows_n = len(work)
-    cols = len(work[0])
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, rows_n) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pr = work[rank]
-        p = pr[col]
-        for i in range(rank + 1, rows_n):
-            q = work[i][col]
-            if q:
-                wi = work[i]
-                work[i] = [x * p - y * q for x, y in zip(wi, pr)]
-        rank += 1
-        if rank == rows_n:
-            break
-    return rank
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
     pivots: list[int] = []
-    r = 0
-    cols = len(rows[0]) if rows else 0
     for col in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, rows_n) if work[i][col]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        work[r], work[pivot] = work[pivot], work[r]
+        pr = work[r]
+        p = pr[col]
+        for i in range(0 if reduce else r + 1, rows_n):
+            q = work[i][col]
+            if q and i != r:
+                row = [x * p - y * q for x, y in zip(work[i], pr)]
+                if reduce:
+                    g = 0
+                    for x in row:
+                        g = gcd(g, x)
+                    if g > 1:
+                        row = [x // g for x in row]
+                work[i] = row
         pivots.append(col)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == rows_n:
             break
-    return rows, pivots
+    return pivots
 
 
-def rational_kernel(rows: Sequence[Sequence], width: Optional[int] = None) -> tuple[RationalVector, ...]:
-    """Basis of the rational kernel {x : rows @ x = 0}.
+def _kernel_of(work: list[list[int]], pivots: list[int], cols: int) -> tuple[LatticeVector, ...]:
+    """Primitive kernel vectors read off reduced rows, one per free column (see ``rational_kernel``)."""
+    basis = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        used = [(r, p) for r, p in enumerate(pivots) if work[r][f]]
+        scale = 1
+        for r, p in used:
+            scale = lcm(scale, work[r][p])
+        vec = [0] * cols
+        vec[f] = scale
+        for r, p in used:
+            vec[p] = -work[r][f] * scale // work[r][p]
+        basis.append(primitive(vec))
+    return tuple(basis)
 
-    ``width`` must be supplied when ``rows`` is empty (the kernel is then the
-    whole space).
+
+def matrix_rank(rows: Sequence[Sequence]) -> int:
+    """Rank over the rationals: the forward phase of the fraction-free elimination."""
+    if not rows:
+        return 0
+    work = _integer_rows(rows)
+    return len(_eliminate(work, len(work[0]), reduce=False))
+
+
+def rational_kernel(rows: Sequence[Sequence], width: Optional[int] = None) -> tuple[LatticeVector, ...]:
+    """Basis of the rational kernel {x : rows @ x = 0}, as primitive integer vectors.
+
+    Vector ``i`` is a positive multiple of the reduced-row-echelon basis
+    vector for the ``i``-th free column.  ``width`` must be supplied when
+    ``rows`` is empty (the kernel is then the whole space).
     """
     if not rows:
         if width is None:
             raise ValueError("kernel of an empty system needs an explicit width")
-        return tuple(tuple(Fraction(1 if i == j else 0) for j in range(width)) for i in range(width))
-    cols = len(rows[0])
-    work = [[Fraction(x) for x in row] for row in rows]
-    work, pivots = _rref(work)
-    free = [j for j in range(cols) if j not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -work[r][f]
-        basis.append(tuple(vec))
-    return tuple(basis)
+        return identity_matrix(width)
+    work = _integer_rows(rows)
+    cols = len(work[0])
+    return _kernel_of(work, _eliminate(work, cols), cols)
 
 
 def hermite_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntegerMatrix, IntegerMatrix]:
@@ -380,27 +381,19 @@ def solve_linear(a: Sequence[Sequence], b: Sequence, mode: str = "rational") -> 
         raise ValueError("ragged matrix")
 
     if mode == "rational":
-        work = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
-        work, pivots = _rref(work)
-        if cols in pivots:
-            return None  # a pivot in the augmented column: inconsistent
+        work = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])
+        pivots = _eliminate(work, cols)
+        if any(row[cols] for row in work[len(pivots):]):
+            return None  # a zero row with a nonzero right-hand side: inconsistent
         particular = [Fraction(0)] * cols
         for r, p in enumerate(pivots):
-            particular[p] = work[r][cols]
-        kernel = rational_kernel(a, cols)
-        return LinearSolution(tuple(particular), kernel)
+            particular[p] = Fraction(work[r][cols], work[r][p])
+        return LinearSolution(tuple(particular), _kernel_of(work, pivots, cols))
 
     # Integral mode: clear denominators row by row, then pass to Hermite form.
-    int_rows: list[list[int]] = []
-    int_rhs: list[int] = []
-    for row, rhs in zip(a, b):
-        fr = [Fraction(x) for x in row] + [Fraction(rhs)]
-        den = 1
-        for x in fr:
-            den = lcm(den, x.denominator)
-        scaled = [int(x * den) for x in fr]
-        int_rows.append(scaled[:cols])
-        int_rhs.append(scaled[cols])
+    scaled = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])
+    int_rows = [row[:cols] for row in scaled]
+    int_rhs = [row[cols] for row in scaled]
 
     h, u = hermite_normal_form(int_rows)
     # With H = A @ U, the system A x = b becomes H y = b, x = U y.  The
@@ -511,6 +504,9 @@ def _fourier_motzkin(num_vars: int, rows: list) -> Optional[list[Fraction]]:
         pos = [r for r in rows if r[0][v] > 0]
         neg = [r for r in rows if r[0][v] < 0]
         passthrough = [r for r in rows if r[0][v] == 0]
+        # Rows held now and rows this step would form, checked before forming them.
+        if max(len(rows), len(passthrough) + len(pos) * len(neg)) > _FM_ROW_LIMIT:
+            raise ResourceLimitError(f"fourier-motzkin passed its {_FM_ROW_LIMIT}-row limit")
         eliminated.append((v, pos, neg))
         new_rows = list(passthrough)
         for cp, rp in pos:
@@ -518,8 +514,6 @@ def _fourier_motzkin(num_vars: int, rows: list) -> Optional[list[Fraction]]:
                 alpha, beta = cp[v], cn[v]
                 coeffs = tuple(alpha * cn[j] - beta * cp[j] for j in range(num_vars))
                 new_rows.append((coeffs, alpha * rn - beta * rp))
-        if len(new_rows) > _FM_ROW_LIMIT:
-            raise InvariantError("fourier-motzkin row blow-up")
         rows = _normalize_rows(new_rows)
         if rows is None:
             return None
@@ -582,7 +576,7 @@ def feasible_point(
         x0, kernel = sol.particular, sol.kernel
     else:
         x0 = tuple(Fraction(0) for _ in range(dim))
-        kernel = tuple(tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim))
+        kernel = identity_matrix(dim)
 
     if not kernel:
         ok = all(dot(row, x0) >= rhs for row, rhs in zip(inequalities, ineq_rhs))

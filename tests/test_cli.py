@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from toricfan import exactlin
 from toricfan.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
@@ -67,6 +68,16 @@ class TestExitCodes:
     def test_projective_infeasible(self, yu_file, capsys):
         assert run(["projective", "--fan", str(yu_file)]) == EXIT_PROPERTY_FAILS
         assert "Infeasible" in capsys.readouterr().out
+
+    def test_resource_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "y31.json"
+        assert run(["family", "yu", "--n", "3", "--u", "1", "--emit", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(exactlin, "_FM_ROW_LIMIT", 1)
+        assert run(["projective", "--fan", str(path), "--json"]) == EXIT_INPUT_ERROR
+        report = json.loads(capsys.readouterr().out)
+        assert "row limit" in report["resource_limit"]
+        assert "internal_error" not in report
 
     def test_egyptian_holds(self, yu_file, capsys):
         assert run(["egyptian", "--fan", str(yu_file), "--ray", "0", "--json"]) == EXIT_OK

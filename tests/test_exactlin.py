@@ -10,6 +10,8 @@ from oracles import (
     feasible_by_vertex_enumeration,
     gcd_of_minors,
 )
+from toricfan import exactlin
+from toricfan.errors import InvariantError, ResourceLimitError
 from toricfan.exactlin import (
     FGAbelianGroup,
     StrictSystem,
@@ -20,7 +22,9 @@ from toricfan.exactlin import (
     is_unimodular,
     mat_mul,
     mat_vec,
+    matrix_rank,
     primitive,
+    rational_kernel,
     smith_normal_form,
     solve_linear,
     strict_feasible,
@@ -267,6 +271,14 @@ class TestStrictFeasible:
         with pytest.raises(ValueError):
             StrictSystem(((1, 0),), (), 1)
 
+    def test_row_limit_is_a_resource_limit(self, monkeypatch):
+        system = StrictSystem((), ((1, 1), (1, -1), (-1, 2)), 2)
+        assert strict_feasible(system).feasible
+        monkeypatch.setattr(exactlin, "_FM_ROW_LIMIT", 1)
+        with pytest.raises(ResourceLimitError, match="1-row limit") as info:
+            strict_feasible(system)
+        assert not isinstance(info.value, InvariantError)
+
 
 class TestFGAbelianGroup:
     def test_trivial(self):
@@ -281,3 +293,131 @@ class TestFGAbelianGroup:
         g = FGAbelianGroup(2, (2, 6))
         assert not g.is_trivial
         assert str(g) == "Z^2 + Z/2 + Z/6"
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free elimination behind rank, kernel and rational solving,
+# against sympy (a dev-only oracle) and by exact properties.
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _seeded_matrices(seed: int, count: int):
+    """Integer and Fraction matrices with zero rows, repeated rows, wide and
+    tall shapes, and planted rank deficiency."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        if t % 3 == 0:  # rank at most k: a product of thin factors
+            k = rng.randint(1, min(rows, cols))
+            left = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(rows)]
+            right = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(k)]
+            m = [list(r) for r in mat_mul(left, right)]
+        else:
+            m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:
+            m.insert(rng.randint(0, len(m)), [0] * cols)
+        if rng.random() < 0.3:
+            m.append(list(rng.choice(m)))
+        if t % 4 == 1:
+            m = [[Fraction(x, rng.randint(1, 5)) for x in row] for row in m]
+        out.append(m)
+    return out
+
+
+def _rational(v) -> list[Fraction]:
+    return [Fraction(int(x.p), int(x.q)) for x in v]
+
+
+def _positive_multiple(k, v) -> bool:
+    parallel = all(k[a] * v[b] == k[b] * v[a] for a in range(len(k)) for b in range(len(k)))
+    return parallel and dot(k, v) > 0
+
+
+def _check_kernel(m, kernel):
+    assert len(kernel) == len(m[0]) - matrix_rank(m)
+    for k in kernel:
+        assert all(type(x) is int for x in k)
+        assert primitive(k) == tuple(k)
+        assert all(v == 0 for v in mat_vec(m, k))
+
+
+class TestEliminationDifferential:
+    def test_rank_and_kernel_match_sympy(self, sympy):
+        for m in _seeded_matrices(71, 150):
+            sm = sympy.Matrix(m)
+            assert matrix_rank(m) == sm.rank()
+            kernel = rational_kernel(m)
+            null = sm.nullspace()
+            assert len(kernel) == len(null)
+            for k, v in zip(kernel, null):
+                assert _positive_multiple(k, _rational(v))
+            _check_kernel(m, kernel)
+
+    def test_rational_solve_matches_sympy_rref(self, sympy):
+        rng = random.Random(73)
+        seen = set()
+        for m in _seeded_matrices(79, 150):
+            cols = len(m[0])
+            if rng.random() < 0.5:  # consistent: b in the column space
+                x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
+                b = list(mat_vec(m, x0))
+            else:  # inconsistent whenever m is rank deficient
+                b = [rng.randint(-3, 3) for _ in m]
+            sol = solve_linear(m, b)
+            reduced, pivots = sympy.Matrix(m).row_join(sympy.Matrix(b)).rref()
+            if cols in pivots:
+                assert sol is None
+                seen.add("inconsistent")
+                continue
+            seen.add("solved")
+            expected = [Fraction(0)] * cols
+            for r, p in enumerate(pivots):
+                expected[p] = _rational([reduced[r, cols]])[0]
+            assert sol.particular == tuple(expected)
+            assert mat_vec(m, sol.particular) == tuple(b)
+            assert sol.kernel == rational_kernel(m)
+        assert seen == {"inconsistent", "solved"}
+
+    def test_shapes_and_degenerate_rows(self):
+        assert matrix_rank([[0, 0, 0], [0, 0, 0]]) == 0
+        assert rational_kernel([[0, 0]]) == ((1, 0), (0, 1))
+        assert rational_kernel([], 2) == ((1, 0), (0, 1))
+        assert rational_kernel([[2, 4, 6], [1, 2, 3]]) == ((-2, 1, 0), (-3, 0, 1))
+        assert rational_kernel([[Fraction(1, 2), Fraction(1, 3)]]) == ((-2, 3),)
+        assert solve_linear([[1, 1], [2, 2]], [1, 3]) is None
+        assert solve_linear([[0, 0]], [0]).particular == (0, 0)
+        sol = solve_linear([[2, 0], [0, 3], [2, 3]], [1, 1, 2])
+        assert sol.particular == (Fraction(1, 2), Fraction(1, 3)) and sol.kernel == ()
+
+
+def test_elimination_properties(sympy):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    entries = st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4))
+
+    @st.composite
+    def systems(draw):
+        cols = draw(st.integers(1, 6))
+        m = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=1, max_size=6))
+        x0 = draw(st.lists(entries, min_size=cols, max_size=cols))
+        return m, x0
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hyp.given(systems())
+    def check(system):
+        m, x0 = system
+        kernel = rational_kernel(m)
+        _check_kernel(m, kernel)
+        for k, v in zip(kernel, sympy.Matrix(m).nullspace()):
+            assert _positive_multiple(k, _rational(v))
+        b = mat_vec(m, x0)
+        sol = solve_linear(m, b)
+        assert sol is not None and mat_vec(m, sol.particular) == b
+        assert sol.kernel == kernel
+
+    check()
