@@ -165,24 +165,32 @@ def _group_dict(group) -> dict:
     }
 
 
+def _read_file(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_fan(args) -> tuple[Fan, Optional[list[str]], list[str]]:
     if not args.fan:
         raise InputError("this command needs --fan PATH")
-    try:
-        text = open(args.fan).read()
-    except OSError as exc:
-        raise InputError(f"cannot read {args.fan}: {exc}") from exc
-    return parse_fan_file(text)
+    return parse_fan_file(_read_file(args.fan))
 
 
 def _load_divisor(args, fan: Fan) -> tuple[int, ...]:
     if not args.divisor:
         raise InputError("this command needs --divisor PATH")
-    try:
-        text = open(args.divisor).read()
-    except OSError as exc:
-        raise InputError(f"cannot read {args.divisor}: {exc}") from exc
-    return parse_divisor_file(text, fan)
+    return parse_divisor_file(_read_file(args.divisor), fan)
 
 
 def _need_ray(args, fan: Fan) -> int:
@@ -222,7 +230,8 @@ def _cmd_cartier(args, report):
     fan, _, _ = _load_fan(args)
     coeffs = _load_divisor(args, fan)
     integral = divisor_ops.cartier_data(fan, coeffs, mode="integral")
-    rational = divisor_ops.cartier_data(fan, coeffs, mode="rational")
+    # Cartier implies Q-Cartier, so the rational data is needed only without integral data.
+    rational = integral if integral is not None else divisor_ops.cartier_data(fan, coeffs, mode="rational")
     report["cartier"] = integral is not None
     report["q_cartier"] = rational is not None
     if integral is not None:
@@ -313,7 +322,7 @@ def _cmd_modify(args, report):
         "failures": list(checks.failures),
     }
     if args.emit:
-        open(args.emit, "w").write(fan_to_json(result.fan))
+        _write_file(args.emit, fan_to_json(result.fan))
         report["emitted"] = args.emit
     if not checks.passed:
         raise InvariantError("; ".join(checks.failures))
@@ -349,7 +358,7 @@ def _cmd_family(args, report):
     report["max_cones"] = len(yu.fan.max_cones)
     report["complete"] = yu.fan.is_complete()
     if args.emit:
-        open(args.emit, "w").write(fan_to_json(yu.fan, yu.labels))
+        _write_file(args.emit, fan_to_json(yu.fan, yu.labels))
         report["emitted"] = args.emit
     else:
         report["fan"] = json.loads(fan_to_json(yu.fan, yu.labels))

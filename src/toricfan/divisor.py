@@ -27,9 +27,11 @@ from .exactlin import (
     dot,
     hermite_normal_form,
     integral_kernel,
+    mat_vec,
     matrix_rank,
     solve_linear,
     strict_feasible,
+    transpose,
 )
 from .fan import Fan
 
@@ -141,38 +143,45 @@ def class_group(fan: Fan) -> FGAbelianGroup:
     return cokernel_group(fan.rays, len(fan.rays))
 
 
-def picard_group(fan: Fan) -> FGAbelianGroup:
-    """Cartier divisors modulo principal divisors, computed exactly.
+def _cartier_lattice(fan: Fan) -> tuple[LatticeVector, ...]:
+    """The T-Cartier divisors with their Cartier data, in a Hermite basis.
 
-    The integer solution lattice of the combined system
-    ``m_sigma(l_k) + a_k = 0`` (over all maximal cones and their rays) is
-    projected to the coefficient coordinates, giving the lattice of Cartier
-    divisors; the principal sublattice is expressed in a Hermite basis of it
-    and the quotient read off a Smith normal form.
+    A basis of the integer solutions of ``m_sigma(l_k) + a_k = 0`` over the
+    maximal cones and their rays.  Each vector holds one coefficient per ray,
+    then ``s`` blocks of ``n`` character coordinates, one block per maximal
+    cone.  On a complete fan the characters are fixed by the coefficients,
+    so the column echelon form puts every pivot on a coefficient: basis
+    vector ``j`` is zero on the coefficients before its pivot.
     """
-    if not fan.is_complete():
-        raise ValueError("picard group computation requires a complete fan")
     n = fan.ambient_rank
-    s = len(fan.max_cones)
-    num_rays = len(fan.rays)
-    width = s * n + num_rays
+    r = len(fan.rays)
+    width = r + len(fan.max_cones) * n
     rows = []
     for ci, mc in enumerate(fan.max_cones):
         for k in mc:
             row = [0] * width
-            row[ci * n:(ci + 1) * n] = fan.rays[k]
-            row[s * n + k] = 1
+            row[k] = 1
+            row[r + ci * n:r + (ci + 1) * n] = fan.rays[k]
             rows.append(row)
-    kernel = integral_kernel(rows)
-    cartier_gens = [vec[s * n:] for vec in kernel]  # project to coefficients
+    h, _ = hermite_normal_form(transpose(integral_kernel(rows)))
+    return tuple(col for col in transpose(h) if any(col))
 
-    # Hermite basis of the Cartier lattice (columns of gen_matrix generate it).
-    gen_matrix = [list(row) for row in zip(*cartier_gens)] if cartier_gens else []
-    if not gen_matrix:
+
+def picard_group(fan: Fan) -> FGAbelianGroup:
+    """Cartier divisors modulo principal divisors, computed exactly.
+
+    The coefficient parts of the Cartier lattice (``_cartier_lattice``) are
+    a basis of the Cartier divisors; the principal divisors are expressed in
+    it and the quotient read off a Smith normal form.
+    """
+    if not fan.is_complete():
+        raise ValueError("picard group computation requires a complete fan")
+    n = fan.ambient_rank
+    num_rays = len(fan.rays)
+    lattice = _cartier_lattice(fan)
+    if not lattice:
         raise InvariantError("complete fan admits no Cartier divisors at all")
-    h, _ = hermite_normal_form(gen_matrix)
-    basis_cols = [j for j in range(len(h[0])) if any(h[i][j] != 0 for i in range(len(h)))]
-    basis = [[h[i][j] for j in basis_cols] for i in range(len(h))]  # num_rays x r
+    basis = [[v[k] for v in lattice] for k in range(num_rays)]  # num_rays x rank
 
     # Principal divisors: the ray-evaluation image of the character lattice.
     coords = []
@@ -182,8 +191,8 @@ def picard_group(fan: Fan) -> FGAbelianGroup:
         if sol is None:
             raise InvariantError("principal divisor is not Cartier")
         coords.append(sol.particular)
-    relation_matrix = [list(col) for col in zip(*coords)]  # r x n
-    return cokernel_group(relation_matrix, len(basis_cols))
+    relation_matrix = [list(col) for col in zip(*coords)]  # rank x n
+    return cokernel_group(relation_matrix, len(lattice))
 
 
 def is_ample(fan: Fan, divisor: ToricDivisor) -> bool:
@@ -209,69 +218,39 @@ def is_ample(fan: Fan, divisor: ToricDivisor) -> bool:
 
 
 def is_projective(fan: Fan) -> ProjectivityResult:
-    """Search for an ample divisor via strictly convex per-cone characters.
+    """Search for an ample divisor in the Cartier lattice.
 
-    Unknowns are the characters of all maximal cones.  Agreement equalities
-    pin a single value per ray (cones containing the ray are chained to the
-    first one, which carries the same solution set as all pairwise
-    agreements); strict rows demand each character to exceed that agreed
-    value on every outside ray.  On feasibility the rational witness is
-    cleared to an integral ample divisor.
+    In a basis of the Cartier lattice (``_cartier_lattice``), strict
+    convexity of the support function is one strict row per maximal cone
+    sigma and ray k outside it: ``m_sigma(l_k) + a_k > 0``.  A rational
+    witness is cleared to an integral point of the lattice, which carries
+    the ample divisor and its characters together; both are re-checked
+    before they are returned.
     """
     if not fan.is_complete():
         raise ValueError("projectivity test requires a complete fan")
     n = fan.ambient_rank
-    s = len(fan.max_cones)
-    width = s * n
-    containing = [[ci for ci, mc in enumerate(fan.max_cones) if k in mc] for k in range(len(fan.rays))]
-
-    equalities = []
-    for k, cones in enumerate(containing):
-        first = cones[0]
-        for other in cones[1:]:
-            row = [0] * width
-            row[first * n:(first + 1) * n] = fan.rays[k]
-            row[other * n:(other + 1) * n] = [-x for x in fan.rays[k]]
-            equalities.append(row)
+    r = len(fan.rays)
+    lattice = _cartier_lattice(fan)
     stricts = []
     for ci, mc in enumerate(fan.max_cones):
         inside = set(mc)
-        for k in range(len(fan.rays)):
-            if k in inside:
-                continue
-            tau = containing[k][0]
-            if tau == ci:
-                raise InvariantError("outside ray cannot have its agreed cone equal to sigma")
-            row = [0] * width
-            row[ci * n:(ci + 1) * n] = fan.rays[k]
-            row[tau * n:(tau + 1) * n] = [-x for x in fan.rays[k]]
-            stricts.append(row)
-
-    system = StrictSystem(
-        tuple(tuple(r) for r in equalities),
-        tuple(tuple(r) for r in stricts),
-        width,
-    )
-    result = strict_feasible(system)
+        for k, ray in enumerate(fan.rays):
+            if k not in inside:
+                stricts.append(tuple(v[k] + dot(v[r + ci * n:r + (ci + 1) * n], ray) for v in lattice))
+    result = strict_feasible(StrictSystem((), tuple(stricts), len(lattice)))
     if not result.feasible:
         return ProjectivityResult(False, None, None)
-    witness = result.witness
-    scale = 1
-    for x in witness:
-        scale = lcm(scale, Fraction(x).denominator)
-    integral = [int(x * scale) for x in witness]
-    characters = tuple(tuple(integral[ci * n:(ci + 1) * n]) for ci in range(s))
-    coeffs = []
-    for k, cones in enumerate(containing):
-        value = dot(characters[cones[0]], fan.rays[k])
-        for other in cones[1:]:
-            if dot(characters[other], fan.rays[k]) != value:
-                raise InvariantError("projectivity witness disagrees on a shared ray")
-        coeffs.append(-value)
-    divisor = tuple(coeffs)
+    scale = lcm(*(Fraction(t).denominator for t in result.witness))
+    point = mat_vec(transpose(lattice), [int(x * scale) for x in result.witness])
+    divisor = tuple(point[:r])
+    data = cartier_data(fan, divisor)
+    characters = tuple(tuple(point[r + ci * n:r + (ci + 1) * n]) for ci in range(len(fan.max_cones)))
+    if data is None or data.characters != characters:
+        raise InvariantError("projectivity witness characters are not the Cartier data of its divisor")
     if not is_ample(fan, divisor):
         raise InvariantError("projectivity witness failed the ampleness check")
-    return ProjectivityResult(True, divisor, CartierData(characters, "integral"))
+    return ProjectivityResult(True, divisor, data)
 
 
 def divisor_polytope(fan: Fan, divisor: ToricDivisor) -> Polytope:
@@ -310,7 +289,6 @@ def count_lattice_points(polytope: Polytope, scale: int = 1) -> int:
     lo = [min(floor(scale * v[i]) for v in polytope.vertices) for i in range(dim)]
     hi = [max(ceil(scale * v[i]) for v in polytope.vertices) for i in range(dim)]
 
-    count = 0
     point = lo[:]
 
     def rec(i: int) -> int:
@@ -324,8 +302,7 @@ def count_lattice_points(polytope: Polytope, scale: int = 1) -> int:
             total += rec(i + 1)
         return total
 
-    count = rec(0)
-    return count
+    return rec(0)
 
 
 def _interpolate(values: Sequence[int]) -> tuple[Fraction, ...]:

@@ -79,6 +79,21 @@ class TestExitCodes:
         assert "row limit" in report["resource_limit"]
         assert "internal_error" not in report
 
+    def test_family_unwritable_emit_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "y.json"
+        assert run(["family", "yu", "--n", "3", "--u", "2", "--emit", str(target), "--json"]) == EXIT_INPUT_ERROR
+        report = json.loads(capsys.readouterr().out)
+        assert "cannot write" in report["error"]
+        assert "internal_error" not in report
+
+    def test_modify_unwritable_emit_exits_2(self, yu_file, tmp_path, capsys):
+        target = tmp_path / "missing" / "m.json"
+        argv = ["modify", "--fan", str(yu_file), "--ray", "0", "--emit", str(target), "--json"]
+        assert run(argv) == EXIT_INPUT_ERROR
+        report = json.loads(capsys.readouterr().out)
+        assert "cannot write" in report["error"]
+        assert "internal_error" not in report
+
     def test_egyptian_holds(self, yu_file, capsys):
         assert run(["egyptian", "--fan", str(yu_file), "--ray", "0", "--json"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)

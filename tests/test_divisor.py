@@ -1,7 +1,9 @@
 """Divisors: Cartier data, index, class/Picard groups, ampleness,
 projectivity, polytopes, counting polynomials, growth statements."""
 
+import random
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 import pytest
@@ -20,7 +22,70 @@ from toricfan.divisor import (
     picard_group,
     polytope_degree,
 )
-from toricfan.exactlin import dot, smith_normal_form
+from toricfan import exactlin
+from toricfan.exactlin import StrictSystem, dot, primitive, smith_normal_form, strict_feasible
+from toricfan.fan import Fan
+
+
+COMPLETE_FIXTURES = (
+    "p1_fan", "p2_fan", "p3_fan", "p1xp1_fan", "weighted_p112_fan",
+    "suspension_fan", "cube_suspension_fan",
+)
+
+
+def _chained_agreement_feasible(fan) -> bool:
+    """Projectivity from the per-cone definition: a reference oracle.
+
+    Unknowns are one character per maximal cone.  The characters of the
+    cones containing a ray agree on it (each chained to the first such
+    cone), and every character exceeds that agreed value on each ray
+    outside its cone.
+    """
+    n = fan.ambient_rank
+    width = len(fan.max_cones) * n
+    containing = [[ci for ci, mc in enumerate(fan.max_cones) if k in mc] for k in range(len(fan.rays))]
+
+    def row(ray, plus, minus):
+        out = [0] * width
+        out[plus * n:(plus + 1) * n] = ray
+        out[minus * n:(minus + 1) * n] = [-x for x in ray]
+        return tuple(out)
+
+    equalities = tuple(
+        row(fan.rays[k], cones[0], other) for k, cones in enumerate(containing) for other in cones[1:]
+    )
+    stricts = tuple(
+        row(fan.rays[k], ci, containing[k][0])
+        for ci, mc in enumerate(fan.max_cones)
+        for k in range(len(fan.rays))
+        if k not in mc
+    )
+    return strict_feasible(StrictSystem(equalities, stricts, width)).feasible
+
+
+def _angle_order(a, b) -> int:
+    """Exact counter-clockwise order of nonzero plane vectors, from the positive x-axis."""
+    half_a = a[1] < 0 or (a[1] == 0 and a[0] < 0)
+    half_b = b[1] < 0 or (b[1] == 0 and b[0] < 0)
+    if half_a != half_b:
+        return 1 if half_a else -1
+    cross = a[0] * b[1] - a[1] * b[0]
+    return -1 if cross > 0 else (1 if cross < 0 else 0)
+
+
+def random_complete_surface_fans(seed: int, count: int):
+    """Seeded complete 2-D fans: rays sorted by angle, consecutive pairs as cones."""
+    rng = random.Random(seed)
+    fans = []
+    while len(fans) < count:
+        raw = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 8))]
+        rays = sorted({primitive(v) for v in raw if v != (0, 0)}, key=cmp_to_key(_angle_order))
+        pairs = list(zip(rays, rays[1:] + rays[:1]))
+        # Every consecutive angle below pi: the cones are strictly convex and cover the plane.
+        if len(rays) < 3 or any(a[0] * b[1] - a[1] * b[0] <= 0 for a, b in pairs):
+            continue
+        fans.append(Fan.from_cones(2, rays, [[i, (i + 1) % len(rays)] for i in range(len(rays))]))
+    return fans
 
 
 class TestCartierData:
@@ -164,11 +229,35 @@ class TestProjectivity:
             assert result.feasible
             assert is_ample(fan, result.witness_divisor)
 
-    def test_witness_characters_match_divisor(self, p2_fan):
-        result = is_projective(p2_fan)
-        for mc, m in zip(p2_fan.max_cones, result.witness_data.characters):
-            for k in mc:
-                assert dot(m, p2_fan.rays[k]) == -result.witness_divisor[k]
+    def test_witness_characters_match_divisor(self, request, yu_grid):
+        fans = [request.getfixturevalue(name) for name in COMPLETE_FIXTURES]
+        fans += [yu_grid(3, 1).fan, yu_grid(4, 1).fan]
+        for fan in fans:
+            result = is_projective(fan)
+            assert result.feasible, fan.rays
+            assert result.witness_data == cartier_data(fan, result.witness_divisor)
+            for mc, m in zip(fan.max_cones, result.witness_data.characters):
+                for k in mc:
+                    assert dot(m, fan.rays[k]) == -result.witness_divisor[k]
+            assert is_ample(fan, result.witness_divisor)
+
+    def test_random_complete_surfaces_are_projective(self, monkeypatch):
+        # Every complete toric surface is projective.  In the Hermite basis of
+        # the Cartier lattice FM stays under 200 rows on these fans; a dense
+        # lattice basis drives some of them past tens of thousands.
+        monkeypatch.setattr(exactlin, "_FM_ROW_LIMIT", 1000)
+        for fan in random_complete_surface_fans(seed=7, count=40):
+            result = is_projective(fan)
+            assert result.feasible, fan.rays
+            assert is_ample(fan, result.witness_divisor)
+
+    def test_agrees_with_chained_agreement_oracle(self, request, yu_grid):
+        fans = [request.getfixturevalue(name) for name in COMPLETE_FIXTURES]
+        fans += random_complete_surface_fans(seed=6, count=15)
+        fans += [yu_grid(n, u).fan for n in (3, 4) for u in (1, 2, 3)]
+        verdicts = [is_projective(fan).feasible for fan in fans]
+        assert verdicts == [_chained_agreement_feasible(fan) for fan in fans]
+        assert True in verdicts and False in verdicts
 
     def test_incomplete_rejected(self):
         from toricfan.fan import Fan
