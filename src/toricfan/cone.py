@@ -6,27 +6,22 @@ description: the equations of its linear span and inward facet normals.
 Lower-dimensional cones carry relative facet normals, so membership tests,
 intersections, and face queries work uniformly in any dimension.
 
-Facets are enumerated over (dim-1)-subsets of the generators; every facet of
-a finitely generated cone is generated by a subset of the generators, and the
-instance sizes this package targets (around a dozen rays) keep the subset
-scan cheap.  That enumeration scale is the documented limit of the module.
+Every enumeration in the module is one incremental double-description
+routine, ``_double_description``: exact integers, an explicit lineality
+space, and the combinatorial adjacency test of Fukuda & Prodon.  Building a
+cone runs it on the dual (the generators as inequalities) for the span
+equations, facet normals and facet incidences; extreme rays, pointedness
+and face dimensions are then read off the incidences.  Converting a dual
+description and meeting two cones run it on the constraints themselves.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
-from .exactlin import (
-    LatticeVector,
-    cross_kernel,
-    dot,
-    matrix_rank,
-    primitive,
-    rational_kernel,
-)
+from .exactlin import LatticeVector, dot, primitive
 
 
 class Position(enum.Enum):
@@ -113,78 +108,37 @@ class Cone:
 
     @classmethod
     def _build(cls, ambient_rank: int, generators: list) -> "Cone":
-        seen = {}
-        for g in generators:
-            seen.setdefault(primitive(g), None)
-        gens = list(seen)
+        gens = list(dict.fromkeys(primitive(g) for g in generators))
         if not gens:
             return cls._zero(ambient_rank)
-        dim = matrix_rank(gens)
-        if dim == ambient_rank:
-            span_eqs: tuple = ()
-        else:
-            span_eqs = tuple(sorted(
-                _sign_canonical(k) for k in rational_kernel(gens, ambient_rank)
-            ))
+        # The dual cone {y : g.y >= 0 for every generator g} has the span's
+        # orthogonal complement as lineality and the facet normals as extreme
+        # rays; the zero set of a normal is the set of generators on its facet.
+        lineality, normals, zeros = _double_description(ambient_rank, (), gens)
 
-        # Candidate facet normals from (dim-1)-subsets of the generators.
-        # A normal is valid exactly when its generator values do not mix sign;
-        # the values are well defined modulo the span equations, so any kernel
-        # representative decides them.  For full-dimensional cones the kernel
-        # of a subset is one generalized cross product, all in integers.
-        found: dict[frozenset, LatticeVector] = {}
-        full = dim == ambient_rank
-        for subset in combinations(range(len(gens)), dim - 1) if dim >= 1 else ():
-            sub = [gens[i] for i in subset]
-            if full and sub:
-                normal = cross_kernel(sub)
-                if all(x == 0 for x in normal):
-                    continue  # subset rank below dim - 1
-                vals = [dot(normal, g) for g in gens]
-            else:
-                kernel = rational_kernel(sub, ambient_rank)
-                if ambient_rank - len(kernel) != dim - 1:
-                    continue  # subset rank below dim - 1
-                normal = None
-                for k in kernel:
-                    values = [dot(k, g) for g in gens]
-                    if any(v != 0 for v in values):
-                        normal, vals = k, values
-                        break
-                if normal is None:
-                    continue
-            if all(v >= 0 for v in vals):
-                pass
-            elif all(v <= 0 for v in vals):
-                normal, vals = tuple(-x for x in normal), [-v for v in vals]
-            else:
-                continue
-            incident = frozenset(i for i, v in enumerate(vals) if v == 0)
-            found.setdefault(incident, primitive(normal))
+        def on_all(masks) -> int:
+            """The generators on every facet in ``masks``."""
+            out = (1 << len(gens)) - 1
+            for z in masks:
+                out &= z
+            return out
 
-        # Strict convexity: every valid inequality vanishes on the lineality
-        # space, so the dual description has full rank iff the cone is pointed.
-        if matrix_rank(list(span_eqs) + list(found.values())) != ambient_rank:
+        # The minimal face is spanned by the generators on every facet, and
+        # it is the largest linear subspace in the cone.
+        if on_all(zeros):
             raise ValueError("cone contains a line")
-
-        # A generator is extreme iff its active constraints cut out a line.
-        extreme = []
-        for i, g in enumerate(gens):
-            active = list(span_eqs) + [n for inc, n in found.items() if i in inc]
-            if matrix_rank(active) == ambient_rank - 1:
-                extreme.append(i)
-        extreme_set = set(extreme)
+        # A generator is extreme iff the facets through it hold no other
+        # generator: their intersection is then the generator's own ray.
+        extreme = [i for i in range(len(gens)) if on_all(z for z in zeros if z >> i & 1) == 1 << i]
         rays = tuple(sorted(gens[i] for i in extreme))
         index_of = {g: j for j, g in enumerate(rays)}
-
-        merged: dict[frozenset, LatticeVector] = {}
-        for inc, n in found.items():
-            final_inc = frozenset(index_of[gens[i]] for i in inc if i in extreme_set)
-            merged.setdefault(final_inc, n)
-        ordered = sorted(merged.items(), key=lambda item: (tuple(sorted(item[0])), item[1]))
-        normals = tuple(n for _, n in ordered)
-        incidence = tuple(inc for inc, _ in ordered)
-        return cls._make(ambient_rank, rays, dim, span_eqs, normals, incidence)
+        ordered = sorted(
+            (tuple(sorted(index_of[gens[i]] for i in extreme if z >> i & 1)), m)
+            for m, z in zip(normals, zeros)
+        )
+        span_eqs = tuple(sorted(_sign_canonical(v) for v in lineality))
+        return cls._make(ambient_rank, rays, ambient_rank - len(lineality), span_eqs,
+                         tuple(m for _, m in ordered), tuple(frozenset(inc) for inc, _ in ordered))
 
     @classmethod
     def _zero(cls, ambient_rank: int) -> "Cone":
@@ -200,34 +154,15 @@ class Cone:
     ) -> "Cone":
         """Back-convert a dual description {eqs = 0, ineqs >= 0} to ray form.
 
-        The description must define a pointed cone.  Extreme rays are exactly
-        the one-dimensional kernels of rank-(n-1) subsystems of active
-        constraints, so a scan over constraint subsets finds them all.
+        The description must define a pointed cone: a nonzero lineality
+        space raises.  ``_double_description`` gives the extreme rays, and
+        the cone is built on them as on any generators, so the canonical
+        form is made in one place.
         """
-        eqs = [tuple(e) for e in equalities]
-        ineqs = [tuple(m) for m in inequalities]
-        n = ambient_rank
-        if matrix_rank(eqs + ineqs) != n:
+        lineality, rays, _ = _double_description(ambient_rank, equalities, inequalities)
+        if lineality:
             raise ValueError("cone contains a line")
-        e_rank = matrix_rank(eqs) if eqs else 0
-        k = n - 1 - e_rank
-        if k < 0:
-            return cls._zero(n)
-        candidates: dict[LatticeVector, None] = {}
-        for subset in combinations(ineqs, k):
-            # A one-dimensional kernel means rank n-1; it is already primitive.
-            kernel = rational_kernel(eqs + list(subset), n)
-            if len(kernel) != 1:
-                continue
-            v = kernel[0]
-            values = [dot(m, v) for m in ineqs]
-            if all(x >= 0 for x in values):
-                candidates.setdefault(v, None)
-            elif all(x <= 0 for x in values):
-                candidates.setdefault(tuple(-x for x in v), None)
-        if not candidates:
-            return cls._zero(n)
-        return cls._build(n, list(candidates))
+        return cls._build(ambient_rank, rays)
 
     # -- basic queries -----------------------------------------------------
 
@@ -248,22 +183,28 @@ class Cone:
             all(dot(m, point) >= 0 for m in self.facet_normals)
 
     def _face_sets(self) -> dict[frozenset, int]:
-        """All faces as ray-index sets (closure of facet incidences under intersection)."""
+        """All faces as ray-index sets (closure of facet incidences under
+        intersection), each with its dimension.
+
+        The face lattice is graded, so a face's dimension is 1 + the largest
+        dimension of a face strictly below it.  The faces just below a face
+        are among its intersections with the facets that do not contain it,
+        and those are smaller sets, so one pass in order of size suffices.
+        """
         cache = self._faces_cache
         if cache is not None:
             return cache
-        full = frozenset(range(len(self.rays)))
-        faces: dict[frozenset, int] = {}
-        stack = [full, frozenset()]
+        found = set()
+        stack = [frozenset(range(len(self.rays))), frozenset()]
         while stack:
             s = stack.pop()
-            if s in faces:
+            if s in found:
                 continue
-            faces[s] = matrix_rank([self.rays[i] for i in s]) if s else 0
-            for inc in self._incidence:
-                t = s & inc
-                if t not in faces:
-                    stack.append(t)
+            found.add(s)
+            stack.extend(t for t in (s & inc for inc in self._incidence) if t not in found)
+        faces: dict[frozenset, int] = {}
+        for s in sorted(found, key=len):
+            faces[s] = 1 + max((faces[s & inc] for inc in self._incidence if not s <= inc), default=-1)
         object.__setattr__(self, "_faces_cache", faces)
         return faces
 
@@ -289,28 +230,20 @@ class Cone:
     def meet_rays(self, other: "Cone") -> tuple[LatticeVector, ...]:
         """Sorted primitive extreme rays of the intersection with ``other``.
 
-        The rays of ``self`` are cut successively by the other cone's span
-        equations and facet inequalities (keeping boundary combinations of
-        ray pairs straddling each hyperplane); the resulting generating set
-        is then pruned to extreme rays by an active-constraint rank test.
-        No cone is built, so fan validation can stay on ray sets.
+        One ``_double_description`` run on both cones' span equations and
+        facet normals; its rays are exactly the extreme rays of the meet,
+        since the adjacency test keeps the generating set minimal after
+        every constraint.  No cone is built, so fan validation can stay on
+        ray sets.
         """
         if self.ambient_rank != other.ambient_rank:
             raise ValueError("ambient rank mismatch")
-        n = self.ambient_rank
-        rays = list(self.rays)
-        for eq in other.span_equations:
-            rays = _cut(rays, eq, keep_positive=False)
-        for m in other.facet_normals:
-            rays = _cut(rays, m, keep_positive=True)
-        eqs = list(self.span_equations) + list(other.span_equations)
-        ineqs = list(self.facet_normals) + list(other.facet_normals)
-        extreme = []
-        for r in rays:
-            active = eqs + [m for m in ineqs if dot(m, r) == 0]
-            if matrix_rank(active) == n - 1:
-                extreme.append(r)
-        return tuple(sorted(extreme))
+        _, rays, _ = _double_description(
+            self.ambient_rank,
+            self.span_equations + other.span_equations,
+            self.facet_normals + other.facet_normals,
+        )
+        return tuple(sorted(rays))
 
     def intersect(self, other: "Cone") -> "Cone":
         """Exact intersection: the cone built on ``meet_rays(other)``."""
@@ -341,20 +274,77 @@ class Cone:
         return other.has_face(self.rays)
 
 
-def _cut(rays: list, functional: Sequence[int], keep_positive: bool) -> list:
-    """One beneath-and-beyond style halfspace (or hyperplane) cut.
+def _shift(v: LatticeVector, value: int, pivot: LatticeVector, scale: int) -> LatticeVector:
+    """``v - (value / scale) * pivot`` as a primitive vector (``scale > 0``)."""
+    if value == 0:
+        return v
+    return primitive(tuple(scale * x - value * p for x, p in zip(v, pivot)))
 
-    Keeps the rays on the allowed side plus, for every (positive, negative)
-    pair, the induced boundary ray; this preserves generation of the cut cone.
+
+def _double_description(n: int, equalities, inequalities) -> tuple[list, list, list]:
+    """Lineality basis, extreme rays and zero sets of {e.x = 0, a.x >= 0} in Q^n.
+
+    The cone is the lineality span plus the cone on the rays, and every
+    returned vector is primitive.  The zero set of a ray is a bitmask over
+    ``inequalities``: bit j is set iff the j-th inequality vanishes on it.
+
+    The constraints are added one at a time (equalities first) to the
+    whole space, which is all lineality (Motzkin, Raiffa, Thompson & Thrall
+    1953; Fukuda & Prodon, "Double description method revisited", 1996).
+    A constraint that is nonzero on the lineality L pivots one vector l of
+    L out: every other vector of L and every ray is shifted along l into the
+    constraint's hyperplane, which keeps its values on the earlier
+    constraints, and l becomes a new ray (inequality) or is dropped
+    (equality).  The rays stay extreme, since all but l lie in the
+    hyperplane.  Any other constraint splits the rays by sign, keeps the
+    allowed side, and combines each adjacent (positive, negative) pair into
+    the ray where their edge crosses the hyperplane.
+
+    Why the combinatorial adjacency test suffices: modulo L the cone is
+    pointed and the rays are exactly its extreme rays, one each.  The
+    smallest face containing rays p and q is cut out by the constraints tight
+    at p + q, which are those of Z(p) & Z(q), and its extreme rays are the
+    rays r with Z(r) containing Z(p) & Z(q).  A pointed face with only two
+    extreme rays is two-dimensional, so p and q span an edge iff no third ray
+    passes that test.  The rays of the cut cone are the kept rays plus the
+    crossings of edges, so the set stays minimal and the test stays valid
+    for the next constraint.  Keeping L apart is what makes the argument
+    hold, since a cone with a line has no extreme rays.
     """
-    values = [dot(functional, r) for r in rays]
-    kept: dict[tuple, None] = {}
-    for r, v in zip(rays, values):
-        if v == 0 or (keep_positive and v > 0):
-            kept.setdefault(r, None)
-    for (rp, vp) in ((r, v) for r, v in zip(rays, values) if v > 0):
-        for (rn, vn) in ((r, v) for r, v in zip(rays, values) if v < 0):
-            combo = tuple(vp * bn - vn * bp for bp, bn in zip(rp, rn))
-            if any(combo):
-                kept.setdefault(primitive(combo), None)
-    return list(kept)
+    lineality = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays: list = []
+    zeros: list = []
+    done = 0  # bitmask of the inequalities added so far
+    constraints = [(0, e) for e in equalities] + [(1 << j, a) for j, a in enumerate(inequalities)]
+    for bit, a in constraints:
+        values = [dot(a, v) for v in lineality]
+        k = next((k for k, value in enumerate(values) if value), None)
+        if k is not None:
+            pivot, scale = lineality.pop(k), values.pop(k)
+            if scale < 0:
+                pivot, scale = tuple(-x for x in pivot), -scale
+            lineality = [_shift(v, value, pivot, scale) for v, value in zip(lineality, values)]
+            rays = [_shift(r, dot(a, r), pivot, scale) for r in rays]
+            if bit:
+                zeros = [z | bit for z in zeros]
+                rays.append(pivot)
+                zeros.append(done)
+        else:
+            values = [dot(a, r) for r in rays]
+            kept = [(r, z | bit if v == 0 else z) for r, z, v in zip(rays, zeros, values)
+                    if v == 0 or (bit and v > 0)]
+            for p, vp in enumerate(values):
+                if vp <= 0:
+                    continue
+                for q, vq in enumerate(values):
+                    if vq >= 0:
+                        continue
+                    common = zeros[p] & zeros[q]
+                    if any(z & common == common for r, z in enumerate(zeros) if r != p and r != q):
+                        continue
+                    edge = tuple(vp * x - vq * y for x, y in zip(rays[q], rays[p]))
+                    kept.append((primitive(edge), common | bit))
+            rays = [r for r, _ in kept]
+            zeros = [z for _, z in kept]
+        done |= bit
+    return lineality, rays, zeros

@@ -106,20 +106,6 @@ def is_unimodular(m: Sequence[Sequence[int]]) -> bool:
     return abs(determinant(m)) == 1
 
 
-def cross_kernel(rows: Sequence[Sequence[int]]) -> LatticeVector:
-    """Generalized cross product of n-1 integer vectors of length n.
-
-    Returns an integer vector orthogonal to every row; it is zero exactly
-    when the rows have rank below n-1, and spans their kernel otherwise.
-    """
-    n = len(rows) + 1
-    out = []
-    for j in range(n):
-        minor = [[row[k] for k in range(n) if k != j] for row in rows]
-        out.append((-1) ** j * determinant(minor))
-    return tuple(out)
-
-
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (row scaling keeps the row space)."""
     out = []

@@ -1,11 +1,12 @@
 """Cones: construction, dual descriptions, faces, intersections, positions."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
 
-from oracles import feasible_by_vertex_enumeration
+from oracles import brute_force_meet, feasible_by_vertex_enumeration
 from toricfan.cone import Cone, Position, classify_position
 from toricfan.exactlin import dot
 
@@ -219,10 +220,9 @@ class TestFaceLatticeDifferential:
                 verdicts.add(verdict)
         assert verdicts == {True, False}
 
-    # 4-D meets use simplicial cones: ``_cut`` keeps every straddling
-    # combination without pruning, and some 4-D pairs with five or more rays
-    # then take seconds to minutes.
-    @pytest.mark.parametrize("d, k, count, seed", [(3, 5, 8, 32), (3, 6, 6, 33), (4, 4, 8, 42)])
+    @pytest.mark.parametrize("d, k, count, seed", [
+        (3, 5, 8, 32), (3, 6, 6, 33), (4, 4, 8, 42), (4, 5, 6, 44), (4, 6, 6, 52),
+    ])
     def test_pairwise_meets(self, d, k, count, seed):
         rng = random.Random(seed)
         cones = [_random_cone(rng, d, k) for _ in range(count)]
@@ -236,6 +236,24 @@ class TestFaceLatticeDifferential:
                 assert verdict == _face_by_lp(meet, cone), (a, b)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+class TestMeetGrowthPair:
+    """A pair of non-simplicial 3-D cones whose meet, by successive halfspace
+    cuts that kept every straddling combination, grew 6 -> 3.6 M generators
+    over six cuts and took about 88 s (``bench/NOTES.md``, "Deadlines")."""
+
+    A = ((-2, 3, 3), (-1, -4, 2), (-1, -1, 1), (-1, 0, 1), (0, 2, 1), (4, 2, 1))
+    B = ((-4, 4, 1), (-3, -2, 3), (-2, 3, 1), (0, -3, 2), (1, 1, 1), (4, -2, 3))
+
+    def test_meet_is_exact_within_budget(self):
+        a, b = Cone.from_rays(3, self.A), Cone.from_rays(3, self.B)
+        start = time.perf_counter()
+        rays = a.meet_rays(b)
+        elapsed = time.perf_counter() - start
+        assert rays == b.meet_rays(a) == brute_force_meet(3, self.A, self.B)
+        assert len(rays) == 8
+        assert elapsed < 0.1, f"the meet took {elapsed:.3f}s"
 
 
 class TestClassifyPosition:
@@ -282,6 +300,17 @@ class TestRoundTrip:
         for cone in self.fixtures():
             back = Cone.from_inequalities(cone.ambient_rank, cone.span_equations, cone.facet_normals)
             assert back == cone, cone
+
+    def test_normals_and_facets_align(self):
+        # egyptian.classify_pyramidal zips facet_normals with facets().
+        rng = random.Random(43)
+        random_cones = [_random_cone(rng, d, k) for d, k in ((3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (4, 7))]
+        for cone in list(self.fixtures()) + random_cones:
+            facets = cone.facets()
+            assert len(facets) == len(cone.facet_normals), cone
+            for normal, facet in zip(cone.facet_normals, facets):
+                on = tuple(i for i, r in enumerate(cone.rays) if dot(normal, r) == 0)
+                assert on == facet.ray_indices, (cone, normal)
 
     def test_every_normal_supports_a_facet(self):
         for cone in self.fixtures():

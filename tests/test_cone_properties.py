@@ -1,0 +1,107 @@
+"""Property tests of the cone layer against the brute-force oracle in ``oracles.py``.
+
+Generators are integer images ``M @ c`` of random vectors ``c`` in Q^d
+under an n x d matrix ``M``: the identity when d = n, else random, so the
+cones come in every dimension up to n, in skew subspaces, with or without a
+line.  Repeated and non-extreme
+generators are mixed in.  For the pointed family the last row of ``M`` picks
+the last coordinate of ``c``, which is positive, so no line can occur.
+"""
+
+import pytest
+
+from oracles import brute_force_cone, brute_force_meet
+from toricfan.cone import Cone
+
+hyp = pytest.importorskip("hypothesis")
+st = hyp.strategies
+SETTINGS = hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+SMALL = st.integers(-2, 2)
+
+
+@st.composite
+def generator_sets(draw, n=None, pointed=None):
+    n = draw(st.integers(2, 4)) if n is None else n
+    pointed = draw(st.booleans()) if pointed is None else pointed
+    d = max(1, n - draw(st.sampled_from((0, 0, 0, 1, 2))))  # full-dimensional most often
+    unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    if d == n:
+        rows, last = unit[:-1], unit[-1]
+    else:
+        rows = draw(st.lists(st.tuples(*[SMALL] * d), min_size=n - 1, max_size=n - 1))
+        last = unit[-1] if pointed else draw(st.tuples(*[SMALL] * d))
+    lead = st.integers(1, 3) if pointed else st.integers(-3, 3)
+    cs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * (d - 1), lead), min_size=d, max_size=7))
+    gens = [tuple(sum(a * x for a, x in zip(row, c)) for row in rows + [last]) for c in cs]
+    gens = [g for g in gens if any(g)]
+    hyp.assume(gens)
+    for i, j, k in draw(st.lists(st.tuples(*[st.integers(0, len(gens) - 1)] * 2, st.integers(1, 2)),
+                                 max_size=2)):
+        extra = tuple(k * x + y for x, y in zip(gens[i], gens[j]))
+        if any(extra):
+            gens.append(extra)  # a multiple when i == j, else (usually) not extreme
+    return n, gens
+
+
+def _lattice(cone):
+    return {frozenset(cone.rays[i] for i in face.ray_indices): k
+            for k in range(cone.dim + 1) for face in cone.faces(k)}
+
+
+@hyp.settings(SETTINGS, max_examples=200)
+@hyp.given(generator_sets())
+def test_from_rays_matches_oracle(case):
+    n, gens = case
+    expected = brute_force_cone(n, gens)
+    if expected is None:
+        with pytest.raises(ValueError, match="contains a line"):
+            Cone.from_rays(n, gens)
+        return
+    rays, equations, normals, faces = expected
+    cone = Cone.from_rays(n, gens)
+    assert cone.rays == rays
+    assert cone.dim == n - len(equations)
+    if cone.dim == n:
+        assert tuple(sorted(cone.facet_normals)) == normals
+    assert _lattice(cone) == faces
+
+
+@SETTINGS
+@hyp.given(generator_sets(pointed=True))
+def test_inequalities_round_trip(case):
+    n, gens = case
+    cone = Cone.from_rays(n, gens)
+    assert Cone.from_inequalities(n, cone.span_equations, cone.facet_normals) == cone
+
+
+@SETTINGS
+@hyp.given(generator_sets(pointed=True), st.randoms(use_true_random=False))
+def test_generator_order_is_irrelevant(case, rng):
+    n, gens = case
+    shuffled = list(gens)
+    rng.shuffle(shuffled)
+    cone, other = Cone.from_rays(n, gens), Cone.from_rays(n, shuffled)
+    assert other == cone and other.dim == cone.dim
+    assert _lattice(other) == _lattice(cone)
+    if cone.dim == n:
+        assert other.facet_normals == cone.facet_normals
+
+
+@hyp.settings(SETTINGS, max_examples=60)  # the oracle's meet scans many (n-1)-subsets
+@hyp.given(st.integers(3, 4).flatmap(lambda n: st.tuples(generator_sets(n, True), generator_sets(n, True))))
+def test_meet_matches_oracle(pair):
+    (n, gens_a), (_, gens_b) = pair
+    a, b = Cone.from_rays(n, gens_a), Cone.from_rays(n, gens_b)
+    assert a.meet_rays(b) == b.meet_rays(a) == brute_force_meet(n, gens_a, gens_b)
+
+
+@SETTINGS
+@hyp.given(generator_sets(pointed=True))
+def test_a_line_raises(case):
+    n, gens = case
+    with pytest.raises(ValueError, match="contains a line"):
+        Cone.from_rays(n, gens + [tuple(-x for x in gens[0])])
+    cone = Cone.from_rays(n, gens)
+    if cone.dim < n:  # the rays span less than Q^n, so {r.x >= 0} holds a line
+        with pytest.raises(ValueError, match="contains a line"):
+            Cone.from_inequalities(n, [], cone.rays)
