@@ -69,7 +69,7 @@ class Cone:
     """Strictly convex rational polyhedral cone in a fixed ambient lattice."""
 
     __slots__ = ("ambient_rank", "rays", "dim", "span_equations", "facet_normals",
-                 "_incidence", "_faces_cache")
+                 "_incidence", "_faces_cache", "_faces_by_dim")
 
     def __init__(self, *_args, **_kwargs):
         raise TypeError("use Cone.from_rays or Cone.from_inequalities")
@@ -86,6 +86,7 @@ class Cone:
         object.__setattr__(self, "facet_normals", facet_normals)
         object.__setattr__(self, "_incidence", incidence)
         object.__setattr__(self, "_faces_cache", None)
+        object.__setattr__(self, "_faces_by_dim", None)
         return self
 
     def __setattr__(self, name, value):
@@ -190,6 +191,7 @@ class Cone:
         dimension of a face strictly below it.  The faces just below a face
         are among its intersections with the facets that do not contain it,
         and those are smaller sets, so one pass in order of size suffices.
+        The faces are also grouped by dimension, each group sorted once.
         """
         cache = self._faces_cache
         if cache is not None:
@@ -205,19 +207,24 @@ class Cone:
         faces: dict[frozenset, int] = {}
         for s in sorted(found, key=len):
             faces[s] = 1 + max((faces[s & inc] for inc in self._incidence if not s <= inc), default=-1)
+        by_dim: list[list[Face]] = [[] for _ in range(self.dim + 1)]
+        for key, k in sorted((tuple(sorted(s)), k) for s, k in faces.items()):
+            by_dim[k].append(Face(key, k))
         object.__setattr__(self, "_faces_cache", faces)
+        object.__setattr__(self, "_faces_by_dim", tuple(tuple(group) for group in by_dim))
         return faces
 
     def faces(self, k: int) -> list[Face]:
-        """All k-dimensional faces, 0 <= k <= dim."""
+        """All k-dimensional faces, 0 <= k <= dim, sorted by ray indices."""
         if not 0 <= k <= self.dim:
             raise ValueError(f"face dimension {k} out of range 0..{self.dim}")
-        sets = self._face_sets()
-        return [Face(tuple(sorted(s)), k) for s in sorted(sets, key=lambda s: tuple(sorted(s)))
-                if sets[s] == k]
+        self._face_sets()
+        return list(self._faces_by_dim[k])
 
     def facets(self) -> list[Face]:
-        return self.faces(self.dim - 1) if self.dim >= 1 else []
+        """The facets, in ``faces(dim - 1)`` order and aligned with
+        ``facet_normals``: read off the incidences, with no face lattice."""
+        return [Face(tuple(sorted(inc)), self.dim - 1) for inc in self._incidence]
 
     def face_cone(self, face: Face) -> "Cone":
         """The face as a cone in the same ambient lattice."""

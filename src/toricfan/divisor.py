@@ -207,12 +207,16 @@ def is_ample(fan: Fan, divisor: ToricDivisor) -> bool:
     data = cartier_data(fan, coeffs, mode="integral")
     if data is None:
         raise ValueError("ampleness undefined for non-Cartier input")
-    for mc, character in zip(fan.max_cones, data.characters):
+    return _strictly_convex(fan, coeffs, data.characters)
+
+
+def _strictly_convex(fan: Fan, coeffs, characters) -> bool:
+    """Whether m_sigma(l_k) > -a_k for every maximal cone sigma and ray k
+    outside it, given the Cartier data of the divisor."""
+    for mc, character in zip(fan.max_cones, characters):
         inside = set(mc)
-        for k in range(len(fan.rays)):
-            if k in inside:
-                continue
-            if dot(character, fan.rays[k]) <= -coeffs[k]:
+        for k, ray in enumerate(fan.rays):
+            if k not in inside and dot(character, ray) <= -coeffs[k]:
                 return False
     return True
 
@@ -248,7 +252,7 @@ def is_projective(fan: Fan) -> ProjectivityResult:
     characters = tuple(tuple(point[r + ci * n:r + (ci + 1) * n]) for ci in range(len(fan.max_cones)))
     if data is None or data.characters != characters:
         raise InvariantError("projectivity witness characters are not the Cartier data of its divisor")
-    if not is_ample(fan, divisor):
+    if not _strictly_convex(fan, divisor, characters):
         raise InvariantError("projectivity witness failed the ampleness check")
     return ProjectivityResult(True, divisor, data)
 

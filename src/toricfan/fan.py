@@ -1,11 +1,16 @@
 """Validated fans: fan axioms, completeness, stars, quotients, isomorphism.
 
 A fan holds a global ordered ray list (the order is semantic: divisors align
-to it by index) and maximal cones as ray-index subsets.  Validation checks
-the fan axioms pairwise: every intersection of maximal cones must be a common
-face, and no maximal cone may contain another.  Walls (the codimension-one
-cones) are precomputed at validation time since completeness, subdivision,
-and divisor computations all consume them.
+to it by index) and maximal cones as ray-index subsets.  When every maximal
+cone is full-dimensional, validation first tries the wall check
+(``_covers_once``): every facet is shared by exactly two cones on opposite
+sides, and a generic point lies in exactly one cone.  That proves a complete
+fan in one pass over the facets.  Anything else (a lower-dimensional cone,
+an unmatched facet, an incomplete fan or a non-fan) goes to the pairwise
+check: every intersection of maximal cones must be a common face, and no
+maximal cone may contain another.  Walls (the codimension-one cones) are
+precomputed at validation time since completeness, subdivision, and divisor
+computations all consume them.
 """
 
 from __future__ import annotations
@@ -101,17 +106,20 @@ class Fan:
             if i not in used:
                 raise ValueError(f"ray {i} does not appear in any maximal cone")
 
-        for i in range(len(cones)):
-            for j in range(i + 1, len(cones)):
-                meet = cones[i].meet_rays(cones[j])
-                if meet == cones[i].rays or meet == cones[j].rays:
-                    raise ValueError(f"redundant maximal cone: {i} and {j} are nested")
-                if not (cones[i].has_face(meet) and cones[j].has_face(meet)):
-                    raise ValueError(
-                        f"not a fan: cones {i},{j} overlap badly; intersection rays {list(meet)}"
-                    )
+        # Each facet of a full-dimensional cone, as a global ray-index set,
+        # with the cones it is a facet of and their inward normals.
+        facets: dict[frozenset, list[tuple[int, LatticeVector]]] = {}
+        for j, cone in enumerate(cones):
+            if cone.dim == n:
+                local = [index_of[r] for r in cone.rays]
+                for face, normal in zip(cone.facets(), cone.facet_normals):
+                    key = frozenset(local[k] for k in face.ray_indices)
+                    facets.setdefault(key, []).append((j, normal))
 
-        walls = cls._collect_walls(n, ray_list, mc_list, cones)
+        if not _covers_once(n, cones, facets):
+            _check_pairwise(cones)
+
+        walls = cls._collect_walls(n, mc_list, cones, facets)
         self = object.__new__(cls)
         object.__setattr__(self, "ambient_rank", n)
         object.__setattr__(self, "rays", tuple(ray_list))
@@ -124,26 +132,21 @@ class Fan:
         raise AttributeError("Fan instances are immutable")
 
     @staticmethod
-    def _collect_walls(n, ray_list, mc_list, cones) -> tuple[Wall, ...]:
+    def _collect_walls(n, mc_list, cones, facets) -> tuple[Wall, ...]:
         # Every (n-1)-dimensional cone of the fan is either a facet of a
         # full-dimensional maximal cone or itself maximal of dimension n-1.
-        gidx = {r: i for i, r in enumerate(ray_list)}
-        wall_sets: set[frozenset] = set()
+        # In a fan a full cone containing a wall meets it in a common face,
+        # the whole wall, so the full cones containing a wall are exactly
+        # those it is a facet of; a maximal (n-1)-cone lies in none.
+        incident = {ws: tuple(j for j, _ in pairs) for ws, pairs in facets.items()}
         for mc, cone in zip(mc_list, cones):
-            if cone.dim == n:
-                for facet in cone.facets():
-                    wall_sets.add(frozenset(gidx[cone.rays[k]] for k in facet.ray_indices))
-            elif cone.dim == n - 1:
-                wall_sets.add(frozenset(mc))
+            if cone.dim == n - 1:
+                incident.setdefault(frozenset(mc), ())
         walls = []
-        for ws in sorted(wall_sets, key=lambda s: tuple(sorted(s))):
-            incident = tuple(
-                j for j, (mc, cone) in enumerate(zip(mc_list, cones))
-                if cone.dim == n and ws <= set(mc)
-            )
-            if len(incident) > 2:
+        for key, cones_at in sorted((tuple(sorted(ws)), at) for ws, at in incident.items()):
+            if len(cones_at) > 2:
                 raise InvariantError("wall incident to more than two full cones in a validated fan")
-            walls.append(Wall(tuple(sorted(ws)), n - 1, incident))
+            walls.append(Wall(key, n - 1, cones_at))
         return tuple(walls)
 
     # -- queries -----------------------------------------------------------
@@ -349,6 +352,89 @@ class Fan:
             return None
 
         return search(0, [])
+
+
+def _covers_once(n: int, cones: Sequence[Cone], facets: dict) -> bool:
+    """Whether full-dimensional cones form a complete fan, by the wall check.
+
+    ``facets`` maps each facet, as a global ray-index set, to the cones it
+    is a facet of and their inward normals.  Three exact tests:
+
+    1. Wall matching: every facet is a facet of exactly two cones.
+    2. Opposite sides: the two cones' primitive inward normals at the
+       facet are negatives of each other.  Both vanish on the facet's
+       hyperplane, so they are equal or opposite, and opposite is the same
+       as every ray of each cone off the facet being strictly negative on
+       the other cone's normal.
+    3. Covering degree 1: exactly one cone contains a generic point.  The
+       point is p + e*x_1 + e^2*x_2 + ... for p the sum of cone 0's rays and
+       a small e > 0, so a normal m is positive on it iff
+       (m.p, m_1, ..., m_n) is lexicographically positive, and no normal
+       vanishes on it.  Cone 0 always contains it.
+
+    A False answer decides nothing; the caller falls back to the pairwise
+    check.  A True answer proves a complete fan (the covering-degree
+    argument for subdivisions, De Loera, Rambau & Santos, *Triangulations*,
+    2010, with the fan axioms of Cox, Little & Schenck, *Toric Varieties*,
+    1.2):
+
+    *The degree is constant.*  Let K be the union of the faces of
+    codimension >= 2 of all cones, and d(y) the number of cones containing
+    y, for y on no facet.  A point y outside K that lies on a facet F lies
+    in its relative interior and on no other facet of F's two cones, so
+    near y those two cones are the two closed half-spaces of F's
+    hyperplane (test 2) and count once at each nearby point off it.  Every
+    other cone through y has y in its interior.  So d is constant near
+    every point outside K.  K has codimension 2, so its complement is
+    connected and d is constant; by test 3 it is 1.  Hence the cones cover
+    R^n and their interiors are disjoint, so none contains another.
+
+    *The cones around each face close up exactly once.*  Fix a point x,
+    and call two cones through x adjacent when they share a facet through
+    x.  Adjacent cones have the same smallest face through x: the smallest
+    face of the shared facet through x.  Take a ball B around x that meets
+    no cone and no facet missing x.  Every facet meeting B of a cone
+    through x then has its partner in the same adjacency class, so the
+    argument above, run in B on one class, shows that the class covers
+    each point of B off the facets a constant number of times, at least
+    once.  The whole degree is 1, so all cones through x form one class
+    and share their smallest face F(x) through x.
+
+    *Face to face.*  For cones s, t take x in the relative interior of
+    s & t.  Then F(x) is in s & t, and each y in s & t lies in F(x),
+    because x is inside a segment of s & t from y.  So s & t = F(x) is a
+    face of both.  Every Y_u cone is a circuit, not a simplex, so nothing
+    here assumes simplicial cones.
+    """
+    if any(cone.dim != n for cone in cones):
+        return False
+    for pairs in facets.values():
+        if len(pairs) != 2:
+            return False
+        (_, m), (_, m2) = pairs
+        if m2 != tuple(-x for x in m):
+            return False
+    p = [sum(column) for column in zip(*cones[0].rays)]
+    origin = (0,) * (n + 1)
+
+    def contains_generic_point(cone: Cone) -> bool:
+        return all((dot(m, p), *m) > origin for m in cone.facet_normals)
+
+    return sum(map(contains_generic_point, cones)) == 1
+
+
+def _check_pairwise(cones: Sequence[Cone]) -> None:
+    """Raise unless every two cones meet in a common face and neither
+    contains the other."""
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            meet = cones[i].meet_rays(cones[j])
+            if meet == cones[i].rays or meet == cones[j].rays:
+                raise ValueError(f"redundant maximal cone: {i} and {j} are nested")
+            if not (cones[i].has_face(meet) and cones[j].has_face(meet)):
+                raise ValueError(
+                    f"not a fan: cones {i},{j} overlap badly; intersection rays {list(meet)}"
+                )
 
 
 def _adjugate(m: Sequence[Sequence[int]]) -> tuple:

@@ -1,12 +1,15 @@
 """Fans: validation, completeness, stars, quotients, walls, isomorphism."""
 
 import random
+from itertools import product
 
 import pytest
 
+import toricfan.fan as fan_module
 from toricfan.cone import Cone
-from toricfan.fan import Fan, WallCurveKind
-from toricfan.families import projective_space_fan
+from toricfan.egyptian import small_modification
+from toricfan.fan import Fan, Wall, WallCurveKind
+from toricfan.families import projective_space_fan, yu_fan
 
 
 class TestValidation:
@@ -163,3 +166,161 @@ class TestProjectiveSpaceFan:
             assert len(f.rays) == d + 1
             assert len(f.max_cones) == d + 1
             assert f.is_complete()
+
+
+def cube_face_fan(d):
+    rays = list(product([-1, 1], repeat=d))
+    cones = [[i for i, r in enumerate(rays) if r[axis] == sign] for axis in range(d) for sign in (-1, 1)]
+    return d, rays, cones
+
+
+def cross_polytope_fan(d):
+    rays = [tuple(sign * int(i == j) for j in range(d)) for i in range(d) for sign in (1, -1)]
+    cones = [[2 * i + side for i, side in enumerate(sides)] for sides in product((0, 1), repeat=d)]
+    return d, rays, cones
+
+
+def as_case(fan):
+    return fan.ambient_rank, fan.rays, [list(mc) for mc in fan.max_cones]
+
+
+# Five rays around the origin, each cone joining every second one: every ray
+# is a facet of two cones on opposite sides, but the cones wind twice.
+PENTAGRAM = (2, [(5, 2), (0, 1), (-5, 2), (-3, -4), (3, -4)], [[0, 2], [1, 3], [2, 4], [3, 0], [4, 1]])
+
+OCTAHEDRON_RAYS = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (1, 1, 0)]
+
+BROKEN = {
+    "overlap": (2, [(1, 0), (1, 2), (1, 1), (0, 1)], [[0, 1], [2, 3]]),
+    "nested": (2, [(1, 0), (0, 1), (1, 1)], [[0, 1], [0, 2]]),
+    "duplicate": (2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [0, 2], [1, 2], [0, 1]]),
+    # The upper cone over (x, y) meets two lower cones split at x + y.
+    "subdivided_wall": (3, OCTAHEDRON_RAYS, [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4],
+                                             [0, 6, 5], [6, 1, 5], [1, 2, 5], [2, 3, 5], [3, 0, 5]]),
+    "lower_dimensional": (2, [(1, 0), (0, 1), (-1, -1), (1, 1)], [[0, 1], [0, 2], [1, 2], [3]]),
+    "face_as_cone": (2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [0, 2], [1, 2], [2]]),
+    "pentagram": PENTAGRAM,
+    # A cone listed twice inside another: every facet lies in exactly two
+    # cones and the generic point from cone 0 in one, but the two copies lie
+    # on the same side of their facets.
+    "doubled_inside": (2, [(1, 0), (0, 1), (-1, -1), (-1, 1), (-2, -1)],
+                       [[0, 1], [1, 2], [0, 2], [3, 4], [3, 4]]),
+}
+
+BROKEN_ERRORS = {
+    "overlap": "not a fan: cones 0,1 overlap badly",
+    "nested": "redundant maximal cone: 0 and 1 are nested",
+    "duplicate": "redundant maximal cone: 0 and 3 are nested",
+    "subdivided_wall": "not a fan: cones 0,4 overlap badly",
+    "lower_dimensional": "redundant maximal cone: 0 and 3 are nested",
+    "face_as_cone": "redundant maximal cone: 1 and 3 are nested",
+    "pentagram": "not a fan: cones 0,1 overlap badly",
+    "doubled_inside": "redundant maximal cone: 1 and 3 are nested",
+}
+
+
+def outcome(case):
+    """The ValueError text, or max cones, walls and completeness."""
+    n, rays, cones = case
+    try:
+        fan = Fan.from_cones(n, rays, cones)
+    except ValueError as exc:
+        return str(exc)
+    return fan.max_cones, fan.walls, fan.is_complete()
+
+
+def both_checks(case):
+    """The outcome with the wall check, whether it accepted, and the
+    outcome of the pairwise check alone."""
+    accepted = []
+    wall_check = fan_module._covers_once
+
+    def spy(*args):
+        accepted.append(wall_check(*args))
+        return accepted[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fan_module, "_covers_once", spy)
+        fast = outcome(case)
+        mp.setattr(fan_module, "_covers_once", lambda *args: False)
+        pairwise = outcome(case)
+    return fast, accepted == [True], pairwise
+
+
+def subset_scan_walls(fan):
+    """Walls from the face lattices, incident cones by a ray-subset scan."""
+    n = fan.ambient_rank
+    full = [j for j, cone in enumerate(fan.cones) if cone.dim == n]
+    keys = {tuple(sorted(fan.rays.index(fan.cones[j].rays[k]) for k in face.ray_indices))
+            for j in full for face in fan.cones[j].faces(n - 1)}
+    keys |= {mc for mc, cone in zip(fan.max_cones, fan.cones) if cone.dim == n - 1}
+    return tuple(Wall(key, n - 1, tuple(j for j in full if set(key) <= set(fan.max_cones[j])))
+                 for key in sorted(keys))
+
+
+class TestWallCheck:
+    """The wall check against the pairwise check it short-cuts."""
+
+    def valid_fans(self, request):
+        fixtures = ["p1_fan", "p2_fan", "p3_fan", "p1xp1_fan", "weighted_p112_fan",
+                    "suspension_fan", "cube_suspension_fan"]
+        fans = [request.getfixturevalue(name) for name in fixtures]
+        yu_grid = request.getfixturevalue("yu_grid")
+        for n in range(3, 7):
+            for u in range(1, 4):
+                yu = yu_grid(n, u)
+                fans += [yu.fan, small_modification(yu.fan, yu.e_index()).fan, yu.fan.quotient(0)]
+        fans += [Fan.from_cones(*case) for case in (cube_face_fan(3), cube_face_fan(4), cross_polytope_fan(4))]
+        return fans
+
+    def test_valid_fans_agree(self, request):
+        fans = self.valid_fans(request)
+        assert len(fans) == 46
+        for fan in fans:
+            fast, accepted, pairwise = both_checks(as_case(fan))
+            assert fast == pairwise == (fan.max_cones, fan.walls, True)
+            assert accepted, fan
+            assert fan.walls == subset_scan_walls(fan)
+
+    @pytest.mark.parametrize("name", sorted(BROKEN))
+    def test_broken_inputs_keep_pairwise_errors(self, name):
+        fast, accepted, pairwise = both_checks(BROKEN[name])
+        assert not accepted
+        assert isinstance(fast, str) and fast == pairwise
+        assert fast.startswith(BROKEN_ERRORS[name])
+
+    def test_incomplete_fans_fall_back(self, yu_grid):
+        yu = yu_grid(4, 2).fan
+        cases = [
+            (4, yu.rays, [list(mc) for mc in yu.max_cones[1:]]),
+            (2, [(1, 0), (0, 1), (-1, 0)], [[0, 1], [2]]),
+            (2, [(1, 0), (0, 1)], [[0, 1]]),
+        ]
+        for case in cases:
+            fast, accepted, pairwise = both_checks(case)
+            assert fast == pairwise and not accepted
+            fan = Fan.from_cones(*case)
+            assert not fan.is_complete()
+            assert fan.walls == subset_scan_walls(fan)
+
+    def test_pentagram_fails_only_the_degree(self):
+        n, rays, cones = PENTAGRAM
+        pieces = [Cone.from_rays(n, [rays[i] for i in mc]) for mc in cones]
+        for ray in rays:
+            normals = [m for cone in pieces for face, m in zip(cone.facets(), cone.facet_normals)
+                       if [cone.rays[k] for k in face.ray_indices] == [ray]]
+            assert len(normals) == 2
+            assert normals[0] == tuple(-x for x in normals[1])
+        assert sum(cone.contains((1, 0)) for cone in pieces) == 2
+
+    def test_complete_fans_skip_pairwise_meets(self, monkeypatch):
+        yu = yu_fan(6, 2)
+        refined = small_modification(yu.fan, yu.e_index()).fan
+
+        def no_meet(self, other):
+            raise AssertionError("pairwise check reached")
+
+        monkeypatch.setattr(Cone, "meet_rays", no_meet)
+        assert yu_fan(6, 2).fan.walls == yu.fan.walls
+        again = Fan.from_cones(*as_case(refined))
+        assert again.walls == refined.walls and again.is_complete()
