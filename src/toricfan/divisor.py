@@ -26,6 +26,7 @@ from .exactlin import (
     cokernel_group,
     dot,
     hermite_normal_form,
+    identity_matrix,
     integral_kernel,
     mat_vec,
     matrix_rank,
@@ -143,6 +144,15 @@ def class_group(fan: Fan) -> FGAbelianGroup:
     return cokernel_group(fan.rays, len(fan.rays))
 
 
+def _combine(coeffs: Sequence[int], vectors: Sequence[LatticeVector]) -> LatticeVector:
+    """The integer combination of ``vectors`` with the leading ``coeffs``."""
+    out = [0] * len(vectors[0])
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            out = [x + c * y for x, y in zip(out, vec)]
+    return tuple(out)
+
+
 def _cartier_lattice(fan: Fan) -> tuple[LatticeVector, ...]:
     """The T-Cartier divisors with their Cartier data, in a Hermite basis.
 
@@ -152,18 +162,23 @@ def _cartier_lattice(fan: Fan) -> tuple[LatticeVector, ...]:
     cone.  On a complete fan the characters are fixed by the coefficients,
     so the column echelon form puts every pivot on a coefficient: basis
     vector ``j`` is zero on the coefficients before its pivot.
+
+    The lattice is built one cone at a time.  Starting from the coefficient
+    unit vectors, cone sigma keeps the integer combinations ``c`` of the
+    current basis ``B`` that agree with an integer character ``m`` on its
+    rays: the integral kernel of ``[B restricted to sigma's rays | rays of
+    sigma]``, at most a few rows by rank + n columns.  Each kernel vector
+    ``(c, m)`` becomes ``c @ B`` with ``m`` appended as sigma's block.  As
+    ``B`` is independent and every lattice vector restricts to the lattice
+    of the cones before, these vectors are a basis of the lattice so far.
+    The column Hermite form of a lattice does not depend on the basis it
+    starts from, so the result is the Hermite basis of the whole system.
     """
-    n = fan.ambient_rank
-    r = len(fan.rays)
-    width = r + len(fan.max_cones) * n
-    rows = []
-    for ci, mc in enumerate(fan.max_cones):
-        for k in mc:
-            row = [0] * width
-            row[k] = 1
-            row[r + ci * n:r + (ci + 1) * n] = fan.rays[k]
-            rows.append(row)
-    h, _ = hermite_normal_form(transpose(integral_kernel(rows)))
+    basis = identity_matrix(len(fan.rays))
+    for mc in fan.max_cones:
+        kernel = integral_kernel([tuple(b[k] for b in basis) + fan.rays[k] for k in mc])
+        basis = [_combine(v, basis) + v[len(basis):] for v in kernel]
+    h, _ = hermite_normal_form(transpose(basis))
     return tuple(col for col in transpose(h) if any(col))
 
 

@@ -9,6 +9,8 @@ from math import gcd
 import pytest
 
 from oracles import count_triangle_interior, gcd_of_minors
+from test_fan import cross_polytope_fan, cube_face_fan
+from toricfan import divisor
 from toricfan.divisor import (
     cartier_data,
     cartier_index,
@@ -23,7 +25,17 @@ from toricfan.divisor import (
     polytope_degree,
 )
 from toricfan import exactlin
-from toricfan.exactlin import StrictSystem, dot, primitive, smith_normal_form, strict_feasible
+from toricfan.exactlin import (
+    StrictSystem,
+    determinant,
+    dot,
+    hermite_normal_form,
+    integral_kernel,
+    primitive,
+    smith_normal_form,
+    strict_feasible,
+    transpose,
+)
 from toricfan.fan import Fan
 
 
@@ -61,6 +73,29 @@ def _chained_agreement_feasible(fan) -> bool:
         if k not in mc
     )
     return strict_feasible(StrictSystem(equalities, stricts, width)).feasible
+
+
+def _monolithic_system(fan):
+    """The Cartier condition as one system: ``a_k + m_sigma(l_k) = 0`` for
+    every maximal cone sigma and ray k of it, in the unknowns
+    ``(a_1, ..., a_r, m_1, ..., m_s)``, coefficients first."""
+    n, r = fan.ambient_rank, len(fan.rays)
+    width = r + len(fan.max_cones) * n
+    rows = []
+    for ci, mc in enumerate(fan.max_cones):
+        for k in mc:
+            row = [0] * width
+            row[k] = 1
+            row[r + ci * n:r + (ci + 1) * n] = fan.rays[k]
+            rows.append(row)
+    return rows
+
+
+def _monolithic_cartier_lattice(fan):
+    """The Cartier lattice from one integral kernel of the whole system, in
+    column Hermite form: a reference for the cone-by-cone construction."""
+    h, _ = hermite_normal_form(transpose(integral_kernel(_monolithic_system(fan))))
+    return tuple(col for col in transpose(h) if any(col))
 
 
 def _angle_order(a, b) -> int:
@@ -185,6 +220,31 @@ class TestPicardGroup:
         f = Fan.from_cones(2, [(1, 0), (0, 1)], [[0, 1]])
         with pytest.raises(ValueError, match="complete"):
             picard_group(f)
+
+
+class TestCartierLattice:
+    def test_matches_monolithic_reference(self, request, yu_grid):
+        fans = [request.getfixturevalue(name) for name in COMPLETE_FIXTURES]
+        fans += random_complete_surface_fans(seed=7, count=40)
+        fans += [yu_grid(n, u).fan for n in range(3, 7) for u in range(1, 4)]
+        fans += [Fan.from_cones(*case) for case in (cube_face_fan(3), cube_face_fan(4), cross_polytope_fan(4))]
+        for fan in fans:
+            assert divisor._cartier_lattice(fan) == _monolithic_cartier_lattice(fan), fan.rays
+
+    def test_congruence_on_weighted_fan(self, weighted_p112_fan):
+        # a_0 D_0 + a_1 D_1 + a_2 D_2 is Cartier exactly when a_0 = a_2 mod 2.
+        lattice = divisor._cartier_lattice(weighted_p112_fan)
+        assert [v[:3] for v in lattice] == [(1, 0, 1), (0, 1, 0), (0, 0, 2)]
+        assert lattice == _monolithic_cartier_lattice(weighted_p112_fan)
+
+    def test_picard_equals_class_group_on_smooth_fans(self, p1_fan, p2_fan, p3_fan, p1xp1_fan):
+        fans = [p1_fan, p2_fan, p3_fan, p1xp1_fan, Fan.from_cones(*cross_polytope_fan(4))]
+        for fan in fans:
+            for mc in fan.max_cones:
+                assert abs(determinant([fan.rays[k] for k in mc])) == 1
+            pic = picard_group(fan)
+            cl = class_group(fan)
+            assert (pic.rank, pic.invariant_factors) == (cl.rank, cl.invariant_factors)
 
 
 class TestAmpleness:
