@@ -32,8 +32,8 @@ LatticeVector = tuple[int, ...]
 RationalVector = tuple[Fraction, ...]
 IntegerMatrix = tuple[LatticeVector, ...]
 
-# Fourier-Motzkin safety valve on the rows held at once (input included); the
-# instances this package targets stay far below this.
+# Fourier-Motzkin safety valve on the rows held at once: the input, then the
+# rows each step forms; the instances this package targets stay far below this.
 _FM_ROW_LIMIT = 200_000
 
 
@@ -441,14 +441,16 @@ class FeasibilityResult:
         return self.feasible
 
 
-def _normalize_rows(raw: list[tuple[tuple[Fraction, ...], Fraction]]) -> Optional[list]:
+def _normalize_rows(raw: list[tuple[tuple[Fraction, ...], Fraction, int]]) -> Optional[list]:
     """Canonicalize, deduplicate, and screen rows ``coeffs . x >= rhs``.
 
-    Returns ``None`` when a row is an outright contradiction (all-zero
-    coefficients with positive right-hand side).
+    Each row carries a bitmask of the input rows it descends from; of equal
+    rows the one with the fewest ancestors is kept.  Returns ``None`` when a
+    row is an outright contradiction (all-zero coefficients with positive
+    right-hand side).
     """
-    out = {}
-    for coeffs, rhs in raw:
+    out: dict = {}
+    for coeffs, rhs, ancestors in raw:
         if all(c == 0 for c in coeffs):
             if rhs > 0:
                 return None
@@ -466,15 +468,28 @@ def _normalize_rows(raw: list[tuple[tuple[Fraction, ...], Fraction]]) -> Optiona
             for x in ints:
                 g = gcd(g, x)
             coeffs = tuple(Fraction(x // g) for x in ints)
-        out[(coeffs, rhs)] = None
-    return list(out)
+        kept = out.get((coeffs, rhs))
+        if kept is None or ancestors.bit_count() < kept.bit_count():
+            out[(coeffs, rhs)] = ancestors
+    return [(coeffs, rhs, ancestors) for (coeffs, rhs), ancestors in out.items()]
 
 
 def _fourier_motzkin(num_vars: int, rows: list) -> Optional[list[Fraction]]:
-    """Feasibility of ``coeffs . x >= rhs`` rows; returns a witness or None."""
-    rows = _normalize_rows([(tuple(Fraction(c) for c in coeffs), Fraction(rhs)) for coeffs, rhs in rows])
+    """Feasibility of ``coeffs . x >= rhs`` rows; returns a witness or None.
+
+    Chernikov's rule drops a combined row that descends from more than
+    ``k + 1`` input rows after ``k`` elimination steps.  Its multipliers on
+    the input rows are then not an extreme ray of the cone of multipliers
+    that cancel the ``k`` eliminated variables, whose extreme rays have at
+    most ``k + 1`` nonzeros, so the row is implied by the rows kept.
+    """
+    rows = _normalize_rows(
+        [(tuple(Fraction(c) for c in coeffs), Fraction(rhs), 1 << i) for i, (coeffs, rhs) in enumerate(rows)]
+    )
     if rows is None:
         return None
+    if len(rows) > _FM_ROW_LIMIT:
+        raise ResourceLimitError(f"fourier-motzkin passed its {_FM_ROW_LIMIT}-row limit")
     eliminated = []
     while True:
         occupied = [v for v in range(num_vars) if any(r[0][v] != 0 for r in rows)]
@@ -489,17 +504,18 @@ def _fourier_motzkin(num_vars: int, rows: list) -> Optional[list[Fraction]]:
         v = min(occupied, key=cost)
         pos = [r for r in rows if r[0][v] > 0]
         neg = [r for r in rows if r[0][v] < 0]
-        passthrough = [r for r in rows if r[0][v] == 0]
-        # Rows held now and rows this step would form, checked before forming them.
-        if max(len(rows), len(passthrough) + len(pos) * len(neg)) > _FM_ROW_LIMIT:
-            raise ResourceLimitError(f"fourier-motzkin passed its {_FM_ROW_LIMIT}-row limit")
+        new_rows = [r for r in rows if r[0][v] == 0]
         eliminated.append((v, pos, neg))
-        new_rows = list(passthrough)
-        for cp, rp in pos:
-            for cn, rn in neg:
+        for cp, rp, ap in pos:
+            for cn, rn, an in neg:
+                ancestors = ap | an
+                if ancestors.bit_count() > len(eliminated) + 1:
+                    continue
                 alpha, beta = cp[v], cn[v]
                 coeffs = tuple(alpha * cn[j] - beta * cp[j] for j in range(num_vars))
-                new_rows.append((coeffs, alpha * rn - beta * rp))
+                new_rows.append((coeffs, alpha * rn - beta * rp, ancestors))
+                if len(new_rows) > _FM_ROW_LIMIT:
+                    raise ResourceLimitError(f"fourier-motzkin passed its {_FM_ROW_LIMIT}-row limit")
         rows = _normalize_rows(new_rows)
         if rows is None:
             return None
@@ -515,11 +531,11 @@ def _fourier_motzkin(num_vars: int, rows: list) -> Optional[list[Fraction]]:
     for v, pos, neg in reversed(eliminated):
         lo: Optional[Fraction] = None
         hi: Optional[Fraction] = None
-        for coeffs, rhs in pos:
+        for coeffs, rhs, _ in pos:
             rest = sum(coeffs[j] * witness[j] for j in range(num_vars) if j != v and coeffs[j] != 0)
             bound = (rhs - rest) / coeffs[v]
             lo = bound if lo is None or bound > lo else lo
-        for coeffs, rhs in neg:
+        for coeffs, rhs, _ in neg:
             rest = sum(coeffs[j] * witness[j] for j in range(num_vars) if j != v and coeffs[j] != 0)
             bound = (rhs - rest) / coeffs[v]
             hi = bound if hi is None or bound < hi else hi
