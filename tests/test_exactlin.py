@@ -19,6 +19,7 @@ from toricfan.exactlin import (
     dot,
     hermite_normal_form,
     identity_matrix,
+    integral_kernel,
     is_unimodular,
     mat_mul,
     mat_vec,
@@ -419,5 +420,85 @@ def test_elimination_properties(sympy):
         sol = solve_linear(m, b)
         assert sol is not None and mat_vec(m, sol.particular) == b
         assert sol.kernel == kernel
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# The lattice kernels (Hermite and Smith forms, integral kernels) by exact
+# properties, with sympy as a dev-only oracle for determinants and ranks.
+
+
+def _integer_matrices(st, max_rows: int = 5, max_cols: int = 7):
+    """Small integer matrices, dense or with a planted rank deficiency."""
+
+    @st.composite
+    def matrices(draw):
+        rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+        entries = st.integers(-6, 6)
+
+        def block(r, c):
+            return draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+
+        if draw(st.booleans()):  # rank at most k: a product of thin factors
+            k = draw(st.integers(1, min(rows, cols)))
+            return mat_mul(block(rows, k), block(k, cols))
+        return tuple(tuple(row) for row in block(rows, cols))
+
+    return matrices()
+
+
+def _unimodular(sympy, m) -> bool:
+    return sympy.Matrix(m).det() in (1, -1)
+
+
+def test_hermite_properties(sympy):
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hyp.given(_integer_matrices(hyp.strategies))
+    def check(m):
+        h, u = hermite_normal_form(m)
+        assert mat_mul(m, u) == h
+        assert _unimodular(sympy, u)
+        assert hnf_shape_ok(h)
+
+    check()
+
+
+def test_smith_properties(sympy):
+    hyp = pytest.importorskip("hypothesis")
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hyp.given(_integer_matrices(hyp.strategies))
+    def check(m):
+        s, u, v = smith_normal_form(m)
+        assert mat_mul(mat_mul(u, m), v) == s
+        assert _unimodular(sympy, u) and _unimodular(sympy, v)
+        rows, cols = len(m), len(m[0])
+        assert all(s[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+        diag = [s[i][i] for i in range(min(rows, cols))]
+        rank = sympy.Matrix(m).rank()
+        assert all(d > 0 for d in diag[:rank]) and not any(diag[rank:])
+        assert all(b % a == 0 for a, b in zip(diag[:rank], diag[1:rank]))
+        expected = normalforms.invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
+        assert diag[:rank] == sorted(abs(int(d)) for d in expected if d)
+
+    check()
+
+
+def test_integral_kernel_properties(sympy):
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hyp.given(_integer_matrices(hyp.strategies))
+    def check(m):
+        kernel = integral_kernel(m)
+        assert len(kernel) == len(m[0]) - sympy.Matrix(m).rank()
+        for k in kernel:
+            assert all(x == 0 for x in mat_vec(m, k))
+        if kernel:  # saturated: the kernel lattice is all of ker(m) in Z^cols
+            assert gcd_of_minors(kernel, len(kernel)) == 1
 
     check()
