@@ -163,16 +163,12 @@ def _cartier_lattice(fan: Fan) -> tuple[LatticeVector, ...]:
     so the column echelon form puts every pivot on a coefficient: basis
     vector ``j`` is zero on the coefficients before its pivot.
 
-    The lattice is built one cone at a time.  Starting from the coefficient
-    unit vectors, cone sigma keeps the integer combinations ``c`` of the
-    current basis ``B`` that agree with an integer character ``m`` on its
-    rays: the integral kernel of ``[B restricted to sigma's rays | rays of
-    sigma]``, at most a few rows by rank + n columns.  Each kernel vector
-    ``(c, m)`` becomes ``c @ B`` with ``m`` appended as sigma's block.  As
-    ``B`` is independent and every lattice vector restricts to the lattice
-    of the cones before, these vectors are a basis of the lattice so far.
-    The column Hermite form of a lattice does not depend on the basis it
-    starts from, so the result is the Hermite basis of the whole system.
+    Built cone by cone from the coefficient unit vectors: cone sigma keeps
+    the integer combinations ``c`` of the current basis ``B`` that agree
+    with a character ``m`` on its rays, the integral kernel ``(c, m)`` of
+    ``[B on sigma's rays | rays of sigma]``, and ``c @ B`` gains ``m`` as
+    sigma's block.  They are a basis of the lattice of the cones so far; a
+    lattice has one column Hermite basis, whatever basis it starts from.
     """
     basis = identity_matrix(len(fan.rays))
     for mc in fan.max_cones:

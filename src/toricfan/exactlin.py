@@ -449,7 +449,7 @@ def _normalize_rows(raw: list[tuple[tuple[Fraction, ...], Fraction, int]]) -> Op
     row is an outright contradiction (all-zero coefficients with positive
     right-hand side).
     """
-    out: dict = {}
+    out = {}
     for coeffs, rhs, ancestors in raw:
         if all(c == 0 for c in coeffs):
             if rhs > 0:
@@ -483,9 +483,7 @@ def _fourier_motzkin(num_vars: int, rows: list) -> Optional[list[Fraction]]:
     that cancel the ``k`` eliminated variables, whose extreme rays have at
     most ``k + 1`` nonzeros, so the row is implied by the rows kept.
     """
-    rows = _normalize_rows(
-        [(tuple(Fraction(c) for c in coeffs), Fraction(rhs), 1 << i) for i, (coeffs, rhs) in enumerate(rows)]
-    )
+    rows = _normalize_rows([(tuple(map(Fraction, c)), Fraction(b), 1 << i) for i, (c, b) in enumerate(rows)])
     if rows is None:
         return None
     if len(rows) > _FM_ROW_LIMIT:

@@ -210,8 +210,10 @@ class TestClassGroup:
 
 
 class TestPicardGroup:
-    def test_smooth_complete_equals_class_group(self, p2_fan, p1xp1_fan, p3_fan):
-        for fan in (p2_fan, p1xp1_fan, p3_fan):
+    def test_smooth_complete_equals_class_group(self, p1_fan, p2_fan, p1xp1_fan, p3_fan):
+        for fan in (p1_fan, p2_fan, p1xp1_fan, p3_fan, Fan.from_cones(*cross_polytope_fan(4))):
+            for mc in fan.max_cones:
+                assert abs(determinant([fan.rays[k] for k in mc])) == 1
             pic = picard_group(fan)
             cl = class_group(fan)
             assert (pic.rank, pic.invariant_factors) == (cl.rank, cl.invariant_factors)
@@ -237,15 +239,6 @@ class TestCartierLattice:
         lattice = divisor._cartier_lattice(weighted_p112_fan)
         assert [v[:3] for v in lattice] == [(1, 0, 1), (0, 1, 0), (0, 0, 2)]
         assert lattice == _monolithic_cartier_lattice(weighted_p112_fan)
-
-    def test_picard_equals_class_group_on_smooth_fans(self, p1_fan, p2_fan, p3_fan, p1xp1_fan):
-        fans = [p1_fan, p2_fan, p3_fan, p1xp1_fan, Fan.from_cones(*cross_polytope_fan(4))]
-        for fan in fans:
-            for mc in fan.max_cones:
-                assert abs(determinant([fan.rays[k] for k in mc])) == 1
-            pic = picard_group(fan)
-            cl = class_group(fan)
-            assert (pic.rank, pic.invariant_factors) == (cl.rank, cl.invariant_factors)
 
 
 class TestAmpleness:
