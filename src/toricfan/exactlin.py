@@ -4,8 +4,9 @@ Everything here runs on Python's arbitrary-precision integers.  Rank,
 kernels and rational solving share one fraction-free elimination on integer
 rows (Bareiss-style cross-multiplication, as in ``determinant``);
 ``fractions.Fraction`` appears only in rational results (particular
-solutions, feasibility witnesses) and in Fourier-Motzkin elimination.  No
-floating point is used anywhere in the package: all downstream geometry
+solutions, feasibility witnesses) and, in Fourier-Motzkin elimination, only
+in back-substitution: the elimination itself runs on primitive integer rows.
+No floating point is used anywhere in the package: all downstream geometry
 (cones, fans, divisors) reduces to exact lattice computations built on the
 primitives in this module.
 
@@ -441,33 +442,25 @@ class FeasibilityResult:
         return self.feasible
 
 
-def _normalize_rows(raw: list[tuple[tuple[Fraction, ...], Fraction, int]]) -> Optional[list]:
-    """Canonicalize, deduplicate, and screen rows ``coeffs . x >= rhs``.
+def _normalize_rows(raw: list[tuple[tuple[int, ...], int, int]]) -> Optional[list]:
+    """Make integer rows ``coeffs . x >= rhs`` primitive, deduplicate, and screen them.
 
-    Each row carries a bitmask of the input rows it descends from; of equal
-    rows the one with the fewest ancestors is kept.  Returns ``None`` when a
-    row is an outright contradiction (all-zero coefficients with positive
-    right-hand side).
+    Each row is divided by the gcd of all its entries, so positive multiples
+    coincide.  Each row carries a bitmask of the input rows it descends from;
+    of equal rows the one with the fewest ancestors is kept.  Returns
+    ``None`` when a row is an outright contradiction (all-zero coefficients
+    with positive right-hand side).
     """
     out = {}
     for coeffs, rhs, ancestors in raw:
-        if all(c == 0 for c in coeffs):
+        if not any(coeffs):
             if rhs > 0:
                 return None
             continue
-        if rhs != 0:
-            scale = 1 / abs(rhs)
-            coeffs = tuple(c * scale for c in coeffs)
-            rhs = Fraction(1 if rhs > 0 else -1)
-        else:
-            den = 1
-            for c in coeffs:
-                den = lcm(den, c.denominator)
-            ints = [int(c * den) for c in coeffs]
-            g = 0
-            for x in ints:
-                g = gcd(g, x)
-            coeffs = tuple(Fraction(x // g) for x in ints)
+        g = gcd(*coeffs, rhs)
+        if g > 1:
+            coeffs = tuple(c // g for c in coeffs)
+            rhs //= g
         kept = out.get((coeffs, rhs))
         if kept is None or ancestors.bit_count() < kept.bit_count():
             out[(coeffs, rhs)] = ancestors
@@ -475,7 +468,7 @@ def _normalize_rows(raw: list[tuple[tuple[Fraction, ...], Fraction, int]]) -> Op
 
 
 def _fourier_motzkin(num_vars: int, rows: list) -> Optional[list[Fraction]]:
-    """Feasibility of ``coeffs . x >= rhs`` rows; returns a witness or None.
+    """Feasibility of integer rows ``coeffs . x >= rhs``; returns a witness or None.
 
     Chernikov's rule drops a combined row that descends from more than
     ``k + 1`` input rows after ``k`` elimination steps.  Its multipliers on
@@ -483,7 +476,7 @@ def _fourier_motzkin(num_vars: int, rows: list) -> Optional[list[Fraction]]:
     that cancel the ``k`` eliminated variables, whose extreme rays have at
     most ``k + 1`` nonzeros, so the row is implied by the rows kept.
     """
-    rows = _normalize_rows([(tuple(map(Fraction, c)), Fraction(b), 1 << i) for i, (c, b) in enumerate(rows)])
+    rows = _normalize_rows([(tuple(c), b, 1 << i) for i, (c, b) in enumerate(rows)])
     if rows is None:
         return None
     if len(rows) > _FM_ROW_LIMIT:
@@ -531,11 +524,11 @@ def _fourier_motzkin(num_vars: int, rows: list) -> Optional[list[Fraction]]:
         hi: Optional[Fraction] = None
         for coeffs, rhs, _ in pos:
             rest = sum(coeffs[j] * witness[j] for j in range(num_vars) if j != v and coeffs[j] != 0)
-            bound = (rhs - rest) / coeffs[v]
+            bound = Fraction(rhs - rest, coeffs[v])
             lo = bound if lo is None or bound > lo else lo
         for coeffs, rhs, _ in neg:
             rest = sum(coeffs[j] * witness[j] for j in range(num_vars) if j != v and coeffs[j] != 0)
-            bound = (rhs - rest) / coeffs[v]
+            bound = Fraction(rhs - rest, coeffs[v])
             hi = bound if hi is None or bound < hi else hi
         if lo is not None and hi is not None:
             if lo > hi:
@@ -550,79 +543,33 @@ def _fourier_motzkin(num_vars: int, rows: list) -> Optional[list[Fraction]]:
     return [Fraction(0) if w is None else w for w in witness]
 
 
-def feasible_point(
-    dim: int,
-    equalities: Sequence[Sequence],
-    eq_rhs: Sequence,
-    inequalities: Sequence[Sequence],
-    ineq_rhs: Sequence,
-) -> Optional[RationalVector]:
-    """Find ``x`` with ``equalities @ x = eq_rhs`` and ``inequalities @ x >= ineq_rhs``.
-
-    Equalities are eliminated by an exact rational solve; the remaining
-    inequality system is decided by Fourier-Motzkin elimination.  Any witness
-    is re-verified against every constraint before it is returned.
-    """
-    if len(equalities) != len(eq_rhs) or len(inequalities) != len(ineq_rhs):
-        raise ValueError("constraint rows and right-hand sides differ in length")
-    for row in list(equalities) + list(inequalities):
-        if len(row) != dim:
-            raise ValueError(f"row of length {len(row)} in a system of dimension {dim}")
-
-    if equalities:
-        sol = solve_linear(equalities, eq_rhs, mode="rational")
-        if sol is None:
-            return None
-        x0, kernel = sol.particular, sol.kernel
-    else:
-        x0 = tuple(Fraction(0) for _ in range(dim))
-        kernel = identity_matrix(dim)
-
-    if not kernel:
-        ok = all(dot(row, x0) >= rhs for row, rhs in zip(inequalities, ineq_rhs))
-        return tuple(Fraction(x) for x in x0) if ok else None
-
-    reduced = []
-    for row, rhs in zip(inequalities, ineq_rhs):
-        coeffs = tuple(Fraction(dot(row, k)) for k in kernel)
-        reduced.append((coeffs, Fraction(rhs) - Fraction(dot(row, x0))))
-    t = _fourier_motzkin(len(kernel), reduced)
-    if t is None:
-        return None
-    x = [Fraction(xi) for xi in x0]
-    for coeff, k in zip(t, kernel):
-        if coeff:
-            x = [xi + coeff * ki for xi, ki in zip(x, k)]
-    witness = tuple(x)
-    for row, rhs in zip(equalities, eq_rhs):
-        if dot(row, witness) != rhs:
-            raise InvariantError("feasibility witness violates an equality")
-    for row, rhs in zip(inequalities, ineq_rhs):
-        if dot(row, witness) < rhs:
-            raise InvariantError("feasibility witness violates an inequality")
-    return witness
-
-
 def strict_feasible(system: StrictSystem) -> FeasibilityResult:
     """Decide ``equalities = 0`` and ``strict rows > 0`` exactly.
 
     The system is homogeneous, so each strict row ``r . x > 0`` may be
     replaced by ``r . x >= 1``: any strictly feasible point scales into the
     slack form, and the slack form is trivially strictly feasible.
+    Equalities are eliminated by substituting a basis of their kernel.  The
+    witness is re-checked against every row, in integers, before it is
+    returned.
     """
-    witness = feasible_point(
-        system.dim,
-        system.equalities,
-        [0] * len(system.equalities),
-        system.strict_inequalities,
-        [1] * len(system.strict_inequalities),
-    )
+    equalities = _integer_rows(system.equalities)
+    # Slack rows r . x >= 1, each cleared of denominators together with its 1.
+    slack = [(row[:-1], row[-1]) for row in _integer_rows([[*r, 1] for r in system.strict_inequalities])]
+    if not equalities:
+        witness = _fourier_motzkin(system.dim, slack)
+    else:
+        basis = rational_kernel(equalities)
+        t = _fourier_motzkin(len(basis), [([dot(row, k) for k in basis], rhs) for row, rhs in slack])
+        witness = None if t is None else [
+            sum((c * k[i] for c, k in zip(t, basis)), Fraction(0)) for i in range(system.dim)]
     if witness is None:
         return FeasibilityResult(False, None)
-    for row in system.strict_inequalities:
-        if dot(row, witness) <= 0:
-            raise InvariantError("strict witness is not strict")
-    return FeasibilityResult(True, witness)
+    scale = lcm(*(x.denominator for x in witness))
+    point = [x.numerator * (scale // x.denominator) for x in witness]
+    if any(dot(row, point) for row in equalities) or any(dot(row, point) <= 0 for row, _ in slack):
+        raise InvariantError("strict feasibility witness violates its system")
+    return FeasibilityResult(True, tuple(witness))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,12 @@ def cramer_solve(rows, rhs):
     return tuple(out)
 
 
+def _cleared(row) -> tuple[int, ...]:
+    """The row times the lcm of its denominators."""
+    den = lcm(*(Fraction(x).denominator for x in row))
+    return tuple(int(Fraction(x) * den) for x in row)
+
+
 def feasible_by_vertex_enumeration(dim, equalities, strict_rows) -> bool:
     """Feasibility of {eq = 0, strict > 0} by basic-solution enumeration.
 
@@ -46,8 +52,12 @@ def feasible_by_vertex_enumeration(dim, equalities, strict_rows) -> bool:
     whose size dominates every Cramer-rule basic solution of the system, so
     the boxed polytope is nonempty iff the original one is; a nonempty
     polytope inside a box has a vertex, and every vertex is the unique
-    solution of some dim-subset of constraint rows.
+    solution of some dim-subset of constraint rows.  Rational rows are first
+    scaled to integer rows, which keeps both {= 0} and {> 0}, so that the box
+    bound holds.
     """
+    equalities = [_cleared(e) for e in equalities]
+    strict_rows = [_cleared(s) for s in strict_rows]
     rows = []
     rhs = []
     for e in equalities:

@@ -258,15 +258,32 @@ class TestStrictFeasible:
             assert dot(row, res.witness) > 0
 
     def test_vertex_enumeration_agreement_small(self):
+        # Up to three equalities, so full-rank equality blocks (an empty
+        # kernel) occur; about one entry in five is a proper fraction.
         rng = random.Random(61)
-        for _ in range(60):
+        def entry():
+            return Fraction(rng.randint(-3, 3), rng.randint(2, 3)) if rng.randint(0, 4) == 0 else rng.randint(-3, 3)
+        for _ in range(120):
             dim = rng.randint(1, 3)
-            n_eq = rng.randint(0, 2)
+            n_eq = rng.randint(0, 3)
             n_strict = rng.randint(1, 8 - n_eq)
-            eqs = tuple(tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(n_eq))
-            stricts = tuple(tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(n_strict))
+            eqs = tuple(tuple(entry() for _ in range(dim)) for _ in range(n_eq))
+            stricts = tuple(tuple(entry() for _ in range(dim)) for _ in range(n_strict))
             res = strict_feasible(StrictSystem(eqs, stricts, dim))
             assert res.feasible == feasible_by_vertex_enumeration(dim, eqs, stricts)
+            if res.feasible:
+                assert all(dot(row, res.witness) == 0 for row in eqs)
+                assert all(dot(row, res.witness) > 0 for row in stricts)
+
+    @pytest.mark.parametrize("system", [
+        StrictSystem((), ((1, 0), (0, 1)), 2),
+        StrictSystem(((1, -1, 0),), ((1, 0, 0), (0, 0, 1)), 3),
+    ])
+    def test_witness_is_rechecked(self, monkeypatch, system):
+        assert strict_feasible(system).feasible
+        monkeypatch.setattr(exactlin, "_fourier_motzkin", lambda num_vars, rows: [Fraction(-1)] * num_vars)
+        with pytest.raises(InvariantError, match="witness violates"):
+            strict_feasible(system)
 
     def test_row_length_validation(self):
         with pytest.raises(ValueError):
