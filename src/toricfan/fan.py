@@ -26,6 +26,7 @@ from .exactlin import (
     determinant,
     dot,
     hermite_normal_form,
+    identity_matrix,
     matrix_rank,
     primitive,
 )
@@ -179,8 +180,6 @@ class Fan:
             return False
         if any(len(w.incident) != 2 for w in self.walls):
             return False
-        if not self.max_cones:
-            return False
         adjacency = {i: set() for i in range(len(self.max_cones))}
         for w in self.walls:
             a, b = w.incident
@@ -273,9 +272,7 @@ class Fan:
         regardless.
         """
         if self.rays == other.rays and set(self.max_cones) == set(other.max_cones):
-            return FanIsomorphism(tuple(tuple(1 if i == j else 0 for j in range(self.ambient_rank))
-                                        for i in range(self.ambient_rank)),
-                                  tuple(range(len(self.rays))))
+            return FanIsomorphism(identity_matrix(self.ambient_rank), tuple(range(len(self.rays))))
         if self.ambient_rank != other.ambient_rank:
             return None
         n = self.ambient_rank
