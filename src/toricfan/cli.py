@@ -444,6 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--divisor", help="path to a divisor file (JSON)")
         if ray:
             p.add_argument("--ray", type=int, help="ray index into the fan file's ray list")
+        if name in ("egyptian", "modify"):
             p.add_argument("--allow-incomplete", action="store_true",
                            help="classify stars in a non-complete fan")
         if emit:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, floor, ceil, lcm
 from typing import Optional, Sequence
 
 from .cone import Cone
-from .errors import InvariantError
+from .errors import InvariantError, ResourceLimitError
 from .exactlin import (
     FGAbelianGroup,
     LatticeVector,
@@ -37,6 +37,10 @@ from .exactlin import (
 from .fan import Fan
 
 ToricDivisor = Sequence[int]
+
+# Safety valve on the box that ``count_lattice_points`` scans point by point;
+# the instances this package targets stay far below this.
+_BOX_POINT_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -301,23 +305,15 @@ def count_lattice_points(polytope: Polytope, scale: int = 1) -> int:
     if not polytope.vertices:
         return 0
     dim = len(polytope.vertices[0])
-    lo = [min(floor(scale * v[i]) for v in polytope.vertices) for i in range(dim)]
-    hi = [max(ceil(scale * v[i]) for v in polytope.vertices) for i in range(dim)]
-
-    point = lo[:]
-
-    def rec(i: int) -> int:
-        if i == dim:
-            return 1 if all(
-                dot(normal, point) >= -scale * offset for normal, offset in polytope.inequalities
-            ) else 0
-        total = 0
-        for x in range(lo[i], hi[i] + 1):
-            point[i] = x
-            total += rec(i + 1)
-        return total
-
-    return rec(0)
+    sides = [range(min(floor(scale * v[i]) for v in polytope.vertices),
+                   max(ceil(scale * v[i]) for v in polytope.vertices) + 1) for i in range(dim)]
+    box = 1
+    for side in sides:
+        box *= side.stop - side.start
+    if box > _BOX_POINT_LIMIT:
+        raise ResourceLimitError(f"lattice-point scan of {box} points passes its {_BOX_POINT_LIMIT}-point limit")
+    bounds = [(normal, -scale * offset) for normal, offset in polytope.inequalities]
+    return sum(all(dot(normal, point) >= b for normal, b in bounds) for point in product(*sides))
 
 
 def _interpolate(values: Sequence[int]) -> tuple[Fraction, ...]:

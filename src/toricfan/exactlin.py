@@ -122,16 +122,15 @@ def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     return out
 
 
-def _eliminate(work: list[list[int]], cols: int, reduce: bool = True) -> list[int]:
+def _eliminate(work: list[list[int]], cols: int) -> list[int]:
     """Fraction-free elimination of integer rows, in place; returns the pivot columns.
 
     Pivots are taken in the first ``cols`` columns only, so an augmented
     right-hand side is carried along but never pivoted on.  Rows are updated
-    by cross-multiplication, ``row * p - pivot_row * q``.  With ``reduce``
-    rows above each pivot are cleared too and updated rows are divided by
-    their gcd: the first ``len(pivots)`` rows are then a reduced echelon form
-    up to one integer scale per row, and the rest are zero in the first
-    ``cols`` columns.  Without it only rows below a pivot are cleared (rank).
+    by cross-multiplication, ``row * p - pivot_row * q``, above and below
+    each pivot, and every updated row is divided by its gcd: the first
+    ``len(pivots)`` rows are then a reduced echelon form up to one integer
+    scale per row, and the rest are zero in the first ``cols`` columns.
     """
     rows_n = len(work)
     pivots: list[int] = []
@@ -143,16 +142,15 @@ def _eliminate(work: list[list[int]], cols: int, reduce: bool = True) -> list[in
         work[r], work[pivot] = work[pivot], work[r]
         pr = work[r]
         p = pr[col]
-        for i in range(0 if reduce else r + 1, rows_n):
+        for i in range(rows_n):
             q = work[i][col]
             if q and i != r:
                 row = [x * p - y * q for x, y in zip(work[i], pr)]
-                if reduce:
-                    g = 0
-                    for x in row:
-                        g = gcd(g, x)
-                    if g > 1:
-                        row = [x // g for x in row]
+                g = 0
+                for x in row:
+                    g = gcd(g, x)
+                if g > 1:
+                    row = [x // g for x in row]
                 work[i] = row
         pivots.append(col)
         if len(pivots) == rows_n:
@@ -177,11 +175,11 @@ def _kernel_of(work: list[list[int]], pivots: list[int], cols: int) -> tuple[Lat
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals: the forward phase of the fraction-free elimination."""
+    """Rank over the rationals: the pivot count of the fraction-free elimination."""
     if not rows:
         return 0
     work = _integer_rows(rows)
-    return len(_eliminate(work, len(work[0]), reduce=False))
+    return len(_eliminate(work, len(work[0])))
 
 
 def rational_kernel(rows: Sequence[Sequence], width: Optional[int] = None) -> tuple[LatticeVector, ...]:
@@ -379,40 +377,39 @@ def solve_linear(a: Sequence[Sequence], b: Sequence, mode: str = "rational") -> 
 
     # Integral mode: clear denominators row by row, then pass to Hermite form.
     scaled = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])
-    int_rows = [row[:cols] for row in scaled]
-    int_rhs = [row[cols] for row in scaled]
-
-    h, u = hermite_normal_form(int_rows)
-    # With H = A @ U, the system A x = b becomes H y = b, x = U y.  The
-    # echelon shape of H lets each row either determine one new coordinate of
-    # y or act as a pure consistency check.
-    y: list[Optional[int]] = [None] * cols
-    for i in range(len(int_rows)):
-        undetermined = [j for j in range(cols) if h[i][j] != 0 and y[j] is None]
-        known = sum(h[i][j] * y[j] for j in range(cols) if h[i][j] != 0 and y[j] is not None)
-        if len(undetermined) > 1:
-            raise InvariantError("hermite form is not echelon")
-        if len(undetermined) == 1:
-            j = undetermined[0]
-            num = int_rhs[i] - known
-            if num % h[i][j] != 0:
-                return None
-            y[j] = num // h[i][j]
-        elif known != int_rhs[i]:
+    h, u = hermite_normal_form([row[:cols] for row in scaled])
+    # With H = A @ U, the system A x = b becomes H y = b, x = U y.  Each
+    # nonzero column j of the echelon H fixes y_j at its first nonzero row;
+    # the zero columns are free (y_j = 0) and span the kernel.
+    y = [0] * cols
+    pivot_rows = set()
+    kernel = []
+    for j in range(cols):
+        i = next((i for i, row in enumerate(h) if row[j]), None)
+        if i is None:
+            kernel.append(tuple(row[j] for row in u))
+            continue
+        y[j], rest = divmod(scaled[i][cols] - dot(h[i][:j], y[:j]), h[i][j])
+        if rest:
             return None
-    yfull = [0 if val is None else val for val in y]
-    particular = tuple(sum(u[i][j] * yfull[j] for j in range(cols)) for i in range(cols))
-    zero_cols = [j for j in range(cols) if all(h[i][j] == 0 for i in range(len(int_rows)))]
-    kernel = tuple(tuple(u[i][j] for i in range(cols)) for j in zero_cols)
-    return LinearSolution(particular, kernel)
+        pivot_rows.add(i)
+    particular = mat_vec(u, y)
+    # Pivot rows hold by construction when H = A @ U is echelon; a row
+    # without a pivot that fails has no solution, since y is forced on the
+    # pivot columns and the free columns do not move A x.
+    violated = {i for i, row in enumerate(scaled) if dot(row[:cols], particular) != row[cols]}
+    if violated & pivot_rows:
+        raise InvariantError("hermite form is not an echelon form of A @ U")
+    return None if violated else LinearSolution(particular, tuple(kernel))
 
 
 def integral_kernel(a: Sequence[Sequence[int]]) -> tuple[LatticeVector, ...]:
-    """Basis of the integer solution lattice of ``a @ x = 0``."""
-    sol = solve_linear(a, [0] * len(a), mode="integral")
-    if sol is None:
-        raise InvariantError("homogeneous system reported unsolvable")
-    return sol.kernel
+    """Basis of the integer solution lattice of ``a @ x = 0``: the columns of
+    ``U`` where the Hermite form ``H = a @ U`` is zero."""
+    if not a:
+        raise ValueError("empty system has unknown width")
+    h, u = hermite_normal_form(a)
+    return tuple(tuple(row[j] for row in u) for j in range(len(u)) if not any(r[j] for r in h))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .exactlin import (
     identity_matrix,
     matrix_rank,
     primitive,
+    solve_linear,
 )
 
 
@@ -303,7 +304,9 @@ class Fan:
                 break
         r_cols = tuple(zip(*[self.rays[i] for i in pivot]))  # columns are pivot rays
         det_r = determinant(r_cols)
-        adj_r = _adjugate(r_cols)
+        # Columns of adj(R) = det(R) * R^{-1}, one exact solve per unit vector.
+        adj_cols = [tuple(int(det_r * x) for x in solve_linear(r_cols, e).particular)
+                    for e in identity_matrix(n)]
 
         other_index = {r: i for i, r in enumerate(other.rays)}
         other_cone_sets = {frozenset(mc) for mc in other.max_cones}
@@ -315,7 +318,7 @@ class Fan:
         def try_assignment(images: tuple[int, ...]) -> Optional[FanIsomorphism]:
             s_cols = tuple(zip(*[other.rays[j] for j in images]))
             # A @ R = S  =>  A = S @ R^{-1} = S @ adj(R) / det(R)
-            raw = [[dot(s_cols[i], col) for col in zip(*adj_r)] for i in range(n)]
+            raw = [[dot(s_cols[i], col) for col in adj_cols] for i in range(n)]
             if any(x % det_r for row in raw for x in row):
                 return None
             a = tuple(tuple(x // det_r for x in row) for row in raw)
@@ -432,16 +435,3 @@ def _check_pairwise(cones: Sequence[Cone]) -> None:
                 raise ValueError(
                     f"not a fan: cones {i},{j} overlap badly; intersection rays {list(meet)}"
                 )
-
-
-def _adjugate(m: Sequence[Sequence[int]]) -> tuple:
-    """Integer adjugate: m @ adj(m) = det(m) * I."""
-    n = len(m)
-    if n == 1:
-        return ((1,),)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[m[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            adj[j][i] = (-1) ** (i + j) * determinant(minor)
-    return tuple(tuple(row) for row in adj)

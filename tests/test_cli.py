@@ -1,9 +1,11 @@
 """Command dispatch, file formats, exit codes, and report round trips."""
 
 import json
+import time
 
 import pytest
 
+from toricfan import divisor as divisor_ops
 from toricfan import exactlin
 from toricfan.cli import (
     EXIT_INPUT_ERROR,
@@ -142,6 +144,78 @@ class TestExitCodes:
         assert run(["egyptian", "--fan", str(fan_file), "--ray", "5", "--allow-incomplete"]) \
             == EXIT_PROPERTY_FAILS
         capsys.readouterr()
+
+    def test_report_has_no_allow_incomplete_flag(self, yu_file, capsys):
+        assert run(["report", "--fan", str(yu_file), "--ray", "0", "--allow-incomplete"]) == EXIT_INPUT_ERROR
+        assert "unrecognized arguments: --allow-incomplete" in capsys.readouterr().err
+
+
+P2 = '{"dim":2,"rays":[[1,0],[0,1],[-1,-1]],"max_cones":[[0,1],[0,2],[1,2]]}'
+P112 = '{"dim":2,"rays":[[1,0],[0,1],[-1,-2]],"max_cones":[[0,1],[0,2],[1,2]]}'
+QUADRANT = '{"dim":2,"rays":[[1,0],[0,1]],"max_cones":[[0,1]]}'
+LINE_IN_PLANE = '{"dim":2,"rays":[[1,0],[-1,0]],"max_cones":[[0],[1]]}'
+
+
+def _json_run(argv, capsys):
+    code = run([*argv, "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+class TestCommandBranches:
+    """Each command's verdict and input-error branches, on small fans."""
+
+    @pytest.fixture()
+    def write(self, tmp_path):
+        def write(name, text):
+            path = tmp_path / name
+            path.write_text(text)
+            return str(path)
+        return write
+
+    def test_validate_complete_fan(self, write, capsys):
+        code, report = _json_run(["validate", "--fan", write("p2.json", P2)], capsys)
+        assert code == EXIT_OK
+        assert report["valid"] is True and report["complete"] is True
+
+    def test_cartier_q_cartier_only(self, write, capsys):
+        d0 = write("d0.json", '{"coefficients":[1,0,0]}')
+        argv = ["cartier", "--fan", write("p112.json", P112), "--divisor", d0]
+        code, report = _json_run(argv, capsys)
+        assert code == EXIT_PROPERTY_FAILS
+        assert report["cartier"] is False and report["q_cartier"] is True
+        assert "rational_characters" in report and "characters" not in report
+
+    def test_projective_witness_is_ample(self, write, capsys):
+        code, report = _json_run(["projective", "--fan", write("p2.json", P2)], capsys)
+        assert code == EXIT_OK and report["projective"] is True
+        fan, _, _ = parse_fan_file(P2)
+        assert divisor_ops.is_ample(fan, report["ample_divisor"])
+
+    @pytest.mark.parametrize("argv", [
+        ["picard", "--fan", "quadrant"],
+        ["projective", "--fan", "quadrant"],
+        ["classgroup", "--fan", "line"],
+        ["degree", "--fan", "quadrant", "--divisor", "ones"],
+        ["family", "yu", "--n", "2", "--u", "1"],
+        ["family", "yu", "--n", "3"],
+    ], ids=["picard-incomplete", "projective-incomplete", "classgroup-not-spanning",
+            "degree-unbounded", "family-n2", "family-no-u"])
+    def test_input_errors_exit_2(self, write, capsys, argv):
+        files = {"quadrant": write("quadrant.json", QUADRANT), "line": write("line.json", LINE_IN_PLANE),
+                 "ones": write("ones.json", '{"coefficients":[1,1]}')}
+        code, report = _json_run([files.get(arg, arg) for arg in argv], capsys)
+        assert code == EXIT_INPUT_ERROR
+        assert report["error"] and "internal_error" not in report
+
+    def test_degree_beyond_the_point_scan_limit(self, write, capsys):
+        big = write("big.json", '{"coefficients":[100000,0,0]}')
+        argv = ["degree", "--fan", write("p2.json", P2), "--divisor", big]
+        started = time.perf_counter()
+        code, report = _json_run(argv, capsys)
+        assert time.perf_counter() - started < 1
+        assert code == EXIT_INPUT_ERROR
+        assert "point limit" in report["resource_limit"]
+        assert "internal_error" not in report
 
 
 class TestDivisorCommands:

@@ -25,6 +25,7 @@ from toricfan.divisor import (
     polytope_degree,
 )
 from toricfan import exactlin
+from toricfan.errors import ResourceLimitError
 from toricfan.exactlin import (
     StrictSystem,
     determinant,
@@ -387,6 +388,16 @@ class TestPolytopes:
         assert count_lattice_points(p, 1) == 3 * 4
         ehrhart, degree = polytope_degree(p, 2)
         assert degree == 2 * 2 * 3  # 2! * area of a 2x3 box
+
+    def test_box_scan_limit(self, p1xp1_fan, p2_fan, monkeypatch):
+        with pytest.raises(ResourceLimitError, match="point limit"):
+            polytope_degree(divisor_polytope(p2_fan, [100000, 0, 0]), 2)
+        p = divisor_polytope(p1xp1_fan, [2, 3, 0, 0])  # a 3 x 4 box of points
+        monkeypatch.setattr(divisor, "_BOX_POINT_LIMIT", 12)
+        assert count_lattice_points(p, 1) == 12
+        monkeypatch.setattr(divisor, "_BOX_POINT_LIMIT", 11)
+        with pytest.raises(ResourceLimitError):
+            count_lattice_points(p, 1)
 
 
 class TestGrowth:

@@ -193,20 +193,44 @@ class TestSolveLinear:
                 assert all(v == 0 for v in mat_vec(a, k))
 
     def test_integral_brute_force_agreement_small(self):
+        # Up to 4 rows on at most 3 columns, so some rows carry no Hermite
+        # pivot and are pure consistency checks; every fourth system has
+        # Fraction entries, which are cleared row by row.
         rng = random.Random(53)
-        for _ in range(40):
-            rows = rng.randint(1, 3)
+        seen = set()
+        for t in range(80):
+            rows = rng.randint(1, 4)
             cols = rng.randint(1, 3)
             a = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-            b = [rng.randint(-6, 6) for _ in range(rows)]
+            if t % 2:  # planted: an integer solution exists
+                b = list(mat_vec(a, [rng.randint(-3, 3) for _ in range(cols)]))
+            else:
+                b = [rng.randint(-6, 6) for _ in range(rows)]
+            if t % 4 == 3:
+                a = [[Fraction(x, rng.randint(1, 3)) for x in row] for row in a]
+                b = [Fraction(x, rng.randint(1, 3)) for x in b]
             sol = solve_linear(a, b, mode="integral")
             brute = brute_force_integral_solutions(a, b)
             if brute:
                 assert sol is not None
             if sol is not None:
                 assert mat_vec(a, sol.particular) == tuple(b)
+                assert all(v == 0 for k in sol.kernel for v in mat_vec(a, k))
+                if t % 4 != 3:
+                    assert sol.kernel == integral_kernel(a)
             else:
                 assert not brute
+            seen.add((sol is not None, rows > matrix_rank(a), t % 4 == 3))
+        # Solved and unsolvable, with and without rows off the pivots, both entry kinds.
+        assert {(s, r) for s, r, _ in seen} == {(True, True), (True, False), (False, True), (False, False)}
+        assert {f for _, _, f in seen} == {True, False}
+
+    def test_hermite_form_mismatch_is_an_invariant_error(self, monkeypatch):
+        # H = I is echelon, but U = diag(2, 1) makes H != A @ U: the solution
+        # read off H breaks its own pivot row 0 when checked against A.
+        monkeypatch.setattr(exactlin, "hermite_normal_form", lambda m: (((1, 0), (0, 1)), ((2, 0), (0, 1))))
+        with pytest.raises(InvariantError, match="hermite"):
+            solve_linear([[1, 0], [0, 1]], [1, 1], mode="integral")
 
 
 class TestStrictFeasible:
@@ -375,6 +399,18 @@ class TestEliminationDifferential:
             for k, v in zip(kernel, null):
                 assert _positive_multiple(k, _rational(v))
             _check_kernel(m, kernel)
+
+    def test_rank_of_a_large_random_matrix(self, sympy):
+        # Without gcd reduction, entries double in length with every pivot.
+        # The oracle is sympy's rank over QQ (Matrix.rank takes seconds here).
+        from sympy.polys.matrices import DomainMatrix
+
+        rng = random.Random(89)
+        m = [[rng.randint(-9, 9) for _ in range(22)] for _ in range(22)]
+        deficient = m[:-1] + [[x - 2 * y for x, y in zip(m[0], m[1])]]
+        for matrix, rank in ((m, 22), (deficient, 21)):
+            oracle = DomainMatrix.from_Matrix(sympy.Matrix(matrix)).convert_to(sympy.QQ).rank()
+            assert matrix_rank(matrix) == oracle == rank
 
     def test_rational_solve_matches_sympy_rref(self, sympy):
         rng = random.Random(73)
