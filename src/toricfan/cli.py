@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import divisor as divisor_ops
-from .egyptian import PyramidalKind, egyptian_report, small_modification, verify_modification
+from .egyptian import egyptian_report, small_modification, verify_modification
 from .errors import InvariantError, ResourceLimitError
 from .exactlin import primitive
 from .fan import Fan

@@ -10,6 +10,10 @@ full-dimensional cone of its star is a pyramidal extension, and in that case
 splitting each non-facet base along its beyond-facet refines the fan without
 adding rays: a small modification whose exceptional walls are the etas.
 
+The verdict is read off sigma's own facets (``classify_pyramidal``), with
+no face lattice; the tests compare it with a base-cone and face-lattice
+oracle (``tests/oracles.py``).  Each split is proved exactly.
+
 Tangency (rho on a facet hyperplane of the base) is classified NotPyramidal:
 the beneath/beyond dichotomy is strict here, and degenerate incidences are
 reported rather than silently merged into beneath.
@@ -19,11 +23,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .cone import Cone, Position, classify_position
+from .cone import Cone, Face, Position, classify_position
 from .errors import InvariantError
-from .exactlin import LatticeVector, dot, primitive
+from .exactlin import LatticeVector, dot, primitive, rational_kernel
 from .fan import Fan, WallCurveKind
 
 
@@ -35,11 +40,42 @@ class PyramidalKind(enum.Enum):
 
 @dataclass(frozen=True)
 class PyramidalClassification:
+    """The verdict on (sigma, rho), with its cones built on first access.
+    ``eta_rays`` holds the beyond facet's sorted rays when Pyramidal."""
+
     kind: PyramidalKind
-    base: Cone                       # cone on the rays other than rho
-    update: Optional[Cone]           # n-dimensional replacement cone, when defined
-    beyond_facets: tuple[Cone, ...]  # base facets with rho beyond
-    tangent_facets: tuple[Cone, ...] # base facets with rho on the hyperplane
+    sigma: Cone
+    ray: LatticeVector
+    eta_rays: tuple = ()
+
+    @cached_property
+    def base(self) -> Cone:
+        """The cone on the rays other than rho."""
+        return remaining_cone(self.sigma, self.ray)
+
+    @cached_property
+    def update(self) -> Optional[Cone]:
+        """The n-dimensional replacement cone, when defined."""
+        if self.kind is PyramidalKind.LOW_DIM:
+            return self.sigma
+        if self.kind is PyramidalKind.PYRAMIDAL:
+            return Cone.from_rays(self.sigma.ambient_rank, self.eta_rays + (self.ray,))
+        return None
+
+    @property
+    def beyond_facets(self) -> tuple[Cone, ...]:
+        return self._base_facets(Position.BEYOND)
+
+    @property
+    def tangent_facets(self) -> tuple[Cone, ...]:
+        return self._base_facets(Position.ON_HYPERPLANE)
+
+    def _base_facets(self, position: Position) -> tuple[Cone, ...]:
+        if self.kind is PyramidalKind.LOW_DIM:
+            return ()
+        base = self.base
+        return tuple(base.face_cone(f) for m, f in zip(base.facet_normals, base.facets())
+                     if classify_position(m, self.ray) is position)
 
     @property
     def splits(self) -> bool:
@@ -87,73 +123,58 @@ def remaining_cone(sigma: Cone, ray: Sequence[int]) -> Cone:
     if r not in sigma.rays:
         raise ValueError(f"{tuple(ray)} is not an extreme ray of the cone")
     others = [g for g in sigma.rays if g != r]
-    return Cone.from_rays(sigma.ambient_rank, others)
+    return Cone.from_rays(sigma.ambient_rank, others) if others else sigma.face_cone(Face((), 0))
 
 
 def classify_pyramidal(sigma: Cone, ray: Sequence[int]) -> PyramidalClassification:
-    """Classify (sigma, rho) as LowDim, Pyramidal, or NotPyramidal.
+    """Classify (sigma, rho) as LowDim, Pyramidal, or NotPyramidal from sigma's facets.
 
-    The primitive generator represents the relative interior of rho for the
-    beneath/beyond queries; the classification is constant on the open ray.
-    On a Pyramidal verdict the full face lattice of sigma and of the update
-    cone are checked against the beneath-and-beyond predictions.
+    Let S be the other rays of sigma that share a facet with rho, O the
+    rest, and B = cone(S + O) the base.  LowDim holds iff exactly one facet
+    of sigma misses rho (it is then B); else Pyramidal holds iff O is
+    nonempty, S spans a hyperplane m^perp and m.rho < 0 < m.x on O, with
+    eta = cone(S); else NotPyramidal.  Proof by beneath-beyond (Grunbaum,
+    *Convex Polytopes*, 5.2.1), using that the facets through an extreme
+    ray meet in that ray:
+
+    - LowDim: facets missing rho lie in B, and there is one; two make B
+      full-dimensional.  If F is the only one, a ray off F lies only on
+      facets through rho, which meet in more than its ray; so B = F.
+    - Pyramidal => criterion: with rho beyond eta alone, the facets of sigma
+      through rho join rho to the ridges of eta, so S = rays(eta), m is
+      eta's inward normal in B, and O, the rays of B off eta, is nonempty.
+    - Criterion => Pyramidal: B lies in {m >= 0} and meets m^perp in the
+      (n-1)-cone cone(S): a facet eta with rho beyond.  Another facet G with
+      rho beyond or on it has a ray x in O.  x lies on a facet of B with rho
+      beneath, and the facets through x are linked by ridges through x, so
+      rho joined to G (if on) or to a ridge between a beyond and a beneath
+      facet is a facet of sigma through x and rho: x is in S, not O.
+
+    m is re-checked in integers before a Pyramidal verdict is returned.  No
+    cone is built; the classification builds its cones on first access.
     """
     n = sigma.ambient_rank
     if sigma.dim != n:
         raise ValueError("pyramidal classification needs a full-dimensional cone")
     r = primitive(ray)
-    base = remaining_cone(sigma, r)
-    if base.dim == n - 1:
-        return PyramidalClassification(PyramidalKind.LOW_DIM, base, sigma, (), ())
-    if base.dim != n:
-        raise InvariantError("base cone of a full cone must have dimension n-1 or n")
-
-    beyond = []
-    tangent = []
-    for normal, face in zip(base.facet_normals, base.facets()):
-        position = classify_position(normal, r)
-        if position is Position.BEYOND:
-            beyond.append(face)
-        elif position is Position.ON_HYPERPLANE:
-            tangent.append(face)
-    beyond_cones = tuple(base.face_cone(f) for f in beyond)
-    tangent_cones = tuple(base.face_cone(f) for f in tangent)
-    if len(beyond) != 1 or tangent:
-        return PyramidalClassification(PyramidalKind.NOT_PYRAMIDAL, base, None, beyond_cones, tangent_cones)
-
-    eta = beyond_cones[0]
-    update = Cone.from_rays(n, list(eta.rays) + [r])
-    _verify_pyramidal_faces(sigma, base, eta, update, r)
-    return PyramidalClassification(PyramidalKind.PYRAMIDAL, base, update, (eta,), ())
-
-
-def _proper_face_ray_sets(cone: Cone) -> set[frozenset]:
-    sets = set()
-    for k in range(cone.dim):
-        for face in cone.faces(k):
-            sets.add(frozenset(cone.rays[i] for i in face.ray_indices))
-    return sets
-
-
-def _verify_pyramidal_faces(sigma: Cone, base: Cone, eta: Cone, update: Cone, r: LatticeVector) -> None:
-    """Cross-check the face lattices predicted for a pyramidal split.
-
-    Faces here are subcones of sigma, so their extreme rays are extreme rays
-    of sigma and a face is identified by its ray set; tau + rho then has ray
-    set rays(tau) + {rho} without further computation.
-    """
-    eta_rays = frozenset(eta.rays)
-    eta_faces = _proper_face_ray_sets(eta) | {eta_rays}
-
-    predicted_sigma = {f for f in _proper_face_ray_sets(base) if f != eta_rays}
-    predicted_sigma |= {f | {r} for f in eta_faces if f != eta_rays}
-    if _proper_face_ray_sets(sigma) != predicted_sigma:
-        raise InvariantError("face lattice of a pyramidal extension does not match the prediction")
-
-    predicted_update = eta_faces | {f | {r} for f in eta_faces}
-    actual_update = _proper_face_ray_sets(update) | {frozenset(update.rays)}
-    if actual_update != predicted_update:
-        raise InvariantError("face lattice of the update cone does not match the prediction")
+    if r not in sigma.rays:
+        raise ValueError(f"{tuple(ray)} is not an extreme ray of the cone")
+    i = sigma.rays.index(r)
+    facets = sigma.facets()
+    through = [f.ray_indices for f in facets if i in f.ray_indices]
+    if len(facets) - len(through) == 1:
+        return PyramidalClassification(PyramidalKind.LOW_DIM, sigma, r)
+    near = set().union(*through) - {i}
+    s_rays = tuple(sigma.rays[k] for k in sorted(near))
+    o_rays = [x for k, x in enumerate(sigma.rays) if k != i and k not in near]
+    kernel = rational_kernel(s_rays, n) if o_rays else ()
+    if len(kernel) == 1:
+        m = kernel[0] if dot(kernel[0], r) < 0 else tuple(-x for x in kernel[0])
+        if dot(m, r) < 0 and all(dot(m, x) > 0 for x in o_rays):
+            if any(dot(m, s) for s in s_rays):
+                raise InvariantError("beyond-facet normal does not vanish on the facet")
+            return PyramidalClassification(PyramidalKind.PYRAMIDAL, sigma, r, s_rays)
+    return PyramidalClassification(PyramidalKind.NOT_PYRAMIDAL, sigma, r)
 
 
 def egyptian_report(fan: Fan, ray: int, allow_incomplete: bool = False) -> EgyptianReport:
@@ -168,15 +189,10 @@ def egyptian_report(fan: Fan, ray: int, allow_incomplete: bool = False) -> Egypt
                          "(pass allow_incomplete=True to override)")
     if not 0 <= ray < len(fan.rays):
         raise ValueError(f"unknown ray index {ray}")
-    n = fan.ambient_rank
-    entries = []
-    for ci in fan.star(ray):
-        cone = fan.cones[ci]
-        if cone.dim != n:
-            continue
-        entries.append((ci, classify_pyramidal(cone, fan.rays[ray])))
+    entries = tuple((ci, classify_pyramidal(fan.cones[ci], fan.rays[ray]))
+                    for ci in fan.star(ray) if fan.cones[ci].dim == fan.ambient_rank)
     verdict = all(cls.kind is not PyramidalKind.NOT_PYRAMIDAL for _, cls in entries)
-    return EgyptianReport(ray, tuple(entries), verdict)
+    return EgyptianReport(ray, entries, verdict)
 
 
 def small_modification(fan: Fan, ray: int, allow_incomplete: bool = False) -> ModificationResult:
@@ -194,40 +210,29 @@ def small_modification(fan: Fan, ray: int, allow_incomplete: bool = False) -> Mo
     if not report.verdict:
         raise ValueError("ray not in Egyptian position")
     classifications = dict(report.per_cone)
-    n = fan.ambient_rank
-    gidx = {r: i for i, r in enumerate(fan.rays)}
-
-    def to_indices(cone: Cone) -> list[int]:
-        try:
-            return sorted(gidx[r] for r in cone.rays)
-        except KeyError as exc:  # pragma: no cover - guarded by construction
-            raise InvariantError("modification introduced a new ray") from exc
-
+    gidx = {r: i for i, r in enumerate(fan.rays)}  # every piece is spanned by rays of sigma
     new_cones: list[list[int]] = []
     splits: list[tuple[int, tuple[int, int]]] = []
-    walls: list[tuple[tuple[int, ...], tuple[int, int]]] = []
+    walls: list[ExceptionalWall] = []
     for ci, mc in enumerate(fan.max_cones):
         cls = classifications.get(ci)
         if cls is None or not cls.splits:
             new_cones.append(list(mc))
             continue
-        eta = cls.beyond_facets[0]
-        _check_split(fan.cones[ci], cls.base, cls.update, eta.rays)
+        _check_split(fan.cones[ci], cls.base, cls.update, cls.eta_rays)
         base_idx = len(new_cones)
-        new_cones.append(to_indices(cls.base))
+        new_cones.append(sorted(gidx[r] for r in cls.base.rays))
         update_idx = len(new_cones)
-        new_cones.append(to_indices(cls.update))
+        new_cones.append(sorted(gidx[r] for r in cls.update.rays))
         splits.append((ci, (base_idx, update_idx)))
-        walls.append((tuple(to_indices(eta)), (base_idx, update_idx)))
+        walls.append(ExceptionalWall(tuple(sorted(gidx[r] for r in cls.eta_rays)), (base_idx, update_idx)))
 
-    refined = Fan.from_cones(n, fan.rays, new_cones)
+    refined = Fan.from_cones(fan.ambient_rank, fan.rays, new_cones)
     if refined.rays != fan.rays:
         raise InvariantError("modification must preserve the ray list")
     if not allow_incomplete and fan.is_complete() and not refined.is_complete():
         raise InvariantError("modification of a complete fan must stay complete")
-
-    exceptional = tuple(ExceptionalWall(w, siblings) for w, siblings in walls)
-    return ModificationResult(fan, refined, tuple(splits), exceptional, ray)
+    return ModificationResult(fan, refined, tuple(splits), tuple(walls), ray)
 
 
 def _check_split(sigma: Cone, base: Cone, update: Cone, eta_rays: tuple) -> None:
@@ -244,9 +249,7 @@ def _check_split(sigma: Cone, base: Cone, update: Cone, eta_rays: tuple) -> None
     for piece in (base, update):
         for facet in piece.facets():
             rays = tuple(piece.rays[i] for i in facet.ray_indices)
-            if rays == eta_rays:
-                continue
-            if not any(all(dot(m, r) == 0 for r in rays) for m in sigma.facet_normals):
+            if rays != eta_rays and not any(all(dot(m, r) == 0 for r in rays) for m in sigma.facet_normals):
                 raise InvariantError("split cones do not cover the original cone")
 
 
@@ -266,7 +269,6 @@ def verify_modification(result: ModificationResult) -> ModificationChecks:
     wall_curves = []
     update_maximal = []
     for wall in result.exceptional_walls:
-        ok = True
         try:
             w = fan.find_wall(wall.ray_indices)
         except ValueError:
@@ -277,25 +279,16 @@ def verify_modification(result: ModificationResult) -> ModificationChecks:
         kind = fan.wall_kind(w)
         incident_ok = set(w.incident) == set(wall.siblings) and kind is WallCurveKind.PROJECTIVE
         if not incident_ok:
-            failures.append(
-                f"wall {wall.ray_indices}: incident cones {w.incident}, expected {wall.siblings}"
-            )
-            ok = False
+            failures.append(f"wall {wall.ray_indices}: incident cones {w.incident}, expected {wall.siblings}")
         wall_curves.append((wall.ray_indices, kind, incident_ok))
 
-        update_rays = {fan.rays[i] for i in wall.ray_indices} | {fan.rays[rho]}
-        is_max = any(
-            {fan.rays[i] for i in mc} == update_rays for mc in fan.max_cones
-        )
+        is_max = any(set(mc) == set(wall.ray_indices) | {rho} for mc in fan.max_cones)
         if not is_max:
             failures.append(f"wall {wall.ray_indices}: wall + ray is not a maximal cone")
         update_maximal.append((wall.ray_indices, is_max))
 
-    quotient_ok = True
-    before = result.original.quotient(rho)
-    after = fan.quotient(rho)
-    if before.isomorphism(after) is None:
-        quotient_ok = False
+    quotient_ok = result.original.quotient(rho).isomorphism(fan.quotient(rho)) is not None
+    if not quotient_ok:
         failures.append("quotient fan at the ray changed under the modification")
 
     return ModificationChecks(tuple(wall_curves), tuple(update_maximal), quotient_ok, tuple(failures))

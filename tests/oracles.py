@@ -26,16 +26,42 @@ def det_cofactor(m) -> int:
     return total
 
 
+def det_bareiss(m) -> int:
+    """Integer determinant by fraction-free (Bareiss) elimination.
+
+    After step k every entry of the trailing block is a (k+1) x (k+1) minor
+    of the input, so the division by the previous pivot is exact (Sylvester's
+    identity) and the last entry is the determinant.  A zero pivot is
+    swapped with a row below it, which flips the sign.
+    """
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        p = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
+        prev = p
+    return sign * a[-1][-1] if n else 1
+
+
 def cramer_solve(rows, rhs):
     """Unique rational solution of a square integer system, or None if singular."""
-    d = det_cofactor(rows)
+    d = det_bareiss(rows)
     if d == 0:
         return None
     n = len(rows)
     out = []
     for j in range(n):
         col = [[rows[i][k] if k != j else rhs[i] for k in range(n)] for i in range(n)]
-        out.append(Fraction(det_cofactor(col), d))
+        out.append(Fraction(det_bareiss(col), d))
     return tuple(out)
 
 
@@ -148,7 +174,7 @@ def brute_force_extreme_rays(n, equalities, inequalities):
     rows = [tuple(r) for r in equalities] + [tuple(r) for r in inequalities]
     found = set()
     for subset in combinations(rows, n - 1):
-        v = tuple((-1) ** j * det_cofactor([[row[k] for k in range(n) if k != j] for row in subset])
+        v = tuple((-1) ** j * det_bareiss([[row[k] for k in range(n) if k != j] for row in subset])
                   for j in range(n))
         if not any(v):
             continue
@@ -175,23 +201,82 @@ def brute_force_cone(n, generators):
 
     None means the cone contains a line, which happens iff the dual of
     ``brute_force_facets`` has empty interior in the span S, i.e. its rays
-    span less than S.  The extreme rays are those of {x in S : m.x >= 0 for
-    every normal m}.  ``faces`` maps each face, as a frozenset of rays, to
-    its dimension: a set of rays is a face iff it is every ray on all the
-    normals that vanish on it (faces are intersections of facets).
+    span less than S.  ``faces`` maps each face, as a frozenset of rays, to
+    its dimension (see ``_rays_and_faces``).
     """
     equations, normals = brute_force_facets(n, generators)
     dim = n - len(equations)
     if n - len(kernel_basis(normals, n)) != dim:
         return None
     rays = brute_force_extreme_rays(n, equations, normals)
-    faces = {}
+    faces = _face_sets(rays, normals)
+    return rays, equations, normals, {f: n - len(kernel_basis(f, n)) if f else 0 for f in faces}
+
+
+def _face_sets(rays, normals):
+    """The faces, as frozensets of rays, of the cone with these extreme rays and facet normals.
+
+    A set of rays is a face iff it is every ray on all the normals that
+    vanish on it (faces are intersections of facets).
+    """
+    tight = {r: {j for j, m in enumerate(normals) if _dot(m, r) == 0} for r in rays}
+    faces = []
     for k in range(len(rays) + 1):
         for subset in combinations(rays, k):
-            on = [m for m in normals if all(_dot(m, r) == 0 for r in subset)]
-            if subset == tuple(r for r in rays if all(_dot(m, r) == 0 for m in on)):
-                faces[frozenset(subset)] = n - len(kernel_basis(subset, n)) if subset else 0
-    return rays, equations, normals, faces
+            on = set(range(len(normals))).intersection(*(tight[r] for r in subset))
+            if subset == tuple(r for r in rays if on <= tight[r]):
+                faces.append(frozenset(subset))
+    return faces
+
+
+def brute_force_pyramidal(n, generators):
+    """``{ray: (kind, eta, base, beyond, tangent)}`` for a full-dimensional pointed cone.
+
+    The beneath/beyond method on the base cone at each ray rho, the cone on
+    the other rays: ``low_dim`` when the base has dimension n - 1;
+    otherwise each base facet has rho beyond, beneath or on its hyperplane,
+    and the cone is ``pyramidal`` when exactly one facet eta has rho beyond
+    and none has it on.  ``beyond`` and ``tangent`` are sets of facets, each
+    a frozenset of rays; ``eta`` is None unless pyramidal.  A pyramidal
+    verdict asserts the face lattices the beneath-beyond theorem predicts:
+    the cone's proper faces are the base's other than eta and the base
+    itself, plus rho joined to each proper face of eta; the update cone
+    eta + rho has the faces of eta, each also joined to rho.
+    """
+    def cone(rays):
+        # Extreme rays of the whole cone are extreme in every cone they span.
+        rays = tuple(sorted(rays))
+        equations, normals = brute_force_facets(n, rays)
+        return rays, _face_sets(rays, normals), equations, normals
+
+    equations, normals = brute_force_facets(n, generators)
+    rays, faces, _, _ = cone(brute_force_extreme_rays(n, equations, normals))
+    proper = set(faces) - {frozenset(rays)}
+    out = {}
+    for rho in rays:
+        base_rays, base_faces, base_eqs, base_normals = cone([r for r in rays if r != rho])
+        if base_eqs:
+            out[rho] = ("low_dim", None, base_rays, set(), set())
+            continue
+        beyond, tangent = set(), set()
+        for m in base_normals:
+            facet = frozenset(r for r in base_rays if _dot(m, r) == 0)
+            if _dot(m, rho) < 0:
+                beyond.add(facet)
+            elif _dot(m, rho) == 0:
+                tangent.add(facet)
+        if len(beyond) != 1 or tangent:
+            out[rho] = ("not_pyramidal", None, base_rays, beyond, tangent)
+            continue
+        (eta,) = beyond
+        eta_faces = {f for f in base_faces if f <= eta}
+        predicted = {f for f in base_faces if f != eta and f != frozenset(base_rays)}
+        predicted |= {f | {rho} for f in eta_faces if f != eta}
+        assert proper == predicted, "face lattice of the pyramidal extension"
+        update_faces = cone(list(eta) + [rho])[1]
+        assert set(update_faces) == eta_faces | {f | {rho} for f in eta_faces}, "face lattice of the update cone"
+        out[rho] = ("pyramidal", eta, base_rays, beyond, tangent)
+    return out
 
 
 def brute_force_meet(n, generators_a, generators_b):

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from oracles import brute_force_pyramidal
 from toricfan.cone import Cone
 from toricfan.egyptian import (
     PyramidalKind,
@@ -123,8 +124,9 @@ class TestClassify:
 
 class TestPyramidalFaceLattice:
     def test_square_cone_prediction(self):
-        # classify_pyramidal internally verifies the face-lattice predictions;
-        # this repeats the sigma check explicitly at one fixture.
+        # The face-lattice predictions are checked on many cones by the
+        # oracle of TestOracleDifferential; this repeats the sigma check
+        # explicitly at one fixture.
         cone = Cone.from_rays(3, SQUARE_RAYS)
         cls = classify_pyramidal(cone, (1, 0, 1))
         eta_rays = frozenset(cls.beyond_facets[0].rays)
@@ -146,6 +148,58 @@ class TestPyramidalFaceLattice:
         assert actual == predicted
 
 
+class TestOracleDifferential:
+    """The facet-incidence classifier against ``oracles.brute_force_pyramidal``."""
+
+    @staticmethod
+    def agree(cone):
+        """The kinds the oracle and the library agree on at every ray of the cone."""
+        kinds = set()
+        for ray, (kind, eta, base, beyond, tangent) in brute_force_pyramidal(cone.ambient_rank, cone.rays).items():
+            cls = classify_pyramidal(cone, ray)
+            assert cls.kind.value == kind, (cone.rays, ray)
+            assert (frozenset(cls.eta_rays) if cls.eta_rays else None) == eta
+            assert cls.base.rays == base
+            assert {frozenset(f.rays) for f in cls.beyond_facets} == beyond
+            assert {frozenset(f.rays) for f in cls.tangent_facets} == tangent
+            kinds.add(kind)
+        return kinds
+
+    def test_random_cones(self):
+        rng = random.Random(0xFACE7)
+        kinds = {n: set() for n in (3, 4, 5)}
+        for n, count in ((3, 40), (4, 30), (5, 12)):
+            built = 0
+            while built < count:
+                sample = {tuple(rng.randint(-3, 3) for _ in range(n - 1)) + (rng.randint(1, 3),)
+                          for _ in range(n + rng.randint(0, 2))}
+                cone = Cone.from_rays(n, sorted(sample))
+                if cone.dim != n:
+                    continue
+                built += 1
+                kinds[n] |= self.agree(cone)
+        assert kinds[3] == {"low_dim", "pyramidal"}
+        assert kinds[4] == kinds[5] == {"low_dim", "pyramidal", "not_pyramidal"}
+
+    def test_star_cones_of_the_yu_grid(self, yu_grid):
+        kinds = set()
+        for n in (3, 4, 5):
+            for u in (1, 2, 3):
+                fan = yu_grid(n, u).fan
+                for cone in fan.cones:
+                    if cone.dim == n:
+                        kinds |= self.agree(cone)
+        assert kinds == {"pyramidal", "not_pyramidal"}
+
+    def test_witness_is_rechecked(self, monkeypatch):
+        # A normal negative on rho and positive off the facet, but not zero
+        # on it, must not pass as eta's normal.
+        import toricfan.egyptian as egyptian
+        monkeypatch.setattr(egyptian, "rational_kernel", lambda rows, width: ((-2, 1, 1),))
+        with pytest.raises(InvariantError, match="beyond-facet normal"):
+            classify_pyramidal(Cone.from_rays(3, SQUARE_RAYS), (1, 0, 1))
+
+
 class TestEgyptianReport:
     def test_suspension_fan(self, suspension_fan):
         report = egyptian_report(suspension_fan, 0)
@@ -158,6 +212,14 @@ class TestEgyptianReport:
         for fan in (suspension_fan, p3_fan, yu_grid(3, 2).fan):
             for ray in range(len(fan.rays)):
                 assert egyptian_report(fan, ray).verdict
+
+    def test_one_dimensional_fan(self, p1_fan):
+        # A ray cone is a pyramid over the zero cone: the verdict needs no base.
+        report = egyptian_report(p1_fan, 0)
+        assert report.verdict
+        (_, cls), = report.per_cone
+        assert cls.kind is PyramidalKind.LOW_DIM and cls.base.dim == 0
+        assert small_modification(p1_fan, 0).fan == p1_fan
 
     def test_not_pyramidal_star_fails(self):
         # the four-dimensional fixture as a one-cone fan, star accepted in

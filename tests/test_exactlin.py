@@ -7,6 +7,8 @@ import pytest
 
 from oracles import (
     brute_force_integral_solutions,
+    det_bareiss,
+    det_cofactor,
     feasible_by_vertex_enumeration,
     gcd_of_minors,
 )
@@ -58,6 +60,25 @@ def hnf_shape_ok(h) -> bool:
         if any(not 0 <= h[r][jj] < p for jj in range(j)):
             return False
     return True
+
+
+def test_bareiss_oracle_matches_cofactor_expansion():
+    # The oracles' two determinants on random integer matrices up to 5 x 5,
+    # a third of them made singular by repeating a row, and with zero
+    # leading entries that force a row swap.
+    rng = random.Random(0xBA4E155)
+    swaps = singular = 0
+    for case in range(300):
+        size = rng.randint(1, 5)
+        m = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
+        if size > 1 and case % 3 == 0:
+            m[-1] = list(m[0])
+        m[0][0] *= case % 2
+        swaps += m[0][0] == 0 and size > 1
+        d = det_bareiss(m)
+        singular += d == 0
+        assert d == det_cofactor(m)
+    assert swaps > 50 and singular > 80
 
 
 class TestHermite:
