@@ -186,26 +186,30 @@ def picard_group(fan: Fan) -> FGAbelianGroup:
     """Cartier divisors modulo principal divisors, computed exactly.
 
     The coefficient parts of the Cartier lattice (``_cartier_lattice``) are
-    a basis of the Cartier divisors; the principal divisors are expressed in
-    it and the quotient read off a Smith normal form.
+    a column echelon basis of the Cartier divisors; the principal divisors
+    are expressed in it by forward substitution down its pivots, checked in
+    integers, and the quotient read off a Smith normal form.
     """
     if not fan.is_complete():
         raise ValueError("picard group computation requires a complete fan")
-    n = fan.ambient_rank
     num_rays = len(fan.rays)
     lattice = _cartier_lattice(fan)
     if not lattice:
         raise InvariantError("complete fan admits no Cartier divisors at all")
     basis = [[v[k] for v in lattice] for k in range(num_rays)]  # num_rays x rank
+    pivots = [next((k for k in range(num_rays) if v[k]), None) for v in lattice]
+    if None in pivots:
+        raise InvariantError("Cartier lattice has a basis vector with no coefficient")
 
     # Principal divisors: the ray-evaluation image of the character lattice.
     coords = []
-    for j in range(n):
-        principal = [fan.rays[k][j] for k in range(num_rays)]
-        sol = solve_linear(basis, principal, mode="integral")
-        if sol is None:
+    for principal in zip(*fan.rays):
+        x: list[int] = []
+        for c, k in enumerate(pivots):  # an inexact division fails the check below
+            x.append((principal[k] - dot(basis[k][:c], x)) // basis[k][c])
+        if mat_vec(basis, x) != principal:
             raise InvariantError("principal divisor is not Cartier")
-        coords.append(sol.particular)
+        coords.append(x)
     relation_matrix = [list(col) for col in zip(*coords)]  # rank x n
     return cokernel_group(relation_matrix, len(lattice))
 

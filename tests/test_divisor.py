@@ -25,7 +25,7 @@ from toricfan.divisor import (
     polytope_degree,
 )
 from toricfan import exactlin
-from toricfan.errors import ResourceLimitError
+from toricfan.errors import InvariantError, ResourceLimitError
 from toricfan.exactlin import (
     StrictSystem,
     determinant,
@@ -224,6 +224,20 @@ class TestPicardGroup:
         f = Fan.from_cones(2, [(1, 0), (0, 1)], [[0, 1]])
         with pytest.raises(ValueError, match="complete"):
             picard_group(f)
+
+    def test_principal_coordinates_are_checked(self, p2_fan, monkeypatch):
+        # Doubling the first basis vector drops the principal divisors with
+        # an odd first coordinate from the lattice; a vector with no
+        # coefficient has no pivot to solve on.
+        lattice = divisor._cartier_lattice(p2_fan)
+        doubled = (tuple(2 * x for x in lattice[0]),) + lattice[1:]
+        monkeypatch.setattr(divisor, "_cartier_lattice", lambda fan: doubled)
+        with pytest.raises(InvariantError, match="not Cartier"):
+            picard_group(p2_fan)
+        no_pivot = lattice + ((0,) * len(lattice[0]),)
+        monkeypatch.setattr(divisor, "_cartier_lattice", lambda fan: no_pivot)
+        with pytest.raises(InvariantError, match="no coefficient"):
+            picard_group(p2_fan)
 
 
 class TestCartierLattice:
