@@ -202,7 +202,7 @@ def brute_force_cone(n, generators):
     None means the cone contains a line, which happens iff the dual of
     ``brute_force_facets`` has empty interior in the span S, i.e. its rays
     span less than S.  ``faces`` maps each face, as a frozenset of rays, to
-    its dimension (see ``_rays_and_faces``).
+    its dimension (see ``_face_sets``).
     """
     equations, normals = brute_force_facets(n, generators)
     dim = n - len(equations)
@@ -250,8 +250,8 @@ def brute_force_pyramidal(n, generators):
         return rays, _face_sets(rays, normals), equations, normals
 
     equations, normals = brute_force_facets(n, generators)
-    rays, faces, _, _ = cone(brute_force_extreme_rays(n, equations, normals))
-    proper = set(faces) - {frozenset(rays)}
+    rays = brute_force_extreme_rays(n, equations, normals)
+    proper = set(_face_sets(rays, normals)) - {frozenset(rays)}
     out = {}
     for rho in rays:
         base_rays, base_faces, base_eqs, base_normals = cone([r for r in rays if r != rho])

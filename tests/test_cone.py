@@ -302,7 +302,7 @@ class TestRoundTrip:
             assert back == cone, cone
 
     def test_normals_and_facets_align(self):
-        # egyptian.classify_pyramidal zips facet_normals with facets().
+        # egyptian.PyramidalClassification zips the base cone's facet_normals with facets().
         rng = random.Random(43)
         random_cones = [_random_cone(rng, d, k) for d, k in ((3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (4, 7))]
         for cone in list(self.fixtures()) + random_cones:
