@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import divisor as divisor_ops
-from .egyptian import egyptian_report, small_modification, verify_modification
+from .egyptian import egyptian_report, hypothesis_report, split_star, verify_modification
 from .errors import InvariantError, ResourceLimitError
 from .exactlin import primitive
 from .fan import Fan
@@ -311,7 +311,7 @@ def _cmd_modify(args, report):
         report["egyptian"] = False
         report["error"] = "ray not in Egyptian position"
         return EXIT_PROPERTY_FAILS
-    result = small_modification(fan, ray, allow_incomplete=args.allow_incomplete)
+    result = split_star(fan, probe)
     checks = verify_modification(result)
     report["egyptian"] = True
     report["max_cones"] = len(result.fan.max_cones)
@@ -368,44 +368,36 @@ def _cmd_family(args, report):
 def _cmd_report(args, report):
     """Hypothesis check: ray in Egyptian position with projective divisor.
 
+    Prints the steps of ``hypothesis_report`` up to the first that fails.
     When both hypotheses hold the fan admits rank-n locally free sheaves
-    with top Chern number growing like degree * t^(n-1); the modification,
+    with top Chern number growing like degree * t^(n-1), where the degree is
+    that of the ample witness found on the divisor's fan; the modification,
     its verification, and the growth statement are appended.
     """
     fan, _, _ = _load_fan(args)
     ray = _need_ray(args, fan)
     if not fan.is_complete():
         raise InputError("report requires a complete fan")
-    n = fan.ambient_rank
-    result = egyptian_report(fan, ray)
-    report["egyptian"] = result.verdict
-    if not result.verdict:
+    result = hypothesis_report(fan, ray)
+    report["egyptian"] = result.egyptian.verdict
+    if not result.egyptian.verdict:
         report["verdict"] = "hypothesis fails: ray not in Egyptian position"
         return EXIT_PROPERTY_FAILS
-    quotient = fan.quotient(ray)
-    divisor_projective = divisor_ops.is_projective(quotient)
-    report["divisor_projective"] = divisor_projective.feasible
-    if not divisor_projective.feasible:
+    report["divisor_projective"] = result.quotient_projective.feasible
+    if not result.quotient_projective.feasible:
         report["verdict"] = "hypothesis fails: the divisor of the ray is not projective"
         return EXIT_PROPERTY_FAILS
-
-    modification = small_modification(fan, ray)
-    checks = verify_modification(modification)
     report["modification"] = {
-        "max_cones": len(modification.fan.max_cones),
-        "exceptional_walls": [list(w.ray_indices) for w in modification.exceptional_walls],
-        "verified": checks.passed,
+        "max_cones": len(result.modification.fan.max_cones),
+        "exceptional_walls": [list(w.ray_indices) for w in result.modification.exceptional_walls],
+        "verified": result.checks.passed,
     }
-    if not checks.passed:
-        raise InvariantError("; ".join(checks.failures))
-    ample = divisor_projective.witness_divisor
-    polytope = divisor_ops.divisor_polytope(quotient, ample)
-    _, degree = divisor_ops.polytope_degree(polytope, n - 1)
-    growth = divisor_ops.chern_growth(n, degree)
-    report["ample_divisor_on_divisor_fan"] = list(ample)
-    report["degree"] = degree
-    report["growth"] = growth.statement
-    report["growth_note"] = growth.note
+    if not result.checks.passed:
+        raise InvariantError("; ".join(result.checks.failures))
+    report["ample_divisor_on_divisor_fan"] = list(result.quotient_projective.witness_divisor)
+    report["degree"] = result.growth.degree
+    report["growth"] = result.growth.statement
+    report["growth_note"] = result.growth.note
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ adding rays: a small modification whose exceptional walls are the etas.
 The verdict is read off sigma's own facets (``classify_pyramidal``), with
 no face lattice; the tests compare it with a base-cone and face-lattice
 oracle (``tests/oracles.py``).  Each split is proved exactly.
+``hypothesis_report`` checks the paper's whole hypothesis at one ray.
 
 Tangency (rho on a facet hyperplane of the base) is classified NotPyramidal:
 the beneath/beyond dichotomy is strict here, and degenerate incidences are
@@ -27,6 +28,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .cone import Cone, Face, Position, classify_position
+from . import divisor as divisor_ops
 from .errors import InvariantError
 from .exactlin import LatticeVector, dot, primitive, rational_kernel
 from .fan import Fan, WallCurveKind
@@ -117,6 +119,18 @@ class ModificationChecks:
         return not self.failures
 
 
+@dataclass(frozen=True)
+class HypothesisReport:
+    """The hypothesis at one ray, step by step; a failed step leaves the later fields None."""
+
+    egyptian: EgyptianReport
+    quotient: Optional[Fan] = None
+    quotient_projective: Optional[divisor_ops.ProjectivityResult] = None
+    modification: Optional[ModificationResult] = None
+    checks: Optional[ModificationChecks] = None
+    growth: Optional[divisor_ops.GrowthReport] = None
+
+
 def remaining_cone(sigma: Cone, ray: Sequence[int]) -> Cone:
     """The cone on sigma's rays other than the given one (the base cone)."""
     r = primitive(ray)
@@ -196,7 +210,12 @@ def egyptian_report(fan: Fan, ray: int, allow_incomplete: bool = False) -> Egypt
 
 
 def small_modification(fan: Fan, ray: int, allow_incomplete: bool = False) -> ModificationResult:
-    """Refine the fan by splitting every splittable star cone of the ray.
+    """Refine the fan by splitting every splittable star cone of the ray (``split_star``)."""
+    return split_star(fan, egyptian_report(fan, ray, allow_incomplete=allow_incomplete))
+
+
+def split_star(fan: Fan, report: EgyptianReport) -> ModificationResult:
+    """The small modification from ``report = egyptian_report(fan, ray)``, classifying nothing again.
 
     Each star cone whose base is full-dimensional is replaced by the base and
     the update cone simultaneously; everything else is carried over
@@ -206,7 +225,6 @@ def small_modification(fan: Fan, ray: int, allow_incomplete: bool = False) -> Mo
     meet exactly in the beyond facet, and every other facet of either piece
     lies in a facet hyperplane of the original cone.
     """
-    report = egyptian_report(fan, ray, allow_incomplete=allow_incomplete)
     if not report.verdict:
         raise ValueError("ray not in Egyptian position")
     classifications = dict(report.per_cone)
@@ -230,9 +248,9 @@ def small_modification(fan: Fan, ray: int, allow_incomplete: bool = False) -> Mo
     refined = Fan.from_cones(fan.ambient_rank, fan.rays, new_cones)
     if refined.rays != fan.rays:
         raise InvariantError("modification must preserve the ray list")
-    if not allow_incomplete and fan.is_complete() and not refined.is_complete():
+    if fan.is_complete() and not refined.is_complete():
         raise InvariantError("modification of a complete fan must stay complete")
-    return ModificationResult(fan, refined, tuple(splits), tuple(walls), ray)
+    return ModificationResult(fan, refined, tuple(splits), tuple(walls), report.ray)
 
 
 def _check_split(sigma: Cone, base: Cone, update: Cone, eta_rays: tuple) -> None:
@@ -292,3 +310,28 @@ def verify_modification(result: ModificationResult) -> ModificationChecks:
         failures.append("quotient fan at the ray changed under the modification")
 
     return ModificationChecks(tuple(wall_curves), tuple(update_maximal), quotient_ok, tuple(failures))
+
+
+def hypothesis_report(fan: Fan, ray: int) -> HypothesisReport:
+    """Check the paper's hypothesis at a ray of a complete fan, stopping at the first failure.
+
+    In order: Egyptian position, a projective divisor (the quotient fan),
+    the small modification split from the same classifications and
+    verified, and the Chern growth fed by the degree of the quotient's
+    re-checked ample witness.
+    """
+    egyptian = egyptian_report(fan, ray)
+    if not egyptian.verdict:
+        return HypothesisReport(egyptian)
+    quotient = fan.quotient(ray)
+    projective = divisor_ops.is_projective(quotient)
+    if not projective.feasible:
+        return HypothesisReport(egyptian, quotient, projective)
+    modification = split_star(fan, egyptian)
+    checks = verify_modification(modification)
+    if not checks.passed:
+        return HypothesisReport(egyptian, quotient, projective, modification, checks)
+    polytope = divisor_ops.divisor_polytope(quotient, projective.witness_divisor)
+    _, degree = divisor_ops.polytope_degree(polytope, quotient.ambient_rank)
+    growth = divisor_ops.chern_growth(fan.ambient_rank, degree)
+    return HypothesisReport(egyptian, quotient, projective, modification, checks, growth)

@@ -15,30 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
-from .divisor import (
-    CartierData,
-    GrowthReport,
-    ProjectivityResult,
-    cartier_index,
-    chern_growth,
-    divisor_polytope,
-    is_ample,
-    is_projective,
-    picard_group,
-    polytope_degree,
-)
-from .egyptian import (
-    EgyptianReport,
-    ModificationChecks,
-    ModificationResult,
-    egyptian_report,
-    small_modification,
-    verify_modification,
-)
+from .divisor import GrowthReport, ProjectivityResult, cartier_index, is_ample, is_projective, picard_group
+from .egyptian import EgyptianReport, ModificationChecks, ModificationResult, hypothesis_report
 from .errors import InvariantError
-from .exactlin import FGAbelianGroup, LatticeVector
+from .exactlin import FGAbelianGroup
 from .fan import Fan, FanIsomorphism
 
 
@@ -285,13 +267,12 @@ class PipelineReport:
 def yu_report(n: int, u: int) -> PipelineReport:
     """Run the whole pipeline for one (n, u).
 
-    Computes the Picard group, the projectivity verdict with witness, the
-    Egyptian-position report for the ray e, the small modification with its
-    verification and the Cartier index of the strict-transform divisor, the
-    identification of the quotient fan with projective (n-1)-space, and the
-    Chern-growth statement fed by the degree of the minimal ample class on
-    the quotient.  The growth report is only produced when the ray is in
-    Egyptian position and the quotient is projective.
+    ``hypothesis_report`` at the ray e, plus the Picard group, the
+    projectivity verdict with witness, the identification of the quotient
+    with projective (n-1)-space, and the Cartier index of the
+    strict-transform divisor.  The growth is fed by the degree of the
+    quotient's ample witness; on the grid n = 3..6, u = 1..3 that witness is
+    the unit divisor (1, 0, ..., 0), of degree 1, checked ample here.
     """
     yu = yu_fan(n, u)
     fan = yu.fan
@@ -299,37 +280,28 @@ def yu_report(n: int, u: int) -> PipelineReport:
 
     picard = picard_group(fan)
     projective = is_projective(fan)
-    egyptian = egyptian_report(fan, rho)
+    report = hypothesis_report(fan, rho)
+    quotient = report.quotient
+    iso = quotient.isomorphism(projective_space_fan(n - 1)) if quotient is not None else None
 
-    modification = None
-    checks = None
     mod_index = None
-    if egyptian.verdict:
-        modification = small_modification(fan, rho)
-        checks = verify_modification(modification)
+    if report.modification is not None:
         unit_divisor = [1 if i == rho else 0 for i in range(len(fan.rays))]
-        mod_index = cartier_index(modification.fan, unit_divisor)
+        mod_index = cartier_index(report.modification.fan, unit_divisor)
 
-    quotient = fan.quotient(rho)
-    iso = quotient.isomorphism(projective_space_fan(n - 1))
-
-    growth = None
-    if egyptian.verdict and is_projective(quotient):
-        minimal_ample = [1 if i == 0 else 0 for i in range(len(quotient.rays))]
-        if not is_ample(quotient, minimal_ample):
+    if report.growth is not None:
+        unit_divisor = [1 if i == 0 else 0 for i in range(len(quotient.rays))]
+        if not is_ample(quotient, unit_divisor):
             raise InvariantError("the unit divisor on the quotient must be ample")
-        polytope = divisor_polytope(quotient, minimal_ample)
-        _, degree = polytope_degree(polytope, n - 1)
-        growth = chern_growth(n, degree)
 
     return PipelineReport(
         config=yu.config,
         picard=picard,
         projective=projective,
-        egyptian=egyptian,
-        modification=modification,
-        modification_checks=checks,
+        egyptian=report.egyptian,
+        modification=report.modification,
+        modification_checks=report.checks,
         modified_cartier_index=mod_index,
         divisor_fan_iso=iso,
-        growth=growth,
+        growth=report.growth,
     )

@@ -52,17 +52,17 @@ def det_bareiss(m) -> int:
     return sign * a[-1][-1] if n else 1
 
 
-def cramer_solve(rows, rhs):
-    """Unique rational solution of a square integer system, or None if singular."""
+def cramer_numerators(rows, rhs):
+    """``(d, numerators)`` with the unique solution of a square integer system
+    equal to numerators / d and d > 0, or None if the system is singular."""
     d = det_bareiss(rows)
     if d == 0:
         return None
     n = len(rows)
-    out = []
-    for j in range(n):
-        col = [[rows[i][k] if k != j else rhs[i] for k in range(n)] for i in range(n)]
-        out.append(Fraction(det_bareiss(col), d))
-    return tuple(out)
+    sign = 1 if d > 0 else -1
+    nums = tuple(sign * det_bareiss([[rows[i][k] if k != j else rhs[i] for k in range(n)] for i in range(n)])
+                 for j in range(n))
+    return sign * d, nums
 
 
 def _cleared(row) -> tuple[int, ...]:
@@ -106,18 +106,15 @@ def feasible_by_vertex_enumeration(dim, equalities, strict_rows) -> bool:
         rows.append(tuple(-x for x in unit))
         rhs.append(-box)
 
-    def satisfied(point) -> bool:
-        for e in equalities:
-            if sum(a * p for a, p in zip(e, point)) != 0:
-                return False
-        for s in strict_rows:
-            if sum(a * p for a, p in zip(s, point)) < 1:
-                return False
-        return all(-box <= p <= box for p in point)
+    def satisfied(d, nums) -> bool:
+        """Whether the point nums / d (d > 0) meets every constraint, in integers."""
+        return (all(_dot(e, nums) == 0 for e in equalities)
+                and all(_dot(s, nums) >= d for s in strict_rows)
+                and all(-box * d <= p <= box * d for p in nums))
 
     for subset in combinations(range(len(rows)), dim):
-        candidate = cramer_solve([rows[i] for i in subset], [rhs[i] for i in subset])
-        if candidate is not None and satisfied(candidate):
+        candidate = cramer_numerators([rows[i] for i in subset], [rhs[i] for i in subset])
+        if candidate is not None and satisfied(*candidate):
             return True
     return False
 
@@ -286,13 +283,36 @@ def brute_force_meet(n, generators_a, generators_b):
     return brute_force_extreme_rays(n, eqs_a + eqs_b, normals_a + normals_b)
 
 
-def brute_force_integral_solutions(rows, rhs, box=10):
-    """All integer solutions of rows @ x = rhs with coordinates in [-box, box]."""
+def scan_integral_solutions(rows, rhs, box=10):
+    """All integer solutions of rows @ x = rhs with coordinates in [-box, box], by a full scan."""
     cols = len(rows[0])
     out = []
     for point in product(range(-box, box + 1), repeat=cols):
         if all(sum(a * p for a, p in zip(row, point)) == b for row, b in zip(rows, rhs)):
             out.append(point)
+    return out
+
+
+def brute_force_integral_solutions(rows, rhs, box=10):
+    """``scan_integral_solutions`` with the last coordinate solved, not scanned.
+
+    The first cols - 1 coordinates are scanned; one row whose last
+    coefficient c is nonzero then fixes the last one, which must be an
+    integer (c divides the rest of the row) inside the box, and every row is
+    checked on the point.  The solutions come out in the full scan's order.
+    A zero last column falls back to the full scan.
+    """
+    pivot = next((i for i, row in enumerate(rows) if row[-1]), None)
+    if pivot is None:
+        return scan_integral_solutions(rows, rhs, box)
+    row, b = rows[pivot], rhs[pivot]
+    out = []
+    for head in product(range(-box, box + 1), repeat=len(row) - 1):
+        rest = b - sum(a * p for a, p in zip(row, head))
+        if rest % row[-1] == 0 and -box <= rest // row[-1] <= box:
+            point = head + (rest // row[-1],)
+            if all(sum(a * p for a, p in zip(r, point)) == v for r, v in zip(rows, rhs)):
+                out.append(point)
     return out
 
 

@@ -295,6 +295,16 @@ class TestReportCommand:
         assert run(["modify", "--fan", str(fan_file), "--ray", "0"]) == EXIT_PROPERTY_FAILS
         capsys.readouterr()
 
+    def test_non_projective_divisor_stops_before_modification(self, yu_file, capsys, monkeypatch):
+        # No fixture has an Egyptian ray with a non-projective divisor, so the
+        # quotient's projectivity verdict is forced false here.
+        monkeypatch.setattr(divisor_ops, "is_projective", lambda fan: divisor_ops.ProjectivityResult(False, None, None))
+        assert run(["report", "--fan", str(yu_file), "--ray", "0", "--json"]) == EXIT_PROPERTY_FAILS
+        report = json.loads(capsys.readouterr().out)
+        assert report["egyptian"] is True and report["divisor_projective"] is False
+        assert report["verdict"] == "hypothesis fails: the divisor of the ray is not projective"
+        assert "modification" not in report
+
     def test_family_without_emit_prints_fan(self, capsys):
         assert run(["family", "yu", "--n", "3", "--u", "1", "--json"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)

@@ -7,18 +7,22 @@ import time
 import pytest
 
 from oracles import brute_force_pyramidal
+from test_fan import cross_polytope_fan, cube_face_fan
+from toricfan import cli
 from toricfan.cone import Cone
 from toricfan.egyptian import (
     PyramidalKind,
     _check_split,
     classify_pyramidal,
     egyptian_report,
+    hypothesis_report,
     remaining_cone,
     small_modification,
     verify_modification,
 )
 from toricfan.errors import InvariantError
 from toricfan.exactlin import dot, matrix_rank
+from toricfan.families import projective_space_fan, yu_fan, yu_report
 from toricfan.fan import Fan
 
 SQUARE_RAYS = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
@@ -326,3 +330,81 @@ class TestSplitCoverage:
         assert len(result.split_cones) == 3
         assert result.fan.is_complete() and len(result.fan.max_cones) == 9
         assert verify_modification(result).passed
+
+
+COMPLETE_3D_FANS = {
+    "P3": lambda: projective_space_fan(3),
+    "Y_3_1": lambda: yu_fan(3, 1).fan,
+    "Y_3_2": lambda: yu_fan(3, 2).fan,
+    "Y_3_3": lambda: yu_fan(3, 3).fan,
+    "cube_3": lambda: Fan.from_cones(*cube_face_fan(3)),
+    "cross_3": lambda: Fan.from_cones(*cross_polytope_fan(3)),
+}
+
+
+class TestHypothesisReport:
+    """The paper's hypothesis at a ray, checked by ``hypothesis_report``."""
+
+    @pytest.mark.parametrize("name", sorted(COMPLETE_3D_FANS))
+    def test_threefold_statement_at_every_ray(self, name):
+        # Complete threefolds: every ray is in Egyptian position with a
+        # projective divisor, so the statement holds at each (42 pairs).
+        fan = COMPLETE_3D_FANS[name]()
+        for ray in range(len(fan.rays)):
+            report = hypothesis_report(fan, ray)
+            assert report.egyptian.verdict and report.quotient_projective.feasible, (name, ray)
+            assert report.checks.passed and report.growth.degree >= 1, (name, ray)
+
+    def test_stops_after_a_failed_egyptian_verdict(self, cube_suspension_fan):
+        report = hypothesis_report(cube_suspension_fan, 0)
+        assert not report.egyptian.verdict
+        later = [f.name for f in dataclasses.fields(report) if f.name != "egyptian"]
+        assert all(getattr(report, name) is None for name in later)
+
+    def test_stops_after_a_non_projective_divisor(self, p3_fan, monkeypatch):
+        # No fixture has an Egyptian ray with a non-projective divisor, so the
+        # quotient's projectivity verdict is forced false here.
+        from toricfan import divisor
+        monkeypatch.setattr(divisor, "is_projective", lambda fan: divisor.ProjectivityResult(False, None, None))
+        report = hypothesis_report(p3_fan, 0)
+        assert report.egyptian.verdict and report.quotient is not None
+        assert not report.quotient_projective.feasible
+        assert report.modification is None and report.checks is None and report.growth is None
+
+
+class TestOneClassificationPerCall:
+    """Each full-dimensional star cone of the ray is classified exactly once."""
+
+    @pytest.fixture
+    def classified(self, monkeypatch):
+        import toricfan.egyptian as egyptian
+        calls = []
+        classify = egyptian.classify_pyramidal
+
+        def counting(sigma, ray):
+            calls.append(sigma.rays)
+            return classify(sigma, ray)
+
+        monkeypatch.setattr(egyptian, "classify_pyramidal", counting)
+        return calls
+
+    @staticmethod
+    def star_cones(fan, ray):
+        return sorted(fan.cones[ci].rays for ci in fan.star(ray) if fan.cones[ci].dim == fan.ambient_rank)
+
+    @pytest.mark.parametrize("command", ["modify", "report"])
+    def test_cli(self, command, classified, yu_grid, tmp_path, capsys):
+        fan = yu_grid(3, 2).fan
+        path = tmp_path / "y.json"
+        path.write_text(cli.fan_to_json(fan))
+        assert cli.run([command, "--fan", str(path), "--ray", "0"]) == cli.EXIT_OK
+        assert sorted(classified) == self.star_cones(fan, 0)
+
+    def test_yu_report(self, classified, yu_grid):
+        yu_report(3, 2)
+        assert sorted(classified) == self.star_cones(yu_grid(3, 2).fan, 0)
+
+    def test_small_modification(self, classified, yu_grid):
+        fan = yu_grid(3, 2).fan
+        small_modification(fan, 0)
+        assert sorted(classified) == self.star_cones(fan, 0)

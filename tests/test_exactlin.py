@@ -11,6 +11,7 @@ from oracles import (
     det_cofactor,
     feasible_by_vertex_enumeration,
     gcd_of_minors,
+    scan_integral_solutions,
 )
 from toricfan import exactlin
 from toricfan.errors import InvariantError, ResourceLimitError
@@ -79,6 +80,30 @@ def test_bareiss_oracle_matches_cofactor_expansion():
         singular += d == 0
         assert d == det_cofactor(m)
     assert swaps > 50 and singular > 80
+
+
+def test_integral_solutions_oracle_matches_full_scan():
+    # The oracle that solves for the last coordinate against the plain box
+    # scan, on seeded small systems: a zero last column (the fallback),
+    # planted solutions, and rational rows.
+    rng = random.Random(0x5CA7)
+    kinds = set()
+    for case in range(150):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        a = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        if case % 5 == 0:
+            for row in a:
+                row[-1] = 0
+        if case % 2:  # planted: an integer solution exists
+            b = list(mat_vec(a, [rng.randint(-4, 4) for _ in range(cols)]))
+        else:
+            b = [rng.randint(-6, 6) for _ in range(rows)]
+        if case % 7 == 3:
+            a = [[Fraction(x, rng.randint(1, 3)) for x in row] for row in a]
+        fast = brute_force_integral_solutions(a, b, box=4)
+        assert fast == scan_integral_solutions(a, b, box=4)
+        kinds.add((bool(fast), any(row[-1] for row in a)))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestHermite:
