@@ -219,33 +219,35 @@ def split_star(fan: Fan, report: EgyptianReport) -> ModificationResult:
 
     Each star cone whose base is full-dimensional is replaced by the base and
     the update cone simultaneously; everything else is carried over
-    unchanged.  The result is revalidated as a fan, keeps exactly the
-    original rays, stays complete when the input was, and each split is
-    checked exactly to cover its cone (``_check_split``): the two pieces
-    meet exactly in the beyond facet, and every other facet of either piece
-    lies in a facet hyperplane of the original cone.
+    unchanged.  The result is validated as a fan on these cones, not rebuilt,
+    keeps exactly the original rays, stays complete when the input was, and each
+    split is checked exactly to cover its cone (``_check_split``): the two
+    pieces meet exactly in the beyond facet, and every other facet of either
+    piece lies in a facet hyperplane of the original cone.
     """
     if not report.verdict:
         raise ValueError("ray not in Egyptian position")
     classifications = dict(report.per_cone)
     gidx = {r: i for i, r in enumerate(fan.rays)}  # every piece is spanned by rays of sigma
     new_cones: list[list[int]] = []
+    pieces: list[Cone] = []
     splits: list[tuple[int, tuple[int, int]]] = []
     walls: list[ExceptionalWall] = []
     for ci, mc in enumerate(fan.max_cones):
         cls = classifications.get(ci)
         if cls is None or not cls.splits:
             new_cones.append(list(mc))
+            pieces.append(fan.cones[ci])
             continue
         _check_split(fan.cones[ci], cls.base, cls.update, cls.eta_rays)
         base_idx = len(new_cones)
-        new_cones.append(sorted(gidx[r] for r in cls.base.rays))
-        update_idx = len(new_cones)
-        new_cones.append(sorted(gidx[r] for r in cls.update.rays))
-        splits.append((ci, (base_idx, update_idx)))
-        walls.append(ExceptionalWall(tuple(sorted(gidx[r] for r in cls.eta_rays)), (base_idx, update_idx)))
+        for piece in (cls.base, cls.update):
+            new_cones.append(sorted(gidx[r] for r in piece.rays))
+            pieces.append(piece)
+        splits.append((ci, (base_idx, base_idx + 1)))
+        walls.append(ExceptionalWall(tuple(sorted(gidx[r] for r in cls.eta_rays)), (base_idx, base_idx + 1)))
 
-    refined = Fan.from_cones(fan.ambient_rank, fan.rays, new_cones)
+    refined = Fan._validated(fan.ambient_rank, fan.rays, new_cones, pieces)
     if refined.rays != fan.rays:
         raise InvariantError("modification must preserve the ray list")
     if fan.is_complete() and not refined.is_complete():
@@ -281,6 +283,11 @@ def verify_modification(result: ModificationResult) -> ModificationChecks:
     unchanged up to unimodular equivalence, so the strict transform maps
     isomorphically onto the original divisor.
     """
+    return _verify_modification(result, result.original.quotient(result.strict_transform_ray))
+
+
+def _verify_modification(result: ModificationResult, original_quotient: Fan) -> ModificationChecks:
+    """``verify_modification`` given the original fan's quotient at the ray."""
     fan = result.fan
     rho = result.strict_transform_ray
     failures: list[str] = []
@@ -305,7 +312,7 @@ def verify_modification(result: ModificationResult) -> ModificationChecks:
             failures.append(f"wall {wall.ray_indices}: wall + ray is not a maximal cone")
         update_maximal.append((wall.ray_indices, is_max))
 
-    quotient_ok = result.original.quotient(rho).isomorphism(fan.quotient(rho)) is not None
+    quotient_ok = original_quotient.isomorphism(fan.quotient(rho)) is not None
     if not quotient_ok:
         failures.append("quotient fan at the ray changed under the modification")
 
@@ -328,7 +335,7 @@ def hypothesis_report(fan: Fan, ray: int) -> HypothesisReport:
     if not projective.feasible:
         return HypothesisReport(egyptian, quotient, projective)
     modification = split_star(fan, egyptian)
-    checks = verify_modification(modification)
+    checks = _verify_modification(modification, quotient)
     if not checks.passed:
         return HypothesisReport(egyptian, quotient, projective, modification, checks)
     polytope = divisor_ops.divisor_polytope(quotient, projective.witness_divisor)

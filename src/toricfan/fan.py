@@ -10,7 +10,8 @@ an unmatched facet, an incomplete fan or a non-fan) goes to the pairwise
 check: every intersection of maximal cones must be a common face, and no
 maximal cone may contain another.  Walls (the codimension-one cones) are
 precomputed at validation time since completeness, subdivision, and divisor
-computations all consume them.
+computations all consume them.  Quotient fans and small modifications are
+validated, with the same checks, on the cones they were built from.
 """
 
 from __future__ import annotations
@@ -74,7 +75,13 @@ class Fan:
         max_cones: Sequence[Sequence[int]],
     ) -> "Fan":
         """Validate and build a fan from global rays and ray-index cones."""
-        n = ambient_rank
+        built = (Cone.from_rays(ambient_rank, [rays[i] for i in mc]) for mc in max_cones)
+        return cls._validated(ambient_rank, rays, max_cones, built)
+
+    @classmethod
+    def _validated(cls, n: int, rays, max_cones, built: Iterable[Cone]) -> "Fan":
+        """The fan on ``max_cones``, validated on ``built``: their cones, one
+        per index list, drawn after that list's index checks."""
         ray_list = [tuple(r) for r in rays]
         for i, r in enumerate(ray_list):
             if len(r) != n:
@@ -90,6 +97,7 @@ class Fan:
 
         index_of = {r: i for i, r in enumerate(ray_list)}
         mc_list: list[tuple[int, ...]] = []
+        given = iter(built)
         cones: list[Cone] = []
         for j, mc in enumerate(max_cones):
             idx = sorted(set(mc))
@@ -97,7 +105,7 @@ class Fan:
                 raise ValueError(f"maximal cone {j} repeats a ray index")
             if any(not 0 <= i < len(ray_list) for i in idx):
                 raise ValueError(f"maximal cone {j} has a ray index out of range")
-            cone = Cone.from_rays(n, [ray_list[i] for i in idx])
+            cone = next(given)
             if set(cone.rays) != {ray_list[i] for i in idx}:
                 raise ValueError(f"maximal cone {j} lists a non-extreme generator")
             mc_list.append(tuple(idx))
@@ -240,7 +248,7 @@ class Fan:
             q_cones.append(sorted(idx))
         if len({c.rays for c in images}) != len(star):
             raise InvariantError("star cones collapse in the quotient")
-        return Fan.from_cones(n - 1, q_rays, q_cones)
+        return Fan._validated(n - 1, q_rays, q_cones, images)
 
     def wall_kind(self, wall: Wall) -> WallCurveKind:
         """Torus / affine / projective classification of a wall's orbit curve."""

@@ -371,6 +371,25 @@ class TestHypothesisReport:
         assert not report.quotient_projective.feasible
         assert report.modification is None and report.checks is None and report.growth is None
 
+    def test_one_quotient_per_fan(self, yu_grid, monkeypatch):
+        # The original fan's quotient is built once and shared with the
+        # modification check; the refined fan's quotient is the other call.
+        fan = yu_grid(6, 2).fan
+        calls = []
+        quotient = Fan.quotient
+
+        def counting(self, ray):
+            calls.append((self, ray))
+            return quotient(self, ray)
+
+        monkeypatch.setattr(Fan, "quotient", counting)
+        report = hypothesis_report(fan, 0)
+        assert report.growth is not None
+        assert calls == [(fan, 0), (report.modification.fan, 0)]
+        calls.clear()
+        assert verify_modification(report.modification) == report.checks
+        assert calls == [(fan, 0), (report.modification.fan, 0)]
+
 
 class TestOneClassificationPerCall:
     """Each full-dimensional star cone of the ray is classified exactly once."""

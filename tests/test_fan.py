@@ -7,7 +7,7 @@ import pytest
 
 import toricfan.fan as fan_module
 from toricfan.cone import Cone
-from toricfan.egyptian import small_modification
+from toricfan.egyptian import egyptian_report, small_modification, split_star
 from toricfan.fan import Fan, Wall, WallCurveKind
 from toricfan.families import projective_space_fan, yu_fan
 
@@ -324,3 +324,77 @@ class TestWallCheck:
         assert yu_fan(6, 2).fan.walls == yu.fan.walls
         again = Fan.from_cones(*as_case(refined))
         assert again.walls == refined.walls and again.is_complete()
+
+
+def count_builds(monkeypatch):
+    """Record the ambient rank of every cone ``Cone._build`` builds from now on."""
+    calls = []
+    build = Cone._build
+
+    def counting(cls, n, generators):
+        calls.append(n)
+        return build(n, generators)
+
+    monkeypatch.setattr(Cone, "_build", classmethod(counting))
+    return calls
+
+
+class TestConeReuse:
+    """Refined fans and quotients are validated on the cones they were built
+    from; rebuilding them from index lists must change nothing."""
+
+    def reused_fans(self, request):
+        fixtures = ["p2_fan", "p3_fan", "p1xp1_fan", "weighted_p112_fan", "suspension_fan",
+                    "cube_suspension_fan"]
+        sources = [request.getfixturevalue(name) for name in ["p1_fan"] + fixtures]
+        sources += [Fan.from_cones(*case) for case in (cube_face_fan(3), cross_polytope_fan(3), cross_polytope_fan(4))]
+        fans = []
+        for fan in sources:
+            for ray in range(len(fan.rays)):
+                report = egyptian_report(fan, ray)
+                if report.verdict:
+                    fans.append(split_star(fan, report).fan)
+                if fan.ambient_rank > 1:
+                    fans.append(fan.quotient(ray))
+        yu_grid = request.getfixturevalue("yu_grid")
+        for n in range(3, 7):
+            for u in range(1, 4):
+                yu = yu_grid(n, u)
+                refined = small_modification(yu.fan, yu.e_index()).fan
+                fans += [refined, yu.fan.quotient(yu.e_index()), refined.quotient(yu.e_index())]
+        return fans
+
+    def test_rebuilt_from_index_lists_agrees(self, request):
+        fans = self.reused_fans(request)
+        assert len(fans) == 130
+        for fan in fans:
+            again = Fan.from_cones(*as_case(fan))
+            assert (again.rays, again.max_cones, again.walls) == (fan.rays, fan.max_cones, fan.walls)
+            for cone, fresh in zip(fan.cones, again.cones):
+                if cone.dim == fan.ambient_rank:
+                    assert (cone.rays, cone.facet_normals, cone.facets()) == \
+                        (fresh.rays, fresh.facet_normals, fresh.facets())
+
+    def test_misaligned_cones_rejected_as_non_extreme(self, p2_fan, yu_grid):
+        with pytest.raises(ValueError) as non_extreme:
+            Fan.from_cones(2, [(1, 0), (1, 1), (0, 1)], [[0, 1, 2]])
+        yu = yu_grid(4, 2)
+        for fan in (p2_fan, small_modification(yu.fan, yu.e_index()).fan):
+            n, rays, cones = as_case(fan)
+            with pytest.raises(ValueError) as misaligned:
+                Fan._validated(n, rays, cones, fan.cones[1:] + fan.cones[:1])
+            assert str(misaligned.value) == str(non_extreme.value)
+
+    def test_split_star_builds_only_the_pieces(self, yu_grid, monkeypatch):
+        fan = yu_grid(6, 2).fan
+        report = egyptian_report(fan, 0)
+        built = count_builds(monkeypatch)
+        result = split_star(fan, report)
+        assert result.split_cones
+        assert len(built) == 2 * len(result.split_cones)
+
+    def test_quotient_builds_one_cone_per_star_cone(self, yu_grid, monkeypatch):
+        fan = yu_grid(6, 2).fan
+        built = count_builds(monkeypatch)
+        quotient = fan.quotient(0)
+        assert built == [5] * len(fan.star(0)) == [5] * len(quotient.max_cones)
