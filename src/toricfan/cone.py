@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from .exactlin import LatticeVector, dot, primitive
@@ -285,7 +286,7 @@ def _shift(v: LatticeVector, value: int, pivot: LatticeVector, scale: int) -> La
     """``v - (value / scale) * pivot`` as a primitive vector (``scale > 0``)."""
     if value == 0:
         return v
-    return primitive(tuple(scale * x - value * p for x, p in zip(v, pivot)))
+    return primitive([scale * x - value * p for x, p in zip(v, pivot)])
 
 
 def _double_description(n: int, equalities, inequalities) -> tuple[list, list, list]:
@@ -316,41 +317,50 @@ def _double_description(n: int, equalities, inequalities) -> tuple[list, list, l
     passes that test.  The rays of the cut cone are the kept rays plus the
     crossings of edges, so the set stays minimal and the test stays valid
     for the next constraint.  Keeping L apart is what makes the argument
-    hold, since a cone with a line has no extreme rays.
+    hold, since a cone with a line has no extreme rays.  Rays p and q always
+    pass the superset test themselves, so the scan stops at a third ray that
+    passes, and every constraint's width is checked once on entry.
     """
     lineality = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     rays: list = []
     zeros: list = []
     done = 0  # bitmask of the inequalities added so far
     constraints = [(0, e) for e in equalities] + [(1 << j, a) for j, a in enumerate(inequalities)]
+    for _, a in constraints:
+        if len(a) != n:
+            raise ValueError(f"dimension mismatch: {len(a)} vs {n}")
     for bit, a in constraints:
-        values = [dot(a, v) for v in lineality]
+        values = [sum(map(mul, a, v)) for v in lineality]
         k = next((k for k, value in enumerate(values) if value), None)
         if k is not None:
             pivot, scale = lineality.pop(k), values.pop(k)
             if scale < 0:
                 pivot, scale = tuple(-x for x in pivot), -scale
             lineality = [_shift(v, value, pivot, scale) for v, value in zip(lineality, values)]
-            rays = [_shift(r, dot(a, r), pivot, scale) for r in rays]
+            rays = [_shift(r, sum(map(mul, a, r)), pivot, scale) for r in rays]
             if bit:
                 zeros = [z | bit for z in zeros]
                 rays.append(pivot)
                 zeros.append(done)
         else:
-            values = [dot(a, r) for r in rays]
+            values = [sum(map(mul, a, r)) for r in rays]
             kept = [(r, z | bit if v == 0 else z) for r, z, v in zip(rays, zeros, values)
                     if v == 0 or (bit and v > 0)]
+            negative = [(q, vq) for q, vq in enumerate(values) if vq < 0]
             for p, vp in enumerate(values):
                 if vp <= 0:
                     continue
-                for q, vq in enumerate(values):
-                    if vq >= 0:
-                        continue
+                for q, vq in negative:
                     common = zeros[p] & zeros[q]
-                    if any(z & common == common for r, z in enumerate(zeros) if r != p and r != q):
-                        continue
-                    edge = tuple(vp * x - vq * y for x, y in zip(rays[q], rays[p]))
-                    kept.append((primitive(edge), common | bit))
+                    passes = 0
+                    for z in zeros:
+                        if z & common == common:
+                            passes += 1
+                            if passes == 3:
+                                break
+                    else:
+                        edge = [vp * x - vq * y for x, y in zip(rays[q], rays[p])]
+                        kept.append((primitive(edge), common | bit))
             rays = [r for r, _ in kept]
             zeros = [z for _, z in kept]
         done |= bit

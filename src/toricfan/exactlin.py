@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InvariantError, ResourceLimitError
@@ -42,7 +43,7 @@ def dot(a: Sequence, b: Sequence):
     """Exact inner product; lengths must agree."""
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def identity_matrix(k: int) -> IntegerMatrix:
@@ -68,9 +69,7 @@ def primitive(v: Sequence[int]) -> LatticeVector:
     The result generates the same ray; raises on the zero vector, which has
     no primitive representative.
     """
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
@@ -146,9 +145,7 @@ def _eliminate(work: list[list[int]], cols: int) -> list[int]:
             q = work[i][col]
             if q and i != r:
                 row = [x * p - y * q for x, y in zip(work[i], pr)]
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
+                g = gcd(*row)
                 if g > 1:
                     row = [x // g for x in row]
                 work[i] = row

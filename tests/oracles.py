@@ -283,6 +283,74 @@ def brute_force_meet(n, generators_a, generators_b):
     return brute_force_extreme_rays(n, eqs_a + eqs_b, normals_a + normals_b)
 
 
+# -- the double-description routine in its plain form: generator inner
+# products, a gcd loop and an adjacency scan over every ray but p and q.
+# ``cone._double_description`` must return the identical triple, order
+# included, so this copy keeps its own ``dot`` and ``primitive``.
+
+def _reference_dot(a, b):
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _reference_primitive(v):
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
+    return tuple(x // g for x in v)
+
+
+def _reference_shift(v, value, pivot, scale):
+    if value == 0:
+        return v
+    return _reference_primitive(tuple(scale * x - value * p for x, p in zip(v, pivot)))
+
+
+def reference_double_description(n, equalities, inequalities):
+    """``(lineality, rays, zeros)`` of {e.x = 0, a.x >= 0} in Q^n, in the order
+    ``cone._double_description`` returns them (see its docstring)."""
+    lineality = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays: list = []
+    zeros: list = []
+    done = 0  # bitmask of the inequalities added so far
+    constraints = [(0, e) for e in equalities] + [(1 << j, a) for j, a in enumerate(inequalities)]
+    for bit, a in constraints:
+        values = [_reference_dot(a, v) for v in lineality]
+        k = next((k for k, value in enumerate(values) if value), None)
+        if k is not None:
+            pivot, scale = lineality.pop(k), values.pop(k)
+            if scale < 0:
+                pivot, scale = tuple(-x for x in pivot), -scale
+            lineality = [_reference_shift(v, value, pivot, scale) for v, value in zip(lineality, values)]
+            rays = [_reference_shift(r, _reference_dot(a, r), pivot, scale) for r in rays]
+            if bit:
+                zeros = [z | bit for z in zeros]
+                rays.append(pivot)
+                zeros.append(done)
+        else:
+            values = [_reference_dot(a, r) for r in rays]
+            kept = [(r, z | bit if v == 0 else z) for r, z, v in zip(rays, zeros, values)
+                    if v == 0 or (bit and v > 0)]
+            for p, vp in enumerate(values):
+                if vp <= 0:
+                    continue
+                for q, vq in enumerate(values):
+                    if vq >= 0:
+                        continue
+                    common = zeros[p] & zeros[q]
+                    if any(z & common == common for r, z in enumerate(zeros) if r != p and r != q):
+                        continue
+                    edge = tuple(vp * x - vq * y for x, y in zip(rays[q], rays[p]))
+                    kept.append((_reference_primitive(edge), common | bit))
+            rays = [r for r, _ in kept]
+            zeros = [z for _, z in kept]
+        done |= bit
+    return lineality, rays, zeros
+
+
 def scan_integral_solutions(rows, rhs, box=10):
     """All integer solutions of rows @ x = rhs with coordinates in [-box, box], by a full scan."""
     cols = len(rows[0])

@@ -51,6 +51,24 @@ class TestConstruction:
         with pytest.raises(ValueError, match="at least one generator"):
             Cone.from_rays(2, [])
 
+    def test_generator_entries_become_ints(self):
+        c = Cone.from_rays(2, [(True, False), (0, 1)])
+        assert c.rays == ((0, 1), (1, 0))
+        assert all(type(x) is int for r in c.rays for x in r)
+
+    @pytest.mark.parametrize("eqs, ineqs", [
+        ([(1, 0)], []), ([(1, 0, 0, 0)], []), ([], [(1, 0)]), ([], [(1, 0, 0, 0)]),
+        ([(1, 0, 0)], [(0, 1, 0), (0, 0)]),
+    ])
+    def test_row_width_mismatch_rejected(self, eqs, ineqs):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            Cone.from_inequalities(3, eqs, ineqs)
+
+    def test_row_width_checked_before_the_cone_shrinks_to_zero(self):
+        # The equalities leave {0}, so no inner product would ever meet the short row.
+        with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+            Cone.from_inequalities(2, [(1, 0), (0, 1)], [(1,)])
+
     def test_generators_primitivized_and_deduplicated(self):
         c = Cone.from_rays(2, [(2, 0), (1, 0), (0, 3)])
         assert c.rays == ((0, 1), (1, 0))

@@ -8,10 +8,12 @@ generators are mixed in.  For the pointed family the last row of ``M`` picks
 the last coordinate of ``c``, which is positive, so no line can occur.
 """
 
+import random
+
 import pytest
 
-from oracles import brute_force_cone, brute_force_meet
-from toricfan.cone import Cone
+from oracles import brute_force_cone, brute_force_meet, reference_double_description
+from toricfan.cone import Cone, _double_description
 
 hyp = pytest.importorskip("hypothesis")
 st = hyp.strategies
@@ -41,6 +43,26 @@ def generator_sets(draw, n=None, pointed=None):
         if any(extra):
             gens.append(extra)  # a multiple when i == j, else (usually) not extreme
     return n, gens
+
+
+def test_double_description_matches_reference():
+    """The kernel returns the reference routine's ``(lineality, rays, zeros)``,
+    order included.  Entries in [-3, 3] give zero rows, repeated rows,
+    implicit equalities and lines; the tally checks that they all occur."""
+    rng = random.Random(1996)
+    seen = {"line": 0, "implicit equality": 0, "zero row": 0, "repeated row": 0}
+    for _ in range(2500):
+        n = rng.randint(1, 5)
+        eqs, ineqs = ([tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, hi))]
+                      for hi in (2, 9))
+        got = _double_description(n, eqs, ineqs)
+        assert got == reference_double_description(n, eqs, ineqs), (n, eqs, ineqs)
+        lineality, _, zeros = got
+        seen["line"] += bool(lineality)
+        seen["implicit equality"] += any(any(a) and all(z >> j & 1 for z in zeros) for j, a in enumerate(ineqs))
+        seen["zero row"] += any(not any(a) for a in eqs + ineqs)
+        seen["repeated row"] += len(set(ineqs)) < len(ineqs)
+    assert min(seen.values()) >= 50, seen
 
 
 def _lattice(cone):

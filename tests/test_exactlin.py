@@ -189,8 +189,14 @@ class TestPrimitive:
         assert primitive((0, 0, 1)) == (0, 0, 1)
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError, match="no primitive representative"):
-            primitive((0, 0, 0))
+        for v in ((0, 0, 0), [0, 0], ()):
+            with pytest.raises(ValueError, match="no primitive representative"):
+                primitive(v)
+
+    def test_entries_are_ints(self):
+        # bool is an int subclass with gcd 1; the result must still hold plain ints.
+        p = primitive((True, 0))
+        assert p == (1, 0) and all(type(x) is int for x in p)
 
     def test_idempotent_and_direction_preserving(self):
         rng = random.Random(5)
