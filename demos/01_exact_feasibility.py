@@ -37,9 +37,11 @@ print("\nrational 2x = 3:", solve_linear([[2]], [3], mode="rational").particular
 print("integral 2x = 3:", solve_linear([[2]], [3], mode="integral"))
 
 # Strict homogeneous systems (equalities = 0, strict rows > 0) are decided
-# by exact Fourier-Motzkin elimination.  Because the system is homogeneous,
-# each strict row r.x > 0 is equivalent to r.x >= 1 after rescaling, and the
-# returned witness is verified against every constraint before it comes back.
+# by the exact double-description method: the system is infeasible exactly
+# when some strict row vanishes on every extreme ray of the cone
+# {equalities = 0, strict rows >= 0}.  Otherwise the sum of the extreme rays
+# is an integral witness, verified against every constraint before it comes
+# back.
 system = StrictSystem(
     equalities=((1, 1, -2),),
     strict_inequalities=((1, 0, 0), (0, 1, 0)),

@@ -7,22 +7,22 @@ Lower-dimensional cones carry relative facet normals, so membership tests,
 intersections, and face queries work uniformly in any dimension.
 
 Every enumeration in the module is one incremental double-description
-routine, ``_double_description``: exact integers, an explicit lineality
-space, and the combinatorial adjacency test of Fukuda & Prodon.  Building a
-cone runs it on the dual (the generators as inequalities) for the span
-equations, facet normals and facet incidences; extreme rays, pointedness
-and face dimensions are then read off the incidences.  Converting a dual
-description and meeting two cones run it on the constraints themselves.
+routine, ``exactlin._double_description`` (which ``strict_feasible`` also
+runs): exact integers, an explicit lineality space, and the combinatorial
+adjacency test of Fukuda & Prodon.  Building a cone runs it on the dual
+(the generators as inequalities) for the span equations, facet normals and
+facet incidences; extreme rays, pointedness and face dimensions are then
+read off the incidences.  Converting a dual description and meeting two
+cones run it on the constraints themselves.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import mul
 from typing import Iterable, Sequence
 
-from .exactlin import LatticeVector, dot, primitive
+from .exactlin import LatticeVector, _double_description, dot, primitive
 
 
 class Position(enum.Enum):
@@ -281,87 +281,3 @@ class Cone:
             raise ValueError("ambient rank mismatch")
         return other.has_face(self.rays)
 
-
-def _shift(v: LatticeVector, value: int, pivot: LatticeVector, scale: int) -> LatticeVector:
-    """``v - (value / scale) * pivot`` as a primitive vector (``scale > 0``)."""
-    if value == 0:
-        return v
-    return primitive([scale * x - value * p for x, p in zip(v, pivot)])
-
-
-def _double_description(n: int, equalities, inequalities) -> tuple[list, list, list]:
-    """Lineality basis, extreme rays and zero sets of {e.x = 0, a.x >= 0} in Q^n.
-
-    The cone is the lineality span plus the cone on the rays, and every
-    returned vector is primitive.  The zero set of a ray is a bitmask over
-    ``inequalities``: bit j is set iff the j-th inequality vanishes on it.
-
-    The constraints are added one at a time (equalities first) to the
-    whole space, which is all lineality (Motzkin, Raiffa, Thompson & Thrall
-    1953; Fukuda & Prodon, "Double description method revisited", 1996).
-    A constraint that is nonzero on the lineality L pivots one vector l of
-    L out: every other vector of L and every ray is shifted along l into the
-    constraint's hyperplane, which keeps its values on the earlier
-    constraints, and l becomes a new ray (inequality) or is dropped
-    (equality).  The rays stay extreme, since all but l lie in the
-    hyperplane.  Any other constraint splits the rays by sign, keeps the
-    allowed side, and combines each adjacent (positive, negative) pair into
-    the ray where their edge crosses the hyperplane.
-
-    Why the combinatorial adjacency test suffices: modulo L the cone is
-    pointed and the rays are exactly its extreme rays, one each.  The
-    smallest face containing rays p and q is cut out by the constraints tight
-    at p + q, which are those of Z(p) & Z(q), and its extreme rays are the
-    rays r with Z(r) containing Z(p) & Z(q).  A pointed face with only two
-    extreme rays is two-dimensional, so p and q span an edge iff no third ray
-    passes that test.  The rays of the cut cone are the kept rays plus the
-    crossings of edges, so the set stays minimal and the test stays valid
-    for the next constraint.  Keeping L apart is what makes the argument
-    hold, since a cone with a line has no extreme rays.  Rays p and q always
-    pass the superset test themselves, so the scan stops at a third ray that
-    passes, and every constraint's width is checked once on entry.
-    """
-    lineality = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    rays: list = []
-    zeros: list = []
-    done = 0  # bitmask of the inequalities added so far
-    constraints = [(0, e) for e in equalities] + [(1 << j, a) for j, a in enumerate(inequalities)]
-    for _, a in constraints:
-        if len(a) != n:
-            raise ValueError(f"dimension mismatch: {len(a)} vs {n}")
-    for bit, a in constraints:
-        values = [sum(map(mul, a, v)) for v in lineality]
-        k = next((k for k, value in enumerate(values) if value), None)
-        if k is not None:
-            pivot, scale = lineality.pop(k), values.pop(k)
-            if scale < 0:
-                pivot, scale = tuple(-x for x in pivot), -scale
-            lineality = [_shift(v, value, pivot, scale) for v, value in zip(lineality, values)]
-            rays = [_shift(r, sum(map(mul, a, r)), pivot, scale) for r in rays]
-            if bit:
-                zeros = [z | bit for z in zeros]
-                rays.append(pivot)
-                zeros.append(done)
-        else:
-            values = [sum(map(mul, a, r)) for r in rays]
-            kept = [(r, z | bit if v == 0 else z) for r, z, v in zip(rays, zeros, values)
-                    if v == 0 or (bit and v > 0)]
-            negative = [(q, vq) for q, vq in enumerate(values) if vq < 0]
-            for p, vp in enumerate(values):
-                if vp <= 0:
-                    continue
-                for q, vq in negative:
-                    common = zeros[p] & zeros[q]
-                    passes = 0
-                    for z in zeros:
-                        if z & common == common:
-                            passes += 1
-                            if passes == 3:
-                                break
-                    else:
-                        edge = [vp * x - vq * y for x, y in zip(rays[q], rays[p])]
-                        kept.append((primitive(edge), common | bit))
-            rays = [r for r, _ in kept]
-            zeros = [z for _, z in kept]
-        done |= bit
-    return lineality, rays, zeros

@@ -245,10 +245,9 @@ def is_projective(fan: Fan) -> ProjectivityResult:
 
     In a basis of the Cartier lattice (``_cartier_lattice``), strict
     convexity of the support function is one strict row per maximal cone
-    sigma and ray k outside it: ``m_sigma(l_k) + a_k > 0``.  A rational
-    witness is cleared to an integral point of the lattice, which carries
-    the ample divisor and its characters together; both are re-checked
-    before they are returned.
+    sigma and ray k outside it: ``m_sigma(l_k) + a_k > 0``.  The integral
+    witness gives a point of the lattice, which carries the ample divisor and
+    its characters together; both are re-checked before they are returned.
     """
     if not fan.is_complete():
         raise ValueError("projectivity test requires a complete fan")
@@ -264,8 +263,7 @@ def is_projective(fan: Fan) -> ProjectivityResult:
     result = strict_feasible(StrictSystem((), tuple(stricts), len(lattice)))
     if not result.feasible:
         return ProjectivityResult(False, None, None)
-    scale = lcm(*(Fraction(t).denominator for t in result.witness))
-    point = mat_vec(transpose(lattice), [int(x * scale) for x in result.witness])
+    point = mat_vec(transpose(lattice), result.witness)
     divisor = tuple(point[:r])
     data = cartier_data(fan, divisor)
     characters = tuple(tuple(point[r + ci * n:r + (ci + 1) * n]) for ci in range(len(fan.max_cones)))

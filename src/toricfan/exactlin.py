@@ -3,10 +3,11 @@
 Everything here runs on Python's arbitrary-precision integers.  Rank,
 kernels and rational solving share one fraction-free elimination on integer
 rows (Bareiss-style cross-multiplication, as in ``determinant``);
-``fractions.Fraction`` appears only in rational results (particular
-solutions, feasibility witnesses) and, in Fourier-Motzkin elimination, only
-in back-substitution: the elimination itself runs on primitive integer rows.
-No floating point is used anywhere in the package: all downstream geometry
+``fractions.Fraction`` appears only in rational particular solutions.
+Polyhedral questions share one integer double-description routine,
+``_double_description``: the cone layer (``toricfan.cone``) builds, converts
+and meets cones with it, and ``strict_feasible`` decides a homogeneous
+strict system with it and returns an integral witness.  No floating point is used anywhere in the package: all downstream geometry
 (cones, fans, divisors) reduces to exact lattice computations built on the
 primitives in this module.
 
@@ -24,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import mul
+from operator import and_, mul
 from typing import Optional, Sequence
 
 from .errors import InvariantError, ResourceLimitError
@@ -34,9 +36,9 @@ LatticeVector = tuple[int, ...]
 RationalVector = tuple[Fraction, ...]
 IntegerMatrix = tuple[LatticeVector, ...]
 
-# Fourier-Motzkin safety valve on the rows held at once: the input, then the
-# rows each step forms; the instances this package targets stay far below this.
-_FM_ROW_LIMIT = 200_000
+# Double-description safety valve on the rays held at once; the instances this
+# package targets stay far below this.
+_DD_RAY_LIMIT = 200_000
 
 
 def dot(a: Sequence, b: Sequence):
@@ -410,7 +412,97 @@ def integral_kernel(a: Sequence[Sequence[int]]) -> tuple[LatticeVector, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Exact feasibility via Fourier-Motzkin elimination
+# Polyhedral cones and strict feasibility via the double-description method
+
+
+def _shift(v: LatticeVector, value: int, pivot: LatticeVector, scale: int) -> LatticeVector:
+    """``v - (value / scale) * pivot`` as a primitive vector (``scale > 0``)."""
+    if value == 0:
+        return v
+    return primitive([scale * x - value * p for x, p in zip(v, pivot)])
+
+
+def _double_description(n: int, equalities, inequalities) -> tuple[list, list, list]:
+    """Lineality basis, extreme rays and zero sets of {e.x = 0, a.x >= 0} in Q^n.
+
+    The cone is the lineality span plus the cone on the rays, and every
+    returned vector is primitive.  The zero set of a ray is a bitmask over
+    ``inequalities``: bit j is set iff the j-th inequality vanishes on it.
+
+    The constraints are added one at a time (equalities first) to the
+    whole space, which is all lineality (Motzkin, Raiffa, Thompson & Thrall
+    1953; Fukuda & Prodon, "Double description method revisited", 1996).
+    A constraint that is nonzero on the lineality L pivots one vector l of
+    L out: every other vector of L and every ray is shifted along l into the
+    constraint's hyperplane, which keeps its values on the earlier
+    constraints, and l becomes a new ray (inequality) or is dropped
+    (equality).  The rays stay extreme, since all but l lie in the
+    hyperplane.  Any other constraint splits the rays by sign, keeps the
+    allowed side, and combines each adjacent (positive, negative) pair into
+    the ray where their edge crosses the hyperplane.
+
+    Why the combinatorial adjacency test suffices: modulo L the cone is
+    pointed and the rays are exactly its extreme rays, one each.  The
+    smallest face containing rays p and q is cut out by the constraints tight
+    at p + q, which are those of Z(p) & Z(q), and its extreme rays are the
+    rays r with Z(r) containing Z(p) & Z(q).  A pointed face with only two
+    extreme rays is two-dimensional, so p and q span an edge iff no third ray
+    passes that test.  The rays of the cut cone are the kept rays plus the
+    crossings of edges, so the set stays minimal and the test stays valid
+    for the next constraint.  Keeping L apart is what makes the argument
+    hold, since a cone with a line has no extreme rays.  Rays p and q always
+    pass the superset test themselves, so the scan stops at a third ray that
+    passes, and every constraint's width is checked once on entry.  Holding
+    more than ``_DD_RAY_LIMIT`` rays raises ``ResourceLimitError``.
+    """
+    lineality = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays: list = []
+    zeros: list = []
+    done = 0  # bitmask of the inequalities added so far
+    constraints = [(0, e) for e in equalities] + [(1 << j, a) for j, a in enumerate(inequalities)]
+    for _, a in constraints:
+        if len(a) != n:
+            raise ValueError(f"dimension mismatch: {len(a)} vs {n}")
+    for bit, a in constraints:
+        values = [sum(map(mul, a, v)) for v in lineality]
+        k = next((k for k, value in enumerate(values) if value), None)
+        if k is not None:
+            pivot, scale = lineality.pop(k), values.pop(k)
+            if scale < 0:
+                pivot, scale = tuple(-x for x in pivot), -scale
+            lineality = [_shift(v, value, pivot, scale) for v, value in zip(lineality, values)]
+            rays = [_shift(r, sum(map(mul, a, r)), pivot, scale) for r in rays]
+            if bit:
+                zeros = [z | bit for z in zeros]
+                rays.append(pivot)
+                zeros.append(done)
+                if len(rays) > _DD_RAY_LIMIT:
+                    raise ResourceLimitError(f"double description passed its {_DD_RAY_LIMIT}-ray limit")
+        else:
+            values = [sum(map(mul, a, r)) for r in rays]
+            kept = [(r, z | bit if v == 0 else z) for r, z, v in zip(rays, zeros, values)
+                    if v == 0 or (bit and v > 0)]
+            negative = [(q, vq) for q, vq in enumerate(values) if vq < 0]
+            for p, vp in enumerate(values):
+                if vp <= 0:
+                    continue
+                for q, vq in negative:
+                    common = zeros[p] & zeros[q]
+                    passes = 0
+                    for z in zeros:
+                        if z & common == common:
+                            passes += 1
+                            if passes == 3:
+                                break
+                    else:
+                        edge = [vp * x - vq * y for x, y in zip(rays[q], rays[p])]
+                        kept.append((primitive(edge), common | bit))
+                        if len(kept) > _DD_RAY_LIMIT:
+                            raise ResourceLimitError(f"double description passed its {_DD_RAY_LIMIT}-ray limit")
+            rays = [r for r, _ in kept]
+            zeros = [z for _, z in kept]
+        done |= bit
+    return lineality, rays, zeros
 
 
 @dataclass(frozen=True)
@@ -430,140 +522,34 @@ class StrictSystem:
 @dataclass(frozen=True)
 class FeasibilityResult:
     feasible: bool
-    witness: Optional[RationalVector]
+    witness: Optional[LatticeVector]
 
     def __bool__(self) -> bool:
         return self.feasible
 
 
-def _normalize_rows(raw: list[tuple[tuple[int, ...], int, int]]) -> Optional[list]:
-    """Make integer rows ``coeffs . x >= rhs`` primitive, deduplicate, and screen them.
-
-    Each row is divided by the gcd of all its entries, so positive multiples
-    coincide.  Each row carries a bitmask of the input rows it descends from;
-    of equal rows the one with the fewest ancestors is kept.  Returns
-    ``None`` when a row is an outright contradiction (all-zero coefficients
-    with positive right-hand side).
-    """
-    out = {}
-    for coeffs, rhs, ancestors in raw:
-        if not any(coeffs):
-            if rhs > 0:
-                return None
-            continue
-        g = gcd(*coeffs, rhs)
-        if g > 1:
-            coeffs = tuple(c // g for c in coeffs)
-            rhs //= g
-        kept = out.get((coeffs, rhs))
-        if kept is None or ancestors.bit_count() < kept.bit_count():
-            out[(coeffs, rhs)] = ancestors
-    return [(coeffs, rhs, ancestors) for (coeffs, rhs), ancestors in out.items()]
-
-
-def _fourier_motzkin(num_vars: int, rows: list) -> Optional[list[Fraction]]:
-    """Feasibility of integer rows ``coeffs . x >= rhs``; returns a witness or None.
-
-    Chernikov's rule drops a combined row that descends from more than
-    ``k + 1`` input rows after ``k`` elimination steps.  Its multipliers on
-    the input rows are then not an extreme ray of the cone of multipliers
-    that cancel the ``k`` eliminated variables, whose extreme rays have at
-    most ``k + 1`` nonzeros, so the row is implied by the rows kept.
-    """
-    rows = _normalize_rows([(tuple(c), b, 1 << i) for i, (c, b) in enumerate(rows)])
-    if rows is None:
-        return None
-    if len(rows) > _FM_ROW_LIMIT:
-        raise ResourceLimitError(f"fourier-motzkin passed its {_FM_ROW_LIMIT}-row limit")
-    eliminated = []
-    while True:
-        occupied = [v for v in range(num_vars) if any(r[0][v] != 0 for r in rows)]
-        if not occupied:
-            break
-        # Fewest pairwise products first keeps intermediate systems small.
-        def cost(v):
-            pos = sum(1 for r in rows if r[0][v] > 0)
-            neg = sum(1 for r in rows if r[0][v] < 0)
-            return (pos * neg, v)
-
-        v = min(occupied, key=cost)
-        pos = [r for r in rows if r[0][v] > 0]
-        neg = [r for r in rows if r[0][v] < 0]
-        new_rows = [r for r in rows if r[0][v] == 0]
-        eliminated.append((v, pos, neg))
-        for cp, rp, ap in pos:
-            for cn, rn, an in neg:
-                ancestors = ap | an
-                if ancestors.bit_count() > len(eliminated) + 1:
-                    continue
-                alpha, beta = cp[v], cn[v]
-                coeffs = tuple(alpha * cn[j] - beta * cp[j] for j in range(num_vars))
-                new_rows.append((coeffs, alpha * rn - beta * rp, ancestors))
-                if len(new_rows) > _FM_ROW_LIMIT:
-                    raise ResourceLimitError(f"fourier-motzkin passed its {_FM_ROW_LIMIT}-row limit")
-        rows = _normalize_rows(new_rows)
-        if rows is None:
-            return None
-
-    # Variables can disappear by cancellation without an elimination step;
-    # they are free in the final system, so pin them first.  Every variable a
-    # stored bound row mentions is then assigned before it is needed.
-    witness: list[Optional[Fraction]] = [None] * num_vars
-    recorded = {v for v, _, _ in eliminated}
-    for v in range(num_vars):
-        if v not in recorded:
-            witness[v] = Fraction(0)
-    for v, pos, neg in reversed(eliminated):
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        for coeffs, rhs, _ in pos:
-            rest = sum(coeffs[j] * witness[j] for j in range(num_vars) if j != v and coeffs[j] != 0)
-            bound = Fraction(rhs - rest, coeffs[v])
-            lo = bound if lo is None or bound > lo else lo
-        for coeffs, rhs, _ in neg:
-            rest = sum(coeffs[j] * witness[j] for j in range(num_vars) if j != v and coeffs[j] != 0)
-            bound = Fraction(rhs - rest, coeffs[v])
-            hi = bound if hi is None or bound < hi else hi
-        if lo is not None and hi is not None:
-            if lo > hi:
-                raise InvariantError("fourier-motzkin back-substitution out of bounds")
-            witness[v] = lo
-        elif lo is not None:
-            witness[v] = lo if lo > 0 else Fraction(0)
-        elif hi is not None:
-            witness[v] = hi if hi < 0 else Fraction(0)
-        else:
-            witness[v] = Fraction(0)
-    return [Fraction(0) if w is None else w for w in witness]
-
-
 def strict_feasible(system: StrictSystem) -> FeasibilityResult:
     """Decide ``equalities = 0`` and ``strict rows > 0`` exactly.
 
-    The system is homogeneous, so each strict row ``r . x > 0`` may be
-    replaced by ``r . x >= 1``: any strictly feasible point scales into the
-    slack form, and the slack form is trivially strictly feasible.
-    Equalities are eliminated by substituting a basis of their kernel.  The
-    witness is re-checked against every row, in integers, before it is
-    returned.
+    With denominators cleared row by row, ``_double_description`` gives the
+    cone {equalities = 0, strict rows >= 0} as its lineality space plus the
+    cone on its extreme rays.  Every row is >= 0 on the cone and 0 on its
+    lineality, so a strict row that vanishes on every extreme ray vanishes on
+    the whole cone: the system is infeasible exactly when some strict row is
+    in every ray's zero set.  Otherwise each strict row is positive on some
+    extreme ray and nonnegative on the others, so the sum of the extreme rays
+    is an integral witness.  It is re-checked against every row, in
+    integers, before it is returned.
     """
     equalities = _integer_rows(system.equalities)
-    # Slack rows r . x >= 1, each cleared of denominators together with its 1.
-    slack = [(row[:-1], row[-1]) for row in _integer_rows([[*r, 1] for r in system.strict_inequalities])]
-    if not equalities:
-        witness = _fourier_motzkin(system.dim, slack)
-    else:
-        basis = rational_kernel(equalities)
-        t = _fourier_motzkin(len(basis), [([dot(row, k) for k in basis], rhs) for row, rhs in slack])
-        witness = None if t is None else [
-            sum((c * k[i] for c, k in zip(t, basis)), Fraction(0)) for i in range(system.dim)]
-    if witness is None:
+    stricts = _integer_rows(system.strict_inequalities)
+    _, rays, zeros = _double_description(system.dim, equalities, stricts)
+    if reduce(and_, zeros, (1 << len(stricts)) - 1):
         return FeasibilityResult(False, None)
-    scale = lcm(*(x.denominator for x in witness))
-    point = [x.numerator * (scale // x.denominator) for x in witness]
-    if any(dot(row, point) for row in equalities) or any(dot(row, point) <= 0 for row, _ in slack):
+    witness = tuple(sum(r[i] for r in rays) for i in range(system.dim))
+    if any(dot(row, witness) for row in equalities) or any(dot(row, witness) <= 0 for row in stricts):
         raise InvariantError("strict feasibility witness violates its system")
-    return FeasibilityResult(True, tuple(witness))
+    return FeasibilityResult(True, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from toricfan.cli import (
     run,
 )
 from toricfan.fan import Fan
+from test_fan import cross_polytope_fan, cube_face_fan
 
 
 @pytest.fixture()
@@ -75,10 +76,24 @@ class TestExitCodes:
         path = tmp_path / "y31.json"
         assert run(["family", "yu", "--n", "3", "--u", "1", "--emit", str(path)]) == EXIT_OK
         capsys.readouterr()
-        monkeypatch.setattr(exactlin, "_FM_ROW_LIMIT", 1)
+        monkeypatch.setattr(exactlin, "_DD_RAY_LIMIT", 1)
         assert run(["projective", "--fan", str(path), "--json"]) == EXIT_INPUT_ERROR
         report = json.loads(capsys.readouterr().out)
-        assert "row limit" in report["resource_limit"]
+        assert "ray limit" in report["resource_limit"]
+        assert "internal_error" not in report
+
+    def test_cone_ray_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Three rays hold every simplicial 3-D cone but not the square
+        # facet cones of the 3-cube's face fan, whose duals have four.
+        for name, (d, rays, cones) in (("cross", cross_polytope_fan(3)), ("cube", cube_face_fan(3))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"dim": d, "rays": rays, "max_cones": cones}))
+        monkeypatch.setattr(exactlin, "_DD_RAY_LIMIT", 3)
+        assert run(["validate", "--fan", str(tmp_path / "cross.json")]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["validate", "--fan", str(tmp_path / "cube.json"), "--json"]) == EXIT_INPUT_ERROR
+        report = json.loads(capsys.readouterr().out)
+        assert "3-ray limit" in report["resource_limit"]
         assert "internal_error" not in report
 
     def test_family_unwritable_emit_exits_2(self, tmp_path, capsys):

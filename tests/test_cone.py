@@ -7,7 +7,9 @@ from itertools import combinations
 import pytest
 
 from oracles import brute_force_meet, feasible_by_vertex_enumeration
+from toricfan import exactlin
 from toricfan.cone import Cone, Position, classify_position
+from toricfan.errors import InvariantError, ResourceLimitError
 from toricfan.exactlin import dot
 
 SQUARE_RAYS = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
@@ -170,6 +172,14 @@ class TestIntersect:
         assert meet.rays == ((1, 1), (1, 2))
         # interior point of both witnesses the bad overlap
         assert c1.contains((2, 3)) and c2.contains((2, 3))
+
+    def test_ray_limit_is_a_resource_limit(self, monkeypatch, square_cone):
+        other = Cone.from_rays(3, [(1, 1, 1), (-1, 1, 1), (0, -1, 1)])
+        assert square_cone.intersect(other).dim == 3
+        monkeypatch.setattr(exactlin, "_DD_RAY_LIMIT", 2)
+        with pytest.raises(ResourceLimitError, match="2-ray limit") as info:
+            square_cone.intersect(other)
+        assert not isinstance(info.value, InvariantError)
 
     def test_zero_intersection(self):
         c1 = Cone.from_rays(2, [(1, 0)])

@@ -4,7 +4,7 @@ projectivity, polytopes, counting polynomials, growth statements."""
 import random
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
@@ -311,10 +311,9 @@ class TestProjectivity:
             assert is_ample(fan, result.witness_divisor)
 
     def test_random_complete_surfaces_are_projective(self, monkeypatch):
-        # Every complete toric surface is projective.  In the Hermite basis of
-        # the Cartier lattice FM stays under 200 rows on these fans; a dense
-        # lattice basis drives some of them past tens of thousands.
-        monkeypatch.setattr(exactlin, "_FM_ROW_LIMIT", 1000)
+        # Every complete toric surface is projective.  The double description
+        # of the strict system holds at most 18 rays on these fans.
+        monkeypatch.setattr(exactlin, "_DD_RAY_LIMIT", 1000)
         for fan in random_complete_surface_fans(seed=7, count=40):
             result = is_projective(fan)
             assert result.feasible, fan.rays
@@ -322,11 +321,12 @@ class TestProjectivity:
 
     def test_fm_size_does_not_depend_on_the_basis(self, monkeypatch):
         # The strict system in the raw coefficient-first kernel basis of the
-        # Cartier lattice, not its Hermite basis.  Without Chernikov's rule FM
-        # passes 35,000 rows on this fan; with it the system stays under 5,000.
+        # Cartier lattice, not its Hermite basis.  Fourier-Motzkin elimination
+        # needed 35,000 rows on this fan (5,000 with Chernikov's rule); the
+        # double description holds at most 18 rays, as in the Hermite basis.
         fan = random_complete_surface_fans(seed=7, count=40)[8]
         assert fan.rays == ((2, 1), (3, 2), (1, 1), (-3, 1), (-4, -1), (-3, -1), (2, -3), (3, -2))
-        monkeypatch.setattr(exactlin, "_FM_ROW_LIMIT", 5000)
+        monkeypatch.setattr(exactlin, "_DD_RAY_LIMIT", 50)
         lattice = integral_kernel(_monolithic_system(fan))
         n, r = fan.ambient_rank, len(fan.rays)
         blocks = [slice(r + ci * n, r + (ci + 1) * n) for ci in range(len(fan.max_cones))]
@@ -338,8 +338,7 @@ class TestProjectivity:
         )
         result = strict_feasible(StrictSystem((), stricts, len(lattice)))
         assert result.feasible
-        scale = lcm(*(Fraction(t).denominator for t in result.witness))
-        point = mat_vec(transpose(lattice), [int(t * scale) for t in result.witness])
+        point = mat_vec(transpose(lattice), result.witness)
         assert divisor._strictly_convex(fan, point[:r], [point[block] for block in blocks])
 
     def test_agrees_with_chained_agreement_oracle(self, request, yu_grid):

@@ -357,9 +357,15 @@ class TestStrictFeasible:
     ])
     def test_witness_is_rechecked(self, monkeypatch, system):
         assert strict_feasible(system).feasible
-        monkeypatch.setattr(exactlin, "_fourier_motzkin", lambda num_vars, rows: [Fraction(-1)] * num_vars)
+        # One ray on which no strict row vanishes, but which breaks a strict row.
+        monkeypatch.setattr(exactlin, "_double_description", lambda n, eqs, ineqs: ([], [(-1,) * n], [0]))
         with pytest.raises(InvariantError, match="witness violates"):
             strict_feasible(system)
+
+    def test_witness_is_integral(self):
+        system = StrictSystem(((Fraction(1, 2), Fraction(-1, 3), 0),), ((1, 0, 0), (0, 0, Fraction(2, 5))), 3)
+        res = strict_feasible(system)
+        assert res.feasible and all(type(x) is int for x in res.witness)
 
     def test_row_length_validation(self):
         with pytest.raises(ValueError):
@@ -368,8 +374,8 @@ class TestStrictFeasible:
     def test_row_limit_is_a_resource_limit(self, monkeypatch):
         system = StrictSystem((), ((1, 1), (1, -1), (-1, 2)), 2)
         assert strict_feasible(system).feasible
-        monkeypatch.setattr(exactlin, "_FM_ROW_LIMIT", 1)
-        with pytest.raises(ResourceLimitError, match="1-row limit") as info:
+        monkeypatch.setattr(exactlin, "_DD_RAY_LIMIT", 1)
+        with pytest.raises(ResourceLimitError, match="1-ray limit") as info:
             strict_feasible(system)
         assert not isinstance(info.value, InvariantError)
 
@@ -527,6 +533,44 @@ def test_elimination_properties(sympy):
         assert sol.kernel == kernel
 
     check()
+
+
+def test_strict_feasible_equality_pivots():
+    """Equalities pivot the lineality in ``_double_description``: the verdict
+    must match the system rewritten in a basis K of the equalities' kernel,
+    with no equalities, and must not move when rows are scaled by positive
+    integers."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    entries = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-6, 6), st.integers(2, 4)))
+    seen = set()
+
+    @st.composite
+    def systems(draw):
+        dim = draw(st.integers(1, 6))
+        row = st.lists(entries, min_size=dim, max_size=dim)
+        eqs = draw(st.lists(row, min_size=1, max_size=dim))
+        stricts = draw(st.lists(row, max_size=dim + 1))
+        scales = draw(st.lists(st.integers(1, 5), min_size=len(eqs) + len(stricts),
+                               max_size=len(eqs) + len(stricts)))
+        return dim, eqs, stricts, scales
+
+    @hyp.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hyp.given(systems())
+    def check(case):
+        dim, eqs, stricts, scales = case
+        verdict = strict_feasible(StrictSystem(tuple(eqs), tuple(stricts), dim)).feasible
+        kernel = rational_kernel(eqs)
+        reduced = tuple(tuple(dot(row, k) for k in kernel) for row in stricts)
+        assert strict_feasible(StrictSystem((), reduced, len(kernel))).feasible == verdict
+        scaled = [[c * x for x in row] for c, row in zip(scales, eqs + stricts)]
+        rescaled = StrictSystem(tuple(scaled[:len(eqs)]), tuple(scaled[len(eqs):]), dim)
+        assert strict_feasible(rescaled).feasible == verdict
+        seen.add((verdict, len(kernel) < dim))
+
+    check()
+    # Both verdicts, each with equalities that cut the space down.
+    assert {(True, True), (False, True)} <= seen
 
 
 # ---------------------------------------------------------------------------
