@@ -201,6 +201,12 @@ def _need_ray(args, fan: Fan) -> int:
     return args.ray
 
 
+def _need_dim_2(args, fan: Fan) -> None:
+    # The star of a ray lives in the quotient lattice, which is 0 for a 1-dimensional fan.
+    if fan.ambient_rank < 2:
+        raise InputError(f"{args.command} needs a fan of dimension at least 2, not {fan.ambient_rank}")
+
+
 def _cmd_validate(args, report):
     # A well-formed file describing an invalid fan is the property failing;
     # an unreadable or unparseable file is an input error.
@@ -303,6 +309,7 @@ def _cmd_egyptian(args, report):
 def _cmd_modify(args, report):
     fan, _, _ = _load_fan(args)
     ray = _need_ray(args, fan)
+    _need_dim_2(args, fan)
     try:
         probe = egyptian_report(fan, ray, allow_incomplete=args.allow_incomplete)
     except ValueError as exc:
@@ -376,6 +383,7 @@ def _cmd_report(args, report):
     """
     fan, _, _ = _load_fan(args)
     ray = _need_ray(args, fan)
+    _need_dim_2(args, fan)
     if not fan.is_complete():
         raise InputError("report requires a complete fan")
     result = hypothesis_report(fan, ray)

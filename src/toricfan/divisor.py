@@ -5,24 +5,24 @@ A divisor is a plain sequence of integer coefficients, one per fan ray, in
 the fan's ray order.  Cartier data assigns to every maximal cone a character
 vector that evaluates to minus the coefficient on each of the cone's rays;
 the divisor is Cartier when integral characters exist, Q-Cartier when
-rational ones do.  All decisions are exact.
+rational ones do.  Divisor polytopes come from one double description.
+All decisions are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import factorial, floor, ceil, lcm
 from typing import Optional, Sequence
 
-from .cone import Cone
 from .errors import InvariantError, ResourceLimitError
 from .exactlin import (
     FGAbelianGroup,
     LatticeVector,
-    RationalVector,
     StrictSystem,
+    _double_description,
     cokernel_group,
     dot,
     hermite_normal_form,
@@ -275,29 +275,23 @@ def is_projective(fan: Fan) -> ProjectivityResult:
 
 
 def divisor_polytope(fan: Fan, divisor: ToricDivisor) -> Polytope:
-    """The polytope {m : l_ray(m) >= -a_ray}, with exact rational vertices."""
+    """The polytope P = {m : l_ray(m) >= -a_ray}, with exact rational vertices.
+
+    P is the slice t = 1 of C = {(m, t) : l_ray(m) + a_ray*t >= 0, t >= 0}.
+    C has a line iff the rays do not span, its face t = 0 is P's recession
+    cone, and its extreme rays with t > 0 are the vertices m/t of P.
+    """
     coeffs = _check_divisor(fan, divisor)
     n = fan.ambient_rank
-    if matrix_rank(fan.rays) != n:
+    rows = [ray + (a,) for ray, a in zip(fan.rays, coeffs)] + [(0,) * n + (1,)]
+    lineality, rays, _ = _double_description(n + 1, (), rows)
+    if lineality:
         raise ValueError("polytope is unbounded: rays do not span")
-    # Bounded iff the recession cone {m : all rays nonnegative} is trivial,
-    # which for spanning rays means no nonzero functional is nonnegative on
-    # all of them.
-    recession = Cone.from_inequalities(n, [], list(fan.rays))
-    if recession.rays:
+    if any(r[n] == 0 for r in rays):
         raise ValueError("polytope is unbounded")
-    rows = list(fan.rays)
-    vertices: dict[RationalVector, None] = {}
-    for subset in combinations(range(len(rows)), n):
-        # A vertex needs n independent rows: a kernel or no solution rules it out.
-        sol = solve_linear([rows[i] for i in subset], [-coeffs[i] for i in subset], mode="rational")
-        if sol is None or sol.kernel:
-            continue
-        m = sol.particular
-        if all(dot(rows[i], m) >= -coeffs[i] for i in range(len(rows))):
-            vertices.setdefault(tuple(Fraction(x) for x in m), None)
-    ineqs = tuple((fan.rays[i], coeffs[i]) for i in range(len(rows)))
-    return Polytope(ineqs, tuple(sorted(vertices)))
+    vertices = sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays)
+    ineqs = tuple(zip(fan.rays, coeffs))
+    return Polytope(ineqs, tuple(vertices))
 
 
 def count_lattice_points(polytope: Polytope, scale: int = 1) -> int:

@@ -248,8 +248,6 @@ def split_star(fan: Fan, report: EgyptianReport) -> ModificationResult:
         walls.append(ExceptionalWall(tuple(sorted(gidx[r] for r in cls.eta_rays)), (base_idx, base_idx + 1)))
 
     refined = Fan._validated(fan.ambient_rank, fan.rays, new_cones, pieces)
-    if refined.rays != fan.rays:
-        raise InvariantError("modification must preserve the ray list")
     if fan.is_complete() and not refined.is_complete():
         raise InvariantError("modification of a complete fan must stay complete")
     return ModificationResult(fan, refined, tuple(splits), tuple(walls), report.ray)

@@ -8,10 +8,12 @@ sides, and a generic point lies in exactly one cone.  That proves a complete
 fan in one pass over the facets.  Anything else (a lower-dimensional cone,
 an unmatched facet, an incomplete fan or a non-fan) goes to the pairwise
 check: every intersection of maximal cones must be a common face, and no
-maximal cone may contain another.  Walls (the codimension-one cones) are
-precomputed at validation time since completeness, subdivision, and divisor
-computations all consume them.  Quotient fans and small modifications are
-validated, with the same checks, on the cones they were built from.
+maximal cone may contain another.  The wall check passes on a valid fan
+exactly when it is complete, so its verdict is kept.  Walls (the
+codimension-one cones) are precomputed at validation time since the
+orbit-curve classification and the checks of a small modification consume
+them.  Quotient fans and small modifications are validated, with the same
+checks, on the cones they were built from.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .cone import Cone
 from .errors import InvariantError
 from .exactlin import (
     LatticeVector,
+    _eliminate,
     determinant,
     dot,
     hermite_normal_form,
@@ -62,7 +65,7 @@ class FanIsomorphism:
 class Fan:
     """A validated fan of strictly convex rational polyhedral cones."""
 
-    __slots__ = ("ambient_rank", "rays", "max_cones", "cones", "walls")
+    __slots__ = ("ambient_rank", "rays", "max_cones", "cones", "walls", "_complete")
 
     def __init__(self, *_a, **_k):
         raise TypeError("use Fan.from_cones")
@@ -126,7 +129,8 @@ class Fan:
                     key = frozenset(local[k] for k in face.ray_indices)
                     facets.setdefault(key, []).append((j, normal))
 
-        if not _covers_once(n, cones, facets):
+        complete = _covers_once(n, cones, facets)
+        if not complete:
             _check_pairwise(cones)
 
         walls = cls._collect_walls(n, mc_list, cones, facets)
@@ -136,6 +140,7 @@ class Fan:
         object.__setattr__(self, "max_cones", tuple(mc_list))
         object.__setattr__(self, "cones", tuple(cones))
         object.__setattr__(self, "walls", walls)
+        object.__setattr__(self, "_complete", complete)
         return self
 
     def __setattr__(self, name, value):
@@ -183,25 +188,8 @@ class Fan:
             raise ValueError(f"unknown ray {tuple(ray)}") from None
 
     def is_complete(self) -> bool:
-        """Wall criterion: pure full dimension, two cones per wall, connected."""
-        n = self.ambient_rank
-        if any(c.dim != n for c in self.cones):
-            return False
-        if any(len(w.incident) != 2 for w in self.walls):
-            return False
-        adjacency = {i: set() for i in range(len(self.max_cones))}
-        for w in self.walls:
-            a, b = w.incident
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nb in adjacency[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == len(self.max_cones)
+        """Whether the cones cover the space: the wall check's verdict, kept from validation."""
+        return self._complete
 
     def star(self, ray: int) -> tuple[int, ...]:
         """Indices of the maximal cones containing the given ray."""
@@ -217,9 +205,9 @@ class Fan:
         deterministic.  The star cones correspond one-to-one to the maximal
         cones of the quotient; this is re-verified during validation.
         """
-        star = self.star(ray)
-        if not star:
-            raise InvariantError("every ray must lie in a maximal cone")
+        star = self.star(ray)  # nonempty: validation puts every ray in a maximal cone
+        if self.ambient_rank < 2:
+            raise ValueError(f"quotient needs a fan of dimension at least 2, not {self.ambient_rank}")
         n = self.ambient_rank
         l_rho = self.rays[ray]
         h, u = hermite_normal_form([l_rho])
@@ -300,16 +288,10 @@ class Fan:
         val1, val2 = valences(self), valences(other)
         if sorted(val1) != sorted(val2):
             return None
-        if matrix_rank(self.rays) < n or matrix_rank(other.rays) < n:
+        # The pivot columns of the rays, as columns, are the greedy spanning subset.
+        pivot = _eliminate([list(row) for row in zip(*self.rays)], len(self.rays))
+        if len(pivot) < n or matrix_rank(other.rays) < n:
             return None  # non-spanning fans: only the identity case above is handled
-
-        # Greedy spanning subset of source rays.
-        pivot: list[int] = []
-        for i in range(len(self.rays)):
-            if matrix_rank([self.rays[j] for j in pivot + [i]]) == len(pivot) + 1:
-                pivot.append(i)
-            if len(pivot) == n:
-                break
         r_cols = tuple(zip(*[self.rays[i] for i in pivot]))  # columns are pivot rays
         det_r = determinant(r_cols)
         # Columns of adj(R) = det(R) * R^{-1}, one exact solve per unit vector.
@@ -380,11 +362,13 @@ def _covers_once(n: int, cones: Sequence[Cone], facets: dict) -> bool:
        (m.p, m_1, ..., m_n) is lexicographically positive, and no normal
        vanishes on it.  Cone 0 always contains it.
 
-    A False answer decides nothing; the caller falls back to the pairwise
-    check.  A True answer proves a complete fan (the covering-degree
-    argument for subdivisions, De Loera, Rambau & Santos, *Triangulations*,
-    2010, with the fan axioms of Cox, Little & Schenck, *Toric Varieties*,
-    1.2):
+    A False answer sends the caller to the pairwise check, and on a fan that
+    passes it means incomplete: a complete fan's maximal cones are
+    full-dimensional, each facet lies in two of them with opposite normals,
+    and a point on no facet lies in exactly one, so all three tests pass.
+    A True answer proves a complete fan (the covering-degree argument for
+    subdivisions, De Loera, Rambau & Santos, *Triangulations*, 2010, with
+    the fan axioms of Cox, Little & Schenck, *Toric Varieties*, 1.2):
 
     *The degree is constant.*  Let K be the union of the faces of
     codimension >= 2 of all cones, and d(y) the number of cones containing

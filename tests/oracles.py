@@ -181,6 +181,53 @@ def brute_force_extreme_rays(n, equalities, inequalities):
     return tuple(sorted(found))
 
 
+def subset_vertex_polytope(n, rays, coeffs):
+    """Sorted vertices of {m in Q^n : l_k.m >= -a_k}, by solving every n-subset of rows.
+
+    Raises ``ValueError`` with ``divisor_polytope``'s messages: when the rays
+    do not span, and when the recession cone {m : l_k.m >= 0} is nonzero.
+    Otherwise the polytope is bounded, and each vertex is the unique
+    solution of n of its rows that meets every row; an empty polytope has
+    no vertices.
+    """
+    if kernel_basis(rays, n):
+        raise ValueError("polytope is unbounded: rays do not span")
+    if brute_force_extreme_rays(n, [], rays):
+        raise ValueError("polytope is unbounded")
+    vertices = set()
+    for subset in combinations(range(len(rays)), n):
+        solved = cramer_numerators([rays[k] for k in subset], [-coeffs[k] for k in subset])
+        if solved is None:
+            continue
+        d, nums = solved
+        if all(_dot(ray, nums) >= -a * d for ray, a in zip(rays, coeffs)):
+            vertices.add(tuple(Fraction(x, d) for x in nums))
+    return tuple(sorted(vertices))
+
+
+def wall_criterion_complete(fan) -> bool:
+    """Completeness by the wall criterion: every maximal cone is full-dimensional,
+    every wall lies in exactly two of them, and a search across the walls
+    from cone 0 reaches every cone."""
+    if any(cone.dim != fan.ambient_rank for cone in fan.cones):
+        return False
+    if any(len(wall.incident) != 2 for wall in fan.walls):
+        return False
+    adjacency = {i: set() for i in range(len(fan.max_cones))}
+    for wall in fan.walls:
+        a, b = wall.incident
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for neighbour in adjacency[stack.pop()]:
+            if neighbour not in seen:
+                seen.add(neighbour)
+                stack.append(neighbour)
+    return len(seen) == len(fan.max_cones)
+
+
 def brute_force_facets(n, generators):
     """``(span_equations, normals)`` of the cone on nonzero generators.
 

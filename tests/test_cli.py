@@ -299,6 +299,15 @@ class TestReportCommand:
         assert run(["report", "--fan", str(fan_file), "--ray", "5"]) == EXIT_INPUT_ERROR
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["report", "modify"])
+    def test_one_dimensional_fan_is_an_input_error(self, tmp_path, capsys, command):
+        fan_file = tmp_path / "p1.json"
+        fan_file.write_text('{"dim":1,"rays":[[1],[-1]],"max_cones":[[0],[1]]}')
+        code, report = _json_run([command, "--fan", str(fan_file), "--ray", "0"], capsys)
+        assert code == EXIT_INPUT_ERROR
+        assert report["error"] == f"{command} needs a fan of dimension at least 2, not 1"
+        assert "internal_error" not in report
+
     def test_not_egyptian_exits_without_modification(self, tmp_path, capsys, cube_suspension_fan):
         from toricfan.cli import fan_to_json
         fan_file = tmp_path / "cube.json"

@@ -8,9 +8,10 @@ from math import gcd
 
 import pytest
 
-from oracles import count_triangle_interior, gcd_of_minors
+from oracles import count_triangle_interior, gcd_of_minors, subset_vertex_polytope
 from test_fan import cross_polytope_fan, cube_face_fan
 from toricfan import divisor
+from toricfan.cone import Cone
 from toricfan.divisor import (
     cartier_data,
     cartier_index,
@@ -38,6 +39,7 @@ from toricfan.exactlin import (
     strict_feasible,
     transpose,
 )
+from toricfan.families import projective_space_fan
 from toricfan.fan import Fan
 
 
@@ -411,6 +413,86 @@ class TestPolytopes:
         monkeypatch.setattr(divisor, "_BOX_POINT_LIMIT", 11)
         with pytest.raises(ResourceLimitError):
             count_lattice_points(p, 1)
+
+
+def polytope_inputs(yu_grid):
+    """(fan, divisor) pairs: ample witnesses of the Y quotients and of Y_{n,1},
+    random divisors on Y_{n,u} for n < 6, multiples and negatives of H on
+    P^1..P^4, random complete surfaces, and incomplete or non-spanning fans."""
+    rng = random.Random(16)
+    pairs = []
+    for n in range(3, 7):
+        for u in range(1, 4):
+            yu = yu_grid(n, u)
+            quotient = yu.fan.quotient(yu.e_index())
+            pairs.append((quotient, is_projective(quotient).witness_divisor))
+            if u == 1:
+                pairs.append((yu.fan, is_projective(yu.fan).witness_divisor))
+            if n < 6:  # the subset enumeration takes 0.5 s on each Y_6 divisor
+                pairs.append((yu.fan, tuple(rng.randint(-1, 3) for _ in yu.fan.rays)))
+    for d in range(1, 5):
+        for c in (-1, 0, 1, 2, 3):
+            pairs.append((projective_space_fan(d), (c,) + (0,) * d))
+    for fan in random_complete_surface_fans(seed=16, count=60):
+        pairs.append((fan, tuple(rng.randint(-1, 3) for _ in fan.rays)))
+    incomplete = [
+        Fan.from_cones(2, [(1, 0)], [[0]]),
+        Fan.from_cones(2, [(1, 0), (0, 1)], [[0, 1]]),
+        Fan.from_cones(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [0, 2]]),
+        Fan.from_cones(2, [(1, 0), (-1, 0)], [[0], [1]]),
+        Fan.from_cones(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1], [2]]),
+    ]
+    for fan in incomplete:
+        pairs += [(fan, tuple(rng.randint(-1, 3) for _ in fan.rays)) for _ in range(3)]
+    return pairs
+
+
+def _polytope_or_error(function, *args):
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestPolytopeVertices:
+    """``divisor_polytope`` against the subset enumeration it replaced."""
+
+    def test_agrees_with_subset_enumeration(self, yu_grid):
+        outcomes = set()
+        for fan, d in polytope_inputs(yu_grid):
+            got = _polytope_or_error(lambda: divisor_polytope(fan, d).vertices)
+            want = _polytope_or_error(subset_vertex_polytope, fan.ambient_rank, fan.rays, d)
+            assert got == want, (fan, d)
+            outcomes.add(got if isinstance(got, str) else bool(got))
+        assert outcomes == {True, False, "polytope is unbounded", "polytope is unbounded: rays do not span"}
+
+    def test_error_paths(self, p1_fan, p2_fan):
+        with pytest.raises(ValueError, match="^polytope is unbounded: rays do not span$"):
+            divisor_polytope(Fan.from_cones(2, [(1, 0)], [[0]]), [1])
+        with pytest.raises(ValueError, match="^polytope is unbounded$"):
+            divisor_polytope(Fan.from_cones(2, [(1, 0), (0, 1)], [[0, 1]]), [0, 0])
+        assert divisor_polytope(p1_fan, [-1, -1]).vertices == ()
+        assert divisor_polytope(p2_fan, [-1, 0, 0]).vertices == ()
+
+    def test_one_double_description(self, yu_grid, monkeypatch):
+        yu = yu_grid(4, 1)
+        witness = is_projective(yu.fan).witness_divisor
+        calls = []
+        double_description = divisor._double_description
+
+        def counting(*args):
+            calls.append(args[0])
+            return double_description(*args)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("divisor_polytope left the double description")
+
+        monkeypatch.setattr(divisor, "_double_description", counting)
+        for name in ("solve_linear", "matrix_rank"):
+            monkeypatch.setattr(divisor, name, refused)
+        monkeypatch.setattr(Cone, "_build", classmethod(refused))
+        assert divisor_polytope(yu.fan, witness).vertices
+        assert calls == [5]
 
 
 class TestGrowth:

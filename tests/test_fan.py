@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 import toricfan.fan as fan_module
+from oracles import wall_criterion_complete
 from toricfan.cone import Cone
 from toricfan.egyptian import egyptian_report, small_modification, split_star
 from toricfan.fan import Fan, Wall, WallCurveKind
@@ -91,6 +92,10 @@ class TestQuotient:
         for ray in range(len(p3_fan.rays)):
             q = p3_fan.quotient(ray)
             assert len(q.max_cones) == len(p3_fan.star(ray))
+
+    def test_one_dimensional_fan_has_no_quotient(self, p1_fan):
+        with pytest.raises(ValueError, match="dimension at least 2, not 1"):
+            p1_fan.quotient(0)
 
     def test_p3_quotient_is_p2(self, p3_fan):
         q = p3_fan.quotient(0)
@@ -278,9 +283,28 @@ class TestWallCheck:
         assert len(fans) == 46
         for fan in fans:
             fast, accepted, pairwise = both_checks(as_case(fan))
-            assert fast == pairwise == (fan.max_cones, fan.walls, True)
+            assert fast == (fan.max_cones, fan.walls, True)
+            # Forcing the wall check to False also forces the kept verdict.
+            assert pairwise[:2] == fast[:2]
             assert accepted, fan
             assert fan.walls == subset_scan_walls(fan)
+
+    def test_completeness_matches_the_wall_criterion(self, request, yu_grid, p2_fan):
+        from test_divisor import random_complete_surface_fans  # test_divisor imports this module
+
+        surfaces = random_complete_surface_fans(seed=7, count=40)
+        yu = yu_grid(4, 2).fan
+        incomplete = [Fan.from_cones(*case) for case in (
+            (4, yu.rays, [list(mc) for mc in yu.max_cones[1:]]),
+            (2, [(1, 0), (0, 1), (-1, 0)], [[0, 1], [2]]),
+            (2, [(1, 0), (0, 1)], [[0, 1]]),
+            (2, [(1, 0)], [[0]]),
+            (2, p2_fan.rays, [[0, 1], [0, 2]]),
+        )]
+        incomplete += [Fan.from_cones(2, fan.rays, fan.max_cones[1:]) for fan in surfaces]
+        for fan in self.valid_fans(request) + surfaces + incomplete:
+            assert fan.is_complete() == wall_criterion_complete(fan), fan
+        assert not any(fan.is_complete() for fan in incomplete)
 
     @pytest.mark.parametrize("name", sorted(BROKEN))
     def test_broken_inputs_keep_pairwise_errors(self, name):
