@@ -14,6 +14,7 @@ internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -181,10 +182,15 @@ def _write_file(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_fan(args) -> tuple[Fan, Optional[list[str]], list[str]]:
+def _load_fan(args, report: dict) -> tuple[Fan, Optional[list[str]], list[str]]:
+    """Read, parse and validate ``--fan``; records the time taken as ``timings.load_s``."""
     if not args.fan:
         raise InputError("this command needs --fan PATH")
-    return parse_fan_file(_read_file(args.fan))
+    started = time.perf_counter()
+    try:
+        return parse_fan_file(_read_file(args.fan))
+    finally:
+        report.setdefault("timings", {})["load_s"] = round(time.perf_counter() - started, 6)
 
 
 def _load_divisor(args, fan: Fan) -> tuple[int, ...]:
@@ -201,6 +207,18 @@ def _need_ray(args, fan: Fan) -> int:
     return args.ray
 
 
+def _egyptian_report(args, fan: Fan, ray: int):
+    # The completeness check is made here so that its message names the CLI
+    # flag; the library's own message names its keyword argument.
+    if not args.allow_incomplete and not fan.is_complete():
+        raise InputError("egyptian position is defined over a complete fan "
+                         "(pass --allow-incomplete to override)")
+    try:
+        return egyptian_report(fan, ray, allow_incomplete=True)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _need_dim_2(args, fan: Fan) -> None:
     # The star of a ray lives in the quotient lattice, which is 0 for a 1-dimensional fan.
     if fan.ambient_rank < 2:
@@ -211,7 +229,7 @@ def _cmd_validate(args, report):
     # A well-formed file describing an invalid fan is the property failing;
     # an unreadable or unparseable file is an input error.
     try:
-        fan, labels, warnings = _load_fan(args)
+        fan, labels, warnings = _load_fan(args, report)
     except FanInvalidError as exc:
         report["valid"] = False
         report["error"] = str(exc)
@@ -225,7 +243,7 @@ def _cmd_validate(args, report):
 
 
 def _cmd_complete(args, report):
-    fan, _, warnings = _load_fan(args)
+    fan, _, warnings = _load_fan(args, report)
     report["warnings"] = warnings
     verdict = fan.is_complete()
     report["complete"] = verdict
@@ -233,7 +251,7 @@ def _cmd_complete(args, report):
 
 
 def _cmd_cartier(args, report):
-    fan, _, _ = _load_fan(args)
+    fan, _, _ = _load_fan(args, report)
     coeffs = _load_divisor(args, fan)
     integral = divisor_ops.cartier_data(fan, coeffs, mode="integral")
     # Cartier implies Q-Cartier, so the rational data is needed only without integral data.
@@ -248,7 +266,7 @@ def _cmd_cartier(args, report):
 
 
 def _cmd_index(args, report):
-    fan, _, _ = _load_fan(args)
+    fan, _, _ = _load_fan(args, report)
     coeffs = _load_divisor(args, fan)
     index = divisor_ops.cartier_index(fan, coeffs)
     report["q_cartier"] = index is not None
@@ -257,7 +275,7 @@ def _cmd_index(args, report):
 
 
 def _cmd_picard(args, report):
-    fan, _, _ = _load_fan(args)
+    fan, _, _ = _load_fan(args, report)
     try:
         group = divisor_ops.picard_group(fan)
     except ValueError as exc:
@@ -267,7 +285,7 @@ def _cmd_picard(args, report):
 
 
 def _cmd_classgroup(args, report):
-    fan, _, _ = _load_fan(args)
+    fan, _, _ = _load_fan(args, report)
     try:
         group = divisor_ops.class_group(fan)
     except ValueError as exc:
@@ -277,7 +295,7 @@ def _cmd_classgroup(args, report):
 
 
 def _cmd_projective(args, report):
-    fan, _, _ = _load_fan(args)
+    fan, _, _ = _load_fan(args, report)
     try:
         result = divisor_ops.is_projective(fan)
     except ValueError as exc:
@@ -292,12 +310,9 @@ def _cmd_projective(args, report):
 
 
 def _cmd_egyptian(args, report):
-    fan, _, _ = _load_fan(args)
+    fan, _, _ = _load_fan(args, report)
     ray = _need_ray(args, fan)
-    try:
-        result = egyptian_report(fan, ray, allow_incomplete=args.allow_incomplete)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    result = _egyptian_report(args, fan, ray)
     report["ray"] = ray
     report["per_cone"] = {
         str(ci): cls.kind.value for ci, cls in result.per_cone
@@ -307,13 +322,10 @@ def _cmd_egyptian(args, report):
 
 
 def _cmd_modify(args, report):
-    fan, _, _ = _load_fan(args)
+    fan, _, _ = _load_fan(args, report)
     ray = _need_ray(args, fan)
     _need_dim_2(args, fan)
-    try:
-        probe = egyptian_report(fan, ray, allow_incomplete=args.allow_incomplete)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    probe = _egyptian_report(args, fan, ray)
     if not probe.verdict:
         report["egyptian"] = False
         report["error"] = "ray not in Egyptian position"
@@ -337,7 +349,7 @@ def _cmd_modify(args, report):
 
 
 def _cmd_degree(args, report):
-    fan, _, _ = _load_fan(args)
+    fan, _, _ = _load_fan(args, report)
     coeffs = _load_divisor(args, fan)
     try:
         polytope = divisor_ops.divisor_polytope(fan, coeffs)
@@ -381,7 +393,7 @@ def _cmd_report(args, report):
     that of the ample witness found on the divisor's fan; the modification,
     its verification, and the growth statement are appended.
     """
-    fan, _, _ = _load_fan(args)
+    fan, _, _ = _load_fan(args, report)
     ray = _need_ray(args, fan)
     _need_dim_2(args, fan)
     if not fan.is_complete():
@@ -425,7 +437,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first ``run`` and reused after.
+
+    Building it costs more than most commands on small fans.  Reuse is safe:
+    ``parse_args`` leaves the parser unchanged and returns a fresh namespace
+    holding every default again.
+    """
     parser = argparse.ArgumentParser(
         prog="toricfan",
         description="Exact computations on rational polyhedral fans and toric divisors.",
@@ -470,10 +489,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str]) -> int:
-    """Run one command; prints a report and returns the exit code."""
-    parser = _build_parser()
+    """Run one command; prints a report and returns the exit code.
+
+    May be called any number of times in one process.
+    """
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
     report: dict = {"command": " ".join(argv)}
@@ -492,8 +513,10 @@ def run(argv: Sequence[str]) -> int:
     except Exception as exc:  # unexpected: also an internal failure
         report["internal_error"] = f"{type(exc).__name__}: {exc}"
         code = EXIT_INTERNAL_ERROR
+    total_s = round(time.perf_counter() - started, 6)
+    loaded = report.pop("timings", {})  # load_s, set by _load_fan; timings stay the last key
     report["exit_code"] = code
-    report["timings"] = {"total_s": round(time.perf_counter() - started, 6)}
+    report["timings"] = {"total_s": total_s, **loaded}
     _print_report(report, getattr(args, "json", False))
     return code
 

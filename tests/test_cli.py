@@ -1,10 +1,12 @@
 """Command dispatch, file formats, exit codes, and report round trips."""
 
 import json
+import re
 import time
 
 import pytest
 
+from toricfan import cli
 from toricfan import divisor as divisor_ops
 from toricfan import exactlin
 from toricfan.cli import (
@@ -16,6 +18,7 @@ from toricfan.cli import (
     parse_fan_file,
     run,
 )
+from toricfan.egyptian import egyptian_report
 from toricfan.fan import Fan
 from test_fan import cross_polytope_fan, cube_face_fan
 
@@ -222,6 +225,38 @@ class TestCommandBranches:
         assert code == EXIT_INPUT_ERROR
         assert report["error"] and "internal_error" not in report
 
+    @pytest.mark.parametrize("command", ["egyptian", "modify"])
+    def test_incomplete_fan_error_names_the_cli_flag(self, write, capsys, command):
+        quadrant = write("quadrant.json", QUADRANT)
+        code, report = _json_run([command, "--fan", quadrant, "--ray", "0"], capsys)
+        assert code == EXIT_INPUT_ERROR
+        assert report["error"] == ("egyptian position is defined over a complete fan "
+                                   "(pass --allow-incomplete to override)")
+        # Library callers still see the keyword argument they can pass.
+        with pytest.raises(ValueError, match=r"pass allow_incomplete=True to override"):
+            egyptian_report(parse_fan_file(QUADRANT)[0], 0)
+
+    @pytest.mark.parametrize("command", [
+        "validate", "complete", "cartier", "index", "picard", "classgroup", "projective",
+        "egyptian", "modify", "degree", "report",
+    ])
+    def test_every_fan_command_times_its_load(self, write, capsys, command):
+        argv = [command, "--fan", write("p2.json", P2)]
+        if command in ("cartier", "index", "degree"):
+            argv += ["--divisor", write("h.json", '{"coefficients":[1,0,0]}')]
+        if command in ("egyptian", "modify", "report"):
+            argv += ["--ray", "0"]
+        code, report = _json_run(argv, capsys)
+        assert "internal_error" not in report and code in (EXIT_OK, EXIT_PROPERTY_FAILS)
+        timings = report["timings"]
+        assert list(timings) == ["total_s", "load_s"]
+        assert 0 <= timings["load_s"] <= timings["total_s"]
+        assert list(report)[-1] == "timings"
+
+    def test_family_loads_no_fan(self, capsys):
+        _, report = _json_run(["family", "yu", "--n", "3", "--u", "1"], capsys)
+        assert list(report["timings"]) == ["total_s"]
+
     def test_degree_beyond_the_point_scan_limit(self, write, capsys):
         big = write("big.json", '{"coefficients":[100000,0,0]}')
         argv = ["degree", "--fan", write("p2.json", P2), "--divisor", big]
@@ -338,3 +373,37 @@ class TestReportCommand:
     def test_unknown_family(self, capsys):
         assert run(["family", "nope", "--n", "3", "--u", "1"]) == EXIT_INPUT_ERROR
         capsys.readouterr()
+
+
+class TestParserReuse:
+    """``run`` builds its parser once and must then behave as with a fresh one."""
+
+    @staticmethod
+    def _outcomes(capsys, quadrant, yu):
+        argvs = [
+            ["picard", "--bogus"],
+            ["--help"],
+            ["egyptian", "--fan", quadrant, "--ray", "0", "--allow-incomplete"],
+            # The flag of the previous call must not carry over.
+            ["egyptian", "--fan", quadrant, "--ray", "0"],
+            ["picard", "--fan", yu, "--json"],
+        ]
+        outcomes = []
+        for argv in argvs:
+            code = run(argv)
+            out = re.sub(r'((?:total|load)_s"?: )[0-9.e-]+', r"\1T", capsys.readouterr().out)
+            outcomes.append((code, out))
+        return outcomes
+
+    def test_reused_parser_matches_a_fresh_one(self, yu_file, tmp_path, capsys, monkeypatch):
+        quadrant = tmp_path / "quadrant.json"
+        quadrant.write_text(QUADRANT)
+        files = (str(quadrant), str(yu_file))
+        cli._build_parser.cache_clear()
+        reused = [self._outcomes(capsys, *files) for _ in range(2)]
+        assert cli._build_parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = self._outcomes(capsys, *files)
+        assert [code for code, _ in fresh] == [EXIT_INPUT_ERROR, EXIT_OK, EXIT_OK, EXIT_INPUT_ERROR, EXIT_OK]
+        assert "usage: toricfan" in fresh[1][1]
+        assert reused == [fresh, fresh]
