@@ -12,14 +12,19 @@ runs): exact integers, an explicit lineality space, and the combinatorial
 adjacency test of Fukuda & Prodon.  Building a cone runs it on the dual
 (the generators as inequalities) for the span equations, facet normals and
 facet incidences; extreme rays, pointedness and face dimensions are then
-read off the incidences.  Converting a dual description and meeting two
-cones run it on the constraints themselves.
+read off the incidences.  Converting a dual description runs it on the
+constraints themselves; meeting two cones starts it from the first cone's
+rays and facet incidences and adds only the second cone's constraints.
+When the result is full-dimensional, its facets and normals are read off
+that same run (``Cone._read_off``), with no second, dual run.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Iterable, Sequence
 
 from .exactlin import LatticeVector, _double_description, dot, primitive
@@ -157,14 +162,48 @@ class Cone:
         """Back-convert a dual description {eqs = 0, ineqs >= 0} to ray form.
 
         The description must define a pointed cone: a nonzero lineality
-        space raises.  ``_double_description`` gives the extreme rays, and
-        the cone is built on them as on any generators, so the canonical
-        form is made in one place.
+        space raises.  One ``_double_description`` run gives the extreme rays
+        and their zero sets, and ``_read_off`` makes the cone from them.
         """
-        lineality, rays, _ = _double_description(ambient_rank, equalities, inequalities)
+        lineality, rays, zeros = _double_description(ambient_rank, equalities, inequalities)
         if lineality:
             raise ValueError("cone contains a line")
-        return cls._build(ambient_rank, rays)
+        return cls._read_off(ambient_rank, equalities, inequalities, rays, zeros)
+
+    @classmethod
+    def _read_off(cls, ambient_rank: int, equalities, inequalities, rays, zeros) -> "Cone":
+        """The cone on ``rays``, the extreme rays of the pointed cone
+        C = {equalities = 0, inequalities >= 0}, with ``zeros`` their zero
+        sets over ``inequalities`` (as ``_double_description`` returns them).
+
+        Equal to ``_build(ambient_rank, rays)`` in every attribute, and built
+        with no second run when C is full-dimensional.  The rows of a system
+        that vanish on all of C are its implicit equalities, and they cut out
+        C's affine hull (Schrijver, *Theory of Linear and Integer
+        Programming*, 1986, §8.2).  So with no explicit equalities and no
+        inequality zero on every extreme ray, C spans Q^n.  Every facet of a
+        full-dimensional cone is then defined by some row of the system, and
+        a row's tight set (the rays it vanishes on) spans a face, so the
+        facets' ray sets are the inclusion-maximal proper tight sets.  A
+        facet's hyperplane is spanned by its rays, so every row defining it
+        is a positive multiple of the one primitive inward normal.  Rays and
+        facets are sorted as ``_build`` sorts them.
+
+        Zero, lower-dimensional and 1-ray cones go through ``_build``, whose
+        own run fixes their span equations and relative facet normals.
+        """
+        if equalities or len(rays) < 2 or reduce(and_, zeros):
+            return cls._build(ambient_rank, rays)
+        ordered = sorted(zip(rays, zeros))
+        tight: dict[int, int] = {}  # ray-index bitmask -> a row vanishing exactly there
+        for j in range(len(inequalities)):
+            tight.setdefault(sum(1 << i for i, (_, z) in enumerate(ordered) if z >> j & 1), j)
+        facets = sorted(
+            (tuple(i for i in range(len(ordered)) if t >> i & 1), primitive(inequalities[j]))
+            for t, j in tight.items() if not any(t != u and t & u == t for u in tight)
+        )
+        return cls._make(ambient_rank, tuple(r for r, _ in ordered), ambient_rank, (),
+                         tuple(m for _, m in facets), tuple(frozenset(inc) for inc, _ in facets))
 
     # -- basic queries -----------------------------------------------------
 
@@ -235,27 +274,45 @@ class Cone:
 
     # -- relations ---------------------------------------------------------
 
-    def meet_rays(self, other: "Cone") -> tuple[LatticeVector, ...]:
-        """Sorted primitive extreme rays of the intersection with ``other``.
+    def _meet(self, other: "Cone") -> tuple[list, list, tuple]:
+        """Extreme rays of the intersection, their zero sets over the
+        returned inequalities (this cone's facet normals, then ``other``'s).
 
-        One ``_double_description`` run on both cones' span equations and
-        facet normals; its rays are exactly the extreme rays of the meet,
-        since the adjacency test keeps the generating set minimal after
-        every constraint.  No cone is built, so fan validation can stay on
-        ray sets.
+        One ``_double_description`` run, started from this cone's own pair:
+        its extreme rays, with zero sets read off the facet incidences, and
+        no lineality.  This cone is cut out by its span equations and facet
+        normals, so the pair is a valid start, and only ``other``'s span
+        equations and facet normals are added; this cone's span equations
+        hold on its rays already.  The zero cone starts with no rays and
+        meets everything in zero.
         """
         if self.ambient_rank != other.ambient_rank:
             raise ValueError("ambient rank mismatch")
-        _, rays, _ = _double_description(
-            self.ambient_rank,
-            self.span_equations + other.span_equations,
-            self.facet_normals + other.facet_normals,
-        )
-        return tuple(sorted(rays))
+        zeros = [0] * len(self.rays)
+        for j, inc in enumerate(self._incidence):
+            for i in inc:
+                zeros[i] |= 1 << j
+        inequalities = self.facet_normals + other.facet_normals
+        _, rays, zeros = _double_description(self.ambient_rank, other.span_equations, inequalities,
+                                             start=(self.rays, zeros, len(self.facet_normals)))
+        return rays, zeros, inequalities
+
+    def meet_rays(self, other: "Cone") -> tuple[LatticeVector, ...]:
+        """Sorted primitive extreme rays of the intersection with ``other``.
+
+        The rays of one warm-started ``_double_description`` run (``_meet``)
+        are exactly the extreme rays of the meet, since the adjacency test
+        keeps the generating set minimal after every constraint.  No cone is
+        built, so fan validation can stay on ray sets.
+        """
+        return tuple(sorted(self._meet(other)[0]))
 
     def intersect(self, other: "Cone") -> "Cone":
-        """Exact intersection: the cone built on ``meet_rays(other)``."""
-        return Cone._build(self.ambient_rank, list(self.meet_rays(other)))
+        """Exact intersection, read off the same run as ``meet_rays``
+        (``_read_off``): equal to the cone built on ``meet_rays(other)``."""
+        rays, zeros, inequalities = self._meet(other)
+        return Cone._read_off(self.ambient_rank, self.span_equations + other.span_equations,
+                              inequalities, rays, zeros)
 
     def has_face(self, rays: Iterable[Sequence[int]]) -> bool:
         """Whether the cone spanned by ``rays`` (primitive extreme rays) is a face.

@@ -6,10 +6,12 @@ rows (Bareiss-style cross-multiplication, as in ``determinant``);
 ``fractions.Fraction`` appears only in rational particular solutions.
 Polyhedral questions share one integer double-description routine,
 ``_double_description``: the cone layer (``toricfan.cone``) builds, converts
-and meets cones with it, and ``strict_feasible`` decides a homogeneous
-strict system with it and returns an integral witness.  No floating point is used anywhere in the package: all downstream geometry
-(cones, fans, divisors) reduces to exact lattice computations built on the
-primitives in this module.
+and meets cones with it (a meet starts from one cone's known rays and adds
+only the other's constraints), and ``strict_feasible`` decides a homogeneous
+strict system with it and returns an integral witness.  No floating point
+is used anywhere in the package: all downstream geometry (cones, fans,
+divisors) reduces to exact lattice computations built on the primitives in
+this module.
 
 Conventions:
 
@@ -422,7 +424,7 @@ def _shift(v: LatticeVector, value: int, pivot: LatticeVector, scale: int) -> La
     return primitive([scale * x - value * p for x, p in zip(v, pivot)])
 
 
-def _double_description(n: int, equalities, inequalities) -> tuple[list, list, list]:
+def _double_description(n: int, equalities, inequalities, start=None) -> tuple[list, list, list]:
     """Lineality basis, extreme rays and zero sets of {e.x = 0, a.x >= 0} in Q^n.
 
     The cone is the lineality span plus the cone on the rays, and every
@@ -454,12 +456,31 @@ def _double_description(n: int, equalities, inequalities) -> tuple[list, list, l
     pass the superset test themselves, so the scan stops at a third ray that
     passes, and every constraint's width is checked once on entry.  Holding
     more than ``_DD_RAY_LIMIT`` rays raises ``ResourceLimitError``.
+
+    ``start = (rays, zeros, k)`` begins from a known pointed pair instead of
+    the whole space: the extreme rays, one each, of a cone C cut out by the
+    first k inequalities and by equalities that are not passed, with their
+    zero sets over those k inequalities, and no lineality.  Only
+    ``equalities`` and ``inequalities[k:]`` are then added, and the result
+    describes C met with them.  The pair is what the run above holds once
+    C's own constraints are in: L is zero, the rays are C's extreme rays,
+    and since C is cut out by those constraints, the face of C through p + q
+    is cut out by the rows tight at p + q, which is all the adjacency test
+    needs.  The unpassed equalities hold on every ray and so on every
+    combination of rays.  A start with no rays is the zero cone, and every
+    cut of it stays zero.  Inequalities before k are neither re-added nor
+    width-checked.
     """
-    lineality = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    rays: list = []
-    zeros: list = []
-    done = 0  # bitmask of the inequalities added so far
-    constraints = [(0, e) for e in equalities] + [(1 << j, a) for j, a in enumerate(inequalities)]
+    if start is None:
+        lineality = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        rays, zeros, known = [], [], 0
+    else:
+        lineality = []
+        rays, zeros, known = list(start[0]), list(start[1]), start[2]
+        if len(rays) > _DD_RAY_LIMIT:
+            raise ResourceLimitError(f"double description passed its {_DD_RAY_LIMIT}-ray limit")
+    done = (1 << known) - 1  # bitmask of the inequalities added so far
+    constraints = [(0, e) for e in equalities] + [(1 << j, a) for j, a in enumerate(inequalities) if j >= known]
     for _, a in constraints:
         if len(a) != n:
             raise ValueError(f"dimension mismatch: {len(a)} vs {n}")

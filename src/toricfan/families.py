@@ -198,8 +198,7 @@ def verify_yu_combinatorics(yu: YuFan) -> YuCombinatoricsReport:
     # Pairwise intersections: three codimension-one patterns, two of
     # codimension three.
     def intersection_rays(a, b):
-        meet = fan.cones[a].intersect(fan.cones[b])
-        return frozenset(fan.ray_index(r) for r in meet.rays)
+        return frozenset(fan.ray_index(r) for r in fan.cones[a].meet_rays(fan.cones[b]))
 
     for i, j in combinations(range(1, n + 1), 2):
         expected = frozenset([e] + [f(k) for k in range(1, n + 1) if k not in (i, j)])

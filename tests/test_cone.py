@@ -177,9 +177,31 @@ class TestIntersect:
         other = Cone.from_rays(3, [(1, 1, 1), (-1, 1, 1), (0, -1, 1)])
         assert square_cone.intersect(other).dim == 3
         monkeypatch.setattr(exactlin, "_DD_RAY_LIMIT", 2)
-        with pytest.raises(ResourceLimitError, match="2-ray limit") as info:
-            square_cone.intersect(other)
-        assert not isinstance(info.value, InvariantError)
+        calls = [lambda: square_cone.intersect(other), lambda: square_cone.meet_rays(other),
+                 lambda: other.meet_rays(square_cone),
+                 lambda: Cone.from_inequalities(3, square_cone.span_equations, square_cone.facet_normals)]
+        for call in calls:
+            with pytest.raises(ResourceLimitError, match="2-ray limit") as info:
+                call()
+            assert not isinstance(info.value, InvariantError)
+
+    def test_zero_cone_meets_everything_in_zero(self):
+        # The zero cone has no rays and no facets: its double description
+        # must start from that pair, not from the whole space.
+        zero = Cone.from_rays(2, [(1, 0)]).intersect(Cone.from_rays(2, [(-1, 0)]))
+        assert zero.rays == () and zero.dim == 0 and zero.facet_normals == ()
+        c = Cone.from_rays(2, [(1, 0), (1, 2)])
+        assert zero.meet_rays(c) == c.meet_rays(zero) == ()
+        for meet in (zero.intersect(c), c.intersect(zero), zero.intersect(zero)):
+            assert (meet.rays, meet.dim, meet.span_equations, meet.facet_normals, meet._incidence) == \
+                ((), 0, ((1, 0), (0, 1)), (), ())
+        half_line = Cone.from_rays(1, [(1,)])
+        opposite = Cone.from_rays(1, [(-1,)])
+        assert half_line.meet_rays(half_line) == ((1,),)
+        meet = half_line.intersect(half_line)
+        assert (meet.rays, meet.dim, meet.facet_normals, meet._incidence) == (((1,),), 1, ((1,),), (frozenset(),))
+        assert half_line.meet_rays(opposite) == opposite.meet_rays(half_line) == ()
+        assert half_line.intersect(opposite).dim == 0
 
     def test_zero_intersection(self):
         c1 = Cone.from_rays(2, [(1, 0)])

@@ -127,3 +127,73 @@ def test_a_line_raises(case):
     if cone.dim < n:  # the rays span less than Q^n, so {r.x >= 0} holds a line
         with pytest.raises(ValueError, match="contains a line"):
             Cone.from_inequalities(n, [], cone.rays)
+
+
+def _attributes(cone):
+    return cone.rays, cone.dim, cone.span_equations, cone.facet_normals, cone._incidence
+
+
+def _random_cone(rng, n):
+    """A pointed cone in Q^n: generators ``c`` with a positive last
+    coordinate, mapped by the standard basis (full-dimensional, in the
+    halfspace x_n > 0) or, one time in three, by a random basis of a
+    subspace of dimension d < n (lower-dimensional, in any position)."""
+    d = n if rng.random() < 2 / 3 else rng.randint(1, n)
+    basis = [tuple(int(i == j) for i in range(n)) for j in range(n)] if d == n else \
+        [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(d)]
+    gens = []
+    for _ in range(rng.randint(1, n + 2)):
+        c = [rng.randint(-2, 2) for _ in range(d - 1)] + [rng.randint(1, 2)]
+        gens.append(tuple(sum(x * row[i] for x, row in zip(c, basis)) for i in range(n)))
+    gens = [g for g in gens if any(g)]
+    try:
+        return Cone.from_rays(n, gens) if gens else None
+    except ValueError:  # the random basis was singular and let a line in
+        return None
+
+
+def test_warm_meet_and_read_off_match_cold_builds():
+    """``meet_rays`` (started from the first cone's rays) equals a cold run
+    on both cones' constraints; ``intersect`` and ``from_inequalities``
+    (read off that run) equal ``_build`` on the same rays, attribute for
+    attribute.  The tally checks that every kind of meet and of inequality
+    row occurs."""
+    rng = random.Random(1986)
+    seen = {"full-dimensional": 0, "lower-dimensional": 0, "zero": 0,
+            "redundant row": 0, "repeated row": 0, "non-primitive row": 0, "zero row": 0}
+    pairs = 0
+    while pairs < 2000:
+        n = rng.randint(1, 5)
+        a, b = _random_cone(rng, n), _random_cone(rng, n)
+        if a is None or b is None:
+            continue
+        pairs += 1
+        rays = a.meet_rays(b)
+        _, cold, _ = _double_description(n, a.span_equations + b.span_equations, a.facet_normals + b.facet_normals)
+        assert rays == tuple(sorted(cold)), (a, b)
+        meet = a.intersect(b)
+        assert _attributes(meet) == _attributes(Cone._build(n, list(rays))), (a, b)
+        seen["zero" if not rays else "full-dimensional" if meet.dim == n else "lower-dimensional"] += 1
+
+        normals = list(a.facet_normals)
+        extra = []
+        if len(normals) >= 2 and rng.random() < 0.5:
+            extra.append(tuple(x + y for x, y in zip(*rng.sample(normals, 2))))
+            seen["redundant row"] += 1
+        if normals and rng.random() < 0.5:
+            extra.append(rng.choice(normals))
+            seen["repeated row"] += 1
+        if normals and rng.random() < 0.5:
+            k = rng.randint(2, 3)
+            extra.append(tuple(k * x for x in rng.choice(normals)))
+            seen["non-primitive row"] += 1
+        if rng.random() < 0.2:
+            extra.append((0,) * n)
+            seen["zero row"] += 1
+        ineqs = normals + extra
+        rng.shuffle(ineqs)
+        back = Cone.from_inequalities(n, a.span_equations, ineqs)
+        _, cold, _ = _double_description(n, a.span_equations, ineqs)
+        assert _attributes(back) == _attributes(Cone._build(n, cold)), (a, ineqs)
+        assert back == a
+    assert min(seen.values()) >= 50, seen
