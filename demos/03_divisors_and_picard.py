@@ -4,8 +4,10 @@ Toric divisors: Cartier data, Picard groups, ampleness, degrees
 
 A divisor is a list of integer coefficients, one per fan ray.  Cartier data
 assigns a character to every maximal cone; existence over the integers
-decides Cartier, over the rationals Q-Cartier, and all group computations
-reduce to Smith normal forms of exact integer matrices.
+decides Cartier, over the rationals Q-Cartier.  The class group is read
+off a Smith normal form of the ray matrix; the Picard group of a complete
+fan is free, and its rank comes from the linear relations among each
+maximal cone's rays.
 """
 
 from toricfan.divisor import (

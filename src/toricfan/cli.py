@@ -276,10 +276,13 @@ def _cmd_index(args, report):
 
 def _cmd_picard(args, report):
     fan, _, _ = _load_fan(args, report)
+    started = time.perf_counter()
     try:
         group = divisor_ops.picard_group(fan)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    finally:
+        report["timings"]["picard_s"] = round(time.perf_counter() - started, 6)
     report["picard"] = _group_dict(group)
     return EXIT_OK
 
@@ -514,7 +517,7 @@ def run(argv: Sequence[str]) -> int:
         report["internal_error"] = f"{type(exc).__name__}: {exc}"
         code = EXIT_INTERNAL_ERROR
     total_s = round(time.perf_counter() - started, 6)
-    loaded = report.pop("timings", {})  # load_s, set by _load_fan; timings stay the last key
+    loaded = report.pop("timings", {})  # load_s from _load_fan, picard_s; timings stay the last key
     report["exit_code"] = code
     report["timings"] = {"total_s": total_s, **loaded}
     _print_report(report, getattr(args, "json", False))

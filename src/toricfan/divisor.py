@@ -5,8 +5,9 @@ A divisor is a plain sequence of integer coefficients, one per fan ray, in
 the fan's ray order.  Cartier data assigns to every maximal cone a character
 vector that evaluates to minus the coefficient on each of the cone's rays;
 the divisor is Cartier when integral characters exist, Q-Cartier when
-rational ones do.  Divisor polytopes come from one double description.
-All decisions are exact.
+rational ones do.  The Picard rank is read off the cones' linear relations;
+only projectivity builds the lattice of T-Cartier divisors.  Divisor
+polytopes come from one double description.  All decisions are exact.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .exactlin import (
     integral_kernel,
     mat_vec,
     matrix_rank,
+    rational_kernel,
     solve_linear,
     strict_feasible,
     transpose,
@@ -173,6 +175,7 @@ def _cartier_lattice(fan: Fan) -> tuple[LatticeVector, ...]:
     ``[B on sigma's rays | rays of sigma]``, and ``c @ B`` gains ``m`` as
     sigma's block.  They are a basis of the lattice of the cones so far; a
     lattice has one column Hermite basis, whatever basis it starts from.
+    Only ``is_projective`` reads it; ``picard_group`` reads cone relations.
     """
     basis = identity_matrix(len(fan.rays))
     for mc in fan.max_cones:
@@ -183,35 +186,37 @@ def _cartier_lattice(fan: Fan) -> tuple[LatticeVector, ...]:
 
 
 def picard_group(fan: Fan) -> FGAbelianGroup:
-    """Cartier divisors modulo principal divisors, computed exactly.
+    """Cartier divisors modulo principal divisors: a free group, of exact rank.
 
-    The coefficient parts of the Cartier lattice (``_cartier_lattice``) are
-    a column echelon basis of the Cartier divisors; the principal divisors
-    are expressed in it by forward substitution down its pivots, checked in
-    integers, and the quotient read off a Smith normal form.
+    Each linear relation ``lambda`` among the rays of a maximal cone sigma
+    (``sum_i lambda_i l_i = 0``; a simplicial cone has none) becomes a
+    ray-indexed row, re-checked in integers: every principal divisor, a
+    column of the ray matrix, must vanish on it.  Then ``rank Pic = r - n -
+    rank(rows)`` and Pic has no torsion (Cox, Little & Schenck, *Toric
+    Varieties*, Prop. 4.2.5; Fulton 1993, section 3.4).  Proof: on a complete
+    fan every maximal cone is full-dimensional, so characters are fixed by
+    coefficients, and ``a`` is Q-Cartier iff each ``a`` restricted to sigma
+    lies in the column span of sigma's rays, iff every relation vanishes on
+    it.  Clearing denominators, Cartier divisors span that space: rank CDiv
+    = r - rank(rows).  The rays span, so M embeds: rank Pic = rank CDiv - n.
+    If ``d * D = div(m)``, then ``d * m_sigma = m`` on a full-dimensional
+    sigma, so ``m / d = m_sigma`` is integral and ``D = div(m_sigma)``.
     """
     if not fan.is_complete():
         raise ValueError("picard group computation requires a complete fan")
-    num_rays = len(fan.rays)
-    lattice = _cartier_lattice(fan)
-    if not lattice:
-        raise InvariantError("complete fan admits no Cartier divisors at all")
-    basis = [[v[k] for v in lattice] for k in range(num_rays)]  # num_rays x rank
-    pivots = [next((k for k in range(num_rays) if v[k]), None) for v in lattice]
-    if None in pivots:
-        raise InvariantError("Cartier lattice has a basis vector with no coefficient")
-
-    # Principal divisors: the ray-evaluation image of the character lattice.
-    coords = []
-    for principal in zip(*fan.rays):
-        x: list[int] = []
-        for c, k in enumerate(pivots):  # an inexact division fails the check below
-            x.append((principal[k] - dot(basis[k][:c], x)) // basis[k][c])
-        if mat_vec(basis, x) != principal:
-            raise InvariantError("principal divisor is not Cartier")
-        coords.append(x)
-    relation_matrix = [list(col) for col in zip(*coords)]  # rank x n
-    return cokernel_group(relation_matrix, len(lattice))
+    n = fan.ambient_rank
+    rows = []
+    for mc in fan.max_cones:
+        if len(mc) > n:
+            for relation in rational_kernel(transpose([fan.rays[k] for k in mc])):
+                row = [0] * len(fan.rays)
+                for k, c in zip(mc, relation):
+                    row[k] = c
+                rows.append(row)
+    principals = transpose(fan.rays)
+    if any(any(mat_vec(principals, row)) for row in rows):
+        raise InvariantError("principal divisor is not Cartier: a cone relation does not vanish on it")
+    return FGAbelianGroup(len(fan.rays) - n - matrix_rank(rows))
 
 
 def is_ample(fan: Fan, divisor: ToricDivisor) -> bool:

@@ -2,7 +2,10 @@
 
 Everything here is deliberately self-contained: its own determinant, its own
 Cramer solve, plain enumeration.  Nothing imports the solver paths under
-test, so agreement between an oracle and the library is meaningful.
+test, so agreement between an oracle and the library is meaningful.  The one
+exception, ``picard_by_cartier_lattice``, computes the Picard group from the
+library's Cartier lattice and Smith normal form, which ``picard_group`` no
+longer uses.
 """
 
 from __future__ import annotations
@@ -10,6 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+
+from toricfan.divisor import _cartier_lattice
+from toricfan.exactlin import cokernel_group, dot, mat_vec
 
 
 def det_cofactor(m) -> int:
@@ -451,3 +457,33 @@ def count_triangle_interior(t: int) -> int:
             if x + y < t:
                 count += 1
     return count
+
+
+def picard_by_cartier_lattice(fan):
+    """Pic of a complete fan as a quotient of lattices, torsion included.
+
+    The coefficient parts of the Cartier lattice (``divisor._cartier_lattice``)
+    are a column echelon basis of the Cartier divisors; the principal divisors
+    are expressed in it by forward substitution down its pivots, checked in
+    integers, and the quotient read off a Smith normal form.
+    """
+    num_rays = len(fan.rays)
+    lattice = _cartier_lattice(fan)
+    if not lattice:
+        raise AssertionError("complete fan admits no Cartier divisors at all")
+    basis = [[v[k] for v in lattice] for k in range(num_rays)]  # num_rays x rank
+    pivots = [next((k for k in range(num_rays) if v[k]), None) for v in lattice]
+    if None in pivots:
+        raise AssertionError("Cartier lattice has a basis vector with no coefficient")
+
+    # Principal divisors: the ray-evaluation image of the character lattice.
+    coords = []
+    for principal in zip(*fan.rays):
+        x: list[int] = []
+        for c, k in enumerate(pivots):  # an inexact division fails the check below
+            x.append((principal[k] - dot(basis[k][:c], x)) // basis[k][c])
+        if mat_vec(basis, x) != principal:
+            raise AssertionError("principal divisor is not Cartier")
+        coords.append(x)
+    relation_matrix = [list(col) for col in zip(*coords)]  # rank x n
+    return cokernel_group(relation_matrix, len(lattice))

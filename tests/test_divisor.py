@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from oracles import count_triangle_interior, gcd_of_minors, subset_vertex_polytope
+from oracles import count_triangle_interior, gcd_of_minors, picard_by_cartier_lattice, subset_vertex_polytope
 from test_fan import cross_polytope_fan, cube_face_fan
 from toricfan import divisor
 from toricfan.cone import Cone
@@ -39,6 +39,7 @@ from toricfan.exactlin import (
     strict_feasible,
     transpose,
 )
+from toricfan.egyptian import small_modification
 from toricfan.families import projective_space_fan
 from toricfan.fan import Fan
 
@@ -100,6 +101,16 @@ def _monolithic_cartier_lattice(fan):
     column Hermite form: a reference for the cone-by-cone construction."""
     h, _ = hermite_normal_form(transpose(integral_kernel(_monolithic_system(fan))))
     return tuple(col for col in transpose(h) if any(col))
+
+
+def _reference_fans(request, yu_grid):
+    """Complete fans for the reference comparisons: the fixtures, 40 random
+    surfaces, the Y grid, and the 3-cube, 4-cube and 4-cross-polytope fans."""
+    fans = [request.getfixturevalue(name) for name in COMPLETE_FIXTURES]
+    fans += random_complete_surface_fans(seed=7, count=40)
+    fans += [yu_grid(n, u).fan for n in range(3, 7) for u in range(1, 4)]
+    fans += [Fan.from_cones(*case) for case in (cube_face_fan(3), cube_face_fan(4), cross_polytope_fan(4))]
+    return fans
 
 
 def _angle_order(a, b) -> int:
@@ -227,28 +238,27 @@ class TestPicardGroup:
         with pytest.raises(ValueError, match="complete"):
             picard_group(f)
 
-    def test_principal_coordinates_are_checked(self, p2_fan, monkeypatch):
-        # Doubling the first basis vector drops the principal divisors with
-        # an odd first coordinate from the lattice; a vector with no
-        # coefficient has no pivot to solve on.
-        lattice = divisor._cartier_lattice(p2_fan)
-        doubled = (tuple(2 * x for x in lattice[0]),) + lattice[1:]
-        monkeypatch.setattr(divisor, "_cartier_lattice", lambda fan: doubled)
-        with pytest.raises(InvariantError, match="not Cartier"):
-            picard_group(p2_fan)
-        no_pivot = lattice + ((0,) * len(lattice[0]),)
-        monkeypatch.setattr(divisor, "_cartier_lattice", lambda fan: no_pivot)
-        with pytest.raises(InvariantError, match="no coefficient"):
-            picard_group(p2_fan)
+    def test_principal_coordinates_are_checked(self, monkeypatch):
+        # Every cone of the 3-cube's face fan has 4 rays in rank 3, so one
+        # relation each.  A unit vector is no relation among nonzero rays,
+        # and the principal divisors fail to vanish on it.
+        cube = Fan.from_cones(*cube_face_fan(3))
+        assert picard_group(cube).rank == 1
+        monkeypatch.setattr(divisor, "rational_kernel", lambda rows: ((1,) + (0,) * (len(rows[0]) - 1),))
+        with pytest.raises(InvariantError, match="principal divisor is not Cartier"):
+            picard_group(cube)
+
+    def test_matches_cartier_lattice_oracle(self, request, yu_grid):
+        fans = _reference_fans(request, yu_grid)
+        fans += [small_modification(yu_grid(n, u).fan, 0).fan for n in range(3, 7) for u in range(1, 4)]
+        for fan in fans:
+            pic, reference = picard_group(fan), picard_by_cartier_lattice(fan)
+            assert (pic.rank, pic.invariant_factors) == (reference.rank, reference.invariant_factors), fan.rays
 
 
 class TestCartierLattice:
     def test_matches_monolithic_reference(self, request, yu_grid):
-        fans = [request.getfixturevalue(name) for name in COMPLETE_FIXTURES]
-        fans += random_complete_surface_fans(seed=7, count=40)
-        fans += [yu_grid(n, u).fan for n in range(3, 7) for u in range(1, 4)]
-        fans += [Fan.from_cones(*case) for case in (cube_face_fan(3), cube_face_fan(4), cross_polytope_fan(4))]
-        for fan in fans:
+        for fan in _reference_fans(request, yu_grid):
             assert divisor._cartier_lattice(fan) == _monolithic_cartier_lattice(fan), fan.rays
 
     def test_congruence_on_weighted_fan(self, weighted_p112_fan):
