@@ -333,8 +333,12 @@ def _cmd_modify(args, report):
         report["egyptian"] = False
         report["error"] = "ray not in Egyptian position"
         return EXIT_PROPERTY_FAILS
+    started = time.perf_counter()
     result = split_star(fan, probe)
+    split_done = time.perf_counter()
     checks = verify_modification(result)
+    report["timings"]["split_s"] = round(split_done - started, 6)
+    report["timings"]["verify_s"] = round(time.perf_counter() - split_done, 6)
     report["egyptian"] = True
     report["max_cones"] = len(result.fan.max_cones)
     report["splits"] = {str(orig): list(pair) for orig, pair in result.split_cones}
@@ -517,7 +521,7 @@ def run(argv: Sequence[str]) -> int:
         report["internal_error"] = f"{type(exc).__name__}: {exc}"
         code = EXIT_INTERNAL_ERROR
     total_s = round(time.perf_counter() - started, 6)
-    loaded = report.pop("timings", {})  # load_s from _load_fan, picard_s; timings stay the last key
+    loaded = report.pop("timings", {})  # load_s, picard_s, split_s, verify_s; timings stay the last key
     report["exit_code"] = code
     report["timings"] = {"total_s": total_s, **loaded}
     _print_report(report, getattr(args, "json", False))

@@ -9,14 +9,21 @@ intersections, and face queries work uniformly in any dimension.
 Every enumeration in the module is one incremental double-description
 routine, ``exactlin._double_description`` (which ``strict_feasible`` also
 runs): exact integers, an explicit lineality space, and the combinatorial
-adjacency test of Fukuda & Prodon.  Building a cone runs it on the dual
-(the generators as inequalities) for the span equations, facet normals and
-facet incidences; extreme rays, pointedness and face dimensions are then
-read off the incidences.  Converting a dual description runs it on the
-constraints themselves; meeting two cones starts it from the first cone's
-rays and facet incidences and adds only the second cone's constraints.
-When the result is full-dimensional, its facets and normals are read off
-that same run (``Cone._read_off``), with no second, dual run.
+adjacency test of Fukuda & Prodon.  Building a cone from generators runs it
+on the dual (the generators as inequalities) for the span equations, facet
+normals and facet incidences; extreme rays, pointedness and face dimensions
+are then read off the incidences.  Converting a dual description runs it on
+the constraints themselves; meeting two cones starts it from the first
+cone's rays and facet incidences and adds only the second cone's
+constraints.
+
+Not every cone comes from a run of its own.  A full-dimensional cone whose
+extreme rays and facets are already known is made by ``Cone._from_facets``,
+which only sorts them.  Full-dimensional meets and conversions are read off
+their own run that way (``Cone._read_off``); the pieces of a split star cone
+(``egyptian.split_star``) and the star-quotient cones (``Fan.quotient``)
+are read off a parent cone's facets, which callers get as (ray-index set,
+normal) pairs from ``Cone.facet_pairs``.
 """
 
 from __future__ import annotations
@@ -186,24 +193,45 @@ class Cone:
         a row's tight set (the rays it vanishes on) spans a face, so the
         facets' ray sets are the inclusion-maximal proper tight sets.  A
         facet's hyperplane is spanned by its rays, so every row defining it
-        is a positive multiple of the one primitive inward normal.  Rays and
-        facets are sorted as ``_build`` sorts them.
+        is a positive multiple of the one primitive inward normal.
 
         Zero, lower-dimensional and 1-ray cones go through ``_build``, whose
         own run fixes their span equations and relative facet normals.
         """
         if equalities or len(rays) < 2 or reduce(and_, zeros):
             return cls._build(ambient_rank, rays)
-        ordered = sorted(zip(rays, zeros))
+        vanish = [0] * len(inequalities)  # row -> bitmask of the rays it vanishes on
+        for i, z in enumerate(zeros):
+            bit = 1 << i
+            while z:
+                low = z & -z
+                vanish[low.bit_length() - 1] |= bit
+                z ^= low
         tight: dict[int, int] = {}  # ray-index bitmask -> a row vanishing exactly there
-        for j in range(len(inequalities)):
-            tight.setdefault(sum(1 << i for i, (_, z) in enumerate(ordered) if z >> j & 1), j)
-        facets = sorted(
-            (tuple(i for i in range(len(ordered)) if t >> i & 1), primitive(inequalities[j]))
+        for j, t in enumerate(vanish):
+            tight.setdefault(t, j)
+        facets = [
+            ([i for i in range(len(rays)) if t >> i & 1], primitive(inequalities[j]))
             for t, j in tight.items() if not any(t != u and t & u == t for u in tight)
-        )
-        return cls._make(ambient_rank, tuple(r for r, _ in ordered), ambient_rank, (),
-                         tuple(m for _, m in facets), tuple(frozenset(inc) for inc, _ in facets))
+        ]
+        return cls._from_facets(ambient_rank, dict(enumerate(rays)), facets)
+
+    @classmethod
+    def _from_facets(cls, ambient_rank: int, rays: dict, facets) -> "Cone":
+        """The full-dimensional cone with extreme rays ``rays.values()``
+        (primitive) and facets ``facets``: pairs of a facet's rays, as keys
+        of ``rays``, and its primitive inward normal.
+
+        No run is made and nothing is checked: right data give the cone
+        ``_build(ambient_rank, rays.values())`` in every attribute, since
+        the rays, and the facets by their ray indices, are sorted as it
+        sorts them.
+        """
+        order = sorted(rays, key=rays.__getitem__)
+        position = {key: j for j, key in enumerate(order)}
+        ordered = sorted((tuple(sorted(map(position.__getitem__, keys))), m) for keys, m in facets)
+        return cls._make(ambient_rank, tuple(map(rays.__getitem__, order)), ambient_rank, (),
+                         tuple(m for _, m in ordered), tuple(frozenset(inc) for inc, _ in ordered))
 
     # -- basic queries -----------------------------------------------------
 
@@ -260,6 +288,11 @@ class Cone:
             raise ValueError(f"face dimension {k} out of range 0..{self.dim}")
         self._face_sets()
         return list(self._faces_by_dim[k])
+
+    def facet_pairs(self) -> tuple[tuple[frozenset, LatticeVector], ...]:
+        """Each facet as (the indices of its rays, its inward normal), in
+        ``facets()`` order: the incidences themselves, with no ``Face`` built."""
+        return tuple(zip(self._incidence, self.facet_normals))
 
     def facets(self) -> list[Face]:
         """The facets, in ``faces(dim - 1)`` order and aligned with

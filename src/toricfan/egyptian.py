@@ -12,7 +12,9 @@ adding rays: a small modification whose exceptional walls are the etas.
 
 The verdict is read off sigma's own facets (``classify_pyramidal``), with
 no face lattice; the tests compare it with a base-cone and face-lattice
-oracle (``tests/oracles.py``).  Each split is proved exactly.
+oracle (``tests/oracles.py``).  The base and update of a split are read off
+the same facets and eta's normal, with no double description, and each
+split is proved exactly on their facets (``_check_split``).
 ``hypothesis_report`` checks the paper's whole hypothesis at one ray.
 
 Tangency (rho on a facet hyperplane of the base) is classified NotPyramidal:
@@ -42,17 +44,21 @@ class PyramidalKind(enum.Enum):
 
 @dataclass(frozen=True)
 class PyramidalClassification:
-    """The verdict on (sigma, rho), with its cones built on first access.
-    ``eta_rays`` holds the beyond facet's sorted rays when Pyramidal."""
+    """The verdict on (sigma, rho), with its cones made on first access.
+    When Pyramidal, ``eta_rays`` holds the beyond facet's sorted rays and
+    ``eta_normal`` its primitive normal, inward for the base."""
 
     kind: PyramidalKind
     sigma: Cone
     ray: LatticeVector
     eta_rays: tuple = ()
+    eta_normal: LatticeVector = ()
 
     @cached_property
     def base(self) -> Cone:
         """The cone on the rays other than rho."""
+        if self.kind is PyramidalKind.PYRAMIDAL:
+            return self._pieces[0]
         return remaining_cone(self.sigma, self.ray)
 
     @cached_property
@@ -61,8 +67,33 @@ class PyramidalClassification:
         if self.kind is PyramidalKind.LOW_DIM:
             return self.sigma
         if self.kind is PyramidalKind.PYRAMIDAL:
-            return Cone.from_rays(self.sigma.ambient_rank, self.eta_rays + (self.ray,))
+            return self._pieces[1]
         return None
+
+    @cached_property
+    def _pieces(self) -> tuple[Cone, Cone]:
+        """Base and update of a Pyramidal split, read off sigma's facets.
+
+        By beneath-beyond (``classify_pyramidal``), with rho beyond eta
+        alone and beneath every other facet of the base, the facets of
+        sigma missing rho are the base's facets other than eta, and those
+        through rho join rho to the ridges of eta, so they are the update's
+        facets other than eta.  A facet through rho holds no ray off eta
+        and rho: its hyperplane meets the base in a ridge of eta, since it
+        is neither eta's hyperplane (rho is beyond) nor another base facet's
+        (rho is not on one).
+        """
+        sigma, n = self.sigma, self.sigma.ambient_rank
+        i = sigma.rays.index(self.ray)
+        eta = [k for k, r in enumerate(sigma.rays) if r in self.eta_rays]
+        through, missing = [], []
+        for inc, m in sigma.facet_pairs():
+            (through if i in inc else missing).append((inc, m))
+        base = Cone._from_facets(n, {k: r for k, r in enumerate(sigma.rays) if k != i},
+                                 [(eta, self.eta_normal)] + missing)
+        update = Cone._from_facets(n, {k: sigma.rays[k] for k in eta + [i]},
+                                   [(eta, tuple(-x for x in self.eta_normal))] + through)
+        return base, update
 
     @property
     def beyond_facets(self) -> tuple[Cone, ...]:
@@ -164,8 +195,10 @@ def classify_pyramidal(sigma: Cone, ray: Sequence[int]) -> PyramidalClassificati
       rho joined to G (if on) or to a ridge between a beyond and a beneath
       facet is a facet of sigma through x and rho: x is in S, not O.
 
-    m is re-checked in integers before a Pyramidal verdict is returned.  No
-    cone is built; the classification builds its cones on first access.
+    m is re-checked in integers before a Pyramidal verdict is returned, and
+    kept as ``eta_normal``.  No cone is built; the classification makes its
+    cones on first access, a Pyramidal base and update from sigma's facets
+    and m with no double description.
     """
     n = sigma.ambient_rank
     if sigma.dim != n:
@@ -174,8 +207,8 @@ def classify_pyramidal(sigma: Cone, ray: Sequence[int]) -> PyramidalClassificati
     if r not in sigma.rays:
         raise ValueError(f"{tuple(ray)} is not an extreme ray of the cone")
     i = sigma.rays.index(r)
-    facets = sigma.facets()
-    through = [f.ray_indices for f in facets if i in f.ray_indices]
+    facets = sigma.facet_pairs()
+    through = [inc for inc, _ in facets if i in inc]
     if len(facets) - len(through) == 1:
         return PyramidalClassification(PyramidalKind.LOW_DIM, sigma, r)
     near = set().union(*through) - {i}
@@ -187,7 +220,7 @@ def classify_pyramidal(sigma: Cone, ray: Sequence[int]) -> PyramidalClassificati
         if dot(m, r) < 0 and all(dot(m, x) > 0 for x in o_rays):
             if any(dot(m, s) for s in s_rays):
                 raise InvariantError("beyond-facet normal does not vanish on the facet")
-            return PyramidalClassification(PyramidalKind.PYRAMIDAL, sigma, r, s_rays)
+            return PyramidalClassification(PyramidalKind.PYRAMIDAL, sigma, r, s_rays, m)
     return PyramidalClassification(PyramidalKind.NOT_PYRAMIDAL, sigma, r)
 
 
@@ -219,11 +252,14 @@ def split_star(fan: Fan, report: EgyptianReport) -> ModificationResult:
 
     Each star cone whose base is full-dimensional is replaced by the base and
     the update cone simultaneously; everything else is carried over
-    unchanged.  The result is validated as a fan on these cones, not rebuilt,
-    keeps exactly the original rays, stays complete when the input was, and each
-    split is checked exactly to cover its cone (``_check_split``): the two
-    pieces meet exactly in the beyond facet, and every other facet of either
-    piece lies in a facet hyperplane of the original cone.
+    unchanged.  The pieces are read off the star cone's facets and the beyond
+    facet's normal (``PyramidalClassification._pieces``), so no double
+    description runs.  The result is validated as a fan on these cones, not
+    rebuilt, keeps exactly the original rays, stays complete when the input
+    was, and each split is checked exactly to cover its cone
+    (``_check_split``): the beyond facet is a facet of both pieces with
+    opposite normals, and every other facet of either piece lies on a facet
+    of the original cone.
     """
     if not report.verdict:
         raise ValueError("ray not in Egyptian position")
@@ -254,20 +290,25 @@ def split_star(fan: Fan, report: EgyptianReport) -> ModificationResult:
 
 
 def _check_split(sigma: Cone, base: Cone, update: Cone, eta_rays: tuple) -> None:
-    """Raise unless ``base`` and ``update`` tile ``sigma``.
+    """Raise unless ``base`` and ``update`` tile ``sigma``, read off their facets.
 
-    Both pieces are full-dimensional and spanned by rays of sigma.  They
-    meet exactly in eta, so they lie on opposite sides of it, and
-    every other facet of either piece lies in a facet hyperplane of sigma,
-    so the union has no boundary inside sigma's interior; being nonempty and
-    closed, it is all of sigma.
+    Both pieces are full-dimensional and spanned by rays of sigma.  Eta must
+    be a facet of both with opposite normals, so the pieces lie on opposite
+    sides of its hyperplane and meet exactly in eta.  Every other facet's
+    rays must lie on one facet of sigma, so that facet lies in sigma's
+    boundary.  The union then has no boundary inside sigma's interior;
+    being nonempty and closed, it is all of sigma.
     """
-    if base.meet_rays(update) != eta_rays:
+    eta = set(eta_rays)
+    at_eta = [m for piece in (base, update) for inc, m in piece.facet_pairs()
+              if {piece.rays[k] for k in inc} == eta]
+    if len(at_eta) != 2 or at_eta[1] != tuple(-x for x in at_eta[0]):
         raise InvariantError("split cones do not meet exactly in the beyond facet")
+    sigma_facets = [{sigma.rays[k] for k in inc} for inc, _ in sigma.facet_pairs()]
     for piece in (base, update):
-        for facet in piece.facets():
-            rays = tuple(piece.rays[i] for i in facet.ray_indices)
-            if rays != eta_rays and not any(all(dot(m, r) == 0 for r in rays) for m in sigma.facet_normals):
+        for inc, _ in piece.facet_pairs():
+            rays = {piece.rays[k] for k in inc}
+            if rays != eta and not any(rays <= facet for facet in sigma_facets):
                 raise InvariantError("split cones do not cover the original cone")
 
 

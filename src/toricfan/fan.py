@@ -13,13 +13,19 @@ exactly when it is complete, so its verdict is kept.  Walls (the
 codimension-one cones) are precomputed at validation time since the
 orbit-curve classification and the checks of a small modification consume
 them.  Quotient fans and small modifications are validated, with the same
-checks, on the cones they were built from.
+checks, on the cones they were built from.  Those cones run no double
+description of their own: a quotient cone of a full-dimensional star cone
+is read off that cone's facets through the ray (``_star_image``), and the
+pieces of a split star cone off the cone's facets and its beyond facet
+(``egyptian.split_star``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Iterable, Optional, Sequence
 
 from .cone import Cone
@@ -34,6 +40,7 @@ from .exactlin import (
     matrix_rank,
     primitive,
     solve_linear,
+    transpose,
 )
 
 
@@ -125,8 +132,8 @@ class Fan:
         for j, cone in enumerate(cones):
             if cone.dim == n:
                 local = [index_of[r] for r in cone.rays]
-                for face, normal in zip(cone.facets(), cone.facet_normals):
-                    key = frozenset(local[k] for k in face.ray_indices)
+                for inc, normal in cone.facet_pairs():
+                    key = frozenset(local[k] for k in inc)
                     facets.setdefault(key, []).append((j, normal))
 
         complete = _covers_once(n, cones, facets)
@@ -204,6 +211,10 @@ class Fan:
         primitive ray generator to a lattice basis, so the result is
         deterministic.  The star cones correspond one-to-one to the maximal
         cones of the quotient; this is re-verified during validation.
+
+        A full-dimensional star cone's image is read off its own facets
+        (``_star_image``), with no double description; a lower-dimensional
+        one (only in an incomplete fan) is built from its projected rays.
         """
         star = self.star(ray)  # nonempty: validation puts every ray in a maximal cone
         if self.ambient_rank < 2:
@@ -219,13 +230,26 @@ class Fan:
         def project(x):
             return tuple(dot(row, x) for row in proj_rows)
 
+        # U^T is unimodular, so its Hermite form is I and the transform is
+        # (U^T)^-1: columns 1..n-1 are lifts w_j with project(w_j) = e_j.
+        _, v = hermite_normal_form(transpose(u))
+        section = [tuple(row[j] for row in v) for j in range(1, n)]
+        if [project(w) for w in section] != [tuple(int(i == j) for i in range(n - 1)) for j in range(n - 1)]:
+            raise InvariantError("quotient section does not lift the quotient basis")
+        # The primitive image of every other ray of the star, projected once.
+        image = {self.rays[k]: primitive(project(self.rays[k]))
+                 for ci in star for k in self.max_cones[ci] if k != ray}
+
         q_rays: list[LatticeVector] = []
         q_index: dict[LatticeVector, int] = {}
         q_cones: list[list[int]] = []
         images = []
         for ci in star:
-            gens = [primitive(project(self.rays[k])) for k in self.max_cones[ci] if k != ray]
-            cone = Cone.from_rays(n - 1, gens)
+            sigma = self.cones[ci]
+            if sigma.dim == n:
+                cone = _star_image(sigma, sigma.rays.index(l_rho), image, section)
+            else:
+                cone = Cone.from_rays(n - 1, [image[x] for x in sigma.rays if x != l_rho])
             images.append(cone)
             idx = []
             for r in cone.rays:
@@ -413,6 +437,33 @@ def _covers_once(n: int, cones: Sequence[Cone], facets: dict) -> bool:
         return all((dot(m, p), *m) > origin for m in cone.facet_normals)
 
     return sum(map(contains_generic_point, cones)) == 1
+
+
+def _star_image(sigma: Cone, i: int, image: dict, section) -> Cone:
+    """The image of the full-dimensional cone ``sigma`` in the quotient by
+    its ray ``i``, read off sigma's facets: ``image`` maps each other ray
+    to its primitive image, and the ``section`` lifts the quotient basis.
+    The faces of the image are the images of the faces of sigma through the
+    ray (Fulton, *Introduction to Toric Varieties*, 1993, §3.1):
+
+    - Rays: the images of the rays x adjacent to the ray, i.e. those for
+      which the facets through both meet in {ray, x} alone (in dimension 2
+      no facet holds both, and the meet of none is sigma).  A face through
+      the ray maps onto a face of one dimension less, so the 2-faces
+      cone(ray, x) map onto the image's extreme rays, one each.
+    - Facets: the image of each facet through the ray, with the image's
+      rays that lie on it.  Its normal m vanishes on the ray, so
+      m = m'.project with m'_j = m.w_j for the section's lifts w_j; m' is
+      inward because m'.project(x) = m.x, and primitive because m is.
+    """
+    through = [(inc, m) for inc, m in sigma.facet_pairs() if i in inc]
+    everything = frozenset(range(len(sigma.rays)))  # the meet of no facets: sigma itself
+    rays = {}
+    for k in everything - {i}:
+        if reduce(and_, (inc for inc, _ in through if k in inc), everything) == {i, k}:
+            rays[k] = image[sigma.rays[k]]
+    facets = [(inc & rays.keys(), tuple(dot(m, w) for w in section)) for inc, m in through]
+    return Cone._from_facets(len(section), rays, facets)
 
 
 def _check_pairwise(cones: Sequence[Cone]) -> None:

@@ -253,6 +253,10 @@ class TestCommandBranches:
             assert list(timings) == ["total_s", "load_s", "picard_s"]
             # Each figure is rounded to the microsecond.
             assert 0 <= timings["picard_s"] and timings["load_s"] + timings["picard_s"] <= timings["total_s"] + 2e-6
+        elif command == "modify":
+            assert list(timings) == ["total_s", "load_s", "split_s", "verify_s"]
+            parts = timings["load_s"] + timings["split_s"] + timings["verify_s"]
+            assert min(timings.values()) >= 0 and parts <= timings["total_s"] + 3e-6
         else:
             assert list(timings) == ["total_s", "load_s"]
         assert 0 <= timings["load_s"] <= timings["total_s"]

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from oracles import brute_force_pyramidal
-from test_fan import cross_polytope_fan, cube_face_fan
+from test_fan import attributes, cross_polytope_fan, cube_face_fan
 from toricfan import cli
 from toricfan.cone import Cone
 from toricfan.egyptian import (
@@ -27,6 +27,7 @@ from toricfan.fan import Fan
 
 SQUARE_RAYS = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
 PENTAGON_RAYS = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (1, -1, 1)]
+HEXAGON_RAYS = [(2, 0, 1), (1, 2, 1), (-1, 2, 1), (-2, 0, 1), (-1, -2, 1), (1, -2, 1)]
 NOT_PYRAMIDAL_RAYS = [(1, 1, 0, 1), (1, -1, 0, 1), (-1, -1, 0, 1), (-1, 1, 0, 1), (0, 0, 1, 1), (0, 3, -1, 1)]
 
 
@@ -164,6 +165,9 @@ class TestOracleDifferential:
             assert cls.kind.value == kind, (cone.rays, ray)
             assert (frozenset(cls.eta_rays) if cls.eta_rays else None) == eta
             assert cls.base.rays == base
+            if cls.splits:  # pieces read off the cone's facets equal cold builds
+                for piece in (cls.base, cls.update):
+                    assert attributes(piece) == attributes(Cone.from_rays(piece.ambient_rank, piece.rays))
             assert {frozenset(f.rays) for f in cls.beyond_facets} == beyond
             assert {frozenset(f.rays) for f in cls.tangent_facets} == tangent
             kinds.add(kind)
@@ -319,6 +323,12 @@ class TestSplitCoverage:
         # (p0, p1, p2) and (p1, p2, p3) lie on the same side of (p1, p2).
         with pytest.raises(InvariantError, match="meet exactly"):
             _check_split(*self.pieces(PENTAGON_RAYS, (0, 1, 2), (1, 2, 3), (1, 2)))
+
+    def test_pieces_on_the_same_side_of_a_diagonal_rejected(self):
+        # eta = (p0, p3) is a facet of both (p0, p1, p3) and (p0, p2, p3),
+        # with equal normals: both pieces lie on the p1, p2 side of it.
+        with pytest.raises(InvariantError, match="meet exactly"):
+            _check_split(*self.pieces(HEXAGON_RAYS, (0, 1, 3), (0, 2, 3), (0, 3)))
 
     def test_cube_fan_modification(self):
         # The face fan of the 3-cube: six square cones, three in each star.

@@ -8,7 +8,8 @@ import pytest
 import toricfan.fan as fan_module
 from oracles import wall_criterion_complete
 from toricfan.cone import Cone
-from toricfan.egyptian import egyptian_report, small_modification, split_star
+from toricfan.egyptian import classify_pyramidal, egyptian_report, small_modification, split_star
+from toricfan.exactlin import primitive
 from toricfan.fan import Fan, Wall, WallCurveKind
 from toricfan.families import projective_space_fan, yu_fan
 
@@ -189,6 +190,63 @@ def as_case(fan):
     return fan.ambient_rank, fan.rays, [list(mc) for mc in fan.max_cones]
 
 
+def random_complete_threefolds(seed: int, count: int):
+    """Seeded complete 3-D fans: the face fan of the hull of 6-10 random
+    points in [-3, 3]^3 around the origin, then 0-6 random 2-2 flips, where
+    cones (x, y, c) and (x, y, d) become (x, c, d) and (y, c, d).  A flip is
+    kept only when ``Fan.from_cones`` validates the result and it is
+    complete, so flips can leave the projective fans."""
+    rng = random.Random(seed)
+    fans = []
+    while len(fans) < count:
+        points = {tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(rng.randint(6, 10))}
+        hull = Cone.from_rays(4, [p + (1,) for p in points])
+        if hull.dim < 4 or any(m[3] <= 0 for m in hull.facet_normals):
+            continue  # the origin is not inside
+        rays = [primitive(v[:3]) for v in hull.rays]
+        fan = Fan.from_cones(3, rays, [sorted(inc) for inc, _ in hull.facet_pairs()])
+        for _ in range(rng.randint(0, 6)):
+            wall = rng.choice(fan.walls)
+            pair = [fan.max_cones[j] for j in wall.incident]
+            if len(wall.ray_indices) != 2 or any(len(mc) != 3 for mc in pair):
+                continue
+            x, y = wall.ray_indices
+            (c,), (d,) = (set(mc) - {x, y} for mc in pair)
+            cones = [list(mc) for j, mc in enumerate(fan.max_cones) if j not in wall.incident]
+            try:
+                flipped = Fan.from_cones(3, rays, cones + [[x, c, d], [y, c, d]])
+            except ValueError:
+                continue
+            if flipped.is_complete():
+                fan = flipped
+        fans.append(fan)
+    return fans
+
+
+@pytest.fixture(scope="module")
+def random_threefolds():
+    return random_complete_threefolds(seed=5, count=6)
+
+
+def attributes(cone):
+    """Every attribute of a cone, the facet incidences included."""
+    return (cone.ambient_rank, cone.rays, cone.dim, cone.span_equations, cone.facet_normals,
+            cone.facet_pairs())
+
+
+def derived_cones(fan, ray):
+    """The base and update of every Pyramidal star cone of the ray, and the
+    cones of the quotient fan by it."""
+    n = fan.ambient_rank
+    pieces = []
+    for ci in fan.star(ray):
+        if fan.cones[ci].dim == n:
+            cls = classify_pyramidal(fan.cones[ci], fan.rays[ray])
+            if cls.splits:
+                pieces += [cls.base, cls.update]
+    return pieces + list(fan.quotient(ray).cones if n > 1 else ())
+
+
 # Five rays around the origin, each cone joining every second one: every ray
 # is a facet of two cones on opposite sides, but the cones wind twice.
 PENTAGRAM = (2, [(5, 2), (0, 1), (-5, 2), (-3, -4), (3, -4)], [[0, 2], [1, 3], [2, 4], [3, 0], [4, 1]])
@@ -276,11 +334,11 @@ class TestWallCheck:
                 yu = yu_grid(n, u)
                 fans += [yu.fan, small_modification(yu.fan, yu.e_index()).fan, yu.fan.quotient(0)]
         fans += [Fan.from_cones(*case) for case in (cube_face_fan(3), cube_face_fan(4), cross_polytope_fan(4))]
-        return fans
+        return fans + request.getfixturevalue("random_threefolds")
 
-    def test_valid_fans_agree(self, request):
+    def test_valid_fans_agree(self, request, random_threefolds):
         fans = self.valid_fans(request)
-        assert len(fans) == 46
+        assert len(fans) == 46 + len(random_threefolds)
         for fan in fans:
             fast, accepted, pairwise = both_checks(as_case(fan))
             assert fast == (fan.max_cones, fan.walls, True)
@@ -386,18 +444,41 @@ class TestConeReuse:
                 yu = yu_grid(n, u)
                 refined = small_modification(yu.fan, yu.e_index()).fan
                 fans += [refined, yu.fan.quotient(yu.e_index()), refined.quotient(yu.e_index())]
-        return fans
+        randoms = request.getfixturevalue("random_threefolds")
+        return fans + [fan.quotient(ray) for fan in randoms for ray in range(len(fan.rays))]
 
-    def test_rebuilt_from_index_lists_agrees(self, request):
+    def test_rebuilt_from_index_lists_agrees(self, request, random_threefolds):
         fans = self.reused_fans(request)
-        assert len(fans) == 130
+        assert len(fans) == 130 + sum(len(fan.rays) for fan in random_threefolds)
         for fan in fans:
             again = Fan.from_cones(*as_case(fan))
             assert (again.rays, again.max_cones, again.walls) == (fan.rays, fan.max_cones, fan.walls)
             for cone, fresh in zip(fan.cones, again.cones):
-                if cone.dim == fan.ambient_rank:
-                    assert (cone.rays, cone.facet_normals, cone.facets()) == \
-                        (fresh.rays, fresh.facet_normals, fresh.facets())
+                assert attributes(cone) == attributes(fresh)
+
+    def test_derived_cones_equal_cold_builds(self, yu_grid, random_threefolds):
+        # Split pieces and quotient cones are read off the parent's facets;
+        # each must be the cone a double description builds on its rays.
+        fans = [yu_grid(n, u).fan for n in range(3, 7) for u in range(1, 4)]
+        fans += [yu_fan(7, u).fan for u in range(1, 4)] + random_threefolds
+        splits = 0
+        for fan in fans:
+            for ray in range(len(fan.rays)):
+                for cone in derived_cones(fan, ray):
+                    assert attributes(cone) == attributes(Cone.from_rays(cone.ambient_rank, cone.rays))
+                    splits += cone.ambient_rank == fan.ambient_rank
+        assert splits > 0
+
+    def test_quotient_of_a_lower_dimensional_star_cone(self, monkeypatch):
+        # The flat cone (e1, -e2 - e3) meets the orthant in the ray e1: an
+        # incomplete fan whose star at e1 holds a cone of each dimension.
+        fan = Fan.from_cones(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)], [[0, 1, 2], [0, 3]])
+        built = count_builds(monkeypatch)
+        quotient = fan.quotient(0)
+        assert built == [2]  # the flat cone's image alone takes the from_rays fallback
+        assert [cone.dim for cone in quotient.cones] == [2, 1] and not quotient.is_complete()
+        for cone in quotient.cones:
+            assert attributes(cone) == attributes(Cone.from_rays(2, cone.rays))
 
     def test_misaligned_cones_rejected_as_non_extreme(self, p2_fan, yu_grid):
         with pytest.raises(ValueError) as non_extreme:
@@ -415,10 +496,11 @@ class TestConeReuse:
         built = count_builds(monkeypatch)
         result = split_star(fan, report)
         assert result.split_cones
-        assert len(built) == 2 * len(result.split_cones)
+        assert len(built) == 0  # the pieces are read off their cones' facets
 
     def test_quotient_builds_one_cone_per_star_cone(self, yu_grid, monkeypatch):
         fan = yu_grid(6, 2).fan
         built = count_builds(monkeypatch)
         quotient = fan.quotient(0)
-        assert built == [5] * len(fan.star(0)) == [5] * len(quotient.max_cones)
+        assert len(fan.star(0)) == len(quotient.max_cones)
+        assert built == []  # each image is read off its star cone's facets
