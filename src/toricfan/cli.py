@@ -336,7 +336,10 @@ def _cmd_modify(args, report):
     started = time.perf_counter()
     result = split_star(fan, probe)
     split_done = time.perf_counter()
-    checks = verify_modification(result)
+    try:
+        checks = verify_modification(result)
+    except ValueError as exc:  # the ray is itself a maximal cone: no star quotient
+        raise InputError(str(exc)) from exc
     report["timings"]["split_s"] = round(split_done - started, 6)
     report["timings"]["verify_s"] = round(time.perf_counter() - split_done, 6)
     report["egyptian"] = True

@@ -320,13 +320,8 @@ def verify_modification(result: ModificationResult) -> ModificationChecks:
     maximal cone of the refined fan, so the strict transform meets each
     exceptional curve in a single point; (3) the quotient fan at the ray is
     unchanged up to unimodular equivalence, so the strict transform maps
-    isomorphically onto the original divisor.
+    isomorphically onto the original divisor.  Both quotients are memoized.
     """
-    return _verify_modification(result, result.original.quotient(result.strict_transform_ray))
-
-
-def _verify_modification(result: ModificationResult, original_quotient: Fan) -> ModificationChecks:
-    """``verify_modification`` given the original fan's quotient at the ray."""
     fan = result.fan
     rho = result.strict_transform_ray
     failures: list[str] = []
@@ -351,7 +346,7 @@ def _verify_modification(result: ModificationResult, original_quotient: Fan) -> 
             failures.append(f"wall {wall.ray_indices}: wall + ray is not a maximal cone")
         update_maximal.append((wall.ray_indices, is_max))
 
-    quotient_ok = original_quotient.isomorphism(fan.quotient(rho)) is not None
+    quotient_ok = result.original.quotient(rho).isomorphism(fan.quotient(rho)) is not None
     if not quotient_ok:
         failures.append("quotient fan at the ray changed under the modification")
 
@@ -374,7 +369,7 @@ def hypothesis_report(fan: Fan, ray: int) -> HypothesisReport:
     if not projective.feasible:
         return HypothesisReport(egyptian, quotient, projective)
     modification = split_star(fan, egyptian)
-    checks = _verify_modification(modification, quotient)
+    checks = verify_modification(modification)
     if not checks.passed:
         return HypothesisReport(egyptian, quotient, projective, modification, checks)
     polytope = divisor_ops.divisor_polytope(quotient, projective.witness_divisor)

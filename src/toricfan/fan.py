@@ -9,15 +9,15 @@ fan in one pass over the facets.  Anything else (a lower-dimensional cone,
 an unmatched facet, an incomplete fan or a non-fan) goes to the pairwise
 check: every intersection of maximal cones must be a common face, and no
 maximal cone may contain another.  The wall check passes on a valid fan
-exactly when it is complete, so its verdict is kept.  Walls (the
-codimension-one cones) are precomputed at validation time since the
-orbit-curve classification and the checks of a small modification consume
-them.  Quotient fans and small modifications are validated, with the same
-checks, on the cones they were built from.  Those cones run no double
-description of their own: a quotient cone of a full-dimensional star cone
-is read off that cone's facets through the ray (``_star_image``), and the
-pieces of a split star cone off the cone's facets and its beyond facet
-(``egyptian.split_star``).
+exactly when it is complete, so its verdict is kept, and so is the facet
+map it ran on (each facet with the cones it bounds).  Walls (the
+codimension-one cones) are built from that map on first use; ``find_wall``
+looks one up in it.  Star quotients are memoized per ray.  Quotient fans
+and small modifications are validated, with the same checks, on the cones
+they were built from.  Those cones run no double description of their own:
+a quotient cone of a full-dimensional star cone is read off that cone's
+facets through the ray (``_star_image``), and the pieces of a split star
+cone off the cone's facets and its beyond facet (``egyptian.split_star``).
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class FanIsomorphism:
 class Fan:
     """A validated fan of strictly convex rational polyhedral cones."""
 
-    __slots__ = ("ambient_rank", "rays", "max_cones", "cones", "walls", "_complete")
+    __slots__ = ("ambient_rank", "rays", "max_cones", "cones", "_complete", "_facets", "_walls", "_quotients")
 
     def __init__(self, *_a, **_k):
         raise TypeError("use Fan.from_cones")
@@ -126,50 +126,52 @@ class Fan:
             if i not in used:
                 raise ValueError(f"ray {i} does not appear in any maximal cone")
 
-        # Each facet of a full-dimensional cone, as a global ray-index set,
-        # with the cones it is a facet of and their inward normals.
-        facets: dict[frozenset, list[tuple[int, LatticeVector]]] = {}
+        # Each facet of a full-dimensional cone, keyed by the bitmask of its global
+        # ray indices, with the cones it is a facet of and their inward normals.
+        facets: dict[int, list[tuple[int, LatticeVector]]] = {}
         for j, cone in enumerate(cones):
             if cone.dim == n:
-                local = [index_of[r] for r in cone.rays]
+                bits = [1 << index_of[r] for r in cone.rays]
                 for inc, normal in cone.facet_pairs():
-                    key = frozenset(local[k] for k in inc)
-                    facets.setdefault(key, []).append((j, normal))
+                    facets.setdefault(sum(bits[k] for k in inc), []).append((j, normal))
 
         complete = _covers_once(n, cones, facets)
         if not complete:
             _check_pairwise(cones)
 
-        walls = cls._collect_walls(n, mc_list, cones, facets)
         self = object.__new__(cls)
         object.__setattr__(self, "ambient_rank", n)
         object.__setattr__(self, "rays", tuple(ray_list))
         object.__setattr__(self, "max_cones", tuple(mc_list))
         object.__setattr__(self, "cones", tuple(cones))
-        object.__setattr__(self, "walls", walls)
         object.__setattr__(self, "_complete", complete)
+        object.__setattr__(self, "_facets", {mask: tuple(j for j, _ in pairs) for mask, pairs in facets.items()})
+        object.__setattr__(self, "_walls", None)
+        object.__setattr__(self, "_quotients", {})
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Fan instances are immutable")
 
-    @staticmethod
-    def _collect_walls(n, mc_list, cones, facets) -> tuple[Wall, ...]:
+    @property
+    def walls(self) -> tuple[Wall, ...]:
+        """Every wall with its incident full cones, sorted by rays, built on first access."""
         # Every (n-1)-dimensional cone of the fan is either a facet of a
         # full-dimensional maximal cone or itself maximal of dimension n-1.
         # In a fan a full cone containing a wall meets it in a common face,
         # the whole wall, so the full cones containing a wall are exactly
         # those it is a facet of; a maximal (n-1)-cone lies in none.
-        incident = {ws: tuple(j for j, _ in pairs) for ws, pairs in facets.items()}
-        for mc, cone in zip(mc_list, cones):
-            if cone.dim == n - 1:
-                incident.setdefault(frozenset(mc), ())
-        walls = []
-        for key, cones_at in sorted((tuple(sorted(ws)), at) for ws, at in incident.items()):
-            if len(cones_at) > 2:
-                raise InvariantError("wall incident to more than two full cones in a validated fan")
-            walls.append(Wall(key, n - 1, cones_at))
-        return tuple(walls)
+        if self._walls is None:
+            at = {mc: () for mc, cone in zip(self.max_cones, self.cones) if cone.dim == self.ambient_rank - 1}
+            at.update((_indices(mask), incident) for mask, incident in self._facets.items())
+            object.__setattr__(self, "_walls", tuple(self._wall(key, at[key]) for key in sorted(at)))
+        return self._walls
+
+    def _wall(self, key: tuple[int, ...], incident: tuple[int, ...]) -> Wall:
+        """The wall on the sorted ray indices ``key``, a facet of the cones ``incident``."""
+        if len(incident) > 2:
+            raise InvariantError("wall incident to more than two full cones in a validated fan")
+        return Wall(key, self.ambient_rank - 1, incident)
 
     # -- queries -----------------------------------------------------------
 
@@ -205,7 +207,7 @@ class Fan:
         return tuple(i for i, mc in enumerate(self.max_cones) if ray in mc)
 
     def quotient(self, ray: int) -> "Fan":
-        """The star fan in the quotient lattice by the ray.
+        """The star fan in the quotient lattice by the ray, memoized per ray (errors are not).
 
         The quotient coordinates come from a Hermite-form completion of the
         primitive ray generator to a lattice basis, so the result is
@@ -215,10 +217,17 @@ class Fan:
         A full-dimensional star cone's image is read off its own facets
         (``_star_image``), with no double description; a lower-dimensional
         one (only in an incomplete fan) is built from its projected rays.
+        At a ray that is itself a maximal cone (again only in an incomplete
+        fan) the quotient is the zero fan, which no ``Fan`` holds: that raises.
         """
+        if ray in self._quotients:
+            return self._quotients[ray]
         star = self.star(ray)  # nonempty: validation puts every ray in a maximal cone
         if self.ambient_rank < 2:
             raise ValueError(f"quotient needs a fan of dimension at least 2, not {self.ambient_rank}")
+        if (ray,) in self.max_cones:
+            raise ValueError(f"ray {ray} is itself a maximal cone: its star quotient is the zero fan, "
+                             "which a Fan cannot hold")
         n = self.ambient_rank
         l_rho = self.rays[ray]
         h, u = hermite_normal_form([l_rho])
@@ -236,9 +245,16 @@ class Fan:
         section = [tuple(row[j] for row in v) for j in range(1, n)]
         if [project(w) for w in section] != [tuple(int(i == j) for i in range(n - 1)) for j in range(n - 1)]:
             raise InvariantError("quotient section does not lift the quotient basis")
-        # The primitive image of every other ray of the star, projected once.
-        image = {self.rays[k]: primitive(project(self.rays[k]))
-                 for ci in star for k in self.max_cones[ci] if k != ray}
+        # The primitive image of every other ray of the star, each projected once.
+        others = {k for ci in star for k in self.max_cones[ci]} - {ray}
+        image = {self.rays[k]: primitive(project(self.rays[k])) for k in others}
+        mapped: dict[LatticeVector, LatticeVector] = {}  # each wall's normals, mapped once
+
+        def normal_image(m):  # the cone across a wall has the opposite normal
+            if m not in mapped:
+                mapped[m] = tuple(dot(m, w) for w in section)
+                mapped[tuple(-x for x in m)] = tuple(-x for x in mapped[m])
+            return mapped[m]
 
         q_rays: list[LatticeVector] = []
         q_index: dict[LatticeVector, int] = {}
@@ -247,7 +263,7 @@ class Fan:
         for ci in star:
             sigma = self.cones[ci]
             if sigma.dim == n:
-                cone = _star_image(sigma, sigma.rays.index(l_rho), image, section)
+                cone = _star_image(sigma, sigma.rays.index(l_rho), image, normal_image)
             else:
                 cone = Cone.from_rays(n - 1, [image[x] for x in sigma.rays if x != l_rho])
             images.append(cone)
@@ -260,7 +276,8 @@ class Fan:
             q_cones.append(sorted(idx))
         if len({c.rays for c in images}) != len(star):
             raise InvariantError("star cones collapse in the quotient")
-        return Fan._validated(n - 1, q_rays, q_cones, images)
+        self._quotients[ray] = Fan._validated(n - 1, q_rays, q_cones, images)
+        return self._quotients[ray]
 
     def wall_kind(self, wall: Wall) -> WallCurveKind:
         """Torus / affine / projective classification of a wall's orbit curve."""
@@ -276,10 +293,14 @@ class Fan:
         raise InvariantError("a wall of a valid fan lies in at most two full cones")
 
     def find_wall(self, ray_indices: Iterable[int]) -> Wall:
+        """The wall on the given rays, from the facet map or the maximal (n-1)-cones."""
         key = tuple(sorted(ray_indices))
-        for w in self.walls:
-            if w.ray_indices == key:
-                return w
+        if len(set(key)) == len(key) and min(key, default=0) >= 0:
+            incident = self._facets.get(sum(1 << i for i in key))
+            if incident is not None:
+                return self._wall(key, incident)
+            if key in self.max_cones and self.cones[self.max_cones.index(key)].dim == self.ambient_rank - 1:
+                return self._wall(key, ())
         raise ValueError(f"no wall with rays {key}")
 
     def isomorphism(self, other: "Fan") -> Optional[FanIsomorphism]:
@@ -368,11 +389,16 @@ class Fan:
         return search(0, [])
 
 
+def _indices(mask: int) -> tuple[int, ...]:
+    """The sorted indices of the set bits of ``mask``."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def _covers_once(n: int, cones: Sequence[Cone], facets: dict) -> bool:
     """Whether full-dimensional cones form a complete fan, by the wall check.
 
-    ``facets`` maps each facet, as a global ray-index set, to the cones it
-    is a facet of and their inward normals.  Three exact tests:
+    ``facets`` maps each facet, as the bitmask of its global ray indices, to
+    the cones it is a facet of and their inward normals.  Three exact tests:
 
     1. Wall matching: every facet is a facet of exactly two cones.
     2. Opposite sides: the two cones' primitive inward normals at the
@@ -439,10 +465,11 @@ def _covers_once(n: int, cones: Sequence[Cone], facets: dict) -> bool:
     return sum(map(contains_generic_point, cones)) == 1
 
 
-def _star_image(sigma: Cone, i: int, image: dict, section) -> Cone:
+def _star_image(sigma: Cone, i: int, image: dict, normal_image) -> Cone:
     """The image of the full-dimensional cone ``sigma`` in the quotient by
     its ray ``i``, read off sigma's facets: ``image`` maps each other ray
-    to its primitive image, and the ``section`` lifts the quotient basis.
+    to its primitive image, and ``normal_image`` maps a normal m through
+    the section, whose lifts w_j of the quotient basis give (m.w_j)_j.
     The faces of the image are the images of the faces of sigma through the
     ray (Fulton, *Introduction to Toric Varieties*, 1993, §3.1):
 
@@ -462,8 +489,8 @@ def _star_image(sigma: Cone, i: int, image: dict, section) -> Cone:
     for k in everything - {i}:
         if reduce(and_, (inc for inc, _ in through if k in inc), everything) == {i, k}:
             rays[k] = image[sigma.rays[k]]
-    facets = [(inc & rays.keys(), tuple(dot(m, w) for w in section)) for inc, m in through]
-    return Cone._from_facets(len(section), rays, facets)
+    facets = [(inc & rays.keys(), normal_image(m)) for inc, m in through]
+    return Cone._from_facets(sigma.ambient_rank - 1, rays, facets)
 
 
 def _check_pairwise(cones: Sequence[Cone]) -> None:

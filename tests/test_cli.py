@@ -352,6 +352,23 @@ class TestReportCommand:
         assert report["error"] == f"{command} needs a fan of dimension at least 2, not 1"
         assert "internal_error" not in report
 
+    @pytest.mark.parametrize("fan_text, ray", [
+        ('{"dim": 2, "rays": [[-1, -3]], "max_cones": [[0]]}', 0),
+        ('{"dim": 2, "rays": [[1, 0], [0, 1], [-1, 0]], "max_cones": [[0, 1], [2]]}', 2),
+    ], ids=["one-ray", "ray-beside-a-quadrant"])
+    def test_modify_at_a_ray_that_is_a_maximal_cone_is_an_input_error(self, tmp_path, capsys,
+                                                                       fan_text, ray):
+        # The star quotient there is the zero fan, which no Fan holds.
+        fan_file = tmp_path / "ray.json"
+        fan_file.write_text(fan_text)
+        argv = ["--fan", str(fan_file), "--ray", str(ray), "--allow-incomplete"]
+        code, report = _json_run(["egyptian", *argv], capsys)
+        assert code == EXIT_OK and report["per_cone"] == {}
+        code, report = _json_run(["modify", *argv], capsys)
+        assert code == EXIT_INPUT_ERROR and "internal_error" not in report
+        assert report["error"] == (f"ray {ray} is itself a maximal cone: its star quotient is the "
+                                   "zero fan, which a Fan cannot hold")
+
     def test_not_egyptian_exits_without_modification(self, tmp_path, capsys, cube_suspension_fan):
         from toricfan.cli import fan_to_json
         fan_file = tmp_path / "cube.json"

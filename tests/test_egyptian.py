@@ -6,10 +6,12 @@ import time
 
 import pytest
 
+import toricfan.fan as fan_module
 from oracles import brute_force_pyramidal
 from test_fan import attributes, cross_polytope_fan, cube_face_fan
 from toricfan import cli
 from toricfan.cone import Cone
+from toricfan.divisor import is_projective
 from toricfan.egyptian import (
     PyramidalKind,
     _check_split,
@@ -381,24 +383,61 @@ class TestHypothesisReport:
         assert not report.quotient_projective.feasible
         assert report.modification is None and report.checks is None and report.growth is None
 
-    def test_one_quotient_per_fan(self, yu_grid, monkeypatch):
-        # The original fan's quotient is built once and shared with the
-        # modification check; the refined fan's quotient is the other call.
-        fan = yu_grid(6, 2).fan
-        calls = []
-        quotient = Fan.quotient
-
-        def counting(self, ray):
-            calls.append((self, ray))
-            return quotient(self, ray)
-
-        monkeypatch.setattr(Fan, "quotient", counting)
+    def test_one_quotient_per_fan(self, monkeypatch):
+        # The original fan's quotient is built once, memoized on the fan and
+        # shared with the modification check; the refined fan's quotient is
+        # the only other one built, and a second check builds neither.
+        fan = yu_fan(6, 2).fan
+        imaged = count_star_images(monkeypatch)
         report = hypothesis_report(fan, 0)
         assert report.growth is not None
-        assert calls == [(fan, 0), (report.modification.fan, 0)]
-        calls.clear()
+        assert imaged == star_cones(fan, 0) + star_cones(report.modification.fan, 0)
+        imaged.clear()
         assert verify_modification(report.modification) == report.checks
-        assert calls == [(fan, 0), (report.modification.fan, 0)]
+        assert imaged == []
+
+    def test_modify_after_egyptian_images_the_star_once(self, monkeypatch):
+        # The benchmark's order: the egyptian question takes the quotient,
+        # then modify's check finds it memoized on the same fan.
+        fan = yu_fan(5, 2).fan
+        imaged = count_star_images(monkeypatch)
+        assert egyptian_report(fan, 0).verdict
+        quotient = fan.quotient(0)
+        assert imaged == star_cones(fan, 0)
+        result = small_modification(fan, 0)
+        assert verify_modification(result).passed
+        assert imaged == star_cones(fan, 0) + star_cones(result.fan, 0)
+        assert fan.quotient(0) is quotient
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_memoized_quotient_keeps_the_acceptance_verdicts(self, n):
+        # hypothesis_report reuses its quotient in the modification check;
+        # each step on a fan of its own, with no quotient shared, agrees.
+        for u in (1, 2, 3):
+            report = hypothesis_report(yu_fan(n, u).fan, 0)
+            quotient = yu_fan(n, u).fan.quotient(0)
+            checks = verify_modification(small_modification(yu_fan(n, u).fan, 0))
+            assert report.egyptian.verdict and checks.passed, (n, u)
+            assert (report.quotient.rays, report.quotient.max_cones) == (quotient.rays, quotient.max_cones)
+            assert report.quotient_projective.feasible and is_projective(quotient).feasible
+            assert report.checks == checks and report.growth is not None
+
+
+def count_star_images(monkeypatch):
+    """Record the star cone of every quotient image ``_star_image`` makes from now on."""
+    calls = []
+    star_image = fan_module._star_image
+
+    def counting(sigma, *args):
+        calls.append(sigma)
+        return star_image(sigma, *args)
+
+    monkeypatch.setattr(fan_module, "_star_image", counting)
+    return calls
+
+
+def star_cones(fan, ray):
+    return [fan.cones[ci] for ci in fan.star(ray)]
 
 
 class TestOneClassificationPerCall:

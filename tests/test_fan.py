@@ -102,6 +102,21 @@ class TestQuotient:
         q = p3_fan.quotient(0)
         assert q.isomorphism(projective_space_fan(2)) is not None
 
+    def test_quotient_is_memoized_per_ray(self, p3_fan):
+        for ray in range(len(p3_fan.rays)):
+            assert p3_fan.quotient(ray) is p3_fan.quotient(ray)
+        assert p3_fan.quotient(0) is not p3_fan.quotient(1)
+
+    def test_ray_that_is_a_maximal_cone_has_the_zero_quotient(self, monkeypatch):
+        fan = Fan.from_cones(2, [(1, 0), (0, 1), (-1, 0)], [[0, 1], [2]])
+        built = count_builds(monkeypatch)
+        for _ in range(2):  # raised on every call: errors are not memoized
+            with pytest.raises(ValueError, match="^ray 2 is itself a maximal cone: its star "
+                                                 "quotient is the zero fan, which a Fan cannot hold$"):
+                fan.quotient(2)
+        assert built == []  # raised before any cone is built
+        assert fan.quotient(0).max_cones == ((0,),)
+
 
 class TestWalls:
     def test_complete_fan_walls_projective(self, p2_fan, p1xp1_fan, p3_fan, yu_grid):
@@ -408,6 +423,37 @@ class TestWallCheck:
         assert again.walls == refined.walls and again.is_complete()
 
 
+class TestFindWall:
+    """``find_wall`` reads the facet map that validation keeps, with no wall list built."""
+
+    def fans(self, request):
+        affine = Fan.from_cones(2, [(1, 0), (0, 1)], [[0, 1]])
+        torus = Fan.from_cones(2, [(1, 0)], [[0]])
+        both = Fan.from_cones(2, [(1, 0), (0, 1), (-1, 0)], [[0, 1], [2]])
+        return TestWallCheck().valid_fans(request) + [affine, torus, both]
+
+    def test_every_wall_found_before_the_walls_are_built(self, request):
+        kinds = set()
+        for fan in self.fans(request):
+            fresh = Fan.from_cones(*as_case(fan))
+            found = [fresh.find_wall(w.ray_indices) for w in fan.walls]
+            assert fresh._walls is None
+            assert found == list(fan.walls) == list(fresh.walls)
+            kinds |= {fan.wall_kind(w) for w in found}
+        assert kinds == set(WallCurveKind)
+
+    def test_ray_sets_that_are_not_walls_rejected(self, request):
+        for fan in self.fans(request):
+            n, wall = fan.ambient_rank, fan.walls[0].ray_indices
+            keys = [(-1,), (len(fan.rays),), wall + wall[:1]]
+            keys += [mc for mc, cone in zip(fan.max_cones, fan.cones) if cone.dim == n]
+            keys += [(i,) for i in range(len(fan.rays)) if n > 2]  # rays below the walls
+            for key in keys:
+                if key != wall:
+                    with pytest.raises(ValueError, match="no wall with rays"):
+                        fan.find_wall(key)
+
+
 def count_builds(monkeypatch):
     """Record the ambient rank of every cone ``Cone._build`` builds from now on."""
     calls = []
@@ -498,8 +544,8 @@ class TestConeReuse:
         assert result.split_cones
         assert len(built) == 0  # the pieces are read off their cones' facets
 
-    def test_quotient_builds_one_cone_per_star_cone(self, yu_grid, monkeypatch):
-        fan = yu_grid(6, 2).fan
+    def test_quotient_builds_one_cone_per_star_cone(self, monkeypatch):
+        fan = yu_fan(6, 2).fan  # fresh: a shared fan may hold its quotient already
         built = count_builds(monkeypatch)
         quotient = fan.quotient(0)
         assert len(fan.star(0)) == len(quotient.max_cones)
