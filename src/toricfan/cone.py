@@ -9,13 +9,16 @@ intersections, and face queries work uniformly in any dimension.
 Every enumeration in the module is one incremental double-description
 routine, ``exactlin._double_description`` (which ``strict_feasible`` also
 runs): exact integers, an explicit lineality space, and the combinatorial
-adjacency test of Fukuda & Prodon.  Building a cone from generators runs it
-on the dual (the generators as inequalities) for the span equations, facet
-normals and facet incidences; extreme rays, pointedness and face dimensions
-are then read off the incidences.  Converting a dual description runs it on
-the constraints themselves; meeting two cones starts it from the first
-cone's rays and facet incidences and adds only the second cone's
-constraints.
+adjacency test of Fukuda & Prodon.  Building a cone from generators
+primitivizes and deduplicates them, then runs it on the dual (the
+generators as inequalities) for the span equations, facet normals and
+facet incidences; pointedness, the extreme rays, their order and the
+facets' ray sets are read off the zero sets in one pass
+(``Cone._from_primitive``).  Rays known to be primitive and distinct (a
+validated fan's, a run's own, a cone's own) go to that pass directly, with
+no second primitivization.  Converting a dual description runs it on the
+constraints themselves; meeting two cones starts it from the first cone's
+rays and facet incidences and adds only the second cone's constraints.
 
 Not every cone comes from a run of its own.  A full-dimensional cone whose
 extreme rays and facets are already known is made by ``Cone._from_facets``,
@@ -34,7 +37,7 @@ from functools import reduce
 from operator import and_
 from typing import Iterable, Sequence
 
-from .exactlin import LatticeVector, _double_description, dot, primitive
+from .exactlin import LatticeVector, _double_description, dot, identity_matrix, primitive
 
 
 class Position(enum.Enum):
@@ -122,42 +125,43 @@ class Cone:
 
     @classmethod
     def _build(cls, ambient_rank: int, generators: list) -> "Cone":
-        gens = list(dict.fromkeys(primitive(g) for g in generators))
+        return cls._from_primitive(ambient_rank, list(dict.fromkeys(primitive(g) for g in generators)))
+
+    @classmethod
+    def _from_primitive(cls, ambient_rank: int, gens: list) -> "Cone":
+        """The cone on ``gens``, distinct primitive generators (unchecked):
+        one run, then one pass over its zero sets."""
         if not gens:
             return cls._zero(ambient_rank)
         # The dual cone {y : g.y >= 0 for every generator g} has the span's
         # orthogonal complement as lineality and the facet normals as extreme
         # rays; the zero set of a normal is the set of generators on its facet.
         lineality, normals, zeros = _double_description(ambient_rank, (), gens)
-
-        def on_all(masks) -> int:
-            """The generators on every facet in ``masks``."""
-            out = (1 << len(gens)) - 1
-            for z in masks:
-                out &= z
-            return out
-
         # The minimal face is spanned by the generators on every facet, and
         # it is the largest linear subspace in the cone.
-        if on_all(zeros):
+        everything = (1 << len(gens)) - 1
+        if reduce(and_, zeros, everything):
             raise ValueError("cone contains a line")
         # A generator is extreme iff the facets through it hold no other
         # generator: their intersection is then the generator's own ray.
-        extreme = [i for i in range(len(gens)) if on_all(z for z in zeros if z >> i & 1) == 1 << i]
-        rays = tuple(sorted(gens[i] for i in extreme))
-        index_of = {g: j for j, g in enumerate(rays)}
-        ordered = sorted(
-            (tuple(sorted(index_of[gens[i]] for i in extreme if z >> i & 1)), m)
-            for m, z in zip(normals, zeros)
-        )
+        meets = [everything] * len(gens)  # generator -> the generators on every facet through it
+        for z in zeros:
+            rest = z
+            while rest:
+                low = rest & -rest
+                meets[low.bit_length() - 1] &= z
+                rest ^= low
+        order = sorted((i for i, m in enumerate(meets) if m == 1 << i), key=gens.__getitem__)
+        # Each facet's rays as indices into the sorted extreme rays.
+        ordered = sorted((tuple([j for j, i in enumerate(order) if z >> i & 1]), m)
+                         for m, z in zip(normals, zeros))
         span_eqs = tuple(sorted(_sign_canonical(v) for v in lineality))
-        return cls._make(ambient_rank, rays, ambient_rank - len(lineality), span_eqs,
+        return cls._make(ambient_rank, tuple(gens[i] for i in order), ambient_rank - len(lineality), span_eqs,
                          tuple(m for _, m in ordered), tuple(frozenset(inc) for inc, _ in ordered))
 
     @classmethod
     def _zero(cls, ambient_rank: int) -> "Cone":
-        span = tuple(tuple(1 if i == j else 0 for j in range(ambient_rank)) for i in range(ambient_rank))
-        return cls._make(ambient_rank, (), 0, span, (), ())
+        return cls._make(ambient_rank, (), 0, identity_matrix(ambient_rank), (), ())
 
     @classmethod
     def from_inequalities(
@@ -195,11 +199,12 @@ class Cone:
         facet's hyperplane is spanned by its rays, so every row defining it
         is a positive multiple of the one primitive inward normal.
 
-        Zero, lower-dimensional and 1-ray cones go through ``_build``, whose
-        own run fixes their span equations and relative facet normals.
+        Zero, lower-dimensional and 1-ray cones go to ``_from_primitive``
+        (the rays are primitive and distinct already), whose own run fixes
+        their span equations and relative facet normals.
         """
         if equalities or len(rays) < 2 or reduce(and_, zeros):
-            return cls._build(ambient_rank, rays)
+            return cls._from_primitive(ambient_rank, rays)
         vanish = [0] * len(inequalities)  # row -> bitmask of the rays it vanishes on
         for i, z in enumerate(zeros):
             bit = 1 << i
@@ -301,9 +306,7 @@ class Cone:
 
     def face_cone(self, face: Face) -> "Cone":
         """The face as a cone in the same ambient lattice."""
-        if not face.ray_indices:
-            return Cone._zero(self.ambient_rank)
-        return Cone._build(self.ambient_rank, [self.rays[i] for i in face.ray_indices])
+        return Cone._from_primitive(self.ambient_rank, [self.rays[i] for i in face.ray_indices])
 
     # -- relations ---------------------------------------------------------
 

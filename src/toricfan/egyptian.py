@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .cone import Cone, Face, Position, classify_position
+from .cone import Cone, Position, classify_position
 from . import divisor as divisor_ops
 from .errors import InvariantError
 from .exactlin import LatticeVector, dot, primitive, rational_kernel
@@ -168,7 +168,7 @@ def remaining_cone(sigma: Cone, ray: Sequence[int]) -> Cone:
     if r not in sigma.rays:
         raise ValueError(f"{tuple(ray)} is not an extreme ray of the cone")
     others = [g for g in sigma.rays if g != r]
-    return Cone.from_rays(sigma.ambient_rank, others) if others else sigma.face_cone(Face((), 0))
+    return Cone._from_primitive(sigma.ambient_rank, others)  # sigma's own rays: primitive, distinct
 
 
 def classify_pyramidal(sigma: Cone, ray: Sequence[int]) -> PyramidalClassification:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import gcd, lcm
 from operator import and_, mul
 from typing import Optional, Sequence
@@ -50,7 +50,9 @@ def dot(a: Sequence, b: Sequence):
     return sum(map(mul, a, b))
 
 
+@cache
 def identity_matrix(k: int) -> IntegerMatrix:
+    """The k x k identity, made once per k: the rows are tuples, so sharing is safe."""
     return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
 
 
@@ -472,7 +474,7 @@ def _double_description(n: int, equalities, inequalities, start=None) -> tuple[l
     width-checked.
     """
     if start is None:
-        lineality = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        lineality = list(identity_matrix(n))
         rays, zeros, known = [], [], 0
     else:
         lineality = []

@@ -8,16 +8,19 @@ sides, and a generic point lies in exactly one cone.  That proves a complete
 fan in one pass over the facets.  Anything else (a lower-dimensional cone,
 an unmatched facet, an incomplete fan or a non-fan) goes to the pairwise
 check: every intersection of maximal cones must be a common face, and no
-maximal cone may contain another.  The wall check passes on a valid fan
-exactly when it is complete, so its verdict is kept, and so is the facet
-map it ran on (each facet with the cones it bounds).  Walls (the
-codimension-one cones) are built from that map on first use; ``find_wall``
-looks one up in it.  Star quotients are memoized per ray.  Quotient fans
-and small modifications are validated, with the same checks, on the cones
-they were built from.  Those cones run no double description of their own:
-a quotient cone of a full-dimensional star cone is read off that cone's
-facets through the ray (``_star_image``), and the pieces of a split star
-cone off the cone's facets and its beyond facet (``egyptian.split_star``).
+maximal cone may contain another.  A cone is built only after its ray
+indices pass, so its rays, checked primitive and distinct, go straight to
+``Cone._from_primitive`` with no second primitivization.  The wall check
+passes on a valid fan exactly when it is complete, so its verdict is kept,
+and so is the facet map it ran on (each facet with the cones it bounds).
+Walls (the codimension-one cones) are built from that map on first use;
+``find_wall`` looks one up in it.  Star quotients are memoized per ray.
+Quotient fans and small modifications are validated, with the same checks,
+on the cones they were built from.  Those cones run no double description
+of their own: a quotient cone of a full-dimensional star cone is read off
+that cone's facets through the ray (``_star_image``), and the pieces of a
+split star cone off the cone's facets and its beyond facet
+(``egyptian.split_star``).
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ class Fan:
         max_cones: Sequence[Sequence[int]],
     ) -> "Fan":
         """Validate and build a fan from global rays and ray-index cones."""
-        built = (Cone.from_rays(ambient_rank, [rays[i] for i in mc]) for mc in max_cones)
+        built = (Cone._from_primitive(ambient_rank, [tuple(rays[i]) for i in mc]) for mc in max_cones)
         return cls._validated(ambient_rank, rays, max_cones, built)
 
     @classmethod
@@ -115,6 +118,8 @@ class Fan:
                 raise ValueError(f"maximal cone {j} repeats a ray index")
             if any(not 0 <= i < len(ray_list) for i in idx):
                 raise ValueError(f"maximal cone {j} has a ray index out of range")
+            if not idx:
+                raise ValueError("cone needs at least one generator")
             cone = next(given)
             if set(cone.rays) != {ray_list[i] for i in idx}:
                 raise ValueError(f"maximal cone {j} lists a non-extreme generator")
@@ -133,7 +138,7 @@ class Fan:
             if cone.dim == n:
                 bits = [1 << index_of[r] for r in cone.rays]
                 for inc, normal in cone.facet_pairs():
-                    facets.setdefault(sum(bits[k] for k in inc), []).append((j, normal))
+                    facets.setdefault(sum(map(bits.__getitem__, inc)), []).append((j, normal))
 
         complete = _covers_once(n, cones, facets)
         if not complete:
@@ -145,7 +150,7 @@ class Fan:
         object.__setattr__(self, "max_cones", tuple(mc_list))
         object.__setattr__(self, "cones", tuple(cones))
         object.__setattr__(self, "_complete", complete)
-        object.__setattr__(self, "_facets", {mask: tuple(j for j, _ in pairs) for mask, pairs in facets.items()})
+        object.__setattr__(self, "_facets", {mask: tuple([j for j, _ in pairs]) for mask, pairs in facets.items()})
         object.__setattr__(self, "_walls", None)
         object.__setattr__(self, "_quotients", {})
         return self

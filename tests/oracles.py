@@ -5,7 +5,9 @@ Cramer solve, plain enumeration.  Nothing imports the solver paths under
 test, so agreement between an oracle and the library is meaningful.  The one
 exception, ``picard_by_cartier_lattice``, computes the Picard group from the
 library's Cartier lattice and Smith normal form, which ``picard_group`` no
-longer uses.
+longer uses.  ``reference_build`` is the cone layer's earlier read-off, kept
+as the reference for the one-pass read-off that replaced it, on the same
+double description.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
+from toricfan.cone import Cone, _sign_canonical
 from toricfan.divisor import _cartier_lattice
-from toricfan.exactlin import cokernel_group, dot, mat_vec
+from toricfan.exactlin import _double_description, cokernel_group, dot, mat_vec, primitive
 
 
 def det_cofactor(m) -> int:
@@ -487,3 +490,37 @@ def picard_by_cartier_lattice(fan):
         coords.append(x)
     relation_matrix = [list(col) for col in zip(*coords)]  # rank x n
     return cokernel_group(relation_matrix, len(lattice))
+
+
+def reference_build(ambient_rank, generators):
+    """The cone on the generators as ``Cone.from_rays`` built it before the
+    one-pass read-off, with the same checks and messages: primitivize and
+    deduplicate, run the double description on the dual, then find the
+    extreme generators by one meet of facet masks per generator and the
+    facets' rays by a dictionary lookup per (facet, ray) pair."""
+    gens = list(generators)
+    if not gens:
+        raise ValueError("cone needs at least one generator")
+    if any(len(g) != ambient_rank for g in gens):
+        raise ValueError("generator length differs from the ambient rank")
+    gens = list(dict.fromkeys(primitive(g) for g in gens))
+    lineality, normals, zeros = _double_description(ambient_rank, (), gens)
+
+    def on_all(masks) -> int:
+        out = (1 << len(gens)) - 1
+        for z in masks:
+            out &= z
+        return out
+
+    if on_all(zeros):
+        raise ValueError("cone contains a line")
+    extreme = [i for i in range(len(gens)) if on_all(z for z in zeros if z >> i & 1) == 1 << i]
+    rays = tuple(sorted(gens[i] for i in extreme))
+    index_of = {g: j for j, g in enumerate(rays)}
+    ordered = sorted(
+        (tuple(sorted(index_of[gens[i]] for i in extreme if z >> i & 1)), m)
+        for m, z in zip(normals, zeros)
+    )
+    span_eqs = tuple(sorted(_sign_canonical(v) for v in lineality))
+    return Cone._make(ambient_rank, rays, ambient_rank - len(lineality), span_eqs,
+                      tuple(m for _, m in ordered), tuple(frozenset(inc) for inc, _ in ordered))

@@ -1,0 +1,85 @@
+"""The CLI's exit-code contract on seeded random fans, run in-process.
+
+The fans are face fans of random hulls in dimensions 2-4
+(``test_fan.random_face_fan``, which ``random_complete_threefolds`` also
+draws from), complete and projective, with points in boxes small enough to
+give non-simplicial cones, plus random subsets of their maximal
+cones, reindexed to the rays they use, which are mostly incomplete.  Each
+goes through ``validate``, ``complete``, ``picard``, ``classgroup``,
+``projective``, ``egyptian`` and ``modify`` with ``--json``, the last two at
+a random ray and with ``--allow-incomplete`` on an incomplete fan.  Every run
+must exit 0, 1 or 2 and report no ``internal_error``.  Completeness is
+checked against ``oracles.wall_criterion_complete`` and the Picard group
+against ``oracles.picard_by_cartier_lattice``.
+
+``index``, ``degree`` and ``report`` are left out: on ordinary fans
+``index`` need not finish and ``report``'s lattice-point scan can reach its
+resource limit (ROADMAP items 1 and 2).  The work is bounded by the number
+of cases, not by a timer.
+"""
+
+import contextlib
+import io
+import json
+import random
+
+from oracles import picard_by_cartier_lattice, wall_criterion_complete
+from test_fan import random_cone_subset, random_face_fan
+from toricfan import cli
+
+COMMANDS = ("validate", "complete", "picard", "classgroup", "projective", "egyptian", "modify")
+FANS_PER_DIMENSION = {2: 8, 3: 8, 4: 4}
+SUBSETS_PER_FAN = 2
+
+
+def random_fans(seed: int):
+    """Seeded face fans per ``FANS_PER_DIMENSION``, each followed by
+    ``SUBSETS_PER_FAN`` fans on random proper subsets of its cones."""
+    rng = random.Random(seed)
+    for d, count in FANS_PER_DIMENSION.items():
+        drawn = 0
+        while drawn < count:
+            fan = random_face_fan(rng, d, box=rng.choice((1, 2, 3)))
+            if fan is None:
+                continue
+            drawn += 1
+            yield fan, rng
+            for _ in range(SUBSETS_PER_FAN):
+                yield random_cone_subset(rng, fan), rng
+
+
+def run_json(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.run(argv + ["--json"])
+    return code, json.loads(buf.getvalue())
+
+
+def test_random_fans_keep_the_exit_code_contract(tmp_path):
+    seen = {"complete": 0, "incomplete": 0, "not egyptian": 0}
+    codes = set()
+    for k, (fan, rng) in enumerate(random_fans(seed=3)):
+        path = tmp_path / f"fan{k}.json"
+        path.write_text(cli.fan_to_json(fan))
+        complete = wall_criterion_complete(fan)
+        seen["complete" if complete else "incomplete"] += 1
+        ray = str(rng.randrange(len(fan.rays)))
+        for command in COMMANDS:
+            argv = [command, "--fan", str(path)]
+            if command in ("egyptian", "modify"):
+                argv += ["--ray", ray] + ([] if complete else ["--allow-incomplete"])
+            code, report = run_json(argv)
+            assert code in (0, 1, 2) and "internal_error" not in report, (fan, argv, report)
+            codes.add(code)
+            if command == "complete":
+                assert report["complete"] is complete and code == (0 if complete else 1)
+            seen["not egyptian"] += command == "egyptian" and code == 1
+            if command == "picard":  # refused on an incomplete fan
+                assert code == (0 if complete else 2)
+                if complete:
+                    group = picard_by_cartier_lattice(fan)
+                    assert (report["picard"]["rank"], report["picard"]["invariant_factors"]) == \
+                        (group.rank, list(group.invariant_factors))
+    assert seen["complete"] == sum(FANS_PER_DIMENSION.values()) and seen["incomplete"] >= 20, seen
+    assert seen["not egyptian"], seen
+    assert codes == {0, 1, 2}

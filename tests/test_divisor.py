@@ -500,7 +500,7 @@ class TestPolytopeVertices:
         monkeypatch.setattr(divisor, "_double_description", counting)
         for name in ("solve_linear", "matrix_rank"):
             monkeypatch.setattr(divisor, name, refused)
-        monkeypatch.setattr(Cone, "_build", classmethod(refused))
+        monkeypatch.setattr(Cone, "_from_primitive", classmethod(refused))
         assert divisor_polytope(yu.fan, witness).vertices
         assert calls == [5]
 

@@ -205,21 +205,40 @@ def as_case(fan):
     return fan.ambient_rank, fan.rays, [list(mc) for mc in fan.max_cones]
 
 
+def random_face_fan(rng: random.Random, d: int, box: int = 3):
+    """The face fan of the hull of d + 3 to d + 7 random points in
+    [-box, box]^d, or None when the origin is not inside the hull: a complete
+    fan, and a projective one.  A small box puts many points on one facet."""
+    points = {tuple(rng.randint(-box, box) for _ in range(d)) for _ in range(rng.randint(d + 3, d + 7))}
+    hull = Cone.from_rays(d + 1, [p + (1,) for p in points])
+    if hull.dim < d + 1 or any(m[d] <= 0 for m in hull.facet_normals):
+        return None
+    rays = [primitive(v[:d]) for v in hull.rays]
+    return Fan.from_cones(d, rays, [sorted(inc) for inc, _ in hull.facet_pairs()])
+
+
+def random_cone_subset(rng: random.Random, fan):
+    """The fan on a random proper subset of the fan's maximal cones,
+    reindexed to the rays they use: an incomplete fan."""
+    kept = sorted(rng.sample(fan.max_cones, rng.randint(1, len(fan.max_cones) - 1)))
+    used = sorted({i for mc in kept for i in mc})
+    cones = [[used.index(i) for i in mc] for mc in kept]
+    return Fan.from_cones(fan.ambient_rank, [fan.rays[i] for i in used], cones)
+
+
 def random_complete_threefolds(seed: int, count: int):
     """Seeded complete 3-D fans: the face fan of the hull of 6-10 random
-    points in [-3, 3]^3 around the origin, then 0-6 random 2-2 flips, where
-    cones (x, y, c) and (x, y, d) become (x, c, d) and (y, c, d).  A flip is
-    kept only when ``Fan.from_cones`` validates the result and it is
-    complete, so flips can leave the projective fans."""
+    points in [-3, 3]^3 around the origin (``random_face_fan``), then 0-6
+    random 2-2 flips, where cones (x, y, c) and (x, y, d) become (x, c, d)
+    and (y, c, d).  A flip is kept only when ``Fan.from_cones`` validates the
+    result and it is complete, so flips can leave the projective fans."""
     rng = random.Random(seed)
     fans = []
     while len(fans) < count:
-        points = {tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(rng.randint(6, 10))}
-        hull = Cone.from_rays(4, [p + (1,) for p in points])
-        if hull.dim < 4 or any(m[3] <= 0 for m in hull.facet_normals):
-            continue  # the origin is not inside
-        rays = [primitive(v[:3]) for v in hull.rays]
-        fan = Fan.from_cones(3, rays, [sorted(inc) for inc, _ in hull.facet_pairs()])
+        fan = random_face_fan(rng, 3)
+        if fan is None:
+            continue
+        rays = fan.rays
         for _ in range(rng.randint(0, 6)):
             wall = rng.choice(fan.walls)
             pair = [fan.max_cones[j] for j in wall.incident]
@@ -455,15 +474,17 @@ class TestFindWall:
 
 
 def count_builds(monkeypatch):
-    """Record the ambient rank of every cone ``Cone._build`` builds from now on."""
+    """Record the ambient rank of every ``Cone._from_primitive`` call from now
+    on: every cone built by a double description of its own, by
+    ``Cone.from_rays`` and fan loads alike, goes through it."""
     calls = []
-    build = Cone._build
+    build = Cone._from_primitive
 
     def counting(cls, n, generators):
         calls.append(n)
         return build(n, generators)
 
-    monkeypatch.setattr(Cone, "_build", classmethod(counting))
+    monkeypatch.setattr(Cone, "_from_primitive", classmethod(counting))
     return calls
 
 
@@ -535,6 +556,14 @@ class TestConeReuse:
             with pytest.raises(ValueError) as misaligned:
                 Fan._validated(n, rays, cones, fan.cones[1:] + fan.cones[:1])
             assert str(misaligned.value) == str(non_extreme.value)
+
+    def test_build_counter_counts_every_cone_of_a_load(self, monkeypatch):
+        built = count_builds(monkeypatch)
+        for case in (cube_face_fan(3), cross_polytope_fan(4)):
+            Fan.from_cones(*case)
+        assert built == [3] * 6 + [4] * 16
+        Cone.from_rays(2, [(2, 0), (0, 1), (1, 1)])
+        assert built[-1] == 2 and len(built) == 23
 
     def test_split_star_builds_only_the_pieces(self, yu_grid, monkeypatch):
         fan = yu_grid(6, 2).fan
