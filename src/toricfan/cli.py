@@ -268,7 +268,9 @@ def _cmd_cartier(args, report):
 def _cmd_index(args, report):
     fan, _, _ = _load_fan(args, report)
     coeffs = _load_divisor(args, fan)
+    started = time.perf_counter()
     index = divisor_ops.cartier_index(fan, coeffs)
+    report["timings"]["index_s"] = round(time.perf_counter() - started, 6)
     report["q_cartier"] = index is not None
     report["cartier_index"] = index
     return EXIT_OK if index is not None else EXIT_PROPERTY_FAILS
@@ -299,10 +301,13 @@ def _cmd_classgroup(args, report):
 
 def _cmd_projective(args, report):
     fan, _, _ = _load_fan(args, report)
+    started = time.perf_counter()
     try:
         result = divisor_ops.is_projective(fan)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    finally:
+        report["timings"]["projective_s"] = round(time.perf_counter() - started, 6)
     report["projective"] = result.feasible
     if result.feasible:
         report["ample_divisor"] = list(result.witness_divisor)
@@ -524,7 +529,7 @@ def run(argv: Sequence[str]) -> int:
         report["internal_error"] = f"{type(exc).__name__}: {exc}"
         code = EXIT_INTERNAL_ERROR
     total_s = round(time.perf_counter() - started, 6)
-    loaded = report.pop("timings", {})  # load_s, picard_s, split_s, verify_s; timings stay the last key
+    loaded = report.pop("timings", {})  # load_s and the stage timings; timings stay the last key
     report["exit_code"] = code
     report["timings"] = {"total_s": total_s, **loaded}
     _print_report(report, getattr(args, "json", False))

@@ -5,35 +5,35 @@ A divisor is a plain sequence of integer coefficients, one per fan ray, in
 the fan's ray order.  Cartier data assigns to every maximal cone a character
 vector that evaluates to minus the coefficient on each of the cone's rays;
 the divisor is Cartier when integral characters exist, Q-Cartier when
-rational ones do.  The Picard rank is read off the cones' linear relations;
-only projectivity builds the lattice of T-Cartier divisors.  Divisor
-polytopes come from one double description.  All decisions are exact.
+rational ones do.  One per-cone construction serves the Picard group and
+projectivity: a rational kernel of a cone's rays followed by the rays
+outside it gives the cone's linear relations and its strict-convexity rows,
+all in divisor coordinates.  The Cartier index is taken in closed form.
+Divisor polytopes and the projectivity search each take one double
+description.  All decisions are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import factorial, floor, ceil, lcm
+from operator import and_
 from typing import Optional, Sequence
 
 from .errors import InvariantError, ResourceLimitError
 from .exactlin import (
     FGAbelianGroup,
-    LatticeVector,
-    StrictSystem,
     _double_description,
     cokernel_group,
     dot,
     hermite_normal_form,
-    identity_matrix,
-    integral_kernel,
     mat_vec,
     matrix_rank,
     rational_kernel,
     solve_linear,
-    strict_feasible,
     transpose,
 )
 from .fan import Fan
@@ -116,31 +116,45 @@ def is_q_cartier(fan: Fan, divisor: ToricDivisor) -> bool:
     return cartier_data(fan, divisor, mode="rational") is not None
 
 
-def _divisors_of(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+def _closed_form_index(fan: Fan, coeffs: Sequence[int]) -> Optional[int]:
+    """Least c >= 1 with c*D Cartier, unchecked; None when D is not Q-Cartier.
+
+    Cone sigma, its rays the rows of A, asks for an integral m with A m = b,
+    b = -a on sigma.  With the Hermite form H = A U (U unimodular), the
+    independent nonzero columns H' of H are a basis of A Z^n.  So D is
+    Q-Cartier on sigma iff b = H' y for a rational y, which is unique, and
+    c*b lies in A Z^n iff c*y is integral, iff the lcm d_sigma of y's
+    denominators divides c.  The c that every cone accepts are the multiples
+    of lcm(d_sigma), and the least of them is the index.  On a full-dimensional
+    sigma, y = U^-1 m for its unique character m, which has y's
+    denominators, as U is unimodular: d_sigma is read off m.
+    """
+    index = 1
+    for mc in fan.max_cones:
+        rows = [fan.rays[k] for k in mc]
+        rhs = [-coeffs[k] for k in mc]
+        sol = solve_linear(rows, rhs)
+        if sol is not None and sol.kernel:  # lower-dimensional: coordinates in the Hermite basis
+            h, _ = hermite_normal_form(rows)
+            basis = [j for j in range(len(h[0])) if any(row[j] for row in h)]
+            sol = solve_linear([[row[j] for j in basis] for row in h], rhs)
+        if sol is None:
+            return None
+        for x in sol.particular:
+            index = lcm(index, x.denominator)
+    return index
 
 
 def cartier_index(fan: Fan, divisor: ToricDivisor) -> Optional[int]:
     """Least c >= 1 with c*D Cartier, or None when D is not even Q-Cartier.
 
-    Any rational solution scaled by the lcm L of its denominators is
-    integral, so the set of Cartier multiples is a nonzero ideal containing
-    L; the index is its smallest positive element, found among L's divisors.
-    """
+    Taken in closed form (``_closed_form_index`` proves it least), then
+    re-checked: c*D must have integral Cartier data."""
     coeffs = _check_divisor(fan, divisor)
-    data = cartier_data(fan, coeffs, mode="rational")
-    if data is None:
-        return None
-    denominator_lcm = 1
-    for character in data.characters:
-        for x in character:
-            denominator_lcm = lcm(denominator_lcm, Fraction(x).denominator)
-    for c in _divisors_of(denominator_lcm):
-        scaled = [c * a for a in coeffs]
-        if cartier_data(fan, scaled, mode="integral") is not None:
-            return c
-    raise InvariantError("the denominator lcm itself must give a Cartier multiple")
+    index = _closed_form_index(fan, coeffs)
+    if index is not None and cartier_data(fan, [index * a for a in coeffs]) is None:
+        raise InvariantError("the closed-form Cartier index does not give a Cartier multiple")
+    return index
 
 
 def class_group(fan: Fan) -> FGAbelianGroup:
@@ -150,39 +164,24 @@ def class_group(fan: Fan) -> FGAbelianGroup:
     return cokernel_group(fan.rays, len(fan.rays))
 
 
-def _combine(coeffs: Sequence[int], vectors: Sequence[LatticeVector]) -> LatticeVector:
-    """The integer combination of ``vectors`` with the leading ``coeffs``."""
-    out = [0] * len(vectors[0])
-    for c, vec in zip(coeffs, vectors):
-        if c:
-            out = [x + c * y for x, y in zip(out, vec)]
-    return tuple(out)
+def _cone_rows(fan: Fan, mc, outside=()) -> list[list[int]]:
+    """Ray-indexed rows of one rational kernel of sigma's rays, then ``outside``'s.
 
-
-def _cartier_lattice(fan: Fan) -> tuple[LatticeVector, ...]:
-    """The T-Cartier divisors with their Cartier data, in a Hermite basis.
-
-    A basis of the integer solutions of ``m_sigma(l_k) + a_k = 0`` over the
-    maximal cones and their rays.  Each vector holds one coefficient per ray,
-    then ``s`` blocks of ``n`` character coordinates, one block per maximal
-    cone.  On a complete fan the characters are fixed by the coefficients,
-    so the column echelon form puts every pivot on a coefficient: basis
-    vector ``j`` is zero on the coefficients before its pivot.
-
-    Built cone by cone from the coefficient unit vectors: cone sigma keeps
-    the integer combinations ``c`` of the current basis ``B`` that agree
-    with a character ``m`` on its rays, the integral kernel ``(c, m)`` of
-    ``[B on sigma's rays | rays of sigma]``, and ``c @ B`` gains ``m`` as
-    sigma's block.  They are a basis of the lattice of the cones so far; a
-    lattice has one column Hermite basis, whatever basis it starts from.
-    Only ``is_projective`` reads it; ``picard_group`` reads cone relations.
+    On a full-dimensional sigma all n pivots fall in sigma's columns, so
+    the free columns are sigma's |sigma| - n others, whose rows are sigma's
+    linear relations, then one per outside ray k: a row v, zero off sigma
+    and k, with v_k > 0 and ``sum_j v_j l_j = 0``.  On a divisor a with
+    character m_sigma on sigma, v . a = v_k * (a_k + m_sigma(l_k)): v is
+    the strict-convexity row of sigma at k, scaled by v_k.
     """
-    basis = identity_matrix(len(fan.rays))
-    for mc in fan.max_cones:
-        kernel = integral_kernel([tuple(b[k] for b in basis) + fan.rays[k] for k in mc])
-        basis = [_combine(v, basis) + v[len(basis):] for v in kernel]
-    h, _ = hermite_normal_form(transpose(basis))
-    return tuple(col for col in transpose(h) if any(col))
+    order = list(mc) + list(outside)
+    rows = []
+    for vector in rational_kernel(transpose([fan.rays[k] for k in order])):
+        row = [0] * len(fan.rays)
+        for k, c in zip(order, vector):
+            row[k] = c
+        rows.append(row)
+    return rows
 
 
 def picard_group(fan: Fan) -> FGAbelianGroup:
@@ -205,14 +204,7 @@ def picard_group(fan: Fan) -> FGAbelianGroup:
     if not fan.is_complete():
         raise ValueError("picard group computation requires a complete fan")
     n = fan.ambient_rank
-    rows = []
-    for mc in fan.max_cones:
-        if len(mc) > n:
-            for relation in rational_kernel(transpose([fan.rays[k] for k in mc])):
-                row = [0] * len(fan.rays)
-                for k, c in zip(mc, relation):
-                    row[k] = c
-                rows.append(row)
+    rows = [row for mc in fan.max_cones if len(mc) > n for row in _cone_rows(fan, mc)]
     principals = transpose(fan.rays)
     if any(any(mat_vec(principals, row)) for row in rows):
         raise InvariantError("principal divisor is not Cartier: a cone relation does not vanish on it")
@@ -246,36 +238,34 @@ def _strictly_convex(fan: Fan, coeffs, characters) -> bool:
 
 
 def is_projective(fan: Fan) -> ProjectivityResult:
-    """Search for an ample divisor in the Cartier lattice.
+    """Search for an ample divisor in divisor coordinates.
 
-    In a basis of the Cartier lattice (``_cartier_lattice``), strict
-    convexity of the support function is one strict row per maximal cone
-    sigma and ray k outside it: ``m_sigma(l_k) + a_k > 0``.  The integral
-    witness gives a point of the lattice, which carries the ample divisor and
-    its characters together; both are re-checked before they are returned.
+    ``_cone_rows`` gives each maximal cone's relations, whose common zeros
+    are the Q-Cartier divisors, and its strict-convexity rows, which on a
+    complete fan decide ampleness (Cox, Little & Schenck, *Toric
+    Varieties*, ch. 6).  One double description gives {relations = 0, rows
+    >= 0}; as in ``strict_feasible``, the strict system is infeasible iff
+    some row vanishes on every extreme ray.  Otherwise the witness is the
+    sum of each ray's least Cartier multiple (``_closed_form_index``): it is
+    Cartier, and every row is nonnegative on each term and positive on one.
+    Its Cartier data and strict convexity are re-checked.
     """
     if not fan.is_complete():
         raise ValueError("projectivity test requires a complete fan")
-    n = fan.ambient_rank
-    r = len(fan.rays)
-    lattice = _cartier_lattice(fan)
-    stricts = []
-    for ci, mc in enumerate(fan.max_cones):
-        inside = set(mc)
-        for k, ray in enumerate(fan.rays):
-            if k not in inside:
-                stricts.append(tuple(v[k] + dot(v[r + ci * n:r + (ci + 1) * n], ray) for v in lattice))
-    result = strict_feasible(StrictSystem((), tuple(stricts), len(lattice)))
-    if not result.feasible:
+    n, r = fan.ambient_rank, len(fan.rays)
+    equalities, stricts = [], []
+    for mc in fan.max_cones:
+        rows = _cone_rows(fan, mc, [k for k in range(r) if k not in mc])
+        equalities += rows[:len(mc) - n]
+        stricts += rows[len(mc) - n:]
+    _, rays, zeros = _double_description(r, equalities, stricts)
+    if reduce(and_, zeros, (1 << len(stricts)) - 1):
         return ProjectivityResult(False, None, None)
-    point = mat_vec(transpose(lattice), result.witness)
-    divisor = tuple(point[:r])
+    terms = [(_closed_form_index(fan, ray), ray) for ray in rays]
+    divisor = tuple(sum(c * ray[k] for c, ray in terms) for k in range(r))
     data = cartier_data(fan, divisor)
-    characters = tuple(tuple(point[r + ci * n:r + (ci + 1) * n]) for ci in range(len(fan.max_cones)))
-    if data is None or data.characters != characters:
-        raise InvariantError("projectivity witness characters are not the Cartier data of its divisor")
-    if not _strictly_convex(fan, divisor, characters):
-        raise InvariantError("projectivity witness failed the ampleness check")
+    if data is None or not _strictly_convex(fan, divisor, data.characters):
+        raise InvariantError("projectivity witness is not an ample Cartier divisor")
     return ProjectivityResult(True, divisor, data)
 
 

@@ -2,12 +2,16 @@
 
 Everything here is deliberately self-contained: its own determinant, its own
 Cramer solve, plain enumeration.  Nothing imports the solver paths under
-test, so agreement between an oracle and the library is meaningful.  The one
-exception, ``picard_by_cartier_lattice``, computes the Picard group from the
-library's Cartier lattice and Smith normal form, which ``picard_group`` no
-longer uses.  ``reference_build`` is the cone layer's earlier read-off, kept
-as the reference for the one-pass read-off that replaced it, on the same
-double description.
+test, so agreement between an oracle and the library is meaningful.  The
+exceptions are earlier library paths, kept as references for the ones that
+replaced them.  ``cartier_lattice`` is the cone-by-cone Hermite lattice of
+T-Cartier divisors, built on the library's integral kernels;
+``picard_by_cartier_lattice`` reads the Picard group off it with the
+library's Smith normal form, and ``projective_by_cartier_lattice`` decides
+projectivity on it with ``strict_feasible``.  ``cartier_index_by_scan``
+tries every divisor of the denominator lcm with ``cartier_data``.
+``reference_build`` is the cone layer's earlier read-off, on the same double
+description as the one-pass read-off that replaced it.
 """
 
 from __future__ import annotations
@@ -17,8 +21,20 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from toricfan.cone import Cone, _sign_canonical
-from toricfan.divisor import _cartier_lattice
-from toricfan.exactlin import _double_description, cokernel_group, dot, mat_vec, primitive
+from toricfan.divisor import ProjectivityResult, _strictly_convex, cartier_data
+from toricfan.exactlin import (
+    StrictSystem,
+    _double_description,
+    cokernel_group,
+    dot,
+    hermite_normal_form,
+    identity_matrix,
+    integral_kernel,
+    mat_vec,
+    primitive,
+    strict_feasible,
+    transpose,
+)
 
 
 def det_cofactor(m) -> int:
@@ -462,16 +478,102 @@ def count_triangle_interior(t: int) -> int:
     return count
 
 
+def _combine(coeffs, vectors):
+    """The integer combination of ``vectors`` with the leading ``coeffs``."""
+    out = [0] * len(vectors[0])
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            out = [x + c * y for x, y in zip(out, vec)]
+    return tuple(out)
+
+
+def cartier_lattice(fan):
+    """The T-Cartier divisors with their Cartier data, in a Hermite basis.
+
+    A basis of the integer solutions of ``m_sigma(l_k) + a_k = 0`` over the
+    maximal cones and their rays.  Each vector holds one coefficient per ray,
+    then ``s`` blocks of ``n`` character coordinates, one block per maximal
+    cone.  On a complete fan the characters are fixed by the coefficients,
+    so the column echelon form puts every pivot on a coefficient: basis
+    vector ``j`` is zero on the coefficients before its pivot.
+
+    Built cone by cone from the coefficient unit vectors: cone sigma keeps
+    the integer combinations ``c`` of the current basis ``B`` that agree
+    with a character ``m`` on its rays, the integral kernel ``(c, m)`` of
+    ``[B on sigma's rays | rays of sigma]``, and ``c @ B`` gains ``m`` as
+    sigma's block.  They are a basis of the lattice of the cones so far; a
+    lattice has one column Hermite basis, whatever basis it starts from.
+    """
+    basis = identity_matrix(len(fan.rays))
+    for mc in fan.max_cones:
+        kernel = integral_kernel([tuple(b[k] for b in basis) + fan.rays[k] for k in mc])
+        basis = [_combine(v, basis) + v[len(basis):] for v in kernel]
+    h, _ = hermite_normal_form(transpose(basis))
+    return tuple(col for col in transpose(h) if any(col))
+
+
+def projective_by_cartier_lattice(fan):
+    """Projectivity of a complete fan decided in a basis of the Cartier lattice.
+
+    Strict convexity is one strict row per maximal cone sigma and ray k
+    outside it, ``m_sigma(l_k) + a_k > 0``, in the coordinates of
+    ``cartier_lattice``.  The integral witness of ``strict_feasible`` is a
+    lattice point, which carries the ample divisor and its characters
+    together; both are checked before they are returned.
+    """
+    n, r = fan.ambient_rank, len(fan.rays)
+    lattice = cartier_lattice(fan)
+    stricts = []
+    for ci, mc in enumerate(fan.max_cones):
+        for k, ray in enumerate(fan.rays):
+            if k not in mc:
+                stricts.append(tuple(v[k] + dot(v[r + ci * n:r + (ci + 1) * n], ray) for v in lattice))
+    result = strict_feasible(StrictSystem((), tuple(stricts), len(lattice)))
+    if not result.feasible:
+        return ProjectivityResult(False, None, None)
+    point = mat_vec(transpose(lattice), result.witness)
+    divisor = tuple(point[:r])
+    data = cartier_data(fan, divisor)
+    characters = tuple(tuple(point[r + ci * n:r + (ci + 1) * n]) for ci in range(len(fan.max_cones)))
+    if data is None or data.characters != characters:
+        raise AssertionError("lattice witness characters are not the Cartier data of its divisor")
+    if not _strictly_convex(fan, divisor, characters):
+        raise AssertionError("lattice witness failed the ampleness check")
+    return ProjectivityResult(True, divisor, data)
+
+
+def denominator_lcm(fan, divisor):
+    """The lcm of the denominators of the rational characters, a Cartier
+    multiple of the divisor, or None when it is not Q-Cartier."""
+    data = cartier_data(fan, divisor, mode="rational")
+    if data is None:
+        return None
+    return lcm(*(Fraction(x).denominator for character in data.characters for x in character))
+
+
+def cartier_index_by_scan(fan, divisor):
+    """Least c >= 1 with c*D Cartier, or None when D is not Q-Cartier, by
+    trying every divisor of ``denominator_lcm`` L in increasing order.  The
+    loop runs over ``range(1, L + 1)``: keep L small."""
+    bound = denominator_lcm(fan, divisor)
+    if bound is None:
+        return None
+    for c in range(1, bound + 1):
+        if bound % c == 0 and cartier_data(fan, [c * a for a in divisor]) is not None:
+            return c
+    raise AssertionError("the denominator lcm itself must give a Cartier multiple")
+
+
 def picard_by_cartier_lattice(fan):
     """Pic of a complete fan as a quotient of lattices, torsion included.
 
-    The coefficient parts of the Cartier lattice (``divisor._cartier_lattice``)
+    The coefficient parts of the Cartier lattice (``cartier_lattice``)
     are a column echelon basis of the Cartier divisors; the principal divisors
     are expressed in it by forward substitution down its pivots, checked in
     integers, and the quotient read off a Smith normal form.
     """
     num_rays = len(fan.rays)
-    lattice = _cartier_lattice(fan)
+    lattice = cartier_lattice(fan)
     if not lattice:
         raise AssertionError("complete fan admits no Cartier divisors at all")
     basis = [[v[k] for v in lattice] for k in range(num_rays)]  # num_rays x rank

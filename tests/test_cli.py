@@ -20,6 +20,7 @@ from toricfan.cli import (
 )
 from toricfan.egyptian import egyptian_report
 from toricfan.fan import Fan
+from test_divisor import LARGE_LCM_DIVISOR, LARGE_LCM_FAN
 from test_fan import cross_polytope_fan, cube_face_fan
 
 
@@ -249,16 +250,12 @@ class TestCommandBranches:
         code, report = _json_run(argv, capsys)
         assert "internal_error" not in report and code in (EXIT_OK, EXIT_PROPERTY_FAILS)
         timings = report["timings"]
-        if command == "picard":
-            assert list(timings) == ["total_s", "load_s", "picard_s"]
-            # Each figure is rounded to the microsecond.
-            assert 0 <= timings["picard_s"] and timings["load_s"] + timings["picard_s"] <= timings["total_s"] + 2e-6
-        elif command == "modify":
-            assert list(timings) == ["total_s", "load_s", "split_s", "verify_s"]
-            parts = timings["load_s"] + timings["split_s"] + timings["verify_s"]
-            assert min(timings.values()) >= 0 and parts <= timings["total_s"] + 3e-6
-        else:
-            assert list(timings) == ["total_s", "load_s"]
+        stages = {"picard": ["picard_s"], "projective": ["projective_s"], "index": ["index_s"],
+                  "modify": ["split_s", "verify_s"]}.get(command, [])
+        assert list(timings) == ["total_s", "load_s"] + stages
+        # Each figure is rounded to the microsecond.
+        parts = [timings[key] for key in ["load_s"] + stages]
+        assert min(parts) >= 0 and sum(parts) <= timings["total_s"] + 1e-6 * len(parts)
         assert 0 <= timings["load_s"] <= timings["total_s"]
         assert list(report)[-1] == "timings"
 
@@ -298,6 +295,17 @@ class TestDivisorCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["q_cartier"] is True
         assert report["cartier_index"] == 1
+
+    def test_index_in_closed_form(self, tmp_path, capsys):
+        dim, rays, cones = LARGE_LCM_FAN
+        fan_file = tmp_path / "large_lcm.json"
+        fan_file.write_text(json.dumps({"dim": dim, "rays": rays, "max_cones": cones}))
+        divisor = tmp_path / "d.json"
+        divisor.write_text(json.dumps({"coefficients": LARGE_LCM_DIVISOR}))
+        assert run(["index", "--fan", str(fan_file), "--divisor", str(divisor), "--json"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["q_cartier"] is True and report["cartier_index"] == 333_839_880
+        assert 0 <= report["timings"]["index_s"] < 0.5
 
     def test_degree_on_projective_space(self, tmp_path, capsys):
         fan_file = tmp_path / "p2.json"

@@ -6,16 +6,19 @@ draws from), complete and projective, with points in boxes small enough to
 give non-simplicial cones, plus random subsets of their maximal
 cones, reindexed to the rays they use, which are mostly incomplete.  Each
 goes through ``validate``, ``complete``, ``picard``, ``classgroup``,
-``projective``, ``egyptian`` and ``modify`` with ``--json``, the last two at
-a random ray and with ``--allow-incomplete`` on an incomplete fan.  Every run
-must exit 0, 1 or 2 and report no ``internal_error``.  Completeness is
-checked against ``oracles.wall_criterion_complete`` and the Picard group
-against ``oracles.picard_by_cartier_lattice``.
+``projective``, ``egyptian``, ``modify`` and ``index`` with ``--json``:
+``egyptian`` and ``modify`` at a random ray and with ``--allow-incomplete``
+on an incomplete fan, ``index`` on a seeded divisor with coefficients -1..3.
+Every run must exit 0, 1 or 2 and report no ``internal_error``; ``index``
+exits 0 or 1.  Completeness is checked against
+``oracles.wall_criterion_complete``, the Picard group against
+``oracles.picard_by_cartier_lattice``, and the Cartier index against
+``oracles.cartier_index_by_scan`` whenever ``oracles.denominator_lcm``,
+which the scan walks up to, is at most ``SCAN_LIMIT``.
 
-``index``, ``degree`` and ``report`` are left out: on ordinary fans
-``index`` need not finish and ``report``'s lattice-point scan can reach its
-resource limit (ROADMAP items 1 and 2).  The work is bounded by the number
-of cases, not by a timer.
+``degree`` and ``report`` are left out: ``report``'s lattice-point scan can
+reach its resource limit on ordinary fans (ROADMAP item 1).  The work is
+bounded by the number of cases, not by a timer.
 """
 
 import contextlib
@@ -23,11 +26,12 @@ import io
 import json
 import random
 
-from oracles import picard_by_cartier_lattice, wall_criterion_complete
+from oracles import cartier_index_by_scan, denominator_lcm, picard_by_cartier_lattice, wall_criterion_complete
 from test_fan import random_cone_subset, random_face_fan
 from toricfan import cli
 
-COMMANDS = ("validate", "complete", "picard", "classgroup", "projective", "egyptian", "modify")
+COMMANDS = ("validate", "complete", "picard", "classgroup", "projective", "egyptian", "modify", "index")
+SCAN_LIMIT = 10_000
 FANS_PER_DIMENSION = {2: 8, 3: 8, 4: 4}
 SUBSETS_PER_FAN = 2
 
@@ -56,11 +60,15 @@ def run_json(argv):
 
 
 def test_random_fans_keep_the_exit_code_contract(tmp_path):
-    seen = {"complete": 0, "incomplete": 0, "not egyptian": 0}
+    seen = {"complete": 0, "incomplete": 0, "not egyptian": 0, "index scanned": 0, "index past the scan": 0}
     codes = set()
+    divisor_rng = random.Random(4)  # apart from the fans' generator, which draws the rays
     for k, (fan, rng) in enumerate(random_fans(seed=3)):
         path = tmp_path / f"fan{k}.json"
         path.write_text(cli.fan_to_json(fan))
+        divisor = [divisor_rng.randint(-1, 3) for _ in fan.rays]
+        divisor_path = tmp_path / f"divisor{k}.json"
+        divisor_path.write_text(json.dumps({"coefficients": divisor}))
         complete = wall_criterion_complete(fan)
         seen["complete" if complete else "incomplete"] += 1
         ray = str(rng.randrange(len(fan.rays)))
@@ -68,6 +76,8 @@ def test_random_fans_keep_the_exit_code_contract(tmp_path):
             argv = [command, "--fan", str(path)]
             if command in ("egyptian", "modify"):
                 argv += ["--ray", ray] + ([] if complete else ["--allow-incomplete"])
+            if command == "index":
+                argv += ["--divisor", str(divisor_path)]
             code, report = run_json(argv)
             assert code in (0, 1, 2) and "internal_error" not in report, (fan, argv, report)
             codes.add(code)
@@ -80,6 +90,14 @@ def test_random_fans_keep_the_exit_code_contract(tmp_path):
                     group = picard_by_cartier_lattice(fan)
                     assert (report["picard"]["rank"], report["picard"]["invariant_factors"]) == \
                         (group.rank, list(group.invariant_factors))
+            if command == "index":
+                assert code == (0 if report["q_cartier"] else 1)
+                bound = denominator_lcm(fan, divisor)
+                if bound is None or bound <= SCAN_LIMIT:
+                    seen["index scanned"] += 1
+                    assert report["cartier_index"] == cartier_index_by_scan(fan, divisor), (fan, divisor)
+                else:
+                    seen["index past the scan"] += 1
     assert seen["complete"] == sum(FANS_PER_DIMENSION.values()) and seen["incomplete"] >= 20, seen
-    assert seen["not egyptian"], seen
+    assert seen["not egyptian"] and seen["index scanned"] >= 40, seen
     assert codes == {0, 1, 2}

@@ -2,14 +2,24 @@
 projectivity, polytopes, counting polynomials, growth statements."""
 
 import random
+import time
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import product
 from math import gcd
 
 import pytest
 
-from oracles import count_triangle_interior, gcd_of_minors, picard_by_cartier_lattice, subset_vertex_polytope
-from test_fan import cross_polytope_fan, cube_face_fan
+from oracles import (
+    cartier_index_by_scan,
+    cartier_lattice,
+    count_triangle_interior,
+    gcd_of_minors,
+    picard_by_cartier_lattice,
+    projective_by_cartier_lattice,
+    subset_vertex_polytope,
+)
+from test_fan import cross_polytope_fan, cube_face_fan, random_complete_threefolds
 from toricfan import divisor
 from toricfan.cone import Cone
 from toricfan.divisor import (
@@ -43,6 +53,18 @@ from toricfan.egyptian import small_modification
 from toricfan.families import projective_space_fan
 from toricfan.fan import Fan
 
+
+# An incomplete 4-fan whose rational characters for LARGE_LCM_DIVISOR have
+# denominators of lcm 333,839,880, itself the Cartier index.
+LARGE_LCM_FAN = (
+    4,
+    [(-2, -2, 2, 3), (-2, 3, 2, 3), (-1, -2, -1, 3), (-1, 3, -2, 1), (0, 0, -1, 0),
+     (2, 0, 0, -3), (2, 0, 3, 1), (2, 3, 1, 2), (3, 2, 0, -1)],
+    [[0, 1, 3, 5], [0, 1, 5, 6], [1, 2, 3, 7], [0, 2, 5, 6], [0, 1, 2, 7], [2, 4, 7, 8],
+     [1, 6, 7, 8], [2, 5, 6, 8], [1, 5, 6, 8], [1, 3, 5, 8], [2, 6, 7, 8], [0, 2, 3, 4],
+     [1, 3, 7, 8], [0, 1, 2, 3], [2, 4, 5, 8]],
+)
+LARGE_LCM_DIVISOR = (0, 0, 3, 2, 3, 2, 1, 0, 3)
 
 COMPLETE_FIXTURES = (
     "p1_fan", "p2_fan", "p3_fan", "p1xp1_fan", "weighted_p112_fan",
@@ -193,6 +215,28 @@ class TestCartierIndex:
             scaled = cartier_index(weighted_p112_fan, [c, 0, 0])
             assert scaled == index // gcd(c, index)
 
+    def test_closed_form_on_a_large_denominator_lcm(self):
+        # Trying every divisor of the lcm took 24 s here.
+        fan = Fan.from_cones(*LARGE_LCM_FAN)
+        started = time.perf_counter()
+        index = cartier_index(fan, LARGE_LCM_DIVISOR)
+        elapsed = time.perf_counter() - started
+        assert index == 333_839_880
+        assert elapsed < 0.5, f"cartier_index took {elapsed:.2f}s"
+
+    def test_lower_dimensional_cones_match_the_scan(self):
+        # A lower-dimensional cone's character is not unique.  On the ray
+        # (2, 1, 0) the rational solve pins it to (-a_0 / 2, 0, 0), yet
+        # (0, -a_0, 0) is integral: the index reads coordinates in a Hermite
+        # basis instead.
+        fan = Fan.from_cones(3, [(2, 1, 0), (0, 1, 2), (2, 0, 1), (1, 1, 3)], [[0], [1, 2], [3]])
+        assert cartier_index(fan, (1, 0, 0, 0)) == 1
+        assert cartier_index(Fan.from_cones(2, [(2, 1), (0, 1)], [[0, 1]]), (1, 0)) == 2
+        rng = random.Random(23)
+        for _ in range(30):
+            d = tuple(rng.randint(-3, 5) for _ in fan.rays)
+            assert cartier_index(fan, d) == cartier_index_by_scan(fan, d), d
+
 
 class TestClassGroup:
     def test_p2(self, p2_fan):
@@ -257,15 +301,19 @@ class TestPicardGroup:
 
 
 class TestCartierLattice:
+    """The cone-by-cone lattice oracle against one monolithic kernel."""
+
     def test_matches_monolithic_reference(self, request, yu_grid):
         for fan in _reference_fans(request, yu_grid):
-            assert divisor._cartier_lattice(fan) == _monolithic_cartier_lattice(fan), fan.rays
+            assert cartier_lattice(fan) == _monolithic_cartier_lattice(fan), fan.rays
 
     def test_congruence_on_weighted_fan(self, weighted_p112_fan):
         # a_0 D_0 + a_1 D_1 + a_2 D_2 is Cartier exactly when a_0 = a_2 mod 2.
-        lattice = divisor._cartier_lattice(weighted_p112_fan)
+        lattice = cartier_lattice(weighted_p112_fan)
         assert [v[:3] for v in lattice] == [(1, 0, 1), (0, 1, 0), (0, 0, 2)]
         assert lattice == _monolithic_cartier_lattice(weighted_p112_fan)
+        for a in product(range(-2, 3), repeat=3):
+            assert cartier_index(weighted_p112_fan, a) == (1 if (a[0] - a[2]) % 2 == 0 else 2), a
 
 
 class TestAmpleness:
@@ -360,6 +408,28 @@ class TestProjectivity:
         verdicts = [is_projective(fan).feasible for fan in fans]
         assert verdicts == [_chained_agreement_feasible(fan) for fan in fans]
         assert True in verdicts and False in verdicts
+
+    def test_agrees_with_cartier_lattice_oracle(self, request, yu_grid):
+        # The verdicts of the Hermite-lattice search it replaced; every
+        # witness of either is re-checked ample.
+        fans = _reference_fans(request, yu_grid) + random_complete_threefolds(seed=5, count=6)
+        fans += [small_modification(yu_grid(n, u).fan, 0).fan for n in range(3, 7) for u in range(1, 4)]
+        verdicts = []
+        for fan in fans:
+            result, reference = is_projective(fan), projective_by_cartier_lattice(fan)
+            assert result.feasible == reference.feasible, fan.rays
+            for found in (result, reference):
+                assert not found.feasible or is_ample(fan, found.witness_divisor), fan.rays
+            verdicts.append(result.feasible)
+        assert True in verdicts and False in verdicts
+
+    def test_witness_is_rechecked(self, p2_fan, monkeypatch):
+        # Extreme rays left unscaled sum to a non-Cartier divisor here, which must not pass.
+        monkeypatch.setattr(divisor, "_closed_form_index", lambda fan, coeffs: 1)
+        assert is_projective(p2_fan).feasible
+        weighted = Fan.from_cones(2, [(1, 0), (1, 2), (-1, -1)], [[0, 1], [1, 2], [0, 2]])
+        with pytest.raises(InvariantError, match="not an ample Cartier divisor"):
+            is_projective(weighted)
 
     def test_incomplete_rejected(self):
         from toricfan.fan import Fan
