@@ -253,16 +253,16 @@ def _cmd_complete(args, report):
 def _cmd_cartier(args, report):
     fan, _, _ = _load_fan(args, report)
     coeffs = _load_divisor(args, fan)
-    integral = divisor_ops.cartier_data(fan, coeffs, mode="integral")
-    # Cartier implies Q-Cartier, so the rational data is needed only without integral data.
-    rational = integral if integral is not None else divisor_ops.cartier_data(fan, coeffs, mode="rational")
-    report["cartier"] = integral is not None
+    # The divisor is Cartier exactly when its rational characters are integral.
+    rational = divisor_ops.cartier_data(fan, coeffs, mode="rational")
+    integral = rational is not None and all(x.denominator == 1 for m in rational.characters for x in m)
+    report["cartier"] = integral
     report["q_cartier"] = rational is not None
-    if integral is not None:
-        report["characters"] = [list(m) for m in integral.characters]
+    if integral:
+        report["characters"] = [[x.numerator for x in m] for m in rational.characters]
     elif rational is not None:
-        report["rational_characters"] = [[str(Fraction(x)) for x in m] for m in rational.characters]
-    return EXIT_OK if integral is not None else EXIT_PROPERTY_FAILS
+        report["rational_characters"] = [[str(x) for x in m] for m in rational.characters]
+    return EXIT_OK if integral else EXIT_PROPERTY_FAILS
 
 
 def _cmd_index(args, report):

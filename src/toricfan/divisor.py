@@ -5,10 +5,12 @@ A divisor is a plain sequence of integer coefficients, one per fan ray, in
 the fan's ray order.  Cartier data assigns to every maximal cone a character
 vector that evaluates to minus the coefficient on each of the cone's rays;
 the divisor is Cartier when integral characters exist, Q-Cartier when
-rational ones do.  One per-cone construction serves the Picard group and
-projectivity: a rational kernel of a cone's rays followed by the rays
-outside it gives the cone's linear relations and its strict-convexity rows,
-all in divisor coordinates.  The Cartier index is taken in closed form.
+rational ones do.  One rational character per cone (``_characters``; the
+Hermite one on a lower-dimensional cone) decides both, and the lcm of its
+denominators is the Cartier index, re-checked in integers.  One per-cone
+construction serves the Picard group and projectivity: a rational kernel of
+a cone's rays followed by the rays outside it gives the cone's linear
+relations and its strict-convexity rows, all in divisor coordinates.
 Divisor polytopes and the projectivity search each take one double
 description.  All decisions are exact.
 """
@@ -27,9 +29,9 @@ from .errors import InvariantError, ResourceLimitError
 from .exactlin import (
     FGAbelianGroup,
     _double_description,
+    _hermite_coordinates,
     cokernel_group,
     dot,
-    hermite_normal_form,
     mat_vec,
     matrix_rank,
     rational_kernel,
@@ -90,70 +92,74 @@ def _check_divisor(fan: Fan, divisor: ToricDivisor) -> tuple[int, ...]:
     return coeffs
 
 
+def _characters(fan: Fan, coeffs: Sequence[int]) -> Optional[tuple[tuple[Fraction, ...], ...]]:
+    """One rational character per maximal cone sigma, m_sigma(l_k) = -a_k on
+    its rays, or None when D is not Q-Cartier.
+
+    On a full-dimensional sigma it is the unique solution.  On a lower-
+    dimensional one it is U' y from ``_hermite_coordinates`` on sigma's rays,
+    and integral characters of c*D on sigma exist iff c y is integral, iff
+    c U' y is, U' being part of a unimodular U.  Either way c*D is Cartier
+    iff every c m_sigma is integral: the Cartier index is the lcm of their
+    denominators (``_least_multiple``).
+    """
+    characters = []
+    for mc, cone in zip(fan.max_cones, fan.cones):
+        rows = [fan.rays[k] for k in mc]
+        rhs = [-coeffs[k] for k in mc]
+        if cone.dim == fan.ambient_rank:
+            sol = solve_linear(rows, rhs)
+            character = None if sol is None else sol.particular
+        else:
+            y, basis, _ = _hermite_coordinates(rows, rhs)
+            character = None if y is None else mat_vec(basis, y)
+        if character is None:
+            return None
+        characters.append(character)
+    return tuple(characters)
+
+
+def _least_multiple(characters) -> int:
+    """The lcm of the characters' denominators: the least c >= 1 with c*D Cartier (see ``_characters``)."""
+    return lcm(*(x.denominator for character in characters for x in character))
+
+
 def cartier_data(fan: Fan, divisor: ToricDivisor, mode: str = "integral") -> Optional[CartierData]:
     """Per-cone characters m with m(l_k) = -a_k on each cone's rays, or None.
 
-    ``integral`` decides Cartier, ``rational`` decides Q-Cartier.  For
-    full-dimensional cones the character is unique when it exists; for
-    lower-dimensional cones the free coordinates of the solution are pinned
-    to zero.
+    ``integral`` decides Cartier, ``rational`` decides Q-Cartier, both on
+    the characters of ``_characters``: unique on a full-dimensional cone,
+    the Hermite one on a lower-dimensional cone.
     """
     if mode not in ("integral", "rational"):
         raise ValueError(f"unknown mode {mode!r}")
-    coeffs = _check_divisor(fan, divisor)
-    characters = []
-    for mc in fan.max_cones:
-        rows = [fan.rays[k] for k in mc]
-        rhs = [-coeffs[k] for k in mc]
-        sol = solve_linear(rows, rhs, mode=mode)
-        if sol is None:
-            return None
-        characters.append(tuple(sol.particular))
-    return CartierData(tuple(characters), mode)
+    characters = _characters(fan, _check_divisor(fan, divisor))
+    if characters is None:
+        return None
+    if mode == "rational":
+        return CartierData(characters, mode)
+    if any(x.denominator != 1 for character in characters for x in character):
+        return None
+    return CartierData(tuple(tuple(x.numerator for x in character) for character in characters), mode)
 
 
 def is_q_cartier(fan: Fan, divisor: ToricDivisor) -> bool:
-    return cartier_data(fan, divisor, mode="rational") is not None
-
-
-def _closed_form_index(fan: Fan, coeffs: Sequence[int]) -> Optional[int]:
-    """Least c >= 1 with c*D Cartier, unchecked; None when D is not Q-Cartier.
-
-    Cone sigma, its rays the rows of A, asks for an integral m with A m = b,
-    b = -a on sigma.  With the Hermite form H = A U (U unimodular), the
-    independent nonzero columns H' of H are a basis of A Z^n.  So D is
-    Q-Cartier on sigma iff b = H' y for a rational y, which is unique, and
-    c*b lies in A Z^n iff c*y is integral, iff the lcm d_sigma of y's
-    denominators divides c.  The c that every cone accepts are the multiples
-    of lcm(d_sigma), and the least of them is the index.  On a full-dimensional
-    sigma, y = U^-1 m for its unique character m, which has y's
-    denominators, as U is unimodular: d_sigma is read off m.
-    """
-    index = 1
-    for mc in fan.max_cones:
-        rows = [fan.rays[k] for k in mc]
-        rhs = [-coeffs[k] for k in mc]
-        sol = solve_linear(rows, rhs)
-        if sol is not None and sol.kernel:  # lower-dimensional: coordinates in the Hermite basis
-            h, _ = hermite_normal_form(rows)
-            basis = [j for j in range(len(h[0])) if any(row[j] for row in h)]
-            sol = solve_linear([[row[j] for j in basis] for row in h], rhs)
-        if sol is None:
-            return None
-        for x in sol.particular:
-            index = lcm(index, x.denominator)
-    return index
+    return _characters(fan, _check_divisor(fan, divisor)) is not None
 
 
 def cartier_index(fan: Fan, divisor: ToricDivisor) -> Optional[int]:
-    """Least c >= 1 with c*D Cartier, or None when D is not even Q-Cartier.
-
-    Taken in closed form (``_closed_form_index`` proves it least), then
-    re-checked: c*D must have integral Cartier data."""
+    """Least c >= 1 with c*D Cartier, or None when D is not even Q-Cartier:
+    the lcm of the characters' denominators (``_characters`` proves it least),
+    re-checked in integers, as c*m_sigma is -c*a_k on each ray k of sigma."""
     coeffs = _check_divisor(fan, divisor)
-    index = _closed_form_index(fan, coeffs)
-    if index is not None and cartier_data(fan, [index * a for a in coeffs]) is None:
-        raise InvariantError("the closed-form Cartier index does not give a Cartier multiple")
+    characters = _characters(fan, coeffs)
+    if characters is None:
+        return None
+    index = _least_multiple(characters)
+    for mc, character in zip(fan.max_cones, characters):
+        point, rest = zip(*(divmod(index * x.numerator, x.denominator) for x in character))
+        if any(rest) or any(dot(point, fan.rays[k]) != -index * coeffs[k] for k in mc):
+            raise InvariantError("the Cartier index does not give an integral character")
     return index
 
 
@@ -246,7 +252,7 @@ def is_projective(fan: Fan) -> ProjectivityResult:
     Varieties*, ch. 6).  One double description gives {relations = 0, rows
     >= 0}; as in ``strict_feasible``, the strict system is infeasible iff
     some row vanishes on every extreme ray.  Otherwise the witness is the
-    sum of each ray's least Cartier multiple (``_closed_form_index``): it is
+    sum of each ray's least Cartier multiple (``_least_multiple``): it is
     Cartier, and every row is nonnegative on each term and positive on one.
     Its Cartier data and strict convexity are re-checked.
     """
@@ -261,7 +267,7 @@ def is_projective(fan: Fan) -> ProjectivityResult:
     _, rays, zeros = _double_description(r, equalities, stricts)
     if reduce(and_, zeros, (1 << len(stricts)) - 1):
         return ProjectivityResult(False, None, None)
-    terms = [(_closed_form_index(fan, ray), ray) for ray in rays]
+    terms = [(_least_multiple(_characters(fan, ray)), ray) for ray in rays]
     divisor = tuple(sum(c * ray[k] for c, ray in terms) for k in range(r))
     data = cartier_data(fan, divisor)
     if data is None or not _strictly_convex(fan, divisor, data.characters):

@@ -4,6 +4,9 @@ Everything here runs on Python's arbitrary-precision integers.  Rank,
 kernels and rational solving share one fraction-free elimination on integer
 rows (Bareiss-style cross-multiplication, as in ``determinant``);
 ``fractions.Fraction`` appears only in rational particular solutions.
+Lattice questions read one column Hermite form: integral solving, integer
+kernels and the divisor layer's characters share ``_hermite_coordinates``,
+and the Smith form alternates Hermite forms of a matrix and its transpose.
 Polyhedral questions share one integer double-description routine,
 ``_double_description``: the cone layer (``toricfan.cone``) builds, converts
 and meets cones with it (a meet starts from one cone's known rays and adds
@@ -260,85 +263,41 @@ def hermite_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntegerMatrix, Inte
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """Smith normal form ``S = U @ M @ V`` with a divisibility chain on the diagonal."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [list(row) for row in m]
-    u = [list(row) for row in identity_matrix(rows)]
-    v = [list(row) for row in identity_matrix(cols)]
+    """Smith normal form ``S = U @ M @ V`` with a divisibility chain on the diagonal.
 
-    def row_axpy(dst, src, q):
-        if q:
-            a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-            u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def col_axpy(dst, src, q):
-        if q:
-            for r in a:
-                r[dst] -= q * r[src]
-            for r in v:
-                r[dst] -= q * r[src]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    t = 0
-    while t < min(rows, cols):
-        # Move a minimal nonzero entry of the trailing block to the pivot.
-        entries = [(abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j] != 0]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            col_swap(t, pj)
-        while True:
-            # Clear the pivot column, then the pivot row, restarting whenever
-            # a remainder becomes the new (smaller) pivot.
-            restart = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    row_axpy(i, t, a[i][t] // a[t][t])
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
-                        restart = True
-                        break
-            if restart:
+    Column Hermite forms of A and of its transpose alternate, each
+    transform multiplied into V or U, until A is diagonal (Kannan & Bachem,
+    SIAM J. Comput. 1979).  This ends: each form's first pivot divides the
+    last one's, and once they are equal the first row and column hold that
+    pivot alone, which every later form keeps; the trailing block then goes
+    the same way.  The last form is echelon, so the positive entries come
+    first.  Each pair (d_i, d_j), i < j, with d_i not dividing d_j becomes
+    (gcd, lcm) by one unimodular 2 x 2 step on each side, which leaves d_i
+    dividing every later entry.
+    """
+    a, right = hermite_normal_form(m)
+    left, flipped = identity_matrix(len(m)), False  # a = left @ M @ right, or M^T when flipped
+    while any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+        a, w = hermite_normal_form(transpose(a))  # a^T @ w = right^T @ (M or M^T)^T @ left^T @ w
+        left, right, flipped = transpose(right), mat_mul(transpose(left), w), not flipped
+    a, u, v = (transpose(a), transpose(right), transpose(left)) if flipped else (a, left, right)
+    a, u, v = [list(row) for row in a], [list(row) for row in u], [list(row) for row in v]
+    rank = sum(1 for i in range(min(len(a), len(v))) if a[i][i])
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            x, y = a[i][i], a[j][j]
+            if y % x == 0:
                 continue
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    col_axpy(j, t, a[t][j] // a[t][t])
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # Divisibility: the pivot must divide every remaining entry.
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_axpy(t, offender, -1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-
-    s = tuple(tuple(row) for row in a)
-    return s, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
+            g = gcd(x, y)
+            s = pow(x // g, -1, y // g)  # s*x = g mod y, so g = s*x + t*y
+            t = (g - s * x) // y
+            # [[s, t], [-y/g, x/g]] diag(x, y) [[1, -t*y/g], [1, s*x/g]] = diag(g, x*y/g).
+            a[i][i], a[j][j] = g, x * y // g
+            u[i], u[j] = ([s * e + t * f for e, f in zip(u[i], u[j])],
+                          [(x * f - y * e) // g for e, f in zip(u[i], u[j])])
+            for row in v:
+                row[i], row[j] = row[i] + row[j], (s * x * row[j] - t * y * row[i]) // g
+    return tuple(map(tuple, a)), tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
 @dataclass(frozen=True)
@@ -378,32 +337,32 @@ def solve_linear(a: Sequence[Sequence], b: Sequence, mode: str = "rational") -> 
             particular[p] = Fraction(work[r][cols], work[r][p])
         return LinearSolution(tuple(particular), _kernel_of(work, pivots, cols))
 
-    # Integral mode: clear denominators row by row, then pass to Hermite form.
+    # Integral mode: clear denominators row by row, then read Hermite coordinates.
     scaled = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])
-    h, u = hermite_normal_form([row[:cols] for row in scaled])
-    # With H = A @ U, the system A x = b becomes H y = b, x = U y.  Each
-    # nonzero column j of the echelon H fixes y_j at its first nonzero row;
-    # the zero columns are free (y_j = 0) and span the kernel.
-    y = [0] * cols
-    pivot_rows = set()
-    kernel = []
-    for j in range(cols):
-        i = next((i for i, row in enumerate(h) if row[j]), None)
-        if i is None:
-            kernel.append(tuple(row[j] for row in u))
-            continue
-        y[j], rest = divmod(scaled[i][cols] - dot(h[i][:j], y[:j]), h[i][j])
-        if rest:
-            return None
-        pivot_rows.add(i)
-    particular = mat_vec(u, y)
-    # Pivot rows hold by construction when H = A @ U is echelon; a row
-    # without a pivot that fails has no solution, since y is forced on the
-    # pivot columns and the free columns do not move A x.
-    violated = {i for i, row in enumerate(scaled) if dot(row[:cols], particular) != row[cols]}
-    if violated & pivot_rows:
-        raise InvariantError("hermite form is not an echelon form of A @ U")
-    return None if violated else LinearSolution(particular, tuple(kernel))
+    y, basis, kernel = _hermite_coordinates([row[:cols] for row in scaled], [row[cols] for row in scaled])
+    if y is None or any(x.denominator != 1 for x in y):
+        return None
+    particular = mat_vec(basis, [x.numerator for x in y])
+    if any(dot(row[:cols], particular) != row[cols] for row in scaled):
+        raise InvariantError("hermite form is not A @ U: its solution breaks a row of A")
+    return LinearSolution(particular, kernel)
+
+
+def _hermite_coordinates(a: Sequence[Sequence[int]], b: Sequence) -> tuple:
+    """``(y, U', kernel)`` for ``a @ x = b``, from the Hermite form ``H = a @ U``.
+
+    The nonzero columns H' of the echelon H are a basis of the lattice
+    a Z^n, since U is unimodular.  So ``a x = b`` is consistent iff
+    ``H' y = b`` is, y is then unique, and the solutions are ``U' y`` (U'
+    the matching columns of U, returned as rows) plus the kernel, U's other
+    columns: integer ones exist iff y is integral.  y is None when
+    ``a x = b`` is inconsistent.
+    """
+    h, u = hermite_normal_form(a)
+    rank = sum(1 for j in range(len(u)) if any(row[j] for row in h))
+    kernel = tuple(tuple(row[j] for row in u) for j in range(rank, len(u)))
+    sol = solve_linear([row[:rank] for row in h], b)
+    return None if sol is None else sol.particular, tuple(row[:rank] for row in u), kernel
 
 
 def integral_kernel(a: Sequence[Sequence[int]]) -> tuple[LatticeVector, ...]:
@@ -411,8 +370,7 @@ def integral_kernel(a: Sequence[Sequence[int]]) -> tuple[LatticeVector, ...]:
     ``U`` where the Hermite form ``H = a @ U`` is zero."""
     if not a:
         raise ValueError("empty system has unknown width")
-    h, u = hermite_normal_form(a)
-    return tuple(tuple(row[j] for row in u) for j in range(len(u)) if not any(r[j] for r in h))
+    return _hermite_coordinates(a, [0] * len(a))[2]
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,13 @@ test, so agreement between an oracle and the library is meaningful.  The
 exceptions are earlier library paths, kept as references for the ones that
 replaced them.  ``cartier_lattice`` is the cone-by-cone Hermite lattice of
 T-Cartier divisors, built on the library's integral kernels;
-``picard_by_cartier_lattice`` reads the Picard group off it with the
-library's Smith normal form, and ``projective_by_cartier_lattice`` decides
-projectivity on it with ``strict_feasible``.  ``cartier_index_by_scan``
-tries every divisor of the denominator lcm with ``cartier_data``.
+``picard_by_cartier_lattice`` reads the Picard group off it with
+``smith_by_pivoting``, the library's earlier pivot-and-restart Smith form,
+and ``projective_by_cartier_lattice`` decides projectivity on it with
+``strict_feasible``.  ``cartier_index_by_scan`` tries every divisor of the
+denominator lcm with one integral ``solve_linear`` per cone, the bound
+coming from one rational ``solve_linear`` per cone, not from the library's
+per-cone characters.
 ``reference_build`` is the cone layer's earlier read-off, on the same double
 description as the one-pass read-off that replaced it.
 """
@@ -23,15 +26,16 @@ from math import gcd, lcm
 from toricfan.cone import Cone, _sign_canonical
 from toricfan.divisor import ProjectivityResult, _strictly_convex, cartier_data
 from toricfan.exactlin import (
+    FGAbelianGroup,
     StrictSystem,
     _double_description,
-    cokernel_group,
     dot,
     hermite_normal_form,
     identity_matrix,
     integral_kernel,
     mat_vec,
     primitive,
+    solve_linear,
     strict_feasible,
     transpose,
 )
@@ -542,26 +546,115 @@ def projective_by_cartier_lattice(fan):
     return ProjectivityResult(True, divisor, data)
 
 
+def _cone_systems(fan, divisor):
+    """Per maximal cone, its ray rows and the right-hand side -a_k on them."""
+    for mc in fan.max_cones:
+        yield [fan.rays[k] for k in mc], [-divisor[k] for k in mc]
+
+
 def denominator_lcm(fan, divisor):
-    """The lcm of the denominators of the rational characters, a Cartier
-    multiple of the divisor, or None when it is not Q-Cartier."""
-    data = cartier_data(fan, divisor, mode="rational")
-    if data is None:
-        return None
-    return lcm(*(Fraction(x).denominator for character in data.characters for x in character))
+    """The lcm of the denominators of each cone's rational solve (free
+    coordinates pinned to zero), a Cartier multiple of the divisor, or None
+    when it is not Q-Cartier."""
+    bound = 1
+    for rows, rhs in _cone_systems(fan, divisor):
+        sol = solve_linear(rows, rhs)
+        if sol is None:
+            return None
+        bound = lcm(bound, *(x.denominator for x in sol.particular))
+    return bound
 
 
 def cartier_index_by_scan(fan, divisor):
     """Least c >= 1 with c*D Cartier, or None when D is not Q-Cartier, by
-    trying every divisor of ``denominator_lcm`` L in increasing order.  The
-    loop runs over ``range(1, L + 1)``: keep L small."""
+    trying every divisor of ``denominator_lcm`` L in increasing order, each
+    with one integral solve per cone.  The loop runs over ``range(1, L + 1)``:
+    keep L small."""
     bound = denominator_lcm(fan, divisor)
     if bound is None:
         return None
     for c in range(1, bound + 1):
-        if bound % c == 0 and cartier_data(fan, [c * a for a in divisor]) is not None:
+        if bound % c == 0 and all(solve_linear(rows, [c * b for b in rhs], mode="integral") is not None
+                                  for rows, rhs in _cone_systems(fan, divisor)):
             return c
     raise AssertionError("the denominator lcm itself must give a Cartier multiple")
+
+
+def smith_by_pivoting(m):
+    """Smith normal form ``S = U @ M @ V`` by pivoting on a least entry.
+
+    A least nonzero entry of the trailing block moves to the pivot, which
+    clears its column and row by division with remainder, restarting
+    whenever a remainder becomes the new, smaller pivot; a trailing entry
+    the pivot does not divide is added into the pivot row, and the loop
+    repeats until the pivot divides the whole block.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [list(row) for row in m]
+    u = [list(row) for row in identity_matrix(rows)]
+    v = [list(row) for row in identity_matrix(cols)]
+
+    def row_axpy(dst, src, q):
+        if q:
+            a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
+            u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
+
+    def col_axpy(dst, src, q):
+        if q:
+            for r in a:
+                r[dst] -= q * r[src]
+            for r in v:
+                r[dst] -= q * r[src]
+
+    def col_swap(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    t = 0
+    while t < min(rows, cols):
+        entries = [(abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j] != 0]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+            u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            col_swap(t, pj)
+        while True:
+            restart = False
+            for i in range(t + 1, rows):
+                if a[i][t] != 0:
+                    row_axpy(i, t, a[i][t] // a[t][t])
+                    if a[i][t] != 0:
+                        a[t], a[i] = a[i], a[t]
+                        u[t], u[i] = u[i], u[t]
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, cols):
+                if a[t][j] != 0:
+                    col_axpy(j, t, a[t][j] // a[t][t])
+                    if a[t][j] != 0:
+                        col_swap(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            offender = next((i for i in range(t + 1, rows) for j in range(t + 1, cols)
+                             if a[i][j] % a[t][t] != 0), None)
+            if offender is None:
+                break
+            row_axpy(t, offender, -1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return tuple(map(tuple, a)), tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
 def picard_by_cartier_lattice(fan):
@@ -570,7 +663,7 @@ def picard_by_cartier_lattice(fan):
     The coefficient parts of the Cartier lattice (``cartier_lattice``)
     are a column echelon basis of the Cartier divisors; the principal divisors
     are expressed in it by forward substitution down its pivots, checked in
-    integers, and the quotient read off a Smith normal form.
+    integers, and the quotient read off ``smith_by_pivoting``.
     """
     num_rays = len(fan.rays)
     lattice = cartier_lattice(fan)
@@ -591,7 +684,9 @@ def picard_by_cartier_lattice(fan):
             raise AssertionError("principal divisor is not Cartier")
         coords.append(x)
     relation_matrix = [list(col) for col in zip(*coords)]  # rank x n
-    return cokernel_group(relation_matrix, len(lattice))
+    s, _, _ = smith_by_pivoting(relation_matrix)
+    nonzero = [d for d in (s[i][i] for i in range(min(len(s), len(s[0])))) if d]
+    return FGAbelianGroup(len(lattice) - len(nonzero), tuple(d for d in nonzero if d >= 2))
 
 
 def reference_build(ambient_rank, generators):

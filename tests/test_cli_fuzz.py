@@ -6,11 +6,13 @@ draws from), complete and projective, with points in boxes small enough to
 give non-simplicial cones, plus random subsets of their maximal
 cones, reindexed to the rays they use, which are mostly incomplete.  Each
 goes through ``validate``, ``complete``, ``picard``, ``classgroup``,
-``projective``, ``egyptian``, ``modify`` and ``index`` with ``--json``:
-``egyptian`` and ``modify`` at a random ray and with ``--allow-incomplete``
-on an incomplete fan, ``index`` on a seeded divisor with coefficients -1..3.
-Every run must exit 0, 1 or 2 and report no ``internal_error``; ``index``
-exits 0 or 1.  Completeness is checked against
+``projective``, ``egyptian``, ``modify``, ``index`` and ``cartier`` with
+``--json``: ``egyptian`` and ``modify`` at a random ray and with
+``--allow-incomplete`` on an incomplete fan, ``index`` and ``cartier`` on
+the same seeded divisor with coefficients -1..3.  Every run must exit 0, 1
+or 2 and report no ``internal_error``; ``index`` exits 0 or 1, and
+``cartier`` agrees with it: the same ``q_cartier``, and exit 0 exactly
+when the index is 1.  Completeness is checked against
 ``oracles.wall_criterion_complete``, the Picard group against
 ``oracles.picard_by_cartier_lattice``, and the Cartier index against
 ``oracles.cartier_index_by_scan`` whenever ``oracles.denominator_lcm``,
@@ -30,7 +32,7 @@ from oracles import cartier_index_by_scan, denominator_lcm, picard_by_cartier_la
 from test_fan import random_cone_subset, random_face_fan
 from toricfan import cli
 
-COMMANDS = ("validate", "complete", "picard", "classgroup", "projective", "egyptian", "modify", "index")
+COMMANDS = ("validate", "complete", "picard", "classgroup", "projective", "egyptian", "modify", "index", "cartier")
 SCAN_LIMIT = 10_000
 FANS_PER_DIMENSION = {2: 8, 3: 8, 4: 4}
 SUBSETS_PER_FAN = 2
@@ -60,7 +62,8 @@ def run_json(argv):
 
 
 def test_random_fans_keep_the_exit_code_contract(tmp_path):
-    seen = {"complete": 0, "incomplete": 0, "not egyptian": 0, "index scanned": 0, "index past the scan": 0}
+    seen = {"complete": 0, "incomplete": 0, "not egyptian": 0, "index scanned": 0, "index past the scan": 0,
+            "cartier": 0}
     codes = set()
     divisor_rng = random.Random(4)  # apart from the fans' generator, which draws the rays
     for k, (fan, rng) in enumerate(random_fans(seed=3)):
@@ -76,7 +79,7 @@ def test_random_fans_keep_the_exit_code_contract(tmp_path):
             argv = [command, "--fan", str(path)]
             if command in ("egyptian", "modify"):
                 argv += ["--ray", ray] + ([] if complete else ["--allow-incomplete"])
-            if command == "index":
+            if command in ("index", "cartier"):
                 argv += ["--divisor", str(divisor_path)]
             code, report = run_json(argv)
             assert code in (0, 1, 2) and "internal_error" not in report, (fan, argv, report)
@@ -90,7 +93,12 @@ def test_random_fans_keep_the_exit_code_contract(tmp_path):
                     group = picard_by_cartier_lattice(fan)
                     assert (report["picard"]["rank"], report["picard"]["invariant_factors"]) == \
                         (group.rank, list(group.invariant_factors))
+            if command == "cartier":
+                assert report["q_cartier"] == index_report["q_cartier"], (fan, divisor, report)
+                assert code == (0 if index_report["cartier_index"] == 1 else 1), (fan, divisor, report)
+                seen["cartier"] += code == 0
             if command == "index":
+                index_report = report
                 assert code == (0 if report["q_cartier"] else 1)
                 bound = denominator_lcm(fan, divisor)
                 if bound is None or bound <= SCAN_LIMIT:
@@ -99,5 +107,5 @@ def test_random_fans_keep_the_exit_code_contract(tmp_path):
                 else:
                     seen["index past the scan"] += 1
     assert seen["complete"] == sum(FANS_PER_DIMENSION.values()) and seen["incomplete"] >= 20, seen
-    assert seen["not egyptian"] and seen["index scanned"] >= 40, seen
+    assert seen["not egyptian"] and seen["index scanned"] >= 40 and seen["cartier"], seen
     assert codes == {0, 1, 2}

@@ -237,6 +237,29 @@ class TestCartierIndex:
             d = tuple(rng.randint(-3, 5) for _ in fan.rays)
             assert cartier_index(fan, d) == cartier_index_by_scan(fan, d), d
 
+    def test_rational_characters_carry_the_index(self):
+        # On the ray (2, 1, 0) the rref solve gave D = (1, 0, 0, 0) the character
+        # (-1/2, 0, 0) although D is Cartier: each character's denominators must
+        # divide the index, and D is Cartier exactly when the index is 1.
+        fan = Fan.from_cones(3, [(2, 1, 0), (0, 1, 2), (2, 0, 1), (1, 1, 3)], [[0], [1, 2], [3]])
+        rng = random.Random(23)
+        divisors = [(1, 0, 0, 0)] + [tuple(rng.randint(-3, 5) for _ in fan.rays) for _ in range(30)]
+        for d in divisors:
+            index = cartier_index(fan, d)
+            rational = cartier_data(fan, d, mode="rational")
+            assert (index is None) == (rational is None), d
+            if index is not None:
+                assert all((index * x).denominator == 1 for m in rational.characters for x in m), d
+                assert (cartier_data(fan, d) is not None) == (index == 1), d
+        assert cartier_index(fan, (1, 0, 0, 0)) == 1
+
+    def test_index_is_rechecked(self, weighted_p112_fan, monkeypatch):
+        # An index too small for a half-integral character must not pass.
+        monkeypatch.setattr(divisor, "_least_multiple", lambda characters: 1)
+        assert cartier_index(weighted_p112_fan, [2, 0, 0]) == 1
+        with pytest.raises(InvariantError, match="integral character"):
+            cartier_index(weighted_p112_fan, [1, 0, 0])
+
 
 class TestClassGroup:
     def test_p2(self, p2_fan):
@@ -425,7 +448,7 @@ class TestProjectivity:
 
     def test_witness_is_rechecked(self, p2_fan, monkeypatch):
         # Extreme rays left unscaled sum to a non-Cartier divisor here, which must not pass.
-        monkeypatch.setattr(divisor, "_closed_form_index", lambda fan, coeffs: 1)
+        monkeypatch.setattr(divisor, "_least_multiple", lambda characters: 1)
         assert is_projective(p2_fan).feasible
         weighted = Fan.from_cones(2, [(1, 0), (1, 2), (-1, -1)], [[0, 1], [1, 2], [0, 2]])
         with pytest.raises(InvariantError, match="not an ample Cartier divisor"):

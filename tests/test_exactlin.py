@@ -12,6 +12,7 @@ from oracles import (
     feasible_by_vertex_enumeration,
     gcd_of_minors,
     scan_integral_solutions,
+    smith_by_pivoting,
 )
 from toricfan import exactlin
 from toricfan.errors import InvariantError, ResourceLimitError
@@ -633,6 +634,37 @@ def test_smith_properties(sympy):
         assert all(b % a == 0 for a, b in zip(diag[:rank], diag[1:rank]))
         expected = normalforms.invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
         assert diag[:rank] == sorted(abs(int(d)) for d in expected if d)
+
+    check()
+
+
+SMITH_EDGE_SHAPES = ([], [[0, 0], [0, 0]], [[0], [5]], [[4, 6]], [[0, 4], [6, 0]], [[2, 0, 0], [0, 0, 0], [0, 0, 3]])
+
+
+def _check_smith_against_pivoting(m):
+    s, u, v = smith_normal_form(m)
+    reference, _, _ = smith_by_pivoting(m)
+    assert s == reference, m
+    if m:
+        assert mat_mul(mat_mul(u, m), v) == s, m
+        assert is_unimodular(u) and is_unimodular(v), m
+    else:
+        assert s == u == v == ()
+
+
+@pytest.mark.parametrize("m", SMITH_EDGE_SHAPES)
+def test_smith_matches_pivoting_on_edge_shapes(m):
+    _check_smith_against_pivoting(m)
+
+
+def test_smith_matches_pivoting():
+    """The alternating Hermite forms against the pivot-and-restart loop they replaced."""
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hyp.given(_integer_matrices(hyp.strategies))
+    def check(m):
+        _check_smith_against_pivoting(m)
 
     check()
 
