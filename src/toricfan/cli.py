@@ -368,7 +368,11 @@ def _cmd_degree(args, report):
     coeffs = _load_divisor(args, fan)
     try:
         polytope = divisor_ops.divisor_polytope(fan, coeffs)
-        ehrhart, degree = divisor_ops.polytope_degree(polytope, fan.ambient_rank)
+        started = time.perf_counter()
+        try:
+            ehrhart, degree = divisor_ops.polytope_degree(polytope, fan.ambient_rank)
+        finally:
+            report["timings"]["degree_s"] = round(time.perf_counter() - started, 6)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report["vertices"] = [[str(Fraction(x)) for x in v] for v in polytope.vertices]

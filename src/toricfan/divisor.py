@@ -313,34 +313,13 @@ def count_lattice_points(polytope: Polytope, scale: int = 1) -> int:
     return sum(all(dot(normal, point) >= b for normal, b in bounds) for point in product(*sides))
 
 
-def _interpolate(values: Sequence[int]) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the degree-(len-1) polynomial through (i, values[i])."""
-    d = len(values) - 1
-    coeffs = [Fraction(0)] * (d + 1)
-    for i, val in enumerate(values):
-        # Lagrange basis polynomial for node i over nodes 0..d.
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(d + 1):
-            if j == i:
-                continue
-            widened = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):  # multiply by (x - j)
-                widened[k + 1] += c
-                widened[k] -= j * c
-            basis = widened
-            denom *= i - j
-        for k in range(len(basis)):
-            coeffs[k] += Fraction(val) * basis[k] / denom
-    return tuple(coeffs)
-
-
 def polytope_degree(polytope: Polytope, intrinsic_dim: int) -> tuple[tuple[Fraction, ...], int]:
     """Lattice-point counting polynomial of a bounded integral polytope.
 
-    Counts points of t*P for t = 0..d, interpolates the degree-d counting
-    polynomial, and returns it (coefficients ascending) with the degree
-    d! * leading coefficient, an integer for integral polytopes.
+    Counts points of t*P for t = d down to 0 (the largest box first, so the
+    scan limit is met before any scan), solves the Vandermonde system for the
+    counting polynomial, and returns it (coefficients ascending) with the
+    degree d! * leading coefficient, an integer for integral polytopes.
     """
     if not polytope.vertices:
         raise ValueError("empty polytope")
@@ -352,9 +331,10 @@ def polytope_degree(polytope: Polytope, intrinsic_dim: int) -> tuple[tuple[Fract
     actual_dim = matrix_rank(diffs) if diffs else 0
     if actual_dim != intrinsic_dim:
         raise ValueError(f"polytope has affine dimension {actual_dim}, expected {intrinsic_dim}")
-    counts = [count_lattice_points(polytope, t) for t in range(intrinsic_dim + 1)]
-    coeffs = _interpolate(counts)
-    leading = coeffs[intrinsic_dim] * factorial(intrinsic_dim)
+    d = intrinsic_dim
+    counts = [count_lattice_points(polytope, t) for t in range(d, -1, -1)][::-1]
+    coeffs = solve_linear([[t**k for k in range(d + 1)] for t in range(d + 1)], counts).particular
+    leading = coeffs[d] * factorial(d)
     if leading.denominator != 1:
         raise InvariantError("integral polytope produced a non-integral degree")
     return coeffs, int(leading)

@@ -2,11 +2,12 @@
 
 Everything here runs on Python's arbitrary-precision integers.  Rank,
 kernels and rational solving share one fraction-free elimination on integer
-rows (Bareiss-style cross-multiplication, as in ``determinant``);
+rows (row-by-row cross-multiplication, each row divided by its gcd);
 ``fractions.Fraction`` appears only in rational particular solutions.
-Lattice questions read one column Hermite form: integral solving, integer
-kernels and the divisor layer's characters share ``_hermite_coordinates``,
-and the Smith form alternates Hermite forms of a matrix and its transpose.
+Lattice questions read one column Hermite form: a square matrix is
+unimodular iff its form is the identity; integral solving, integer kernels
+and the divisor layer's characters share ``_hermite_coordinates``; and the
+Smith form alternates Hermite forms of a matrix and its transpose.
 Polyhedral questions share one integer double-description routine,
 ``_double_description``: the cone layer (``toricfan.cone``) builds, converts
 and meets cones with it (a meet starts from one cone's known rays and adds
@@ -82,37 +83,6 @@ def primitive(v: Sequence[int]) -> LatticeVector:
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
-
-
-def determinant(m: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(m: Sequence[Sequence[int]]) -> bool:
-    return abs(determinant(m)) == 1
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:

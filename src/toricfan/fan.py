@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import reduce
+from math import lcm
 from operator import and_
 from typing import Iterable, Optional, Sequence
 
@@ -36,7 +37,6 @@ from .errors import InvariantError
 from .exactlin import (
     LatticeVector,
     _eliminate,
-    determinant,
     dot,
     hermite_normal_form,
     identity_matrix,
@@ -343,10 +343,10 @@ class Fan:
         if len(pivot) < n or matrix_rank(other.rays) < n:
             return None  # non-spanning fans: only the identity case above is handled
         r_cols = tuple(zip(*[self.rays[i] for i in pivot]))  # columns are pivot rays
-        det_r = determinant(r_cols)
-        # Columns of adj(R) = det(R) * R^{-1}, one exact solve per unit vector.
-        adj_cols = [tuple(int(det_r * x) for x in solve_linear(r_cols, e).particular)
-                    for e in identity_matrix(n)]
+        # R^{-1}, one exact solve per unit vector, times the lcm of its denominators.
+        inv_cols = [solve_linear(r_cols, e).particular for e in identity_matrix(n)]
+        scale = lcm(*(x.denominator for col in inv_cols for x in col))
+        scaled_cols = [tuple(int(scale * x) for x in col) for col in inv_cols]
 
         other_index = {r: i for i, r in enumerate(other.rays)}
         other_cone_sets = {frozenset(mc) for mc in other.max_cones}
@@ -357,12 +357,13 @@ class Fan:
 
         def try_assignment(images: tuple[int, ...]) -> Optional[FanIsomorphism]:
             s_cols = tuple(zip(*[other.rays[j] for j in images]))
-            # A @ R = S  =>  A = S @ R^{-1} = S @ adj(R) / det(R)
-            raw = [[dot(s_cols[i], col) for col in adj_cols] for i in range(n)]
-            if any(x % det_r for row in raw for x in row):
+            # A @ R = S  =>  A = S @ R^{-1} = S @ scaled_cols / scale
+            raw = [[dot(s_cols[i], col) for col in scaled_cols] for i in range(n)]
+            if any(x % scale for row in raw for x in row):
                 return None
-            a = tuple(tuple(x // det_r for x in row) for row in raw)
-            if abs(determinant(a)) != 1:
+            a = tuple(tuple(x // scale for x in row) for row in raw)
+            # A square integer matrix is unimodular iff its Hermite form is I.
+            if hermite_normal_form(a)[0] != identity_matrix(n):
                 return None
             ray_map = []
             for r in self.rays:

@@ -251,7 +251,7 @@ class TestCommandBranches:
         assert "internal_error" not in report and code in (EXIT_OK, EXIT_PROPERTY_FAILS)
         timings = report["timings"]
         stages = {"picard": ["picard_s"], "projective": ["projective_s"], "index": ["index_s"],
-                  "modify": ["split_s", "verify_s"]}.get(command, [])
+                  "degree": ["degree_s"], "modify": ["split_s", "verify_s"]}.get(command, [])
         assert list(timings) == ["total_s", "load_s"] + stages
         # Each figure is rounded to the microsecond.
         parts = [timings[key] for key in ["load_s"] + stages]

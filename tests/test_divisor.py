@@ -14,6 +14,7 @@ from oracles import (
     cartier_index_by_scan,
     cartier_lattice,
     count_triangle_interior,
+    det_bareiss,
     gcd_of_minors,
     picard_by_cartier_lattice,
     projective_by_cartier_lattice,
@@ -39,7 +40,6 @@ from toricfan import exactlin
 from toricfan.errors import InvariantError, ResourceLimitError
 from toricfan.exactlin import (
     StrictSystem,
-    determinant,
     dot,
     hermite_normal_form,
     integral_kernel,
@@ -294,7 +294,7 @@ class TestPicardGroup:
     def test_smooth_complete_equals_class_group(self, p1_fan, p2_fan, p1xp1_fan, p3_fan):
         for fan in (p1_fan, p2_fan, p1xp1_fan, p3_fan, Fan.from_cones(*cross_polytope_fan(4))):
             for mc in fan.max_cones:
-                assert abs(determinant([fan.rays[k] for k in mc])) == 1
+                assert abs(det_bareiss([fan.rays[k] for k in mc])) == 1
             pic = picard_group(fan)
             cl = class_group(fan)
             assert (pic.rank, pic.invariant_factors) == (cl.rank, cl.invariant_factors)
@@ -508,8 +508,23 @@ class TestPolytopes:
         assert degree == 2 * 2 * 3  # 2! * area of a 2x3 box
 
     def test_box_scan_limit(self, p1xp1_fan, p2_fan, monkeypatch):
+        # Scales are asked largest first: the box at t = d is the largest, so a
+        # polytope past the limit raises before any smaller t is scanned.
+        asked, scanned = [], []
+
+        def recorder(polytope, scale=1):
+            asked.append(scale)
+            count = count_lattice_points(polytope, scale)
+            scanned.append(scale)
+            return count
+
+        monkeypatch.setattr(divisor, "count_lattice_points", recorder)
         with pytest.raises(ResourceLimitError, match="point limit"):
             polytope_degree(divisor_polytope(p2_fan, [100000, 0, 0]), 2)
+        assert asked == [2] and scanned == []
+        asked.clear()
+        assert polytope_degree(divisor_polytope(p2_fan, [1, 0, 0]), 2)[1] == 1
+        assert asked == [2, 1, 0]
         p = divisor_polytope(p1xp1_fan, [2, 3, 0, 0])  # a 3 x 4 box of points
         monkeypatch.setattr(divisor, "_BOX_POINT_LIMIT", 12)
         assert count_lattice_points(p, 1) == 12

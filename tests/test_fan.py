@@ -179,6 +179,16 @@ class TestIsomorphism:
     def test_weighted_not_isomorphic_to_smooth(self, p2_fan, weighted_p112_fan):
         assert p2_fan.isomorphism(weighted_p112_fan) is None
 
+    def test_image_under_a_non_unimodular_map(self, p1xp1_fan):
+        # [[1, 1], [1, -1]] (det -2) carries the rays of P^1 x P^1 onto (+-1, +-1)
+        # and its cones onto cones: the valences agree and an integral matrix maps
+        # rays to rays, so only the unimodularity check rejects it.
+        rays = [(1, 1), (1, -1), (-1, -1), (-1, 1)]
+        rotated = Fan.from_cones(2, rays, [list(mc) for mc in p1xp1_fan.max_cones])
+        assert rotated.is_complete()
+        assert p1xp1_fan.isomorphism(rotated) is None
+        assert rotated.isomorphism(p1xp1_fan) is None
+
 
 class TestProjectiveSpaceFan:
     def test_small_cases(self):
