@@ -48,14 +48,14 @@ print("ample [-1,0,0]:", is_ample(plane, [-1, 0, 0]))
 result = is_projective(plane)
 print("\nprojective:", result.feasible, " witness:", result.witness_divisor)
 
-# The divisor polytope counts sections; interpolating its lattice-point
-# counts at t = 0..d gives the counting polynomial, and d! times the
-# leading coefficient is the degree.
+# The divisor polytope's lattice points are the sections; its degree is
+# d! * vol(P), the normalized volume of a triangulation into lattice
+# simplices.  3H is the triangle of legs 3, of degree 9.
 polytope = divisor_polytope(plane, [1, 0, 0])
-ehrhart, degree = polytope_degree(polytope, 2)
+degree = polytope_degree(polytope)
 print("\npolytope vertices:", polytope.vertices)
-print("counting polynomial coefficients (ascending):", ehrhart)
 print("degree:", degree)
+print("degree of 3H:", polytope_degree(divisor_polytope(plane, [3, 0, 0])))
 
 # The degree of an ample class on an (n-1)-dimensional divisor drives the
 # leading term of the top Chern numbers of the induced rank-n bundles.

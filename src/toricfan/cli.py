@@ -370,13 +370,12 @@ def _cmd_degree(args, report):
         polytope = divisor_ops.divisor_polytope(fan, coeffs)
         started = time.perf_counter()
         try:
-            ehrhart, degree = divisor_ops.polytope_degree(polytope, fan.ambient_rank)
+            degree = divisor_ops.polytope_degree(polytope)
         finally:
             report["timings"]["degree_s"] = round(time.perf_counter() - started, 6)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report["vertices"] = [[str(Fraction(x)) for x in v] for v in polytope.vertices]
-    report["counting_polynomial"] = [str(c) for c in ehrhart]
     report["degree"] = degree
     return EXIT_OK
 
@@ -500,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("egyptian", "classify the star of a ray as pyramidal extensions", fan=True, ray=True)
     add("modify", "apply the small modification at a ray in Egyptian position",
         fan=True, ray=True, emit=True)
-    add("degree", "divisor polytope, counting polynomial, and degree", fan=True, div=True)
+    add("degree", "divisor polytope vertices and degree (normalized volume)", fan=True, div=True)
     add("family", "generate a named fan family (yu: --n, --u)", family=True, emit=True)
     add("report", "full hypothesis check plus growth statement for a fan and ray",
         fan=True, ray=True)

@@ -1,5 +1,5 @@
 """Toric divisors: Cartier data, class and Picard groups, ampleness,
-projectivity, divisor polytopes, and lattice-point degree computations.
+projectivity, divisor polytopes and their degrees.
 
 A divisor is a plain sequence of integer coefficients, one per fan ray, in
 the fan's ray order.  Cartier data assigns to every maximal cone a character
@@ -12,26 +12,29 @@ construction serves the Picard group and projectivity: a rational kernel of
 a cone's rays followed by the rays outside it gives the cone's linear
 relations and its strict-convexity rows, all in divisor coordinates.
 Divisor polytopes and the projectivity search each take one double
-description.  All decisions are exact.
+description.  The degree d! * vol(P) of an integral polytope is the
+normalized volume of a pulling triangulation of the cone over P, summed as
+|det| per simplex from the Hermite form.  All decisions are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import product
-from math import factorial, floor, ceil, lcm
-from operator import and_
+from functools import cache, reduce
+from math import lcm
+from operator import and_, mul
 from typing import Optional, Sequence
 
-from .errors import InvariantError, ResourceLimitError
+from .cone import Cone
+from .errors import InvariantError
 from .exactlin import (
     FGAbelianGroup,
     _double_description,
     _hermite_coordinates,
     cokernel_group,
     dot,
+    hermite_normal_form,
     mat_vec,
     matrix_rank,
     rational_kernel,
@@ -41,10 +44,6 @@ from .exactlin import (
 from .fan import Fan
 
 ToricDivisor = Sequence[int]
-
-# Safety valve on the box that ``count_lattice_points`` scans point by point;
-# the instances this package targets stay far below this.
-_BOX_POINT_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -295,49 +294,38 @@ def divisor_polytope(fan: Fan, divisor: ToricDivisor) -> Polytope:
     return Polytope(ineqs, tuple(vertices))
 
 
-def count_lattice_points(polytope: Polytope, scale: int = 1) -> int:
-    """Number of integer points of ``scale * polytope`` (box scan, exact)."""
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
-    if not polytope.vertices:
-        return 0
-    dim = len(polytope.vertices[0])
-    sides = [range(min(floor(scale * v[i]) for v in polytope.vertices),
-                   max(ceil(scale * v[i]) for v in polytope.vertices) + 1) for i in range(dim)]
-    box = 1
-    for side in sides:
-        box *= side.stop - side.start
-    if box > _BOX_POINT_LIMIT:
-        raise ResourceLimitError(f"lattice-point scan of {box} points passes its {_BOX_POINT_LIMIT}-point limit")
-    bounds = [(normal, -scale * offset) for normal, offset in polytope.inequalities]
-    return sum(all(dot(normal, point) >= b for normal, b in bounds) for point in product(*sides))
+def polytope_degree(polytope: Polytope) -> int:
+    """The degree d! * vol(P) of a full-dimensional integral polytope P in Q^d.
 
-
-def polytope_degree(polytope: Polytope, intrinsic_dim: int) -> tuple[tuple[Fraction, ...], int]:
-    """Lattice-point counting polynomial of a bounded integral polytope.
-
-    Counts points of t*P for t = d down to 0 (the largest box first, so the
-    scan limit is met before any scan), solves the Vandermonde system for the
-    counting polynomial, and returns it (coefficients ascending) with the
-    degree d! * leading coefficient, an integer for integral polytopes.
+    The cone over P x {1} has the lifted vertices (v, 1) as its rays and the
+    cones over P's faces as its faces.  Pulling each face's smallest ray
+    cones every facet of the face that misses it over that ray, recursively,
+    which cuts P into lattice simplices (De Loera, Rambau & Santos,
+    *Triangulations*, 2010).  A simplex's normalized volume is |det| of its
+    lifted vertices, the product of its Hermite form's diagonal.
     """
     if not polytope.vertices:
         raise ValueError("empty polytope")
-    for v in polytope.vertices:
-        if any(Fraction(x).denominator != 1 for x in v):
-            raise ValueError("scale divisor to its Cartier index first: polytope has non-integral vertices")
-    base = polytope.vertices[0]
-    diffs = [tuple(x - y for x, y in zip(v, base)) for v in polytope.vertices[1:]]
-    actual_dim = matrix_rank(diffs) if diffs else 0
-    if actual_dim != intrinsic_dim:
-        raise ValueError(f"polytope has affine dimension {actual_dim}, expected {intrinsic_dim}")
-    d = intrinsic_dim
-    counts = [count_lattice_points(polytope, t) for t in range(d, -1, -1)][::-1]
-    coeffs = solve_linear([[t**k for k in range(d + 1)] for t in range(d + 1)], counts).particular
-    leading = coeffs[d] * factorial(d)
-    if leading.denominator != 1:
-        raise InvariantError("integral polytope produced a non-integral degree")
-    return coeffs, int(leading)
+    if any(Fraction(x).denominator != 1 for v in polytope.vertices for x in v):
+        raise ValueError("scale divisor to its Cartier index first: polytope has non-integral vertices")
+    d = len(polytope.vertices[0])
+    cone = Cone.from_rays(d + 1, [tuple(int(x) for x in v) + (1,) for v in polytope.vertices])
+    if cone.dim != d + 1:
+        raise ValueError(f"polytope has affine dimension {cone.dim - 1}, expected {d}")
+    faces = cone._face_sets()
+
+    @cache
+    def simplices(face: frozenset) -> list[tuple[int, ...]]:
+        if len(face) == 1:
+            return [tuple(face)]
+        apex = min(face)
+        facets = {face & inc for inc in cone._incidence}
+        return [(apex,) + s for facet in facets if apex not in facet and faces[facet] == faces[face] - 1
+                for s in simplices(facet)]
+
+    everything = frozenset(range(len(cone.rays)))
+    forms = (hermite_normal_form([cone.rays[i] for i in s])[0] for s in simplices(everything))
+    return sum(reduce(mul, (h[i][i] for i in range(d + 1))) for h in forms)
 
 
 _SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")

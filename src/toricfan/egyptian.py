@@ -373,6 +373,6 @@ def hypothesis_report(fan: Fan, ray: int) -> HypothesisReport:
     if not checks.passed:
         return HypothesisReport(egyptian, quotient, projective, modification, checks)
     polytope = divisor_ops.divisor_polytope(quotient, projective.witness_divisor)
-    _, degree = divisor_ops.polytope_degree(polytope, quotient.ambient_rank)
+    degree = divisor_ops.polytope_degree(polytope)
     growth = divisor_ops.chern_growth(fan.ambient_rank, degree)
     return HypothesisReport(egyptian, quotient, projective, modification, checks, growth)

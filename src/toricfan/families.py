@@ -270,8 +270,8 @@ def yu_report(n: int, u: int) -> PipelineReport:
     projectivity verdict with witness, the identification of the quotient
     with projective (n-1)-space, and the Cartier index of the
     strict-transform divisor.  The growth is fed by the degree of the
-    quotient's ample witness; on the grid n = 3..6, u = 1..3 that witness is
-    the unit divisor (1, 0, ..., 0), of degree 1, checked ample here.
+    quotient's ample witness; for n = 3..10, u = 1..3 that witness is the
+    unit divisor (1, 0, ..., 0), of degree 1, checked ample here.
     """
     yu = yu_fan(n, u)
     fan = yu.fan

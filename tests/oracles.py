@@ -15,13 +15,17 @@ coming from one rational ``solve_linear`` per cone, not from the library's
 per-cone characters.
 ``reference_build`` is the cone layer's earlier read-off, on the same double
 description as the one-pass read-off that replaced it.
+``count_lattice_points``, ``counting_polynomial`` and ``scan_degree`` are the
+library's earlier degree: a bounding-box scan of t*P for t = 0..d and a
+Vandermonde solve, the reference for the triangulation's volume on small
+polytopes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import ceil, factorial, floor, gcd, lcm
 
 from toricfan.cone import Cone, _sign_canonical
 from toricfan.divisor import ProjectivityResult, _strictly_convex, cartier_data
@@ -39,6 +43,7 @@ from toricfan.exactlin import (
     strict_feasible,
     transpose,
 )
+from toricfan.errors import ResourceLimitError
 
 
 def det_cofactor(m) -> int:
@@ -480,6 +485,53 @@ def count_triangle_interior(t: int) -> int:
             if x + y < t:
                 count += 1
     return count
+
+
+# The box scan refuses larger boxes: they take seconds, and the library's
+# volume needs no scan.
+BOX_POINT_LIMIT = 1_000_000
+
+
+def count_lattice_points(polytope, scale: int = 1) -> int:
+    """Integer points of ``scale * polytope``, by a scan of its bounding box.
+
+    Raises ``ResourceLimitError`` when the box holds more than
+    ``BOX_POINT_LIMIT`` points.
+    """
+    if scale < 0:
+        raise ValueError("scale must be nonnegative")
+    if not polytope.vertices:
+        return 0
+    dim = len(polytope.vertices[0])
+    sides = [range(min(floor(scale * v[i]) for v in polytope.vertices),
+                   max(ceil(scale * v[i]) for v in polytope.vertices) + 1) for i in range(dim)]
+    box = 1
+    for side in sides:
+        box *= side.stop - side.start
+    if box > BOX_POINT_LIMIT:
+        raise ResourceLimitError(f"lattice-point scan of {box} points passes its {BOX_POINT_LIMIT}-point limit")
+    bounds = [(normal, -scale * offset) for normal, offset in polytope.inequalities]
+    return sum(all(_dot(normal, point) >= b for normal, b in bounds) for point in product(*sides))
+
+
+def counting_polynomial(polytope) -> tuple[Fraction, ...]:
+    """Coefficients, ascending, of t -> #(t*P) for an integral polytope P in Q^d.
+
+    Counts t*P for t = d down to 0 (the box at t = d is the largest, so the
+    scan limit is met before any scan) and solves the Vandermonde system by
+    ``cramer_numerators``.
+    """
+    d = len(polytope.vertices[0])
+    counts = [count_lattice_points(polytope, t) for t in range(d, -1, -1)][::-1]
+    den, nums = cramer_numerators([[t ** k for k in range(d + 1)] for t in range(d + 1)], counts)
+    return tuple(Fraction(x, den) for x in nums)
+
+
+def scan_degree(polytope) -> Fraction:
+    """d! times the counting polynomial's leading coefficient: the degree
+    d! * vol(P) when P is d-dimensional, by the box scan."""
+    coeffs = counting_polynomial(polytope)
+    return coeffs[-1] * factorial(len(coeffs) - 1)
 
 
 def _combine(coeffs, vectors):

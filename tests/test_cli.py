@@ -264,14 +264,17 @@ class TestCommandBranches:
         assert list(report["timings"]) == ["total_s"]
 
     def test_degree_beyond_the_point_scan_limit(self, write, capsys):
+        # 100000*H on P^2: its box at t = 2 holds about 4*10^10 lattice
+        # points, and the volume visits none of them.
         big = write("big.json", '{"coefficients":[100000,0,0]}')
         argv = ["degree", "--fan", write("p2.json", P2), "--divisor", big]
         started = time.perf_counter()
         code, report = _json_run(argv, capsys)
         assert time.perf_counter() - started < 1
-        assert code == EXIT_INPUT_ERROR
-        assert "point limit" in report["resource_limit"]
-        assert "internal_error" not in report
+        assert code == EXIT_OK
+        assert report["degree"] == 10**10
+        assert report["vertices"] == [["-100000", "0"], ["-100000", "100000"], ["0", "0"]]
+        assert list(report) == ["command", "vertices", "degree", "exit_code", "timings"]
 
 
 class TestDivisorCommands:

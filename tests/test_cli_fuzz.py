@@ -6,21 +6,21 @@ draws from), complete and projective, with points in boxes small enough to
 give non-simplicial cones, plus random subsets of their maximal
 cones, reindexed to the rays they use, which are mostly incomplete.  Each
 goes through ``validate``, ``complete``, ``picard``, ``classgroup``,
-``projective``, ``egyptian``, ``modify``, ``index`` and ``cartier`` with
-``--json``: ``egyptian`` and ``modify`` at a random ray and with
-``--allow-incomplete`` on an incomplete fan, ``index`` and ``cartier`` on
-the same seeded divisor with coefficients -1..3.  Every run must exit 0, 1
-or 2 and report no ``internal_error``; ``index`` exits 0 or 1, and
-``cartier`` agrees with it: the same ``q_cartier``, and exit 0 exactly
-when the index is 1.  Completeness is checked against
-``oracles.wall_criterion_complete``, the Picard group against
-``oracles.picard_by_cartier_lattice``, and the Cartier index against
-``oracles.cartier_index_by_scan`` whenever ``oracles.denominator_lcm``,
-which the scan walks up to, is at most ``SCAN_LIMIT``.
-
-``degree`` and ``report`` are left out: ``report``'s lattice-point scan can
-reach its resource limit on ordinary fans (ROADMAP item 1).  The work is
-bounded by the number of cases, not by a timer.
+``projective``, ``egyptian``, ``modify``, ``index``, ``cartier``,
+``degree`` and ``report`` with ``--json``: ``egyptian``, ``modify`` and
+``report`` at a random ray, the first two with ``--allow-incomplete`` on an
+incomplete fan, and ``index``, ``cartier`` and ``degree`` on the same
+seeded divisor with coefficients -1..3.  Every run must exit 0, 1 or 2 and
+report no ``internal_error``; ``index`` exits 0 or 1, and ``cartier``
+agrees with it: the same ``q_cartier``, and exit 0 exactly when the index
+is 1.  Completeness is checked against ``oracles.wall_criterion_complete``,
+the Picard group against ``oracles.picard_by_cartier_lattice``, and the
+Cartier index against ``oracles.cartier_index_by_scan`` whenever
+``oracles.denominator_lcm``, which the scan walks up to, is at most
+``SCAN_LIMIT``.  The degrees of ``degree`` and ``report`` are checked
+against ``oracles.scan_degree`` whenever its box holds at most
+``SCAN_LIMIT`` points.  The work is bounded by the number of cases, not by
+a timer.
 """
 
 import contextlib
@@ -28,11 +28,15 @@ import io
 import json
 import random
 
+import oracles
 from oracles import cartier_index_by_scan, denominator_lcm, picard_by_cartier_lattice, wall_criterion_complete
 from test_fan import random_cone_subset, random_face_fan
 from toricfan import cli
+from toricfan.divisor import divisor_polytope
+from toricfan.errors import ResourceLimitError
 
-COMMANDS = ("validate", "complete", "picard", "classgroup", "projective", "egyptian", "modify", "index", "cartier")
+COMMANDS = ("validate", "complete", "picard", "classgroup", "projective", "egyptian", "modify", "index", "cartier",
+            "degree", "report")
 SCAN_LIMIT = 10_000
 FANS_PER_DIMENSION = {2: 8, 3: 8, 4: 4}
 SUBSETS_PER_FAN = 2
@@ -61,9 +65,18 @@ def run_json(argv):
     return code, json.loads(buf.getvalue())
 
 
-def test_random_fans_keep_the_exit_code_contract(tmp_path):
+def scanned_degree(fan, divisor):
+    """The box scan's degree of the divisor's polytope, or None past ``SCAN_LIMIT`` box points."""
+    try:
+        return oracles.scan_degree(divisor_polytope(fan, divisor))
+    except ResourceLimitError:
+        return None
+
+
+def test_random_fans_keep_the_exit_code_contract(tmp_path, monkeypatch):
+    monkeypatch.setattr(oracles, "BOX_POINT_LIMIT", SCAN_LIMIT)
     seen = {"complete": 0, "incomplete": 0, "not egyptian": 0, "index scanned": 0, "index past the scan": 0,
-            "cartier": 0}
+            "cartier": 0, "degree scanned": 0, "degree past the scan": 0, "growth": 0}
     codes = set()
     divisor_rng = random.Random(4)  # apart from the fans' generator, which draws the rays
     for k, (fan, rng) in enumerate(random_fans(seed=3)):
@@ -79,7 +92,9 @@ def test_random_fans_keep_the_exit_code_contract(tmp_path):
             argv = [command, "--fan", str(path)]
             if command in ("egyptian", "modify"):
                 argv += ["--ray", ray] + ([] if complete else ["--allow-incomplete"])
-            if command in ("index", "cartier"):
+            if command == "report":
+                argv += ["--ray", ray]
+            if command in ("index", "cartier", "degree"):
                 argv += ["--divisor", str(divisor_path)]
             code, report = run_json(argv)
             assert code in (0, 1, 2) and "internal_error" not in report, (fan, argv, report)
@@ -97,6 +112,15 @@ def test_random_fans_keep_the_exit_code_contract(tmp_path):
                 assert report["q_cartier"] == index_report["q_cartier"], (fan, divisor, report)
                 assert code == (0 if index_report["cartier_index"] == 1 else 1), (fan, divisor, report)
                 seen["cartier"] += code == 0
+            if command == "degree" and code == 0:
+                want = scanned_degree(fan, divisor)
+                seen["degree scanned" if want is not None else "degree past the scan"] += 1
+                assert want is None or report["degree"] == want, (fan, divisor, report)
+            if command == "report" and code == 0:
+                seen["growth"] += 1
+                want = scanned_degree(fan.quotient(int(ray)), report["ample_divisor_on_divisor_fan"])
+                seen["degree scanned" if want is not None else "degree past the scan"] += 1
+                assert want is None or report["degree"] == want, (fan, ray, report)
             if command == "index":
                 index_report = report
                 assert code == (0 if report["q_cartier"] else 1)
@@ -108,4 +132,5 @@ def test_random_fans_keep_the_exit_code_contract(tmp_path):
                     seen["index past the scan"] += 1
     assert seen["complete"] == sum(FANS_PER_DIMENSION.values()) and seen["incomplete"] >= 20, seen
     assert seen["not egyptian"] and seen["index scanned"] >= 40 and seen["cartier"], seen
+    assert seen["growth"] >= 15 and seen["degree scanned"] >= 12, seen
     assert codes == {0, 1, 2}

@@ -1,5 +1,5 @@
 """Divisors: Cartier data, index, class/Picard groups, ampleness,
-projectivity, polytopes, counting polynomials, growth statements."""
+projectivity, polytopes and their degrees, growth statements."""
 
 import random
 import time
@@ -10,14 +10,18 @@ from math import gcd
 
 import pytest
 
+import oracles
 from oracles import (
     cartier_index_by_scan,
     cartier_lattice,
+    count_lattice_points,
     count_triangle_interior,
+    counting_polynomial,
     det_bareiss,
     gcd_of_minors,
     picard_by_cartier_lattice,
     projective_by_cartier_lattice,
+    scan_degree,
     subset_vertex_polytope,
 )
 from test_fan import cross_polytope_fan, cube_face_fan, random_complete_threefolds
@@ -28,7 +32,6 @@ from toricfan.divisor import (
     cartier_index,
     chern_growth,
     class_group,
-    count_lattice_points,
     divisor_polytope,
     is_ample,
     is_projective,
@@ -462,41 +465,48 @@ class TestProjectivity:
 
 
 class TestPolytopes:
+    """``polytope_degree`` on small polytopes, with the counting polynomial
+    and the box scan of ``oracles`` beside it."""
+
     def test_unit_triangle(self, p2_fan):
         p = divisor_polytope(p2_fan, [1, 0, 0])
         assert len(p.vertices) == 3
-        ehrhart, degree = polytope_degree(p, 2)
-        assert ehrhart == (Fraction(1), Fraction(3, 2), Fraction(1, 2))
-        assert degree == 1
+        assert counting_polynomial(p) == (Fraction(1), Fraction(3, 2), Fraction(1, 2))
+        assert polytope_degree(p) == 1
 
     def test_segment_of_length_two(self, p1_fan):
         p = divisor_polytope(p1_fan, [2, 0])
-        ehrhart, degree = polytope_degree(p, 1)
-        assert ehrhart == (Fraction(1), Fraction(2))
-        assert degree == 2
+        assert counting_polynomial(p) == (Fraction(1), Fraction(2))
+        assert polytope_degree(p) == 2
 
     def test_zero_divisor_point(self, p2_fan):
         p = divisor_polytope(p2_fan, [0, 0, 0])
         assert p.vertices == ((Fraction(0), Fraction(0)),)
-        ehrhart, degree = polytope_degree(p, 0)
-        assert ehrhart == (Fraction(1),)
+        assert counting_polynomial(p) == (Fraction(1), Fraction(0), Fraction(0))
+        with pytest.raises(ValueError, match="affine dimension 0, expected 2"):
+            polytope_degree(p)
 
     def test_unit_3_simplex(self, p3_fan):
         p = divisor_polytope(p3_fan, [1, 0, 0, 0])
-        ehrhart, degree = polytope_degree(p, 3)
         # binomial(t+3, 3)
-        assert ehrhart == (Fraction(1), Fraction(11, 6), Fraction(1), Fraction(1, 6))
-        assert degree == 1
+        assert counting_polynomial(p) == (Fraction(1), Fraction(11, 6), Fraction(1), Fraction(1, 6))
+        assert polytope_degree(p) == 1
 
     def test_non_integral_vertices_rejected(self, weighted_p112_fan):
         p = divisor_polytope(weighted_p112_fan, [1, 0, 0])
         with pytest.raises(ValueError, match="Cartier index"):
-            polytope_degree(p, 2)
+            polytope_degree(p)
+
+    def test_empty_and_flat_polytopes_rejected(self, p1xp1_fan, p2_fan):
+        with pytest.raises(ValueError, match="empty polytope"):
+            polytope_degree(divisor_polytope(p2_fan, [-1, 0, 0]))
+        with pytest.raises(ValueError, match="affine dimension 1, expected 2"):
+            polytope_degree(divisor_polytope(p1xp1_fan, [2, 0, 0, 0]))
 
     def test_ehrhart_reciprocity_smoke(self, p2_fan):
         # interior counts of the t-dilated unit triangle: (t-1)(t-2)/2
         p = divisor_polytope(p2_fan, [1, 0, 0])
-        ehrhart, _ = polytope_degree(p, 2)
+        ehrhart = counting_polynomial(p)
         for t in range(2, 7):
             predicted = sum(c * (-t) ** k for k, c in enumerate(ehrhart))
             assert abs(predicted) == count_triangle_interior(t)
@@ -504,12 +514,22 @@ class TestPolytopes:
     def test_counting_matches_box_scan(self, p1xp1_fan):
         p = divisor_polytope(p1xp1_fan, [2, 3, 0, 0])
         assert count_lattice_points(p, 1) == 3 * 4
-        ehrhart, degree = polytope_degree(p, 2)
-        assert degree == 2 * 2 * 3  # 2! * area of a 2x3 box
+        assert polytope_degree(p) == scan_degree(p) == 2 * 2 * 3  # 2! * area of a 2x3 box
+
+    def test_sheared_and_dilated(self, p2_fan, p3_fan):
+        # Dilation by c multiplies the degree by c^d, far past any box scan;
+        # a unimodular image (P^2 under (x, y) -> (x + y, y)) keeps it.
+        for fan in (p2_fan, p3_fan):
+            d = fan.ambient_rank
+            for c in (1, 2, 5, 100000):
+                assert polytope_degree(divisor_polytope(fan, (c,) + (0,) * d)) == c ** d
+        sheared = Fan.from_cones(2, [(1, 0), (1, 1), (-2, -1)], [[0, 1], [1, 2], [0, 2]])
+        assert polytope_degree(divisor_polytope(sheared, [3, 0, 0])) == 9
 
     def test_box_scan_limit(self, p1xp1_fan, p2_fan, monkeypatch):
-        # Scales are asked largest first: the box at t = d is the largest, so a
-        # polytope past the limit raises before any smaller t is scanned.
+        # The oracle asks scales largest first: the box at t = d is the
+        # largest, so a polytope past the limit raises before any smaller t
+        # is scanned.
         asked, scanned = [], []
 
         def recorder(polytope, scale=1):
@@ -518,19 +538,95 @@ class TestPolytopes:
             scanned.append(scale)
             return count
 
-        monkeypatch.setattr(divisor, "count_lattice_points", recorder)
+        monkeypatch.setattr(oracles, "count_lattice_points", recorder)
         with pytest.raises(ResourceLimitError, match="point limit"):
-            polytope_degree(divisor_polytope(p2_fan, [100000, 0, 0]), 2)
+            scan_degree(divisor_polytope(p2_fan, [100000, 0, 0]))
         assert asked == [2] and scanned == []
         asked.clear()
-        assert polytope_degree(divisor_polytope(p2_fan, [1, 0, 0]), 2)[1] == 1
+        assert scan_degree(divisor_polytope(p2_fan, [1, 0, 0])) == 1
         assert asked == [2, 1, 0]
         p = divisor_polytope(p1xp1_fan, [2, 3, 0, 0])  # a 3 x 4 box of points
-        monkeypatch.setattr(divisor, "_BOX_POINT_LIMIT", 12)
+        monkeypatch.setattr(oracles, "BOX_POINT_LIMIT", 12)
         assert count_lattice_points(p, 1) == 12
-        monkeypatch.setattr(divisor, "_BOX_POINT_LIMIT", 11)
+        monkeypatch.setattr(oracles, "BOX_POINT_LIMIT", 11)
         with pytest.raises(ResourceLimitError):
             count_lattice_points(p, 1)
+
+
+def random_lattice_polytope(rng: random.Random, d: int, box: int):
+    """The hull of d + 1 to d + 6 random points in [-box, box]^d, with its
+    facet inequalities, or None when it is not full-dimensional: the facets
+    and vertices of the cone over the points lifted by 1."""
+    points = {tuple(rng.randint(-box, box) for _ in range(d)) + (1,) for _ in range(rng.randint(d + 1, d + 6))}
+    hull = Cone.from_rays(d + 1, sorted(points))
+    if hull.dim < d + 1:
+        return None
+    inequalities = tuple((m[:d], m[d]) for m in hull.facet_normals)
+    return divisor.Polytope(inequalities, tuple(tuple(Fraction(x) for x in v[:d]) for v in hull.rays))
+
+
+class TestDegreeDifferential:
+    """The triangulation's volume against the box scan of ``oracles``
+    wherever the scan finishes within ``SCAN_LIMIT`` box points: on the ample
+    witnesses of seeded complete surfaces and threefolds and of the Y grid,
+    and on random lattice polytopes in dimensions 2-4."""
+
+    SCAN_LIMIT = 10_000
+
+    def _compare(self, polytopes, monkeypatch):
+        monkeypatch.setattr(oracles, "BOX_POINT_LIMIT", self.SCAN_LIMIT)
+        compared = past = 0
+        for polytope in polytopes:
+            degree = polytope_degree(polytope)
+            try:
+                want = scan_degree(polytope)
+            except ResourceLimitError:
+                past += 1
+                continue
+            assert degree == want, polytope
+            compared += 1
+        return compared, past
+
+    @staticmethod
+    def _witness_polytopes(fans):
+        for fan in fans:
+            witness = is_projective(fan).witness_divisor
+            if witness is not None:
+                yield divisor_polytope(fan, witness)
+
+    def test_surface_witnesses(self, monkeypatch):
+        fans = random_complete_surface_fans(seed=16, count=60)
+        compared, past = self._compare(self._witness_polytopes(fans), monkeypatch)
+        assert compared >= 35, (compared, past)
+
+    def test_threefold_witnesses(self, monkeypatch):
+        # Their witnesses are sums of extreme rays (ROADMAP item 3), so few
+        # boxes are small enough to scan.
+        fans = random_complete_threefolds(seed=0, count=40)
+        compared, past = self._compare(self._witness_polytopes(fans), monkeypatch)
+        assert compared >= 1 and compared + past >= 30, (compared, past)
+
+    def test_y_grid_witnesses(self, yu_grid, monkeypatch):
+        fans = []
+        for n in range(3, 7):
+            for u in range(1, 4):
+                yu = yu_grid(n, u)
+                fans.append(yu.fan.quotient(yu.e_index()))
+                if u == 1:
+                    fans.append(yu.fan)
+        compared, past = self._compare(self._witness_polytopes(fans), monkeypatch)
+        assert compared >= 14, (compared, past)
+
+    @pytest.mark.parametrize("d, box, count", [(2, 3, 40), (3, 2, 40), (4, 1, 20)])
+    def test_random_lattice_polytopes(self, monkeypatch, d, box, count):
+        rng = random.Random(26 + d)
+        polytopes = []
+        while len(polytopes) < count:
+            polytope = random_lattice_polytope(rng, d, box)
+            if polytope is not None:
+                polytopes.append(polytope)
+        compared, past = self._compare(polytopes, monkeypatch)
+        assert compared == count, (compared, past)
 
 
 def polytope_inputs(yu_grid):

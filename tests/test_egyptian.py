@@ -354,8 +354,53 @@ COMPLETE_3D_FANS = {
 }
 
 
+# Sigma' x P^1, with Sigma' the first non-projective draw of
+# ``random_complete_threefolds(0, 40)``: its rays lifted by a 0 coordinate,
+# then (0, 0, 0, 1) and (0, 0, 0, -1), each added to every cone.
+SIGMA_PRIME_RAYS = [(-2, -1, -2), (-1, 1, 0), (0, 1, 1), (1, -2, 1), (2, 3, 1), (3, -3, 1), (3, -1, 1), (1, 0, -1)]
+SIGMA_PRIME_CONES = [(0, 1, 2), (0, 1, 4), (0, 2, 3), (0, 3, 5), (0, 4, 7), (0, 5, 7), (2, 3, 5), (2, 5, 6),
+                     (4, 6, 7), (5, 6, 7), (1, 2, 6), (1, 4, 6)]
+
+
+def sigma_prime_times_p1():
+    rays = [r + (0,) for r in SIGMA_PRIME_RAYS] + [(0, 0, 0, 1), (0, 0, 0, -1)]
+    return Fan.from_cones(4, rays, [list(c) + [k] for c in SIGMA_PRIME_CONES for k in (8, 9)])
+
+
 class TestHypothesisReport:
     """The paper's hypothesis at a ray, checked by ``hypothesis_report``."""
+
+    def test_sigma_prime_times_p1_reaches_every_branch(self):
+        # Rays 8 and 9: every star cone is LowDim, so the ray is Egyptian,
+        # and the quotient is Sigma', which is not projective.  Rays 0-7
+        # reach the growth statement; ray 0's quotient witness has a box of
+        # 1,335,220 points at t = 3, past the oracle's 10^6-point scan.
+        assert not is_projective(Fan.from_cones(3, SIGMA_PRIME_RAYS, SIGMA_PRIME_CONES)).feasible
+        fan = sigma_prime_times_p1()
+        assert fan.is_complete()
+        for ray in (8, 9):
+            report = hypothesis_report(fan, ray)
+            assert report.egyptian.verdict
+            assert all(c.kind is PyramidalKind.LOW_DIM for _, c in report.egyptian.per_cone)
+            assert not report.quotient_projective.feasible
+            assert report.quotient.isomorphism(Fan.from_cones(3, SIGMA_PRIME_RAYS, SIGMA_PRIME_CONES)) is not None
+            assert report.modification is None and report.checks is None and report.growth is None
+        degrees = []
+        for ray in range(8):
+            report = hypothesis_report(fan, ray)
+            assert report.egyptian.verdict and report.quotient_projective.feasible and report.checks.passed
+            degrees.append(report.growth.degree)
+            assert report.growth.statement.startswith(f"c₄(E_t) = {report.growth.degree}t³")
+        assert degrees == [31914, 129, 213, 30, 1539, 12342, 2052, 2808]
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_yu_report_past_the_acceptance_grid(self, n):
+        # The quotient is P^(n-1), and its unit divisor has degree 1.
+        for u in (1, 2, 3):
+            report = yu_report(n, u)
+            assert report.egyptian.verdict and report.modification_checks.passed, (n, u)
+            assert report.divisor_fan_iso is not None and report.projective.feasible == (u == 1)
+            assert report.growth.degree == 1, (n, u)
 
     @pytest.mark.parametrize("name", sorted(COMPLETE_3D_FANS))
     def test_threefold_statement_at_every_ray(self, name):
