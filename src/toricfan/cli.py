@@ -9,6 +9,11 @@ single key ``coefficients`` (list of integers, one per ray).
 Exit codes: 0 the command ran and the queried property holds (or data was
 produced); 1 the command ran and the property fails; 2 input error; 3
 internal invariant violation.
+
+Each command is one row of ``_COMMANDS``: handler, help text and declared
+inputs, from which ``_build_parser`` adds its options.  Handlers run each
+library stage through ``_stage``, which times it into ``timings`` even when
+it raises and turns a ``ValueError`` into an input error.
 """
 
 from __future__ import annotations
@@ -182,15 +187,25 @@ def _write_file(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_fan(args, report: dict) -> tuple[Fan, Optional[list[str]], list[str]]:
-    """Read, parse and validate ``--fan``; records the time taken as ``timings.load_s``."""
-    if not args.fan:
-        raise InputError("this command needs --fan PATH")
+def _stage(report: dict, key: Optional[str], call):
+    """Run one stage: return ``call()``, time it into ``timings[key]`` even
+    when it raises (no timing when ``key`` is None), and turn a library
+    ``ValueError`` into an ``InputError``."""
     started = time.perf_counter()
     try:
-        return parse_fan_file(_read_file(args.fan))
+        return call()
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     finally:
-        report.setdefault("timings", {})["load_s"] = round(time.perf_counter() - started, 6)
+        if key is not None:
+            report.setdefault("timings", {})[key] = round(time.perf_counter() - started, 6)
+
+
+def _load_fan(args, report: dict) -> tuple[Fan, Optional[list[str]], list[str]]:
+    """Read, parse and validate ``--fan`` as the stage ``load_s``."""
+    if not args.fan:
+        raise InputError("this command needs --fan PATH")
+    return _stage(report, "load_s", lambda: parse_fan_file(_read_file(args.fan)))
 
 
 def _load_divisor(args, fan: Fan) -> tuple[int, ...]:
@@ -207,16 +222,13 @@ def _need_ray(args, fan: Fan) -> int:
     return args.ray
 
 
-def _egyptian_report(args, fan: Fan, ray: int):
+def _egyptian_report(args, report, fan: Fan, ray: int):
     # The completeness check is made here so that its message names the CLI
     # flag; the library's own message names its keyword argument.
     if not args.allow_incomplete and not fan.is_complete():
         raise InputError("egyptian position is defined over a complete fan "
                          "(pass --allow-incomplete to override)")
-    try:
-        return egyptian_report(fan, ray, allow_incomplete=True)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return _stage(report, None, lambda: egyptian_report(fan, ray, allow_incomplete=True))
 
 
 def _need_dim_2(args, fan: Fan) -> None:
@@ -268,9 +280,7 @@ def _cmd_cartier(args, report):
 def _cmd_index(args, report):
     fan, _, _ = _load_fan(args, report)
     coeffs = _load_divisor(args, fan)
-    started = time.perf_counter()
-    index = divisor_ops.cartier_index(fan, coeffs)
-    report["timings"]["index_s"] = round(time.perf_counter() - started, 6)
+    index = _stage(report, "index_s", lambda: divisor_ops.cartier_index(fan, coeffs))
     report["q_cartier"] = index is not None
     report["cartier_index"] = index
     return EXIT_OK if index is not None else EXIT_PROPERTY_FAILS
@@ -278,36 +288,21 @@ def _cmd_index(args, report):
 
 def _cmd_picard(args, report):
     fan, _, _ = _load_fan(args, report)
-    started = time.perf_counter()
-    try:
-        group = divisor_ops.picard_group(fan)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    finally:
-        report["timings"]["picard_s"] = round(time.perf_counter() - started, 6)
+    group = _stage(report, "picard_s", lambda: divisor_ops.picard_group(fan))
     report["picard"] = _group_dict(group)
     return EXIT_OK
 
 
 def _cmd_classgroup(args, report):
     fan, _, _ = _load_fan(args, report)
-    try:
-        group = divisor_ops.class_group(fan)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    group = _stage(report, None, lambda: divisor_ops.class_group(fan))
     report["class_group"] = _group_dict(group)
     return EXIT_OK
 
 
 def _cmd_projective(args, report):
     fan, _, _ = _load_fan(args, report)
-    started = time.perf_counter()
-    try:
-        result = divisor_ops.is_projective(fan)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    finally:
-        report["timings"]["projective_s"] = round(time.perf_counter() - started, 6)
+    result = _stage(report, "projective_s", lambda: divisor_ops.is_projective(fan))
     report["projective"] = result.feasible
     if result.feasible:
         report["ample_divisor"] = list(result.witness_divisor)
@@ -320,7 +315,7 @@ def _cmd_projective(args, report):
 def _cmd_egyptian(args, report):
     fan, _, _ = _load_fan(args, report)
     ray = _need_ray(args, fan)
-    result = _egyptian_report(args, fan, ray)
+    result = _egyptian_report(args, report, fan, ray)
     report["ray"] = ray
     report["per_cone"] = {
         str(ci): cls.kind.value for ci, cls in result.per_cone
@@ -333,20 +328,13 @@ def _cmd_modify(args, report):
     fan, _, _ = _load_fan(args, report)
     ray = _need_ray(args, fan)
     _need_dim_2(args, fan)
-    probe = _egyptian_report(args, fan, ray)
+    probe = _egyptian_report(args, report, fan, ray)
     if not probe.verdict:
         report["egyptian"] = False
         report["error"] = "ray not in Egyptian position"
         return EXIT_PROPERTY_FAILS
-    started = time.perf_counter()
-    result = split_star(fan, probe)
-    split_done = time.perf_counter()
-    try:
-        checks = verify_modification(result)
-    except ValueError as exc:  # the ray is itself a maximal cone: no star quotient
-        raise InputError(str(exc)) from exc
-    report["timings"]["split_s"] = round(split_done - started, 6)
-    report["timings"]["verify_s"] = round(time.perf_counter() - split_done, 6)
+    result = _stage(report, "split_s", lambda: split_star(fan, probe))
+    checks = _stage(report, "verify_s", lambda: verify_modification(result))  # exit 2 if the ray is a maximal cone
     report["egyptian"] = True
     report["max_cones"] = len(result.fan.max_cones)
     report["splits"] = {str(orig): list(pair) for orig, pair in result.split_cones}
@@ -366,15 +354,8 @@ def _cmd_modify(args, report):
 def _cmd_degree(args, report):
     fan, _, _ = _load_fan(args, report)
     coeffs = _load_divisor(args, fan)
-    try:
-        polytope = divisor_ops.divisor_polytope(fan, coeffs)
-        started = time.perf_counter()
-        try:
-            degree = divisor_ops.polytope_degree(polytope)
-        finally:
-            report["timings"]["degree_s"] = round(time.perf_counter() - started, 6)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    polytope = _stage(report, None, lambda: divisor_ops.divisor_polytope(fan, coeffs))
+    degree = _stage(report, "degree_s", lambda: divisor_ops.polytope_degree(polytope))
     report["vertices"] = [[str(Fraction(x)) for x in v] for v in polytope.vertices]
     report["degree"] = degree
     return EXIT_OK
@@ -385,10 +366,7 @@ def _cmd_family(args, report):
         raise InputError(f"unknown family {args.which!r} (available: yu)")
     if args.n is None or args.u is None:
         raise InputError("family yu needs --n and --u")
-    try:
-        yu = yu_fan(args.n, args.u)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    yu = _stage(report, None, lambda: yu_fan(args.n, args.u))
     report["family"] = "yu"
     report["n"], report["u"] = args.n, args.u
     report["rays"] = len(yu.fan.rays)
@@ -439,19 +417,22 @@ def _cmd_report(args, report):
     return EXIT_OK
 
 
+# The only list of commands: name -> (handler, help text, declared inputs).
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "complete": _cmd_complete,
-    "cartier": _cmd_cartier,
-    "index": _cmd_index,
-    "picard": _cmd_picard,
-    "classgroup": _cmd_classgroup,
-    "projective": _cmd_projective,
-    "egyptian": _cmd_egyptian,
-    "modify": _cmd_modify,
-    "degree": _cmd_degree,
-    "family": _cmd_family,
-    "report": _cmd_report,
+    "validate": (_cmd_validate, "parse a fan file and run full fan validation", ("fan",)),
+    "complete": (_cmd_complete, "decide completeness by the wall criterion", ("fan",)),
+    "cartier": (_cmd_cartier, "decide whether a divisor is Cartier (and Q-Cartier)", ("fan", "divisor")),
+    "index": (_cmd_index, "compute the Cartier index of a divisor", ("fan", "divisor")),
+    "picard": (_cmd_picard, "compute the Picard group of a complete fan", ("fan",)),
+    "classgroup": (_cmd_classgroup, "compute the divisor class group", ("fan",)),
+    "projective": (_cmd_projective, "search for an ample divisor (strictly convex support function)", ("fan",)),
+    "egyptian": (_cmd_egyptian, "classify the star of a ray as pyramidal extensions",
+                 ("fan", "ray", "allow_incomplete")),
+    "modify": (_cmd_modify, "apply the small modification at a ray in Egyptian position",
+               ("fan", "ray", "allow_incomplete", "emit")),
+    "degree": (_cmd_degree, "divisor polytope vertices and degree (normalized volume)", ("fan", "divisor")),
+    "family": (_cmd_family, "generate a named fan family (yu: --n, --u)", ("family", "emit")),
+    "report": (_cmd_report, "full hypothesis check plus growth statement for a fan and ray", ("fan", "ray")),
 }
 
 
@@ -468,41 +449,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact computations on rational polyhedral fans and toric divisors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, fan=False, div=False, ray=False, family=False, emit=False):
+    for name, (_, help_text, inputs) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if family:
+        if "family" in inputs:
             p.add_argument("which", help="family name (yu)")
             p.add_argument("--n", type=int, help="ambient dimension (>= 3)")
             p.add_argument("--u", type=int, help="family parameter (>= 1)")
-        if fan:
+        if "fan" in inputs:
             p.add_argument("--fan", help="path to a fan file (JSON)")
-        if div:
+        if "divisor" in inputs:
             p.add_argument("--divisor", help="path to a divisor file (JSON)")
-        if ray:
+        if "ray" in inputs:
             p.add_argument("--ray", type=int, help="ray index into the fan file's ray list")
-        if name in ("egyptian", "modify"):
+        if "allow_incomplete" in inputs:
             p.add_argument("--allow-incomplete", action="store_true",
                            help="classify stars in a non-complete fan")
-        if emit:
+        if "emit" in inputs:
             p.add_argument("--emit", help="write the resulting fan file here")
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
-        return p
-
-    add("validate", "parse a fan file and run full fan validation", fan=True)
-    add("complete", "decide completeness by the wall criterion", fan=True)
-    add("cartier", "decide whether a divisor is Cartier (and Q-Cartier)", fan=True, div=True)
-    add("index", "compute the Cartier index of a divisor", fan=True, div=True)
-    add("picard", "compute the Picard group of a complete fan", fan=True)
-    add("classgroup", "compute the divisor class group", fan=True)
-    add("projective", "search for an ample divisor (strictly convex support function)", fan=True)
-    add("egyptian", "classify the star of a ray as pyramidal extensions", fan=True, ray=True)
-    add("modify", "apply the small modification at a ray in Egyptian position",
-        fan=True, ray=True, emit=True)
-    add("degree", "divisor polytope vertices and degree (normalized volume)", fan=True, div=True)
-    add("family", "generate a named fan family (yu: --n, --u)", family=True, emit=True)
-    add("report", "full hypothesis check plus growth statement for a fan and ray",
-        fan=True, ray=True)
     return parser
 
 
@@ -518,7 +482,7 @@ def run(argv: Sequence[str]) -> int:
     report: dict = {"command": " ".join(argv)}
     started = time.perf_counter()
     try:
-        code = _COMMANDS[args.command](args, report)
+        code = _COMMANDS[args.command][0](args, report)
     except InputError as exc:
         report["error"] = str(exc)
         code = EXIT_INPUT_ERROR

@@ -11,10 +11,11 @@ denominators is the Cartier index, re-checked in integers.  One per-cone
 construction serves the Picard group and projectivity: a rational kernel of
 a cone's rays followed by the rays outside it gives the cone's linear
 relations and its strict-convexity rows, all in divisor coordinates.
-Divisor polytopes and the projectivity search each take one double
-description.  The degree d! * vol(P) of an integral polytope is the
-normalized volume of a pulling triangulation of the cone over P, summed as
-|det| per simplex from the Hermite form.  All decisions are exact.
+Divisor polytopes take one double description, and projectivity is one
+``strict_feasible`` system.  The degree d! * vol(P) of an integral
+polytope is the normalized volume of a pulling triangulation of the cone
+over P, summed as |det| per simplex from the Hermite form.  All decisions
+are exact.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from math import lcm
-from operator import and_, mul
+from operator import mul
 from typing import Optional, Sequence
 
 from .cone import Cone
 from .errors import InvariantError
 from .exactlin import (
     FGAbelianGroup,
+    StrictSystem,
     _double_description,
     _hermite_coordinates,
     cokernel_group,
@@ -39,6 +41,7 @@ from .exactlin import (
     matrix_rank,
     rational_kernel,
     solve_linear,
+    strict_feasible,
     transpose,
 )
 from .fan import Fan
@@ -248,12 +251,11 @@ def is_projective(fan: Fan) -> ProjectivityResult:
     ``_cone_rows`` gives each maximal cone's relations, whose common zeros
     are the Q-Cartier divisors, and its strict-convexity rows, which on a
     complete fan decide ampleness (Cox, Little & Schenck, *Toric
-    Varieties*, ch. 6).  One double description gives {relations = 0, rows
-    >= 0}; as in ``strict_feasible``, the strict system is infeasible iff
-    some row vanishes on every extreme ray.  Otherwise the witness is the
-    sum of each ray's least Cartier multiple (``_least_multiple``): it is
-    Cartier, and every row is nonnegative on each term and positive on one.
-    Its Cartier data and strict convexity are re-checked.
+    Varieties*, ch. 6).  ``strict_feasible`` decides {relations = 0, rows
+    > 0}.  The witness sums its extreme rays, each scaled to its least
+    Cartier multiple (``_least_multiple``), so it is Cartier and still
+    positive on every row.  Its Cartier data and strict convexity are
+    re-checked.
     """
     if not fan.is_complete():
         raise ValueError("projectivity test requires a complete fan")
@@ -263,10 +265,10 @@ def is_projective(fan: Fan) -> ProjectivityResult:
         rows = _cone_rows(fan, mc, [k for k in range(r) if k not in mc])
         equalities += rows[:len(mc) - n]
         stricts += rows[len(mc) - n:]
-    _, rays, zeros = _double_description(r, equalities, stricts)
-    if reduce(and_, zeros, (1 << len(stricts)) - 1):
+    result = strict_feasible(StrictSystem(tuple(equalities), tuple(stricts), r))
+    if not result.feasible:
         return ProjectivityResult(False, None, None)
-    terms = [(_least_multiple(_characters(fan, ray)), ray) for ray in rays]
+    terms = [(_least_multiple(_characters(fan, ray)), ray) for ray in result.rays]
     divisor = tuple(sum(c * ray[k] for c, ray in terms) for k in range(r))
     data = cartier_data(fan, divisor)
     if data is None or not _strictly_convex(fan, divisor, data.characters):

@@ -12,10 +12,10 @@ Polyhedral questions share one integer double-description routine,
 ``_double_description``: the cone layer (``toricfan.cone``) builds, converts
 and meets cones with it (a meet starts from one cone's known rays and adds
 only the other's constraints), and ``strict_feasible`` decides a homogeneous
-strict system with it and returns an integral witness.  No floating point
-is used anywhere in the package: all downstream geometry (cones, fans,
-divisors) reduces to exact lattice computations built on the primitives in
-this module.
+strict system with it, such as projectivity's, and returns an integral
+witness.  No floating point is used anywhere in the package: all downstream
+geometry (cones, fans, divisors) reduces to exact lattice computations built
+on the primitives in this module.
 
 Conventions:
 
@@ -474,6 +474,7 @@ class StrictSystem:
 class FeasibilityResult:
     feasible: bool
     witness: Optional[LatticeVector]
+    rays: tuple = ()  # the extreme rays whose sum is the witness; () when infeasible
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -490,7 +491,7 @@ def strict_feasible(system: StrictSystem) -> FeasibilityResult:
     in every ray's zero set.  Otherwise each strict row is positive on some
     extreme ray and nonnegative on the others, so the sum of the extreme rays
     is an integral witness.  It is re-checked against every row, in
-    integers, before it is returned.
+    integers, and returned with the rays, which projectivity scales first.
     """
     equalities = _integer_rows(system.equalities)
     stricts = _integer_rows(system.strict_inequalities)
@@ -500,7 +501,7 @@ def strict_feasible(system: StrictSystem) -> FeasibilityResult:
     witness = tuple(sum(r[i] for r in rays) for i in range(system.dim))
     if any(dot(row, witness) for row in equalities) or any(dot(row, witness) <= 0 for row in stricts):
         raise InvariantError("strict feasibility witness violates its system")
-    return FeasibilityResult(True, witness)
+    return FeasibilityResult(True, witness, tuple(rays))
 
 
 # ---------------------------------------------------------------------------

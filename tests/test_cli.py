@@ -237,11 +237,13 @@ class TestCommandBranches:
         with pytest.raises(ValueError, match=r"pass allow_incomplete=True to override"):
             egyptian_report(parse_fan_file(QUADRANT)[0], 0)
 
-    @pytest.mark.parametrize("command", [
-        "validate", "complete", "cartier", "index", "picard", "classgroup", "projective",
-        "egyptian", "modify", "degree", "report",
-    ])
+    FAN_COMMANDS = ["validate", "complete", "cartier", "index", "picard", "classgroup", "projective",
+                    "egyptian", "modify", "degree", "report"]
+
+    @pytest.mark.parametrize("command", FAN_COMMANDS)
     def test_every_fan_command_times_its_load(self, write, capsys, command):
+        # A new row of the command table must join this test or the one after it.
+        assert set(self.FAN_COMMANDS) | {"family"} == set(cli._COMMANDS)
         argv = [command, "--fan", write("p2.json", P2)]
         if command in ("cartier", "index", "degree"):
             argv += ["--divisor", write("h.json", '{"coefficients":[1,0,0]}')]
@@ -377,6 +379,8 @@ class TestReportCommand:
         assert code == EXIT_OK and report["per_cone"] == {}
         code, report = _json_run(["modify", *argv], capsys)
         assert code == EXIT_INPUT_ERROR and "internal_error" not in report
+        # Each stage is timed even when it ends in exit 2.
+        assert list(report["timings"]) == ["total_s", "load_s", "split_s", "verify_s"]
         assert report["error"] == (f"ray {ray} is itself a maximal cone: its star quotient is the "
                                    "zero fan, which a Fan cannot hold")
 

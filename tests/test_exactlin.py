@@ -350,6 +350,27 @@ class TestStrictFeasible:
                 assert all(dot(row, res.witness) == 0 for row in eqs)
                 assert all(dot(row, res.witness) > 0 for row in stricts)
 
+    def test_witness_is_the_sum_of_the_returned_rays(self):
+        # Projectivity scales each returned ray before summing, so the rays
+        # themselves must lie in the closed cone and add up to the witness.
+        rng = random.Random(62)
+        seen = set()
+        for _ in range(120):
+            dim = rng.randint(1, 4)
+            n_eq = rng.randint(0, 2)
+            eqs = tuple(tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(n_eq))
+            stricts = tuple(tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 6)))
+            res = strict_feasible(StrictSystem(eqs, stricts, dim))
+            seen.add(res.feasible)
+            if not res.feasible:
+                assert res.rays == () and res.witness is None
+                continue
+            assert tuple(map(sum, zip(*res.rays))) == res.witness
+            for ray in res.rays:
+                assert all(dot(row, ray) == 0 for row in eqs)
+                assert all(dot(row, ray) >= 0 for row in stricts)
+        assert seen == {True, False}
+
     @pytest.mark.parametrize("system", [
         StrictSystem((), ((1, 0), (0, 1)), 2),
         StrictSystem(((1, -1, 0),), ((1, 0, 0), (0, 0, 1)), 3),
