@@ -4,6 +4,8 @@ Everything here runs on Python's arbitrary-precision integers.  Rank,
 kernels and rational solving share one fraction-free elimination on integer
 rows (row-by-row cross-multiplication, each row divided by its gcd);
 ``fractions.Fraction`` appears only in rational particular solutions.
+``Fan.isomorphism`` gets its spanning rays and their inverse matrix from the
+same elimination, run once on the rays beside an identity block.
 Lattice questions read one column Hermite form: a square matrix is
 unimodular iff its form is the identity; integral solving, integer kernels
 and the divisor layer's characters share ``_hermite_coordinates``; and the
@@ -32,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
+from itertools import compress
 from math import gcd, lcm
 from operator import and_, mul
 from typing import Optional, Sequence
@@ -85,17 +88,17 @@ def primitive(v: Sequence[int]) -> LatticeVector:
     return tuple(x // g for x in v)
 
 
-def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (row scaling keeps the row space)."""
+def _integer_rows(rows: Sequence[Sequence], width: int) -> list[list[int]]:
+    """Each row, refused unless it has ``width`` entries, scaled by the lcm of its denominators."""
     out = []
     for row in rows:
-        if all(type(x) is int for x in row):
+        if len(row) != width:
+            raise ValueError("ragged matrix")
+        if set(map(type, row)) <= {int}:
             out.append(list(row))
         else:
             fr = [Fraction(x) for x in row]
-            den = 1
-            for x in fr:
-                den = lcm(den, x.denominator)
+            den = lcm(*[x.denominator for x in fr])
             out.append([x.numerator * (den // x.denominator) for x in fr])
     return out
 
@@ -114,16 +117,18 @@ def _eliminate(work: list[list[int]], cols: int) -> list[int]:
     pivots: list[int] = []
     for col in range(cols):
         r = len(pivots)
-        pivot = next((i for i in range(r, rows_n) if work[i][col]), None)
-        if pivot is None:
+        for pivot in range(r, rows_n):
+            if work[pivot][col]:
+                break
+        else:
             continue
         work[r], work[pivot] = work[pivot], work[r]
         pr = work[r]
         p = pr[col]
-        for i in range(rows_n):
-            q = work[i][col]
+        for i, row in enumerate(work):
+            q = row[col]
             if q and i != r:
-                row = [x * p - y * q for x, y in zip(work[i], pr)]
+                row = [x * p - y * q for x, y in zip(row, pr)]
                 g = gcd(*row)
                 if g > 1:
                     row = [x // g for x in row]
@@ -136,16 +141,17 @@ def _eliminate(work: list[list[int]], cols: int) -> list[int]:
 
 def _kernel_of(work: list[list[int]], pivots: list[int], cols: int) -> tuple[LatticeVector, ...]:
     """Primitive kernel vectors read off reduced rows, one per free column (see ``rational_kernel``)."""
+    free = [True] * cols
+    for p in pivots:
+        free[p] = False
     basis = []
-    for f in sorted(set(range(cols)) - set(pivots)):
-        used = [(r, p) for r, p in enumerate(pivots) if work[r][f]]
-        scale = 1
-        for r, p in used:
-            scale = lcm(scale, work[r][p])
+    for f in compress(range(cols), free):
+        used = [(row, p) for row, p in zip(work, pivots) if row[f]]
+        scale = lcm(*[row[p] for row, p in used])
         vec = [0] * cols
         vec[f] = scale
-        for r, p in used:
-            vec[p] = -work[r][f] * scale // work[r][p]
+        for row, p in used:
+            vec[p] = -row[f] * scale // row[p]
         basis.append(primitive(vec))
     return tuple(basis)
 
@@ -154,23 +160,23 @@ def matrix_rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals: the pivot count of the fraction-free elimination."""
     if not rows:
         return 0
-    work = _integer_rows(rows)
-    return len(_eliminate(work, len(work[0])))
+    cols = len(rows[0])
+    return len(_eliminate(_integer_rows(rows, cols), cols))
 
 
 def rational_kernel(rows: Sequence[Sequence], width: Optional[int] = None) -> tuple[LatticeVector, ...]:
     """Basis of the rational kernel {x : rows @ x = 0}, as primitive integer vectors.
 
     Vector ``i`` is a positive multiple of the reduced-row-echelon basis
-    vector for the ``i``-th free column.  ``width`` must be supplied when
-    ``rows`` is empty (the kernel is then the whole space).
+    vector for the ``i``-th free column.  ``width`` must match the rows, and
+    must be supplied when there are none (the kernel is then the whole space).
     """
     if not rows:
         if width is None:
             raise ValueError("kernel of an empty system needs an explicit width")
         return identity_matrix(width)
-    work = _integer_rows(rows)
-    cols = len(work[0])
+    cols = len(rows[0]) if width is None else width
+    work = _integer_rows(rows, cols)
     return _kernel_of(work, _eliminate(work, cols), cols)
 
 
@@ -294,11 +300,9 @@ def solve_linear(a: Sequence[Sequence], b: Sequence, mode: str = "rational") -> 
     if not a:
         raise ValueError("empty system has unknown width")
     cols = len(a[0])
-    if any(len(row) != cols for row in a):
-        raise ValueError("ragged matrix")
 
     if mode == "rational":
-        work = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])
+        work = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)], cols + 1)
         pivots = _eliminate(work, cols)
         if any(row[cols] for row in work[len(pivots):]):
             return None  # a zero row with a nonzero right-hand side: inconsistent
@@ -308,7 +312,7 @@ def solve_linear(a: Sequence[Sequence], b: Sequence, mode: str = "rational") -> 
         return LinearSolution(tuple(particular), _kernel_of(work, pivots, cols))
 
     # Integral mode: clear denominators row by row, then read Hermite coordinates.
-    scaled = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])
+    scaled = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)], cols + 1)
     y, basis, kernel = _hermite_coordinates([row[:cols] for row in scaled], [row[cols] for row in scaled])
     if y is None or any(x.denominator != 1 for x in y):
         return None
@@ -493,8 +497,8 @@ def strict_feasible(system: StrictSystem) -> FeasibilityResult:
     is an integral witness.  It is re-checked against every row, in
     integers, and returned with the rays, which projectivity scales first.
     """
-    equalities = _integer_rows(system.equalities)
-    stricts = _integer_rows(system.strict_inequalities)
+    equalities = _integer_rows(system.equalities, system.dim)
+    stricts = _integer_rows(system.strict_inequalities, system.dim)
     _, rays, zeros = _double_description(system.dim, equalities, stricts)
     if reduce(and_, zeros, (1 << len(stricts)) - 1):
         return FeasibilityResult(False, None)

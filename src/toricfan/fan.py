@@ -42,7 +42,6 @@ from .exactlin import (
     identity_matrix,
     matrix_rank,
     primitive,
-    solve_linear,
     transpose,
 )
 
@@ -338,15 +337,16 @@ class Fan:
         val1, val2 = valences(self), valences(other)
         if sorted(val1) != sorted(val2):
             return None
-        # The pivot columns of the rays, as columns, are the greedy spanning subset.
-        pivot = _eliminate([list(row) for row in zip(*self.rays)], len(self.rays))
+        # One elimination of [rays as columns | I]: its pivot columns are the greedy spanning
+        # subset, the columns of R, and it leaves row i equal to d_i * (e_i | row i of R^{-1})
+        # on the pivot and identity columns.  So with scale = lcm(d_i), row i of scale * R^{-1}
+        # is that row's last n entries times scale // d_i.
+        work = [list(row) + list(e) for row, e in zip(zip(*self.rays), identity_matrix(n))]
+        pivot = _eliminate(work, len(self.rays))
         if len(pivot) < n or matrix_rank(other.rays) < n:
             return None  # non-spanning fans: only the identity case above is handled
-        r_cols = tuple(zip(*[self.rays[i] for i in pivot]))  # columns are pivot rays
-        # R^{-1}, one exact solve per unit vector, times the lcm of its denominators.
-        inv_cols = [solve_linear(r_cols, e).particular for e in identity_matrix(n)]
-        scale = lcm(*(x.denominator for col in inv_cols for x in col))
-        scaled_cols = [tuple(int(scale * x) for x in col) for col in inv_cols]
+        scale = lcm(*[row[p] for row, p in zip(work, pivot)])
+        scaled_cols = tuple(zip(*[[x * (scale // row[p]) for x in row[-n:]] for row, p in zip(work, pivot)]))
 
         other_index = {r: i for i, r in enumerate(other.rays)}
         other_cone_sets = {frozenset(mc) for mc in other.max_cones}

@@ -8,7 +8,7 @@ import pytest
 
 import toricfan.fan as fan_module
 from oracles import brute_force_pyramidal
-from test_fan import attributes, cross_polytope_fan, cube_face_fan
+from test_fan import attributes, cross_polytope_fan, cube_face_fan, random_face_fan
 from toricfan import cli
 from toricfan.cone import Cone
 from toricfan.divisor import is_projective
@@ -31,6 +31,13 @@ SQUARE_RAYS = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
 PENTAGON_RAYS = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (1, -1, 1)]
 HEXAGON_RAYS = [(2, 0, 1), (1, 2, 1), (-1, 2, 1), (-2, 0, 1), (-1, -2, 1), (1, -2, 1)]
 NOT_PYRAMIDAL_RAYS = [(1, 1, 0, 1), (1, -1, 0, 1), (-1, -1, 0, 1), (-1, 1, 0, 1), (0, 0, 1, 1), (0, 3, -1, 1)]
+# Star cones of random 4-D face fans, ``random_face_fan(random.Random(seed), 4, box)``,
+# as (seed, box, cone index, rays, rho).  At rho the first has two beyond facets and
+# the second one beyond facet with the other rays beneath it: a split.
+FACE_FAN_NOT_PYRAMIDAL = (5, 1, 1, [(-1, -1, -1, -1), (-1, -1, -1, 0), (-1, -1, 0, 0), (0, -1, -1, -1),
+                                    (0, -1, 1, -1), (1, -1, -1, 1)], (-1, -1, 0, 0))
+FACE_FAN_SPLIT = (1, 1, 9, [(-1, 1, 0, 0), (0, -1, -1, -1), (1, -1, 0, -1), (1, -1, 1, -1), (1, 1, -1, 0)],
+                  (-1, 1, 0, 0))
 
 
 def random_pointed_cone(rng, min_rays=4, max_rays=8):
@@ -301,6 +308,42 @@ class TestSmallModification:
                 base = remaining_cone(cone, fan.rays[ray])
                 assert base.dim == fan.ambient_rank - 1
             assert is_q_cartier(result.fan, divisor)
+
+
+class TestFaceFanFixtures:
+    """One NotPyramidal star cone and one that splits, drawn from random 4-D face fans.
+
+    Each agrees with the base-cone oracle at every ray, and its verdict at
+    rho comes from one ``rational_kernel`` call for the beyond-facet normal.
+    """
+
+    @staticmethod
+    def classified(fixture, monkeypatch):
+        import toricfan.egyptian as egyptian
+        seed, box, ci, rays, rho = fixture
+        cone = random_face_fan(random.Random(seed), 4, box).cones[ci]
+        assert cone.rays == tuple(rays)
+        TestOracleDifferential.agree(cone)
+        kernels, kernel = [], egyptian.rational_kernel
+
+        def recorded(*args):
+            kernels.append(kernel(*args))
+            return kernels[-1]
+
+        monkeypatch.setattr(egyptian, "rational_kernel", recorded)
+        cls = classify_pyramidal(cone, rho)
+        assert len(kernels) == 1
+        return cone, cls
+
+    def test_not_pyramidal(self, monkeypatch):
+        _, cls = self.classified(FACE_FAN_NOT_PYRAMIDAL, monkeypatch)
+        assert cls.kind is PyramidalKind.NOT_PYRAMIDAL
+        assert len(cls.beyond_facets) == 2 and not cls.tangent_facets
+
+    def test_pyramidal_split(self, monkeypatch):
+        cone, cls = self.classified(FACE_FAN_SPLIT, monkeypatch)
+        assert cls.kind is PyramidalKind.PYRAMIDAL and cls.splits
+        _check_split(cone, cls.base, cls.update, cls.eta_rays)
 
 
 class TestSplitCoverage:

@@ -525,6 +525,14 @@ class TestEliminationDifferential:
         assert solve_linear([[0, 0]], [0]).particular == (0, 0)
         sol = solve_linear([[2, 0], [0, 3], [2, 3]], [1, 1, 2])
         assert sol.particular == (Fraction(1, 2), Fraction(1, 3)) and sol.kernel == ()
+        # Ragged rows, and a kernel width the rows do not have, are refused on entry.
+        for call in (lambda: rational_kernel([[1], [1, 2, 3]]),
+                     lambda: matrix_rank([[1, 0, 0], [0, 1]]),
+                     lambda: matrix_rank([[1, 2], [3]]),
+                     lambda: rational_kernel([[1, 2]], 3),
+                     lambda: solve_linear([[1, 2], [3]], [0, 0])):
+            with pytest.raises(ValueError, match="ragged matrix"):
+                call()
 
 
 def test_elimination_properties(sympy):

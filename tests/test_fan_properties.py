@@ -5,7 +5,8 @@ the cones moves that point; the verdict, the walls and completeness must not
 move with it.  Cases are complete fans, incomplete fans and broken inputs.
 
 ``Fan.isomorphism`` must find a map from a fan to its image under a random
-unimodular matrix, with the image's rays and cones listed in a random order.
+unimodular matrix, with the image's rays and cones listed in a random order,
+also when the rays it pivots on span a proper sublattice.
 """
 
 import pytest
@@ -69,6 +70,9 @@ ISO_FANS = [
     projective_space_fan(3),
     *(yu_fan(n, u).fan for n in (3, 4) for u in (1, 2)),
     *random_complete_surface_fans(7, 3),
+    # The square's face fan: its first two rays span an index-2 sublattice, so
+    # R^{-1} is not integral and the search divides by a scale above 1.
+    Fan.from_cones(2, [(1, 1), (-1, 1), (-1, -1), (1, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)]),
 ]
 
 
