@@ -25,8 +25,11 @@ extreme rays and facets are already known is made by ``Cone._from_facets``,
 which only sorts them.  Full-dimensional meets and conversions are read off
 their own run that way (``Cone._read_off``); the pieces of a split star cone
 (``egyptian.split_star``) and the star-quotient cones (``Fan.quotient``)
-are read off a parent cone's facets, which callers get as (ray-index set,
-normal) pairs from ``Cone.facet_pairs``.
+are read off a parent cone's facets, which callers get as (ray-index mask,
+normal) pairs from ``Cone.facet_pairs``: bit i of a mask stands for
+``rays[i]``, from the run's zero sets to the face lattice, which is closed
+under ``&`` on the masks (Kaibel & Pfetsch, "Computing the face lattice of
+a polytope from its vertex-facet incidences", 2002).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .exactlin import LatticeVector, _double_description, dot, identity_matrix, primitive
@@ -70,6 +73,43 @@ class Face:
 
     ray_indices: tuple[int, ...]
     dim: int
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The sorted indices of the set bits of ``mask``."""
+    return tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
+
+
+def _remap(mask: int, bit_of) -> int:
+    """The union of ``bit_of[i]`` over the set bits i of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= bit_of[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _transpose(masks: Sequence[int], width: int) -> list[int]:
+    """The incidence ``masks`` read the other way: bit j of entry i is bit i of ``masks[j]``."""
+    out = [0] * width
+    for j, mask in enumerate(masks):
+        bit = 1 << j
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= bit
+            mask ^= low
+    return out
+
+
+def _ordered(width: int, facets) -> tuple[tuple, tuple[int, ...]]:
+    """The normals and the masks of (mask, normal) pairs over ``width`` rays,
+    sorted as the masks' index tuples: with a bit set above all the rays,
+    two tuples compare at the lowest bit where the masks differ, and the one
+    holding it is smaller, so the bits read low to high, flipped, sort alike."""
+    flip = (1 << width + 1) - 1
+    ordered = sorted((bin(z ^ flip)[:1:-1], m, z) for z, m in facets)
+    return tuple([m for _, m, _ in ordered]), tuple([z for _, _, z in ordered])
 
 
 def _sign_canonical(v: LatticeVector) -> LatticeVector:
@@ -152,12 +192,14 @@ class Cone:
                 meets[low.bit_length() - 1] &= z
                 rest ^= low
         order = sorted((i for i, m in enumerate(meets) if m == 1 << i), key=gens.__getitem__)
-        # Each facet's rays as indices into the sorted extreme rays.
-        ordered = sorted((tuple([j for j, i in enumerate(order) if z >> i & 1]), m)
-                         for m, z in zip(normals, zeros))
+        # Each facet's rays as a mask over the sorted extreme rays.
+        bit_of = [0] * len(gens)
+        for j, i in enumerate(order):
+            bit_of[i] = 1 << j
+        facet_normals, incidence = _ordered(len(order), [(_remap(z, bit_of), m) for z, m in zip(zeros, normals)])
         span_eqs = tuple(sorted(_sign_canonical(v) for v in lineality))
         return cls._make(ambient_rank, tuple(gens[i] for i in order), ambient_rank - len(lineality), span_eqs,
-                         tuple(m for _, m in ordered), tuple(frozenset(inc) for inc, _ in ordered))
+                         facet_normals, incidence)
 
     @classmethod
     def _zero(cls, ambient_rank: int) -> "Cone":
@@ -205,38 +247,29 @@ class Cone:
         """
         if equalities or len(rays) < 2 or reduce(and_, zeros):
             return cls._from_primitive(ambient_rank, rays)
-        vanish = [0] * len(inequalities)  # row -> bitmask of the rays it vanishes on
-        for i, z in enumerate(zeros):
-            bit = 1 << i
-            while z:
-                low = z & -z
-                vanish[low.bit_length() - 1] |= bit
-                z ^= low
         tight: dict[int, int] = {}  # ray-index bitmask -> a row vanishing exactly there
-        for j, t in enumerate(vanish):
+        for j, t in enumerate(_transpose(zeros, len(inequalities))):
             tight.setdefault(t, j)
-        facets = [
-            ([i for i in range(len(rays)) if t >> i & 1], primitive(inequalities[j]))
-            for t, j in tight.items() if not any(t != u and t & u == t for u in tight)
-        ]
+        facets = [(t, primitive(inequalities[j])) for t, j in tight.items()
+                  if not any(t != u and t & u == t for u in tight)]
         return cls._from_facets(ambient_rank, dict(enumerate(rays)), facets)
 
     @classmethod
     def _from_facets(cls, ambient_rank: int, rays: dict, facets) -> "Cone":
         """The full-dimensional cone with extreme rays ``rays.values()``
-        (primitive) and facets ``facets``: pairs of a facet's rays, as keys
-        of ``rays``, and its primitive inward normal.
+        (primitive) and facets ``facets``: pairs of a facet's rays, as a
+        mask whose bits are keys of ``rays``, and its primitive inward normal.
 
-        No run is made and nothing is checked: right data give the cone
-        ``_build(ambient_rank, rays.values())`` in every attribute, since
-        the rays, and the facets by their ray indices, are sorted as it
-        sorts them.
+        No run is made and nothing is checked (a bit that is no key raises
+        ``KeyError``): right data give the cone ``_build(ambient_rank,
+        rays.values())`` in every attribute, since the rays, and the facets
+        by their ray indices, are sorted as it sorts them.
         """
         order = sorted(rays, key=rays.__getitem__)
-        position = {key: j for j, key in enumerate(order)}
-        ordered = sorted((tuple(sorted(map(position.__getitem__, keys))), m) for keys, m in facets)
+        bit_of = {key: 1 << j for j, key in enumerate(order)}
+        facet_normals, incidence = _ordered(len(order), [(_remap(keys, bit_of), m) for keys, m in facets])
         return cls._make(ambient_rank, tuple(map(rays.__getitem__, order)), ambient_rank, (),
-                         tuple(m for _, m in ordered), tuple(frozenset(inc) for inc, _ in ordered))
+                         facet_normals, incidence)
 
     # -- basic queries -----------------------------------------------------
 
@@ -256,32 +289,31 @@ class Cone:
         return all(dot(e, point) == 0 for e in self.span_equations) and \
             all(dot(m, point) >= 0 for m in self.facet_normals)
 
-    def _face_sets(self) -> dict[frozenset, int]:
-        """All faces as ray-index sets (closure of facet incidences under
-        intersection), each with its dimension.
+    def _face_sets(self) -> dict[int, int]:
+        """All faces as ray-index masks (closure of the facet masks under
+        ``&``), each with its dimension.
 
-        The face lattice is graded, so a face's dimension is 1 + the largest
-        dimension of a face strictly below it.  The faces just below a face
-        are among its intersections with the facets that do not contain it,
-        and those are smaller sets, so one pass in order of size suffices.
-        The faces are also grouped by dimension, each group sorted once.
+        A face of at most two rays has as many dimensions as rays, since two
+        extreme rays of a pointed cone are independent.  The face lattice is
+        graded, so a larger face's dimension is 1 + the largest dimension of
+        a face strictly below it, among its meets with the facets that do not
+        contain it: smaller sets, so one pass in order of size suffices.  The
+        faces are also grouped by dimension, each group sorted once.
         """
         cache = self._faces_cache
         if cache is not None:
             return cache
-        found = set()
-        stack = [frozenset(range(len(self.rays))), frozenset()]
-        while stack:
-            s = stack.pop()
-            if s in found:
-                continue
-            found.add(s)
-            stack.extend(t for t in (s & inc for inc in self._incidence) if t not in found)
-        faces: dict[frozenset, int] = {}
-        for s in sorted(found, key=len):
-            faces[s] = 1 + max((faces[s & inc] for inc in self._incidence if not s <= inc), default=-1)
+        incidence = self._incidence
+        found, new = set(), {(1 << len(self.rays)) - 1, 0}
+        while new:
+            found |= new
+            new = {s & inc for s in new for inc in incidence} - found
+        faces: dict[int, int] = {}
+        for s in sorted(found, key=int.bit_count):
+            size = s.bit_count()
+            faces[s] = size if size < 3 else max([faces[t] for t in [s & inc for inc in incidence] if t != s]) + 1
         by_dim: list[list[Face]] = [[] for _ in range(self.dim + 1)]
-        for key, k in sorted((tuple(sorted(s)), k) for s, k in faces.items()):
+        for key, k in sorted([(_bits(s), k) for s, k in faces.items()]):
             by_dim[k].append(Face(key, k))
         object.__setattr__(self, "_faces_cache", faces)
         object.__setattr__(self, "_faces_by_dim", tuple(tuple(group) for group in by_dim))
@@ -294,15 +326,16 @@ class Cone:
         self._face_sets()
         return list(self._faces_by_dim[k])
 
-    def facet_pairs(self) -> tuple[tuple[frozenset, LatticeVector], ...]:
-        """Each facet as (the indices of its rays, its inward normal), in
-        ``facets()`` order: the incidences themselves, with no ``Face`` built."""
+    def facet_pairs(self) -> tuple[tuple[int, LatticeVector], ...]:
+        """Each facet as (the mask of its rays, bit i for ``rays[i]``, its
+        inward normal), in ``facets()`` order: the incidences themselves,
+        with no ``Face`` built."""
         return tuple(zip(self._incidence, self.facet_normals))
 
     def facets(self) -> list[Face]:
         """The facets, in ``faces(dim - 1)`` order and aligned with
         ``facet_normals``: read off the incidences, with no face lattice."""
-        return [Face(tuple(sorted(inc)), self.dim - 1) for inc in self._incidence]
+        return [Face(_bits(inc), self.dim - 1) for inc in self._incidence]
 
     def face_cone(self, face: Face) -> "Cone":
         """The face as a cone in the same ambient lattice."""
@@ -315,7 +348,7 @@ class Cone:
         returned inequalities (this cone's facet normals, then ``other``'s).
 
         One ``_double_description`` run, started from this cone's own pair:
-        its extreme rays, with zero sets read off the facet incidences, and
+        its extreme rays, with zero sets transposed from the facet masks, and
         no lineality.  This cone is cut out by its span equations and facet
         normals, so the pair is a valid start, and only ``other``'s span
         equations and facet normals are added; this cone's span equations
@@ -324,10 +357,7 @@ class Cone:
         """
         if self.ambient_rank != other.ambient_rank:
             raise ValueError("ambient rank mismatch")
-        zeros = [0] * len(self.rays)
-        for j, inc in enumerate(self._incidence):
-            for i in inc:
-                zeros[i] |= 1 << j
+        zeros = _transpose(self._incidence, len(self.rays))
         inequalities = self.facet_normals + other.facet_normals
         _, rays, zeros = _double_description(self.ambient_rank, other.span_equations, inequalities,
                                              start=(self.rays, zeros, len(self.facet_normals)))
@@ -355,14 +385,14 @@ class Cone:
 
         A face of a polyhedral cone is spanned by the extreme rays it
         contains, and the faces are exactly the intersections of facets, so
-        the test is a lookup of the ray-index set in the face lattice.
+        the test is a lookup of the ray-index mask in the face lattice.
         """
-        index_of = {r: i for i, r in enumerate(self.rays)}
+        bit = {r: 1 << i for i, r in enumerate(self.rays)}
         try:
-            indices = frozenset(index_of[tuple(r)] for r in rays)
+            mask = reduce(or_, (bit[tuple(r)] for r in rays), 0)
         except KeyError:
             return False
-        return indices in self._face_sets()
+        return mask in self._face_sets()
 
     def is_face_of(self, other: "Cone") -> bool:
         """Whether this cone is a face of ``other``.

@@ -317,16 +317,15 @@ def polytope_degree(polytope: Polytope) -> int:
     faces = cone._face_sets()
 
     @cache
-    def simplices(face: frozenset) -> list[tuple[int, ...]]:
-        if len(face) == 1:
-            return [tuple(face)]
-        apex = min(face)
+    def simplices(face: int) -> list[tuple[int, ...]]:  # face: a ray-index mask
+        apex = (face & -face).bit_length() - 1
+        if face == 1 << apex:
+            return [(apex,)]
         facets = {face & inc for inc in cone._incidence}
-        return [(apex,) + s for facet in facets if apex not in facet and faces[facet] == faces[face] - 1
+        return [(apex,) + s for facet in facets if not facet >> apex & 1 and faces[facet] == faces[face] - 1
                 for s in simplices(facet)]
 
-    everything = frozenset(range(len(cone.rays)))
-    forms = (hermite_normal_form([cone.rays[i] for i in s])[0] for s in simplices(everything))
+    forms = (hermite_normal_form([cone.rays[i] for i in s])[0] for s in simplices((1 << len(cone.rays)) - 1))
     return sum(reduce(mul, (h[i][i] for i in range(d + 1))) for h in forms)
 
 

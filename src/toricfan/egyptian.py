@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Optional, Sequence
 
-from .cone import Cone, Position, classify_position
+from .cone import Cone, Position, _bits, _remap, classify_position
 from . import divisor as divisor_ops
 from .errors import InvariantError
 from .exactlin import LatticeVector, dot, primitive, rational_kernel
@@ -85,13 +86,13 @@ class PyramidalClassification:
         """
         sigma, n = self.sigma, self.sigma.ambient_rank
         i = sigma.rays.index(self.ray)
-        eta = [k for k, r in enumerate(sigma.rays) if r in self.eta_rays]
+        eta = sum(1 << k for k, r in enumerate(sigma.rays) if r in self.eta_rays)
         through, missing = [], []
         for inc, m in sigma.facet_pairs():
-            (through if i in inc else missing).append((inc, m))
+            (through if inc >> i & 1 else missing).append((inc, m))
         base = Cone._from_facets(n, {k: r for k, r in enumerate(sigma.rays) if k != i},
                                  [(eta, self.eta_normal)] + missing)
-        update = Cone._from_facets(n, {k: sigma.rays[k] for k in eta + [i]},
+        update = Cone._from_facets(n, {k: sigma.rays[k] for k in _bits(eta | 1 << i)},
                                    [(eta, tuple(-x for x in self.eta_normal))] + through)
         return base, update
 
@@ -208,12 +209,12 @@ def classify_pyramidal(sigma: Cone, ray: Sequence[int]) -> PyramidalClassificati
         raise ValueError(f"{tuple(ray)} is not an extreme ray of the cone")
     i = sigma.rays.index(r)
     facets = sigma.facet_pairs()
-    through = [inc for inc, _ in facets if i in inc]
+    through = [inc for inc, _ in facets if inc >> i & 1]
     if len(facets) - len(through) == 1:
         return PyramidalClassification(PyramidalKind.LOW_DIM, sigma, r)
-    near = set().union(*through) - {i}
-    s_rays = tuple(sigma.rays[k] for k in sorted(near))
-    o_rays = [x for k, x in enumerate(sigma.rays) if k != i and k not in near]
+    near = reduce(or_, through, 0) & ~(1 << i)
+    s_rays = tuple(sigma.rays[k] for k in _bits(near))
+    o_rays = [x for k, x in enumerate(sigma.rays) if k != i and not near >> k & 1]
     kernel = rational_kernel(s_rays, n) if o_rays else ()
     if len(kernel) == 1:
         m = kernel[0] if dot(kernel[0], r) < 0 else tuple(-x for x in kernel[0])
@@ -299,17 +300,18 @@ def _check_split(sigma: Cone, base: Cone, update: Cone, eta_rays: tuple) -> None
     boundary.  The union then has no boundary inside sigma's interior;
     being nonempty and closed, it is all of sigma.
     """
-    eta = set(eta_rays)
-    at_eta = [m for piece in (base, update) for inc, m in piece.facet_pairs()
-              if {piece.rays[k] for k in inc} == eta]
+    bit = {r: 1 << k for k, r in enumerate(sigma.rays)}
+    eta = reduce(or_, map(bit.__getitem__, eta_rays), 0)
+    # Each piece's facets as masks over sigma's rays; a ray off sigma gets a bit on no facet of it.
+    facets = [(_remap(inc, [bit.get(r, 1 << len(bit)) for r in piece.rays]), m)
+              for piece in (base, update) for inc, m in piece.facet_pairs()]
+    at_eta = [m for inc, m in facets if inc == eta]
     if len(at_eta) != 2 or at_eta[1] != tuple(-x for x in at_eta[0]):
         raise InvariantError("split cones do not meet exactly in the beyond facet")
-    sigma_facets = [{sigma.rays[k] for k in inc} for inc, _ in sigma.facet_pairs()]
-    for piece in (base, update):
-        for inc, _ in piece.facet_pairs():
-            rays = {piece.rays[k] for k in inc}
-            if rays != eta and not any(rays <= facet for facet in sigma_facets):
-                raise InvariantError("split cones do not cover the original cone")
+    sigma_facets = [inc for inc, _ in sigma.facet_pairs()]
+    for inc, _ in facets:
+        if inc != eta and not any(inc & facet == inc for facet in sigma_facets):
+            raise InvariantError("split cones do not cover the original cone")
 
 
 def verify_modification(result: ModificationResult) -> ModificationChecks:

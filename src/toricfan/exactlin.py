@@ -152,7 +152,8 @@ def _kernel_of(work: list[list[int]], pivots: list[int], cols: int) -> tuple[Lat
         vec[f] = scale
         for row, p in used:
             vec[p] = -row[f] * scale // row[p]
-        basis.append(primitive(vec))
+        g = gcd(*vec)
+        basis.append(tuple(vec) if g == 1 else tuple([x // g for x in vec]))
     return tuple(basis)
 
 
@@ -351,13 +352,6 @@ def integral_kernel(a: Sequence[Sequence[int]]) -> tuple[LatticeVector, ...]:
 # Polyhedral cones and strict feasibility via the double-description method
 
 
-def _shift(v: LatticeVector, value: int, pivot: LatticeVector, scale: int) -> LatticeVector:
-    """``v - (value / scale) * pivot`` as a primitive vector (``scale > 0``)."""
-    if value == 0:
-        return v
-    return primitive([scale * x - value * p for x, p in zip(v, pivot)])
-
-
 def _double_description(n: int, equalities, inequalities, start=None) -> tuple[list, list, list]:
     """Lineality basis, extreme rays and zero sets of {e.x = 0, a.x >= 0} in Q^n.
 
@@ -420,13 +414,20 @@ def _double_description(n: int, equalities, inequalities, start=None) -> tuple[l
             raise ValueError(f"dimension mismatch: {len(a)} vs {n}")
     for bit, a in constraints:
         values = [sum(map(mul, a, v)) for v in lineality]
-        k = next((k for k, value in enumerate(values) if value), None)
+        k = next(compress(range(len(values)), values), None)
         if k is not None:
             pivot, scale = lineality.pop(k), values.pop(k)
             if scale < 0:
-                pivot, scale = tuple(-x for x in pivot), -scale
-            lineality = [_shift(v, value, pivot, scale) for v, value in zip(lineality, values)]
-            rays = [_shift(r, sum(map(mul, a, r)), pivot, scale) for r in rays]
+                pivot, scale = tuple([-x for x in pivot]), -scale
+            # Each vector v becomes v - (value / scale) * pivot, made primitive.
+            vectors = lineality + rays
+            values += [sum(map(mul, a, r)) for r in rays]
+            for j, value in enumerate(values):
+                if value:
+                    v = [scale * x - value * p for x, p in zip(vectors[j], pivot)]
+                    g = gcd(*v)
+                    vectors[j] = tuple(v) if g == 1 else tuple([x // g for x in v])
+            lineality, rays = vectors[:len(lineality)], vectors[len(lineality):]
             if bit:
                 zeros = [z | bit for z in zeros]
                 rays.append(pivot)
@@ -451,7 +452,8 @@ def _double_description(n: int, equalities, inequalities, start=None) -> tuple[l
                                 break
                     else:
                         edge = [vp * x - vq * y for x, y in zip(rays[q], rays[p])]
-                        kept.append((primitive(edge), common | bit))
+                        g = gcd(*edge)
+                        kept.append((tuple(edge) if g == 1 else tuple([x // g for x in edge]), common | bit))
                         if len(kept) > _DD_RAY_LIMIT:
                             raise ResourceLimitError(f"double description passed its {_DD_RAY_LIMIT}-ray limit")
             rays = [r for r, _ in kept]

@@ -28,11 +28,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import reduce
-from math import lcm
-from operator import and_
+from math import gcd, lcm
+from operator import add, and_
 from typing import Iterable, Optional, Sequence
 
-from .cone import Cone
+from .cone import Cone, _bits, _remap
 from .errors import InvariantError
 from .exactlin import (
     LatticeVector,
@@ -100,7 +100,7 @@ class Fan:
                 raise ValueError(f"ray {i} has length {len(r)}, expected {n}")
             if all(x == 0 for x in r):
                 raise ValueError(f"ray {i} is zero")
-            if primitive(r) != r:
+            if gcd(*r) != 1:
                 raise ValueError(f"ray {i} = {r} is not primitive")
         if len(set(ray_list)) != len(ray_list):
             raise ValueError("duplicate rays")
@@ -137,7 +137,7 @@ class Fan:
             if cone.dim == n:
                 bits = [1 << index_of[r] for r in cone.rays]
                 for inc, normal in cone.facet_pairs():
-                    facets.setdefault(sum(map(bits.__getitem__, inc)), []).append((j, normal))
+                    facets.setdefault(_remap(inc, bits), []).append((j, normal))
 
         complete = _covers_once(n, cones, facets)
         if not complete:
@@ -167,7 +167,7 @@ class Fan:
         # those it is a facet of; a maximal (n-1)-cone lies in none.
         if self._walls is None:
             at = {mc: () for mc, cone in zip(self.max_cones, self.cones) if cone.dim == self.ambient_rank - 1}
-            at.update((_indices(mask), incident) for mask, incident in self._facets.items())
+            at.update((_bits(mask), incident) for mask, incident in self._facets.items())
             object.__setattr__(self, "_walls", tuple(self._wall(key, at[key]) for key in sorted(at)))
         return self._walls
 
@@ -395,11 +395,6 @@ class Fan:
         return search(0, [])
 
 
-def _indices(mask: int) -> tuple[int, ...]:
-    """The sorted indices of the set bits of ``mask``."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def _covers_once(n: int, cones: Sequence[Cone], facets: dict) -> bool:
     """Whether full-dimensional cones form a complete fan, by the wall check.
 
@@ -460,22 +455,24 @@ def _covers_once(n: int, cones: Sequence[Cone], facets: dict) -> bool:
         if len(pairs) != 2:
             return False
         (_, m), (_, m2) = pairs
-        if m2 != tuple(-x for x in m):
+        if any(map(add, m, m2)):
             return False
     p = [sum(column) for column in zip(*cones[0].rays)]
-    origin = (0,) * (n + 1)
+    zero = (0,) * n
 
     def contains_generic_point(cone: Cone) -> bool:
-        return all((dot(m, p), *m) > origin for m in cone.facet_normals)
+        values = [dot(m, p) for m in cone.facet_normals]
+        return all(v > 0 or v == 0 and m > zero for m, v in zip(cone.facet_normals, values))
 
     return sum(map(contains_generic_point, cones)) == 1
 
 
 def _star_image(sigma: Cone, i: int, image: dict, normal_image) -> Cone:
     """The image of the full-dimensional cone ``sigma`` in the quotient by
-    its ray ``i``, read off sigma's facets: ``image`` maps each other ray
-    to its primitive image, and ``normal_image`` maps a normal m through
-    the section, whose lifts w_j of the quotient basis give (m.w_j)_j.
+    its ray ``i``, read off sigma's facet masks (bit k for ``sigma.rays[k]``)
+    with no double description: ``image`` maps each other ray to its
+    primitive image, and ``normal_image`` maps a normal m through the
+    section, whose lifts w_j of the quotient basis give (m.w_j)_j.
     The faces of the image are the images of the faces of sigma through the
     ray (Fulton, *Introduction to Toric Varieties*, 1993, §3.1):
 
@@ -489,13 +486,12 @@ def _star_image(sigma: Cone, i: int, image: dict, normal_image) -> Cone:
       m = m'.project with m'_j = m.w_j for the section's lifts w_j; m' is
       inward because m'.project(x) = m.x, and primitive because m is.
     """
-    through = [(inc, m) for inc, m in sigma.facet_pairs() if i in inc]
-    everything = frozenset(range(len(sigma.rays)))  # the meet of no facets: sigma itself
-    rays = {}
-    for k in everything - {i}:
-        if reduce(and_, (inc for inc, _ in through if k in inc), everything) == {i, k}:
-            rays[k] = image[sigma.rays[k]]
-    facets = [(inc & rays.keys(), normal_image(m)) for inc, m in through]
+    through = [(inc, m) for inc, m in sigma.facet_pairs() if inc >> i & 1]
+    everything = (1 << len(sigma.rays)) - 1  # the meet of no facets: sigma itself
+    rays = {k: image[sigma.rays[k]] for k in range(len(sigma.rays))
+            if k != i and reduce(and_, (inc for inc, _ in through if inc >> k & 1), everything) == 1 << i | 1 << k}
+    kept = sum(1 << k for k in rays)
+    facets = [(inc & kept, normal_image(m)) for inc, m in through]
     return Cone._from_facets(sigma.ambient_rank - 1, rays, facets)
 
 

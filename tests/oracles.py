@@ -772,4 +772,4 @@ def reference_build(ambient_rank, generators):
     )
     span_eqs = tuple(sorted(_sign_canonical(v) for v in lineality))
     return Cone._make(ambient_rank, rays, ambient_rank - len(lineality), span_eqs,
-                      tuple(m for _, m in ordered), tuple(frozenset(inc) for inc, _ in ordered))
+                      tuple(m for _, m in ordered), tuple(sum(1 << i for i in inc) for inc, _ in ordered))

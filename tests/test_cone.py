@@ -199,7 +199,7 @@ class TestIntersect:
         opposite = Cone.from_rays(1, [(-1,)])
         assert half_line.meet_rays(half_line) == ((1,),)
         meet = half_line.intersect(half_line)
-        assert (meet.rays, meet.dim, meet.facet_normals, meet._incidence) == (((1,),), 1, ((1,),), (frozenset(),))
+        assert (meet.rays, meet.dim, meet.facet_normals, meet._incidence) == (((1,),), 1, ((1,),), (0,))
         assert half_line.meet_rays(opposite) == opposite.meet_rays(half_line) == ()
         assert half_line.intersect(opposite).dim == 0
 

@@ -224,7 +224,7 @@ def random_face_fan(rng: random.Random, d: int, box: int = 3):
     if hull.dim < d + 1 or any(m[d] <= 0 for m in hull.facet_normals):
         return None
     rays = [primitive(v[:d]) for v in hull.rays]
-    return Fan.from_cones(d, rays, [sorted(inc) for inc, _ in hull.facet_pairs()])
+    return Fan.from_cones(d, rays, [[i for i in range(len(rays)) if inc >> i & 1] for inc, _ in hull.facet_pairs()])
 
 
 def random_cone_subset(rng: random.Random, fan):
