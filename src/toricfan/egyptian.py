@@ -303,8 +303,10 @@ def _check_split(sigma: Cone, base: Cone, update: Cone, eta_rays: tuple) -> None
     bit = {r: 1 << k for k, r in enumerate(sigma.rays)}
     eta = reduce(or_, map(bit.__getitem__, eta_rays), 0)
     # Each piece's facets as masks over sigma's rays; a ray off sigma gets a bit on no facet of it.
-    facets = [(_remap(inc, [bit.get(r, 1 << len(bit)) for r in piece.rays]), m)
-              for piece in (base, update) for inc, m in piece.facet_pairs()]
+    facets = []
+    for piece in (base, update):
+        bits = [bit.get(r, 1 << len(bit)) for r in piece.rays]
+        facets += [(_remap(inc, bits), m) for inc, m in piece.facet_pairs()]
     at_eta = [m for inc, m in facets if inc == eta]
     if len(at_eta) != 2 or at_eta[1] != tuple(-x for x in at_eta[0]):
         raise InvariantError("split cones do not meet exactly in the beyond facet")
@@ -329,6 +331,7 @@ def verify_modification(result: ModificationResult) -> ModificationChecks:
     failures: list[str] = []
     wall_curves = []
     update_maximal = []
+    cone_sets = {frozenset(mc) for mc in fan.max_cones}
     for wall in result.exceptional_walls:
         try:
             w = fan.find_wall(wall.ray_indices)
@@ -343,7 +346,7 @@ def verify_modification(result: ModificationResult) -> ModificationChecks:
             failures.append(f"wall {wall.ray_indices}: incident cones {w.incident}, expected {wall.siblings}")
         wall_curves.append((wall.ray_indices, kind, incident_ok))
 
-        is_max = any(set(mc) == set(wall.ray_indices) | {rho} for mc in fan.max_cones)
+        is_max = frozenset(wall.ray_indices) | {rho} in cone_sets
         if not is_max:
             failures.append(f"wall {wall.ray_indices}: wall + ray is not a maximal cone")
         update_maximal.append((wall.ray_indices, is_max))

@@ -85,7 +85,7 @@ def primitive(v: Sequence[int]) -> LatticeVector:
     g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in v)
+    return tuple([x // g for x in v])
 
 
 def _integer_rows(rows: Sequence[Sequence], width: int) -> list[list[int]]:

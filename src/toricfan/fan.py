@@ -10,7 +10,10 @@ an unmatched facet, an incomplete fan or a non-fan) goes to the pairwise
 check: every intersection of maximal cones must be a common face, and no
 maximal cone may contain another.  A cone is built only after its ray
 indices pass, so its rays, checked primitive and distinct, go straight to
-``Cone._from_primitive`` with no second primitivization.  The wall check
+``Cone._from_primitive`` with no second primitivization.  Each maximal cone
+is checked in one pass: each of its rays is looked up once as a global bit
+(a ray off the fan gets the sentinel bit ``len(rays)``), and those bits give
+the extremality check, the used-ray mask and the facet map.  The wall check
 passes on a valid fan exactly when it is complete, so its verdict is kept,
 and so is the facet map it ran on (each facet with the cones it bounds).
 Walls (the codimension-one cones) are built from that map on first use;
@@ -93,7 +96,10 @@ class Fan:
     @classmethod
     def _validated(cls, n: int, rays, max_cones, built: Iterable[Cone]) -> "Fan":
         """The fan on ``max_cones``, validated on ``built``: their cones, one
-        per index list, drawn after that list's index checks."""
+        per index list, drawn after that list's index checks.
+
+        One pass per cone: each built ray becomes one global bit (``len(rays)``
+        off the fan); the bits must sum to the index mask and remap the facets."""
         ray_list = [tuple(r) for r in rays]
         for i, r in enumerate(ray_list):
             if len(r) != n:
@@ -107,37 +113,38 @@ class Fan:
         if not max_cones:
             raise ValueError("fan needs at least one maximal cone")
 
+        count = len(ray_list)
         index_of = {r: i for i, r in enumerate(ray_list)}
         mc_list: list[tuple[int, ...]] = []
         given = iter(built)
         cones: list[Cone] = []
+        used = 0
+        # Each facet of a full-dimensional cone, keyed by the bitmask of its global
+        # ray indices, with the cones it is a facet of and their inward normals.
+        facets: dict[int, list[tuple[int, LatticeVector]]] = {}
         for j, mc in enumerate(max_cones):
             idx = sorted(set(mc))
             if len(idx) != len(list(mc)):
                 raise ValueError(f"maximal cone {j} repeats a ray index")
-            if any(not 0 <= i < len(ray_list) for i in idx):
-                raise ValueError(f"maximal cone {j} has a ray index out of range")
-            if not idx:
+            if not idx:  # an empty list repeats no index and has none out of range
                 raise ValueError("cone needs at least one generator")
+            if idx[0] < 0 or idx[-1] >= count:
+                raise ValueError(f"maximal cone {j} has a ray index out of range")
             cone = next(given)
-            if set(cone.rays) != {ray_list[i] for i in idx}:
+            bits = [1 << index_of.get(r, count) for r in cone.rays]
+            mask = sum([1 << i for i in idx])
+            if sum(bits) != mask:
                 raise ValueError(f"maximal cone {j} lists a non-extreme generator")
+            used |= mask
             mc_list.append(tuple(idx))
             cones.append(cone)
-
-        used = set().union(*mc_list)
-        for i in range(len(ray_list)):
-            if i not in used:
-                raise ValueError(f"ray {i} does not appear in any maximal cone")
-
-        # Each facet of a full-dimensional cone, keyed by the bitmask of its global
-        # ray indices, with the cones it is a facet of and their inward normals.
-        facets: dict[int, list[tuple[int, LatticeVector]]] = {}
-        for j, cone in enumerate(cones):
             if cone.dim == n:
-                bits = [1 << index_of[r] for r in cone.rays]
                 for inc, normal in cone.facet_pairs():
                     facets.setdefault(_remap(inc, bits), []).append((j, normal))
+
+        if used != (1 << count) - 1:
+            unused = ~used & (used + 1)  # the lowest zero bit
+            raise ValueError(f"ray {unused.bit_length() - 1} does not appear in any maximal cone")
 
         complete = _covers_once(n, cones, facets)
         if not complete:
@@ -460,9 +467,8 @@ def _covers_once(n: int, cones: Sequence[Cone], facets: dict) -> bool:
     p = [sum(column) for column in zip(*cones[0].rays)]
     zero = (0,) * n
 
-    def contains_generic_point(cone: Cone) -> bool:
-        values = [dot(m, p) for m in cone.facet_normals]
-        return all(v > 0 or v == 0 and m > zero for m, v in zip(cone.facet_normals, values))
+    def contains_generic_point(cone: Cone) -> bool:  # stops at the first normal negative on the point
+        return all((v := dot(m, p)) > 0 or v == 0 and m > zero for m in cone.facet_normals)
 
     return sum(map(contains_generic_point, cones)) == 1
 

@@ -144,10 +144,15 @@ def test_fan_loads_match_validation_on_reference_cones(yu_grid, random_threefold
         (2, [(1, 0), (0, 1), (-1, -1)], [[0, 1]]),           # an unused ray
         (2, [(1, 0), (0, 1)], []),                           # no cone
         (2, [(1, 0), (0, 1)], [[0, 1], []]),                 # an empty cone
+        (2, [(1, 0), (0, 1)], [[0, -1]]),                    # a negative index
+        (2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1]]),   # two unused rays
     ]
     verdicts = set()
     for case in cases + rejected:
         expected = load(case, reference_build)
         assert load(case) == expected, case
         verdicts.add(expected if isinstance(expected, str) else expected[0])
-    assert {True, False} <= verdicts and len(verdicts) == 2 + len(rejected)
+    # The last two cases repeat the messages of the out-of-range and the unused-ray case.
+    assert {True, False} <= verdicts and len(verdicts) == len(rejected)
+    assert load(rejected[-2]) == "maximal cone 0 has a ray index out of range"
+    assert load(rejected[-1]) == "ray 2 does not appear in any maximal cone"  # the lower of rays 2 and 3

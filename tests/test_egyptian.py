@@ -296,6 +296,14 @@ class TestSmallModification:
         assert not checks.passed
         assert any("wall" in f for f in checks.failures)
 
+    def test_wall_plus_a_ray_on_it_is_not_maximal(self, suspension_fan):
+        result = small_modification(suspension_fan, 0)
+        (wall,) = result.exceptional_walls
+        # A ray of the wall itself adds nothing to it, and a wall is no maximal cone.
+        checks = verify_modification(dataclasses.replace(result, strict_transform_ray=wall.ray_indices[0]))
+        assert checks.update_maximal == ((wall.ray_indices, False),)
+        assert f"wall {wall.ray_indices}: wall + ray is not a maximal cone" in checks.failures
+
     def test_preserves_rays_and_makes_divisor_q_cartier(self, suspension_fan, yu_grid):
         from toricfan.divisor import is_q_cartier
         for fan, ray in ((suspension_fan, 0), (yu_grid(3, 2).fan, 0)):

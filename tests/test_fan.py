@@ -567,6 +567,21 @@ class TestConeReuse:
                 Fan._validated(n, rays, cones, fan.cones[1:] + fan.cones[:1])
             assert str(misaligned.value) == str(non_extreme.value)
 
+    def test_cones_with_rays_off_the_fan_rejected_as_non_extreme(self, p3_fan):
+        # Validation looks each ray of a handed-in cone up as a global bit; a
+        # ray off the fan must not pass for a listed one, whichever it replaces.
+        n, rays, cones = as_case(p3_fan)
+        outside = [(1, 1, -1), (1, 2, 3)]
+        listed = [rays[i] for i in cones[0]]
+        for given in (outside[:1] + listed[1:],           # ray 0 swapped for a foreign one
+                      listed + outside[:1],               # every listed ray and one more
+                      listed[:1] + outside):              # two foreign rays
+            cone = Cone.from_rays(n, given)
+            assert set(cone.rays) == set(given)
+            with pytest.raises(ValueError) as off_fan:
+                Fan._validated(n, rays, cones, [cone] + list(p3_fan.cones[1:]))
+            assert str(off_fan.value) == "maximal cone 0 lists a non-extreme generator"
+
     def test_build_counter_counts_every_cone_of_a_load(self, monkeypatch):
         built = count_builds(monkeypatch)
         for case in (cube_face_fan(3), cross_polytope_fan(4)):
