@@ -215,9 +215,11 @@ class Cone:
         """Back-convert a dual description {eqs = 0, ineqs >= 0} to ray form.
 
         The description must define a pointed cone: a nonzero lineality
-        space raises.  One ``_double_description`` run gives the extreme rays
-        and their zero sets, and ``_read_off`` makes the cone from them.
+        space raises.  The nonzero inequalities are made primitive, and one
+        ``_double_description`` run gives the extreme rays and their zero
+        sets, from which ``_read_off`` makes the cone.
         """
+        inequalities = [primitive(row) if any(row) else row for row in inequalities]
         lineality, rays, zeros = _double_description(ambient_rank, equalities, inequalities)
         if lineality:
             raise ValueError("cone contains a line")
@@ -226,8 +228,8 @@ class Cone:
     @classmethod
     def _read_off(cls, ambient_rank: int, equalities, inequalities, rays, zeros) -> "Cone":
         """The cone on ``rays``, the extreme rays of the pointed cone
-        C = {equalities = 0, inequalities >= 0}, with ``zeros`` their zero
-        sets over ``inequalities`` (as ``_double_description`` returns them).
+        C = {equalities = 0, inequalities >= 0} (each nonzero row primitive),
+        with ``zeros`` their zero-set bitmasks over ``inequalities``.
 
         Equal to ``_build(ambient_rank, rays)`` in every attribute, and built
         with no second run when C is full-dimensional.  The rows of a system
@@ -238,8 +240,8 @@ class Cone:
         full-dimensional cone is then defined by some row of the system, and
         a row's tight set (the rays it vanishes on) spans a face, so the
         facets' ray sets are the inclusion-maximal proper tight sets.  A
-        facet's hyperplane is spanned by its rays, so every row defining it
-        is a positive multiple of the one primitive inward normal.
+        facet's hyperplane is spanned by its rays, so every row defining it,
+        a primitive positive multiple of the inward normal, is that normal.
 
         Zero, lower-dimensional and 1-ray cones go to ``_from_primitive``
         (the rays are primitive and distinct already), whose own run fixes
@@ -250,7 +252,7 @@ class Cone:
         tight: dict[int, int] = {}  # ray-index bitmask -> a row vanishing exactly there
         for j, t in enumerate(_transpose(zeros, len(inequalities))):
             tight.setdefault(t, j)
-        facets = [(t, primitive(inequalities[j])) for t, j in tight.items()
+        facets = [(t, inequalities[j]) for t, j in tight.items()
                   if not any(t != u and t & u == t for u in tight)]
         return cls._from_facets(ambient_rank, dict(enumerate(rays)), facets)
 

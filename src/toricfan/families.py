@@ -3,12 +3,13 @@
 For n >= 3 and u >= 1, the fan Delta_u lives on 2n + 2 rays
 (e, f_1..f_n, g_1..g_n, h, in that fixed order) with C(n+1, 2) maximal
 cones: n cones through e and one cone per unordered pair {i, j} through h.
-Each maximal cone has n + 1 generators forming a circuit, which pins down
-its facet structure.  The family is interesting because the resulting
-complete toric variety is projective exactly for u = 1, has trivial Picard
-group for u > 1, and always carries the ray e in Egyptian position with
-divisor isomorphic to projective (n-1)-space; the pipeline report below
-recomputes each of those statements from scratch.
+Each maximal cone has n + 1 generators forming a circuit, written down
+once in ``_circuits``: the cones, labels, facet lists and intersections all
+read from it.  The family is interesting because the resulting complete
+toric variety is projective exactly for u = 1, has trivial Picard group
+for u > 1, and always carries the ray e in Egyptian position with divisor
+isomorphic to projective (n-1)-space; the pipeline report below recomputes
+each of those statements from scratch.
 """
 
 from __future__ import annotations
@@ -78,6 +79,18 @@ class YuFan:
         return self.n + pairs.index((i, j))
 
 
+def _circuits(n: int, u: int) -> list[tuple[str, dict[int, int], dict[int, int]]]:
+    """The maximal cones of Delta_u, each once, as (label, positive,
+    negative): two maps from ray index to coefficient whose weighted ray
+    sums are equal, and whose keys together are the cone's rays."""
+    fs = range(1, n + 1)
+    table = [(f"sigma_{i}", {0: u if i == n else 1, n + i: 1}, {k: 1 for k in fs if k != i}) for i in fs]
+    for i, j in combinations(fs, 2):
+        rest = {k: 1 for k in fs if k not in (i, j)}
+        table.append((f"sigma_{i}{j}", {n + i: 1, n + j: 1}, {2 * n + 1: u + 1 if j == n else 2, **rest}))
+    return table
+
+
 def yu_fan(n: int, u: int) -> YuFan:
     """Build and validate the fan Delta_u in dimension n."""
     config = YuConfig(n, u)
@@ -93,25 +106,11 @@ def yu_fan(n: int, u: int) -> YuFan:
     g.append([u * hh - ff for hh, ff in zip(h, f[n - 1])])  # g_n = u*h - f_n
 
     rays = [tuple(e)] + [tuple(v) for v in f] + [tuple(v) for v in g] + [tuple(h)]
-
-    e_idx = 0
-    f_idx = lambda i: i
-    g_idx = lambda i: n + i
-    h_idx = 2 * n + 1
-
-    cones: list[list[int]] = []
-    labels: list[str] = []
-    for i in range(1, n + 1):
-        cones.append(sorted([e_idx, g_idx(i)] + [f_idx(k) for k in range(1, n + 1) if k != i]))
-        labels.append(f"sigma_{i}")
-    for i, j in combinations(range(1, n + 1), 2):
-        cones.append(sorted([h_idx, g_idx(i), g_idx(j)] + [f_idx(k) for k in range(1, n + 1) if k not in (i, j)]))
-        labels.append(f"sigma_{i}{j}")
-
-    fan = Fan.from_cones(n, rays, cones)
+    table = _circuits(n, u)
+    fan = Fan.from_cones(n, rays, [sorted(pos | neg) for _, pos, neg in table])
     if not fan.is_complete():
         raise InvariantError("the family fan must be complete")
-    return YuFan(config, fan, tuple(labels))
+    return YuFan(config, fan, tuple(label for label, _, _ in table))
 
 
 @dataclass(frozen=True)
@@ -124,112 +123,41 @@ class YuCombinatoricsReport:
 
 
 def verify_yu_combinatorics(yu: YuFan) -> YuCombinatoricsReport:
-    """Check the circuit relations, facet lists, and pairwise intersections.
+    """Check each cone's circuit relation and facet list, and every pair's
+    intersection, against ``_circuits`` by exact set equalities; a mismatch
+    is not raised but reported as a failure item named by the cones' labels.
 
-    All checks are exact set equalities; any mismatch is reported as a
-    failure item rather than raised.
+    1. Circuits: each relation holds on the rays, and its keys are the
+       cone's ray indices.
+    2. Facets: exactly ``cone - {p, q}`` for p positive and q negative.
+       The relation is the cone's only one (any n of its n + 1 rays are
+       independent) and uses every ray, so a functional m >= 0 on the cone
+       that vanishes on a face F forces the rays off F, where m > 0, to
+       meet both sides.  A facet thus misses some p and some q, and the
+       n - 1 independent rays left span it; conversely their normal that is
+       positive on p is positive on q too, by the relation.
+    3. Intersections: in a fan, sigma meet tau is a face of both, spanned
+       by their common rays, so every pair's ``meet_rays`` is that set.
     """
-    n, u = yu.n, yu.u
     fan = yu.fan
-    rays = fan.rays
+    table = _circuits(yu.n, yu.u)
     failures: list[str] = []
 
-    def vec_sum(indices):
-        total = [0] * n
-        for i in indices:
-            total = [a + b for a, b in zip(total, rays[i])]
-        return tuple(total)
+    def weighted(coefficients: dict[int, int]) -> tuple[int, ...]:
+        return tuple(sum(c * fan.rays[k][x] for k, c in coefficients.items()) for x in range(fan.ambient_rank))
 
-    def scaled(c, idx):
-        return tuple(c * x for x in rays[idx])
+    def indices(found) -> frozenset[int]:
+        return frozenset(fan.ray_index(r) for r in found)
 
-    e, h = yu.e_index(), yu.h_index()
-    f, g = yu.f_index, yu.g_index
-
-    # Circuit relations.
-    for i in range(1, n):
-        lhs = tuple(a + b for a, b in zip(rays[e], rays[g(i)]))
-        rhs = vec_sum(f(j) for j in range(1, n + 1) if j != i)
-        if lhs != rhs:
-            failures.append(f"circuit e + g_{i} failed")
-    lhs = tuple(a + b for a, b in zip(scaled(u, e), rays[g(n)]))
-    rhs = vec_sum(f(j) for j in range(1, n))
-    if lhs != rhs:
-        failures.append("circuit u*e + g_n failed")
-    for i, j in combinations(range(1, n + 1), 2):
-        lhs = tuple(a + b for a, b in zip(rays[g(i)], rays[g(j)]))
-        c = 2 if j != n else u + 1
-        rhs = tuple(a + b for a, b in zip(scaled(c, h), vec_sum(f(k) for k in range(1, n + 1) if k not in (i, j))))
-        if lhs != rhs:
-            failures.append(f"circuit g_{i} + g_{j} failed")
-
-    # Facets of every maximal cone (2n - 2 each, simplicial).
-    def facet_sets(cone_index):
-        cone = fan.cones[cone_index]
-        return {frozenset(fan.ray_index(cone.rays[k]) for k in face.ray_indices)
-                for face in cone.facets()}
-
-    for i in range(1, n + 1):
-        predicted = set()
-        for k in range(1, n + 1):
-            if k == i:
-                continue
-            others = [f(j) for j in range(1, n + 1) if j not in (i, k)]
-            predicted.add(frozenset([e] + others))
-            predicted.add(frozenset([g(i)] + others))
-        actual = facet_sets(yu.sigma_index(i))
-        if actual != predicted or len(actual) != 2 * n - 2:
-            failures.append(f"facets of sigma_{i} do not match")
-    for i, j in combinations(range(1, n + 1), 2):
-        predicted = set()
-        rest = [f(k) for k in range(1, n + 1) if k not in (i, j)]
-        for k in range(1, n + 1):
-            if k in (i, j):
-                continue
-            others = [f(l) for l in range(1, n + 1) if l not in (i, j, k)]
-            predicted.add(frozenset([h, g(i)] + others))
-            predicted.add(frozenset([h, g(j)] + others))
-        predicted.add(frozenset([g(i)] + rest))
-        predicted.add(frozenset([g(j)] + rest))
-        actual = facet_sets(yu.sigma_pair_index(i, j))
-        if actual != predicted or len(actual) != 2 * n - 2:
-            failures.append(f"facets of sigma_{i}{j} do not match")
-
-    # Pairwise intersections: three codimension-one patterns, two of
-    # codimension three.
-    def intersection_rays(a, b):
-        return frozenset(fan.ray_index(r) for r in fan.cones[a].meet_rays(fan.cones[b]))
-
-    for i, j in combinations(range(1, n + 1), 2):
-        expected = frozenset([e] + [f(k) for k in range(1, n + 1) if k not in (i, j)])
-        if intersection_rays(yu.sigma_index(i), yu.sigma_index(j)) != expected:
-            failures.append(f"sigma_{i} meet sigma_{j} mismatch")
-    for k in range(1, n + 1):
-        for i, j in combinations([x for x in range(1, n + 1) if x != k], 2):
-            expected = frozenset([h, g(k)] + [f(l) for l in range(1, n + 1) if l not in (i, j, k)])
-            got = intersection_rays(yu.sigma_pair_index(i, k), yu.sigma_pair_index(j, k))
-            if got != expected:
-                failures.append(f"sigma_{i}{k} meet sigma_{j}{k} mismatch")
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            expected = frozenset([g(i)] + [f(k) for k in range(1, n + 1) if k not in (i, j)])
-            if intersection_rays(yu.sigma_index(i), yu.sigma_pair_index(i, j)) != expected:
-                failures.append(f"sigma_{i} meet sigma_{i}{j} mismatch")
-    for pair_a, pair_b in combinations(combinations(range(1, n + 1), 2), 2):
-        if set(pair_a) & set(pair_b):
-            continue
-        expected = frozenset([h] + [f(k) for k in range(1, n + 1) if k not in pair_a + pair_b])
-        got = intersection_rays(yu.sigma_pair_index(*pair_a), yu.sigma_pair_index(*pair_b))
-        if got != expected:
-            failures.append(f"sigma_{pair_a} meet sigma_{pair_b} mismatch")
-    for i in range(1, n + 1):
-        for j, k in combinations([x for x in range(1, n + 1) if x != i], 2):
-            expected = frozenset(f(l) for l in range(1, n + 1) if l not in (i, j, k))
-            got = intersection_rays(yu.sigma_index(i), yu.sigma_pair_index(j, k))
-            if got != expected:
-                failures.append(f"sigma_{i} meet sigma_{j}{k} mismatch")
+    for (label, pos, neg), mc, cone in zip(table, fan.max_cones, fan.cones):
+        if weighted(pos) != weighted(neg) or sorted(pos | neg) != list(mc):
+            failures.append(f"circuit of {label} failed")
+        predicted = {frozenset(mc) - {p, q} for p in pos for q in neg}
+        if {indices(cone.rays[k] for k in face.ray_indices) for face in cone.facets()} != predicted:
+            failures.append(f"facets of {label} do not match")
+    for a, b in combinations(range(len(table)), 2):
+        if indices(fan.cones[a].meet_rays(fan.cones[b])) != set(fan.max_cones[a]) & set(fan.max_cones[b]):
+            failures.append(f"{table[a][0]} meet {table[b][0]} mismatch")
 
     return YuCombinatoricsReport(tuple(failures))
 

@@ -43,7 +43,6 @@ from .exactlin import (
     dot,
     hermite_normal_form,
     identity_matrix,
-    matrix_rank,
     primitive,
     transpose,
 )
@@ -350,8 +349,10 @@ class Fan:
         # is that row's last n entries times scale // d_i.
         work = [list(row) + list(e) for row, e in zip(zip(*self.rays), identity_matrix(n))]
         pivot = _eliminate(work, len(self.rays))
-        if len(pivot) < n or matrix_rank(other.rays) < n:
-            return None  # non-spanning fans: only the identity case above is handled
+        # Non-spanning fans: only the identity case above is handled.  other needs no rank test:
+        # an accepted map is unimodular and maps the rays bijectively, so other then spans too.
+        if len(pivot) < n:
+            return None
         scale = lcm(*[row[p] for row, p in zip(work, pivot)])
         scaled_cols = tuple(zip(*[[x * (scale // row[p]) for x in row[-n:]] for row, p in zip(work, pivot)]))
 

@@ -1,7 +1,11 @@
 """The Y_u family: construction, combinatorics, and the pipeline report."""
 
+import dataclasses
+from itertools import combinations
+
 import pytest
 
+from toricfan.cone import Cone
 from toricfan.divisor import is_ample
 from toricfan.families import (
     YuConfig,
@@ -65,6 +69,24 @@ class TestConstruction:
         yu = yu_grid(3, 2)
         assert yu.fan.star(yu.e_index()) == tuple(range(3))
 
+    @pytest.mark.parametrize("n", range(3, 8))
+    @pytest.mark.parametrize("u", range(1, 4))
+    def test_rays_cones_and_labels(self, n, u):
+        # e = e_n, f_i = e_i (i < n), f_n = -(f_1 + ... + f_{n-1}), h = -e,
+        # g_i = h - f_i (i < n), g_n = u*h - f_n.
+        unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+        f = unit[:-1] + [(-1,) * (n - 1) + (0,)]
+        g = [tuple(-x for x in v[:-1]) + (-1,) for v in unit[:-1]] + [(1,) * (n - 1) + (-u,)]
+        rays = (unit[-1], *f, *g, (0,) * (n - 1) + (-1,))
+        pairs = list(combinations(range(1, n + 1), 2))
+        cones = [tuple(sorted({0, n + i} | set(range(1, n + 1)) - {i})) for i in range(1, n + 1)]
+        cones += [tuple(sorted({2 * n + 1, n + i, n + j} | set(range(1, n + 1)) - {i, j})) for i, j in pairs]
+        labels = tuple(f"sigma_{i}" for i in range(1, n + 1)) + tuple(f"sigma_{i}{j}" for i, j in pairs)
+        yu = yu_fan(n, u)
+        assert yu.fan.rays == rays
+        assert tuple(map(tuple, yu.fan.max_cones)) == tuple(cones)
+        assert yu.labels == labels
+
 
 class TestCombinatorics:
     @pytest.mark.parametrize("n,u", [(3, 1), (3, 2), (4, 3), (5, 1)])
@@ -72,12 +94,34 @@ class TestCombinatorics:
         report = verify_yu_combinatorics(yu_grid(n, u))
         assert report.passed, report.failures
 
+    def test_config_swap_fails_the_circuits_through_u(self, yu_grid):
+        # u enters only the relations of sigma_n (u*e) and sigma_in ((u + 1)*h).
+        yu = dataclasses.replace(yu_grid(4, 2), config=YuConfig(4, 1))
+        report = verify_yu_combinatorics(yu)
+        assert report.failures == tuple(f"circuit of sigma_{c} failed" for c in ("4", "14", "24", "34"))
+
+    def test_a_wrong_meet_fails_every_nonzero_intersection(self, monkeypatch):
+        yu = yu_fan(3, 1)
+        meet_rays = Cone.meet_rays
+        monkeypatch.setattr(Cone, "meet_rays", lambda self, other: meet_rays(self, other)[1:])
+        failures = verify_yu_combinatorics(yu).failures
+        # 15 pairs of the 6 cones; sigma_i meets sigma_jk ({i, j, k} = {1, 2, 3}) in zero.
+        assert len(failures) == 12
+        assert all("meet" in f for f in failures)
+
+    def test_a_missing_facet_fails_every_cone(self, monkeypatch):
+        yu = yu_fan(3, 1)
+        facets = Cone.facets
+        monkeypatch.setattr(Cone, "facets", lambda self: facets(self)[1:])
+        failures = verify_yu_combinatorics(yu).failures
+        assert len(failures) == 6
+        assert all("facets" in f for f in failures)
+
     def test_corrupted_fan_fails(self, yu_grid):
         yu = yu_grid(3, 1)
         # swap one ray: h becomes (0, 1, -1) instead of (0, 0, -1)
         rays = list(yu.fan.rays)
         rays[yu.h_index()] = (0, 1, -1)
-        import dataclasses
         try:
             broken_fan = Fan.from_cones(3, rays, [list(mc) for mc in yu.fan.max_cones])
         except ValueError:

@@ -189,6 +189,15 @@ class TestIsomorphism:
         assert p1xp1_fan.isomorphism(rotated) is None
         assert rotated.isomorphism(p1xp1_fan) is None
 
+    def test_spanning_against_non_spanning(self):
+        # Same ray and cone counts, cone sizes and valences.  From the spanning side the
+        # search runs and accepts no map, since a unimodular map keeps the rays spanning;
+        # from the other side the pivot pass finds too few pivots.
+        spanning = Fan.from_cones(2, [(1, 0), (0, 1)], [[0], [1]])
+        line = Fan.from_cones(2, [(1, 0), (-1, 0)], [[0], [1]])
+        assert spanning.isomorphism(line) is None
+        assert line.isomorphism(spanning) is None
+
 
 class TestProjectiveSpaceFan:
     def test_small_cases(self):
