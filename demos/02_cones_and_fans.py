@@ -8,7 +8,8 @@ is a set of cones that pairwise meet in common faces; validation checks
 that axiom and precomputes the wall table.
 """
 
-from toricfan.cone import Cone, Position, classify_position
+from toricfan.cone import Cone
+from toricfan.egyptian import classify_pyramidal
 from toricfan.fan import Fan, WallCurveKind
 
 # The cone over a unit square, embedded at height one.  Four rays, four
@@ -22,12 +23,16 @@ print("2-faces:", [f.ray_indices for f in square.faces(2)])
 c = Cone.from_rays(2, [(2, 0), (1, 1), (0, 1)])
 print("\nextreme rays only:", c.rays)
 
-# Beneath / beyond: positions of a point against a facet hyperplane with
-# inward normal.  The ray (1,0,1) is beyond the x = 0 wall of the cone on
-# the other three square rays -- the geometric heart of pyramidal updates.
-prime = Cone.from_rays(3, [(0, 1, 1), (-1, 0, 1), (0, -1, 1)])
-for normal in prime.facet_normals:
-    print((1, 0, 1), "against", normal, "->", classify_position(normal, (1, 0, 1)).value)
+# Beneath / beyond: the base cone on the other three square rays has the
+# ray (1,0,1) beyond its x = 0 facet alone and beneath the others, so the
+# square cone is a pyramidal extension: it splits along that facet into the
+# base and the update cone facet + ray -- the heart of small modifications.
+verdict = classify_pyramidal(square, (1, 0, 1))
+print("\nverdict at (1, 0, 1):", verdict.kind.value)
+print("beyond facet:", verdict.eta_rays)
+base, update = verdict.pieces
+print("base:", base.rays)
+print("update:", update.rays)
 
 # Fans validate the pairwise-intersection axiom.  Two full-dimensional cones
 # overlapping in a full-dimensional region are rejected with the offending

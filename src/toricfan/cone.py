@@ -30,41 +30,19 @@ normal) pairs from ``Cone.facet_pairs``: bit i of a mask stands for
 ``rays[i]``, from the run's zero sets to the face lattice, which is closed
 under ``&`` on the masks (Kaibel & Pfetsch, "Computing the face lattice of
 a polytope from its vertex-facet incidences", 2002).
+
+A point is beneath, on or beyond a facet as the facet's inward normal is
+positive, zero or negative on it (``egyptian.classify_pyramidal``).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .exactlin import LatticeVector, _double_description, dot, identity_matrix, primitive
-
-
-class Position(enum.Enum):
-    """Location of a point relative to a facet hyperplane with inward normal."""
-
-    BENEATH = "beneath"
-    BEYOND = "beyond"
-    ON_HYPERPLANE = "on_hyperplane"
-
-
-def classify_position(normal: Sequence[int], point: Sequence) -> Position:
-    """Beneath / beyond / on for an inward facet normal.
-
-    Inward orientation means the positive side of the hyperplane contains the
-    relative interior of the cone the facet belongs to.
-    """
-    if all(x == 0 for x in normal):
-        raise ValueError("facet normal must be nonzero")
-    value = dot(normal, point)
-    if value > 0:
-        return Position.BENEATH
-    if value < 0:
-        return Position.BEYOND
-    return Position.ON_HYPERPLANE
 
 
 @dataclass(frozen=True)
@@ -161,11 +139,7 @@ class Cone:
             raise ValueError("cone needs at least one generator")
         if any(len(g) != ambient_rank for g in gens):
             raise ValueError("generator length differs from the ambient rank")
-        return cls._build(ambient_rank, gens)
-
-    @classmethod
-    def _build(cls, ambient_rank: int, generators: list) -> "Cone":
-        return cls._from_primitive(ambient_rank, list(dict.fromkeys(primitive(g) for g in generators)))
+        return cls._from_primitive(ambient_rank, list(dict.fromkeys(primitive(g) for g in gens)))
 
     @classmethod
     def _from_primitive(cls, ambient_rank: int, gens: list) -> "Cone":
@@ -231,17 +205,18 @@ class Cone:
         C = {equalities = 0, inequalities >= 0} (each nonzero row primitive),
         with ``zeros`` their zero-set bitmasks over ``inequalities``.
 
-        Equal to ``_build(ambient_rank, rays)`` in every attribute, and built
-        with no second run when C is full-dimensional.  The rows of a system
-        that vanish on all of C are its implicit equalities, and they cut out
-        C's affine hull (Schrijver, *Theory of Linear and Integer
-        Programming*, 1986, §8.2).  So with no explicit equalities and no
-        inequality zero on every extreme ray, C spans Q^n.  Every facet of a
-        full-dimensional cone is then defined by some row of the system, and
-        a row's tight set (the rays it vanishes on) spans a face, so the
-        facets' ray sets are the inclusion-maximal proper tight sets.  A
-        facet's hyperplane is spanned by its rays, so every row defining it,
-        a primitive positive multiple of the inward normal, is that normal.
+        Equal to ``from_rays(ambient_rank, rays)`` in every attribute (the zero
+        cone when there are no rays), and built with no second run when C is
+        full-dimensional.  The rows of a system that vanish on all of C are its
+        implicit equalities, and they cut out C's affine hull (Schrijver,
+        *Theory of Linear and Integer Programming*, 1986, §8.2).  So with no
+        explicit equalities and no inequality zero on every extreme ray, C
+        spans Q^n.  Every facet of a full-dimensional cone is then defined by
+        some row of the system, and a row's tight set (the rays it vanishes on)
+        spans a face, so the facets' ray sets are the inclusion-maximal proper
+        tight sets.  A facet's hyperplane is spanned by its rays, so every row
+        defining it, a primitive positive multiple of the inward normal, is
+        that normal.
 
         Zero, lower-dimensional and 1-ray cones go to ``_from_primitive``
         (the rays are primitive and distinct already), whose own run fixes
@@ -263,7 +238,7 @@ class Cone:
         mask whose bits are keys of ``rays``, and its primitive inward normal.
 
         No run is made and nothing is checked (a bit that is no key raises
-        ``KeyError``): right data give the cone ``_build(ambient_rank,
+        ``KeyError``): right data give the cone ``from_rays(ambient_rank,
         rays.values())`` in every attribute, since the rays, and the facets
         by their ray indices, are sorted as it sorts them.
         """
@@ -338,10 +313,6 @@ class Cone:
         """The facets, in ``faces(dim - 1)`` order and aligned with
         ``facet_normals``: read off the incidences, with no face lattice."""
         return [Face(_bits(inc), self.dim - 1) for inc in self._incidence]
-
-    def face_cone(self, face: Face) -> "Cone":
-        """The face as a cone in the same ambient lattice."""
-        return Cone._from_primitive(self.ambient_rank, [self.rays[i] for i in face.ray_indices])
 
     # -- relations ---------------------------------------------------------
 

@@ -145,10 +145,6 @@ def cartier_data(fan: Fan, divisor: ToricDivisor, mode: str = "integral") -> Opt
     return CartierData(tuple(tuple(x.numerator for x in character) for character in characters), mode)
 
 
-def is_q_cartier(fan: Fan, divisor: ToricDivisor) -> bool:
-    return _characters(fan, _check_divisor(fan, divisor)) is not None
-
-
 def cartier_index(fan: Fan, divisor: ToricDivisor) -> Optional[int]:
     """Least c >= 1 with c*D Cartier, or None when D is not even Q-Cartier:
     the lcm of the characters' denominators (``_characters`` proves it least),

@@ -11,15 +11,16 @@ splitting each non-facet base along its beyond-facet refines the fan without
 adding rays: a small modification whose exceptional walls are the etas.
 
 The verdict is read off sigma's own facets (``classify_pyramidal``), with
-no face lattice; the tests compare it with a base-cone and face-lattice
-oracle (``tests/oracles.py``).  The base and update of a split are read off
-the same facets and eta's normal, with no double description, and each
-split is proved exactly on their facets (``_check_split``).
-``hypothesis_report`` checks the paper's whole hypothesis at one ray.
+no base cone and no face lattice; the tests compare it with a base-cone and
+face-lattice oracle (``tests/oracles.py``).  A split's base and update, the
+classification's ``pieces``, are read off the same facets and eta's normal,
+with no double description, and each split is proved exactly on their
+facets (``_check_split``).  ``hypothesis_report`` checks the paper's whole
+hypothesis at one ray.
 
 Tangency (rho on a facet hyperplane of the base) is classified NotPyramidal:
 the beneath/beyond dichotomy is strict here, and degenerate incidences are
-reported rather than silently merged into beneath.
+never merged into beneath.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Optional, Sequence
 
-from .cone import Cone, Position, _bits, _remap, classify_position
+from .cone import Cone, _bits, _remap
 from . import divisor as divisor_ops
 from .errors import InvariantError
 from .exactlin import LatticeVector, dot, primitive, rational_kernel
@@ -45,9 +46,9 @@ class PyramidalKind(enum.Enum):
 
 @dataclass(frozen=True)
 class PyramidalClassification:
-    """The verdict on (sigma, rho), with its cones made on first access.
-    When Pyramidal, ``eta_rays`` holds the beyond facet's sorted rays and
-    ``eta_normal`` its primitive normal, inward for the base."""
+    """The verdict on (sigma, rho).  When Pyramidal, ``eta_rays`` holds the
+    beyond facet's sorted rays, ``eta_normal`` its primitive normal, inward
+    for the base, and ``pieces`` the split, made on first access."""
 
     kind: PyramidalKind
     sigma: Cone
@@ -56,24 +57,9 @@ class PyramidalClassification:
     eta_normal: LatticeVector = ()
 
     @cached_property
-    def base(self) -> Cone:
-        """The cone on the rays other than rho."""
-        if self.kind is PyramidalKind.PYRAMIDAL:
-            return self._pieces[0]
-        return remaining_cone(self.sigma, self.ray)
-
-    @cached_property
-    def update(self) -> Optional[Cone]:
-        """The n-dimensional replacement cone, when defined."""
-        if self.kind is PyramidalKind.LOW_DIM:
-            return self.sigma
-        if self.kind is PyramidalKind.PYRAMIDAL:
-            return self._pieces[1]
-        return None
-
-    @cached_property
-    def _pieces(self) -> tuple[Cone, Cone]:
-        """Base and update of a Pyramidal split, read off sigma's facets.
+    def pieces(self) -> Optional[tuple[Cone, Cone]]:
+        """(base, update) of a Pyramidal split, read off sigma's facets; None
+        for any other verdict.
 
         By beneath-beyond (``classify_pyramidal``), with rho beyond eta
         alone and beneath every other facet of the base, the facets of
@@ -84,6 +70,8 @@ class PyramidalClassification:
         is neither eta's hyperplane (rho is beyond) nor another base facet's
         (rho is not on one).
         """
+        if self.kind is not PyramidalKind.PYRAMIDAL:
+            return None
         sigma, n = self.sigma, self.sigma.ambient_rank
         i = sigma.rays.index(self.ray)
         eta = sum(1 << k for k, r in enumerate(sigma.rays) if r in self.eta_rays)
@@ -95,21 +83,6 @@ class PyramidalClassification:
         update = Cone._from_facets(n, {k: sigma.rays[k] for k in _bits(eta | 1 << i)},
                                    [(eta, tuple(-x for x in self.eta_normal))] + through)
         return base, update
-
-    @property
-    def beyond_facets(self) -> tuple[Cone, ...]:
-        return self._base_facets(Position.BEYOND)
-
-    @property
-    def tangent_facets(self) -> tuple[Cone, ...]:
-        return self._base_facets(Position.ON_HYPERPLANE)
-
-    def _base_facets(self, position: Position) -> tuple[Cone, ...]:
-        if self.kind is PyramidalKind.LOW_DIM:
-            return ()
-        base = self.base
-        return tuple(base.face_cone(f) for m, f in zip(base.facet_normals, base.facets())
-                     if classify_position(m, self.ray) is position)
 
     @property
     def splits(self) -> bool:
@@ -163,15 +136,6 @@ class HypothesisReport:
     growth: Optional[divisor_ops.GrowthReport] = None
 
 
-def remaining_cone(sigma: Cone, ray: Sequence[int]) -> Cone:
-    """The cone on sigma's rays other than the given one (the base cone)."""
-    r = primitive(ray)
-    if r not in sigma.rays:
-        raise ValueError(f"{tuple(ray)} is not an extreme ray of the cone")
-    others = [g for g in sigma.rays if g != r]
-    return Cone._from_primitive(sigma.ambient_rank, others)  # sigma's own rays: primitive, distinct
-
-
 def classify_pyramidal(sigma: Cone, ray: Sequence[int]) -> PyramidalClassification:
     """Classify (sigma, rho) as LowDim, Pyramidal, or NotPyramidal from sigma's facets.
 
@@ -197,9 +161,9 @@ def classify_pyramidal(sigma: Cone, ray: Sequence[int]) -> PyramidalClassificati
       facet is a facet of sigma through x and rho: x is in S, not O.
 
     m is re-checked in integers before a Pyramidal verdict is returned, and
-    kept as ``eta_normal``.  No cone is built; the classification makes its
-    cones on first access, a Pyramidal base and update from sigma's facets
-    and m with no double description.
+    kept as ``eta_normal``.  No cone is built; a Pyramidal classification
+    makes its ``pieces``, base and update, on first access from sigma's
+    facets and m with no double description.
     """
     n = sigma.ambient_rank
     if sigma.dim != n:
@@ -254,7 +218,7 @@ def split_star(fan: Fan, report: EgyptianReport) -> ModificationResult:
     Each star cone whose base is full-dimensional is replaced by the base and
     the update cone simultaneously; everything else is carried over
     unchanged.  The pieces are read off the star cone's facets and the beyond
-    facet's normal (``PyramidalClassification._pieces``), so no double
+    facet's normal (``PyramidalClassification.pieces``), so no double
     description runs.  The result is validated as a fan on these cones, not
     rebuilt, keeps exactly the original rays, stays complete when the input
     was, and each split is checked exactly to cover its cone
@@ -276,9 +240,9 @@ def split_star(fan: Fan, report: EgyptianReport) -> ModificationResult:
             new_cones.append(list(mc))
             pieces.append(fan.cones[ci])
             continue
-        _check_split(fan.cones[ci], cls.base, cls.update, cls.eta_rays)
+        _check_split(fan.cones[ci], *cls.pieces, cls.eta_rays)
         base_idx = len(new_cones)
-        for piece in (cls.base, cls.update):
+        for piece in cls.pieces:
             new_cones.append(sorted(gidx[r] for r in piece.rays))
             pieces.append(piece)
         splits.append((ci, (base_idx, base_idx + 1)))

@@ -340,14 +340,6 @@ def _hermite_coordinates(a: Sequence[Sequence[int]], b: Sequence) -> tuple:
     return None if sol is None else sol.particular, tuple(row[:rank] for row in u), kernel
 
 
-def integral_kernel(a: Sequence[Sequence[int]]) -> tuple[LatticeVector, ...]:
-    """Basis of the integer solution lattice of ``a @ x = 0``: the columns of
-    ``U`` where the Hermite form ``H = a @ U`` is zero."""
-    if not a:
-        raise ValueError("empty system has unknown width")
-    return _hermite_coordinates(a, [0] * len(a))[2]
-
-
 # ---------------------------------------------------------------------------
 # Polyhedral cones and strict feasibility via the double-description method
 

@@ -61,33 +61,25 @@ class YuFan:
     def e_index(self) -> int:
         return 0
 
-    def f_index(self, i: int) -> int:
-        return i
-
     def g_index(self, i: int) -> int:
         return self.n + i
 
     def h_index(self) -> int:
         return 2 * self.n + 1
 
-    def sigma_index(self, i: int) -> int:
-        return i - 1
-
-    def sigma_pair_index(self, i: int, j: int) -> int:
-        i, j = min(i, j), max(i, j)
-        pairs = list(combinations(range(1, self.n + 1), 2))
-        return self.n + pairs.index((i, j))
-
 
 def _circuits(n: int, u: int) -> list[tuple[str, dict[int, int], dict[int, int]]]:
     """The maximal cones of Delta_u, each once, as (label, positive,
     negative): two maps from ray index to coefficient whose weighted ray
-    sums are equal, and whose keys together are the cone's rays."""
+    sums are equal, and whose keys together are the cone's rays.  Pair
+    labels are ``sigma_ij`` below n = 10 and ``sigma_i,j`` from there on, so
+    that with two-digit indices sigma_1,2 stays apart from sigma_12."""
     fs = range(1, n + 1)
+    sep = "," if n >= 10 else ""
     table = [(f"sigma_{i}", {0: u if i == n else 1, n + i: 1}, {k: 1 for k in fs if k != i}) for i in fs]
     for i, j in combinations(fs, 2):
         rest = {k: 1 for k in fs if k not in (i, j)}
-        table.append((f"sigma_{i}{j}", {n + i: 1, n + j: 1}, {2 * n + 1: u + 1 if j == n else 2, **rest}))
+        table.append((f"sigma_{i}{sep}{j}", {n + i: 1, n + j: 1}, {2 * n + 1: u + 1 if j == n else 2, **rest}))
     return table
 
 

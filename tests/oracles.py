@@ -36,7 +36,6 @@ from toricfan.exactlin import (
     dot,
     hermite_normal_form,
     identity_matrix,
-    integral_kernel,
     mat_vec,
     primitive,
     solve_linear,
@@ -562,7 +561,8 @@ def cartier_lattice(fan):
     """
     basis = identity_matrix(len(fan.rays))
     for mc in fan.max_cones:
-        kernel = integral_kernel([tuple(b[k] for b in basis) + fan.rays[k] for k in mc])
+        rows = [tuple(b[k] for b in basis) + fan.rays[k] for k in mc]
+        kernel = solve_linear(rows, [0] * len(rows), mode="integral").kernel
         basis = [_combine(v, basis) + v[len(basis):] for v in kernel]
     h, _ = hermite_normal_form(transpose(basis))
     return tuple(col for col in transpose(h) if any(col))

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import brute_force_meet, feasible_by_vertex_enumeration
 from toricfan import exactlin
-from toricfan.cone import Cone, Position, classify_position
+from toricfan.cone import Cone
 from toricfan.errors import InvariantError, ResourceLimitError
 from toricfan.exactlin import dot
 
@@ -261,7 +261,7 @@ class TestFaceLatticeDifferential:
             cone = _random_cone(rng, d, k)
             for j in range(d + 1):
                 for face in cone.faces(j):
-                    sub = cone.face_cone(face)
+                    sub = Cone._from_primitive(d, [cone.rays[i] for i in face.ray_indices])
                     assert sub.is_face_of(cone) and _face_by_lp(sub, cone), (cone, face)
             for size in range(2, len(cone.rays)):
                 sub = Cone.from_rays(d, rng.sample(cone.rays, size))
@@ -307,33 +307,15 @@ class TestMeetGrowthPair:
 
 
 class TestClassifyPosition:
-    def test_square_prime_cone_story(self):
-        # the cone on the three non-distinguished square rays
-        prime = Cone.from_rays(3, [(0, 1, 1), (-1, 0, 1), (0, -1, 1)])
-        assert prime.dim == 3
-        assert (-1, 0, 0) in prime.facet_normals
-        assert classify_position((-1, 0, 0), (1, 0, 1)) is Position.BEYOND
-        assert dot((-1, 0, 0), (1, 0, 1)) == -1
-
-    def test_beneath(self):
-        assert classify_position((1, -1, 1), (1, 0, 1)) is Position.BENEATH
-        assert dot((1, -1, 1), (1, 0, 1)) == 2
-
-    def test_on_hyperplane(self):
-        assert classify_position((1, 0, 0), (0, 5, 3)) is Position.ON_HYPERPLANE
-
-    def test_zero_normal_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            classify_position((0, 0), (1, 1))
+    """A point is beneath, on or beyond a facet as the inward normal is
+    positive, zero or negative on it."""
 
     def test_rays_off_a_facet_classify_beneath(self, square_cone, quadrant):
         # forced by the inward orientation of facet normals
         for cone in (square_cone, quadrant):
             for normal in cone.facet_normals:
-                for ray in cone.rays:
-                    position = classify_position(normal, ray)
-                    if dot(normal, ray) != 0:
-                        assert position is Position.BENEATH
+                assert all(dot(normal, ray) >= 0 for ray in cone.rays)
+                assert any(dot(normal, ray) > 0 for ray in cone.rays)
 
 
 class TestRoundTrip:

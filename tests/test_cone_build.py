@@ -18,7 +18,6 @@ from oracles import reference_build
 from test_fan import (as_case, attributes, cross_polytope_fan, cube_face_fan, random_complete_threefolds,
                       random_cone_subset)
 from toricfan.cone import Cone
-from toricfan.egyptian import remaining_cone
 from toricfan.exactlin import primitive
 from toricfan.fan import Fan
 
@@ -96,8 +95,8 @@ def test_random_builds_match_the_reference_read_off():
 
 def test_fan_cones_match_the_reference_read_off(yu_grid, random_threefolds):
     """Each maximal cone, built as a fan load builds it and by ``from_rays``;
-    then its facets (``face_cone``) and its base at its first ray
-    (``remaining_cone``), which take the cone's own rays directly."""
+    then its facets and its base at its first ray, built by ``_from_primitive``
+    on the cone's own rays directly."""
     for n, rays, cones in fan_cases(yu_grid, random_threefolds):
         for mc in cones:
             gens = [tuple(rays[i]) for i in mc]
@@ -107,8 +106,9 @@ def test_fan_cones_match_the_reference_read_off(yu_grid, random_threefolds):
             cone = Cone._from_primitive(n, gens)
             for face in cone.facets():
                 face_rays = [cone.rays[i] for i in face.ray_indices]
-                assert attributes(cone.face_cone(face)) == outcome(reference_build, n, face_rays)
-            assert attributes(remaining_cone(cone, cone.rays[0])) == outcome(reference_build, n, cone.rays[1:])
+                assert attributes(Cone._from_primitive(n, face_rays)) == outcome(reference_build, n, face_rays)
+            base_rays = list(cone.rays[1:])
+            assert attributes(Cone._from_primitive(n, base_rays)) == outcome(reference_build, n, base_rays)
 
 
 def load(case, build=None):

@@ -155,9 +155,9 @@ def _random_cone(rng, n):
 def test_warm_meet_and_read_off_match_cold_builds():
     """``meet_rays`` (started from the first cone's rays) equals a cold run
     on both cones' constraints; ``intersect`` and ``from_inequalities``
-    (read off that run) equal ``_build`` on the same rays, attribute for
-    attribute.  The tally checks that every kind of meet and of inequality
-    row occurs."""
+    (read off that run) equal a cold ``_from_primitive`` build on the same
+    rays, attribute for attribute.  The tally checks that every kind of meet
+    and of inequality row occurs."""
     rng = random.Random(1986)
     seen = {"full-dimensional": 0, "lower-dimensional": 0, "zero": 0,
             "redundant row": 0, "repeated row": 0, "non-primitive row": 0, "zero row": 0}
@@ -172,7 +172,7 @@ def test_warm_meet_and_read_off_match_cold_builds():
         _, cold, _ = _double_description(n, a.span_equations + b.span_equations, a.facet_normals + b.facet_normals)
         assert rays == tuple(sorted(cold)), (a, b)
         meet = a.intersect(b)
-        assert _attributes(meet) == _attributes(Cone._build(n, list(rays))), (a, b)
+        assert _attributes(meet) == _attributes(Cone._from_primitive(n, list(rays))), (a, b)
         seen["zero" if not rays else "full-dimensional" if meet.dim == n else "lower-dimensional"] += 1
 
         normals = list(a.facet_normals)
@@ -194,6 +194,6 @@ def test_warm_meet_and_read_off_match_cold_builds():
         rng.shuffle(ineqs)
         back = Cone.from_inequalities(n, a.span_equations, ineqs)
         _, cold, _ = _double_description(n, a.span_equations, ineqs)
-        assert _attributes(back) == _attributes(Cone._build(n, cold)), (a, ineqs)
+        assert _attributes(back) == _attributes(Cone._from_primitive(n, cold)), (a, ineqs)
         assert back == a
     assert min(seen.values()) >= 50, seen

@@ -35,7 +35,6 @@ from toricfan.divisor import (
     divisor_polytope,
     is_ample,
     is_projective,
-    is_q_cartier,
     picard_group,
     polytope_degree,
 )
@@ -45,10 +44,10 @@ from toricfan.exactlin import (
     StrictSystem,
     dot,
     hermite_normal_form,
-    integral_kernel,
     mat_vec,
     primitive,
     smith_normal_form,
+    solve_linear,
     strict_feasible,
     transpose,
 )
@@ -105,10 +104,10 @@ def _chained_agreement_feasible(fan) -> bool:
     return strict_feasible(StrictSystem(equalities, stricts, width)).feasible
 
 
-def _monolithic_system(fan):
-    """The Cartier condition as one system: ``a_k + m_sigma(l_k) = 0`` for
-    every maximal cone sigma and ray k of it, in the unknowns
-    ``(a_1, ..., a_r, m_1, ..., m_s)``, coefficients first."""
+def _monolithic_kernel(fan):
+    """The integral kernel of the Cartier condition as one system:
+    ``a_k + m_sigma(l_k) = 0`` for every maximal cone sigma and ray k of it,
+    in the unknowns ``(a_1, ..., a_r, m_1, ..., m_s)``, coefficients first."""
     n, r = fan.ambient_rank, len(fan.rays)
     width = r + len(fan.max_cones) * n
     rows = []
@@ -118,13 +117,13 @@ def _monolithic_system(fan):
             row[k] = 1
             row[r + ci * n:r + (ci + 1) * n] = fan.rays[k]
             rows.append(row)
-    return rows
+    return solve_linear(rows, [0] * len(rows), mode="integral").kernel
 
 
 def _monolithic_cartier_lattice(fan):
     """The Cartier lattice from one integral kernel of the whole system, in
     column Hermite form: a reference for the cone-by-cone construction."""
-    h, _ = hermite_normal_form(transpose(integral_kernel(_monolithic_system(fan))))
+    h, _ = hermite_normal_form(transpose(_monolithic_kernel(fan)))
     return tuple(col for col in transpose(h) if any(col))
 
 
@@ -209,7 +208,7 @@ class TestCartierIndex:
         # D for the apex ray of the square cone: the circuit relation on the
         # four square rays is incompatible with a single character
         assert cartier_index(suspension_fan, [1, 0, 0, 0, 0]) is None
-        assert not is_q_cartier(suspension_fan, [1, 0, 0, 0, 0])
+        assert cartier_data(suspension_fan, [1, 0, 0, 0, 0], mode="rational") is None
 
     def test_index_of_multiples(self, weighted_p112_fan):
         # index(cD) = index(D) / gcd(c, index(D))
@@ -413,7 +412,7 @@ class TestProjectivity:
         fan = random_complete_surface_fans(seed=7, count=40)[8]
         assert fan.rays == ((2, 1), (3, 2), (1, 1), (-3, 1), (-4, -1), (-3, -1), (2, -3), (3, -2))
         monkeypatch.setattr(exactlin, "_DD_RAY_LIMIT", 50)
-        lattice = integral_kernel(_monolithic_system(fan))
+        lattice = _monolithic_kernel(fan)
         n, r = fan.ambient_rank, len(fan.rays)
         blocks = [slice(r + ci * n, r + (ci + 1) * n) for ci in range(len(fan.max_cones))]
         stricts = tuple(

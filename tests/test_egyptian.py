@@ -8,17 +8,16 @@ import pytest
 
 import toricfan.fan as fan_module
 from oracles import brute_force_pyramidal
-from test_fan import attributes, cross_polytope_fan, cube_face_fan, random_face_fan
+from test_fan import attributes, cross_polytope_fan, cube_face_fan, random_complete_threefolds, random_face_fan
 from toricfan import cli
 from toricfan.cone import Cone
-from toricfan.divisor import is_projective
+from toricfan.divisor import cartier_data, is_projective
 from toricfan.egyptian import (
     PyramidalKind,
     _check_split,
     classify_pyramidal,
     egyptian_report,
     hypothesis_report,
-    remaining_cone,
     small_modification,
     verify_modification,
 )
@@ -56,61 +55,42 @@ def random_pointed_cone(rng, min_rays=4, max_rays=8):
             return cone
 
 
-class TestRemainingCone:
-    def test_simplicial_gives_opposite_facet(self):
-        simplex = Cone.from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        base = remaining_cone(simplex, (1, 0, 0))
-        assert base.rays == ((0, 0, 1), (0, 1, 0))
-        assert base.dim == 2
-
-    def test_square_cone_base_is_full_dimensional(self):
-        cone = Cone.from_rays(3, SQUARE_RAYS)
-        base = remaining_cone(cone, (1, 0, 1))
-        assert base.dim == 3
-
-    def test_unknown_ray(self):
-        cone = Cone.from_rays(3, SQUARE_RAYS)
-        with pytest.raises(ValueError, match="not an extreme ray"):
-            remaining_cone(cone, (1, 1, 1))
-
-
 class TestClassify:
     def test_simplicial_is_low_dim(self):
         simplex = Cone.from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         cls = classify_pyramidal(simplex, (0, 0, 1))
         assert cls.kind is PyramidalKind.LOW_DIM
-        assert cls.update == simplex
+        assert cls.pieces is None and not cls.splits
+
+    def test_unknown_ray(self):
+        cone = Cone.from_rays(3, SQUARE_RAYS)
+        with pytest.raises(ValueError, match="not an extreme ray"):
+            classify_pyramidal(cone, (1, 1, 1))
 
     def test_square_cone_is_pyramidal(self):
         cone = Cone.from_rays(3, SQUARE_RAYS)
         cls = classify_pyramidal(cone, (1, 0, 1))
         assert cls.kind is PyramidalKind.PYRAMIDAL
-        eta = cls.beyond_facets[0]
-        assert eta.rays == ((0, -1, 1), (0, 1, 1))
-        assert cls.update.rays == ((0, -1, 1), (0, 1, 1), (1, 0, 1))
+        assert cls.eta_rays == ((0, -1, 1), (0, 1, 1))
+        base, update = cls.pieces
+        assert base.rays == ((-1, 0, 1), (0, -1, 1), (0, 1, 1))
+        assert update.rays == ((0, -1, 1), (0, 1, 1), (1, 0, 1))
 
     def test_not_pyramidal_fixture(self):
         cone = Cone.from_rays(4, NOT_PYRAMIDAL_RAYS)
         rho = (0, 3, -1, 1)
         cls = classify_pyramidal(cone, rho)
-        assert cls.kind is PyramidalKind.NOT_PYRAMIDAL
-        assert len(cls.beyond_facets) == 2
-        assert not cls.tangent_facets
-        # substitution oracle: each reported beyond facet is supported by an
-        # inward normal of the base cone that is negative on rho
-        base = cls.base
-        for facet in cls.beyond_facets:
-            rays = set(facet.rays)
-            normal = next(
-                n for n, f in zip(base.facet_normals, base.facets())
-                if {base.rays[i] for i in f.ray_indices} == rays
-            )
+        assert cls.kind is PyramidalKind.NOT_PYRAMIDAL and cls.pieces is None
+        kind, _, base_rays, beyond, tangent = brute_force_pyramidal(4, NOT_PYRAMIDAL_RAYS)[rho]
+        assert kind == "not_pyramidal" and not tangent
+        assert beyond == {frozenset(NOT_PYRAMIDAL_RAYS[:4]), frozenset([(1, 1, 0, 1), (-1, 1, 0, 1), (0, 0, 1, 1)])}
+        # substitution oracle: each beyond facet of the oracle is supported by
+        # an inward normal of the cold-built base cone that is negative on rho
+        base = Cone.from_rays(4, base_rays)
+        for facet in beyond:
+            normal = next(m for m in base.facet_normals if {r for r in base.rays if dot(m, r) == 0} == facet)
             assert all(dot(normal, r) >= 0 for r in base.rays)
             assert dot(normal, rho) < 0
-        assert {f.rays for f in cls.beyond_facets} == {
-            tuple(sorted(NOT_PYRAMIDAL_RAYS[:4])),
-            tuple(sorted([(1, 1, 0, 1), (-1, 1, 0, 1), (0, 0, 1, 1)])),
-        }
 
     def test_lower_dimensional_cone_rejected(self):
         flat = Cone.from_rays(3, [(1, 0, 0), (0, 1, 0)])
@@ -132,7 +112,7 @@ class TestClassify:
             cone = random_pointed_cone(rng)
             for ray in cone.rays:
                 cls = classify_pyramidal(cone, ray)
-                expected_low = remaining_cone(cone, ray).dim == 2
+                expected_low = Cone.from_rays(3, [r for r in cone.rays if r != ray]).dim == 2
                 assert (cls.kind is PyramidalKind.LOW_DIM) == expected_low
 
 
@@ -143,12 +123,13 @@ class TestPyramidalFaceLattice:
         # explicitly at one fixture.
         cone = Cone.from_rays(3, SQUARE_RAYS)
         cls = classify_pyramidal(cone, (1, 0, 1))
-        eta_rays = frozenset(cls.beyond_facets[0].rays)
+        eta_rays = frozenset(cls.eta_rays)
+        base, _ = cls.pieces
         base_faces = {
-            frozenset(cls.base.rays[i] for i in f.ray_indices)
-            for k in range(cls.base.dim) for f in cls.base.faces(k)
+            frozenset(base.rays[i] for i in f.ray_indices)
+            for k in range(base.dim) for f in base.faces(k)
         }
-        eta_cone = cls.beyond_facets[0]
+        eta_cone = Cone.from_rays(3, cls.eta_rays)
         eta_faces = {
             frozenset(eta_cone.rays[i] for i in f.ray_indices)
             for k in range(eta_cone.dim + 1) for f in eta_cone.faces(k)
@@ -173,12 +154,13 @@ class TestOracleDifferential:
             cls = classify_pyramidal(cone, ray)
             assert cls.kind.value == kind, (cone.rays, ray)
             assert (frozenset(cls.eta_rays) if cls.eta_rays else None) == eta
-            assert cls.base.rays == base
-            if cls.splits:  # pieces read off the cone's facets equal cold builds
-                for piece in (cls.base, cls.update):
+            if cls.splits:  # rho is beyond eta alone; pieces read off the cone's facets equal cold builds
+                assert beyond == {eta}
+                assert cls.pieces[0].rays == base
+                for piece in cls.pieces:
                     assert attributes(piece) == attributes(Cone.from_rays(piece.ambient_rank, piece.rays))
-            assert {frozenset(f.rays) for f in cls.beyond_facets} == beyond
-            assert {frozenset(f.rays) for f in cls.tangent_facets} == tangent
+            else:
+                assert cls.pieces is None
             kinds.add(kind)
         return kinds
 
@@ -235,7 +217,7 @@ class TestEgyptianReport:
         report = egyptian_report(p1_fan, 0)
         assert report.verdict
         (_, cls), = report.per_cone
-        assert cls.kind is PyramidalKind.LOW_DIM and cls.base.dim == 0
+        assert cls.kind is PyramidalKind.LOW_DIM and cls.pieces is None
         assert small_modification(p1_fan, 0).fan == p1_fan
 
     def test_not_pyramidal_star_fails(self):
@@ -257,8 +239,9 @@ class TestEgyptianReport:
         assert not report.verdict
         top = dict(report.per_cone)[0]
         assert top.kind is PyramidalKind.NOT_PYRAMIDAL
-        assert len(top.beyond_facets) == 1
-        assert len(top.tangent_facets) == 3
+        _, _, _, beyond, tangent = brute_force_pyramidal(top.sigma.ambient_rank, top.sigma.rays)[top.ray]
+        assert len(beyond) == 1
+        assert len(tangent) == 3
 
 
 class TestSmallModification:
@@ -305,7 +288,6 @@ class TestSmallModification:
         assert f"wall {wall.ray_indices}: wall + ray is not a maximal cone" in checks.failures
 
     def test_preserves_rays_and_makes_divisor_q_cartier(self, suspension_fan, yu_grid):
-        from toricfan.divisor import is_q_cartier
         for fan, ray in ((suspension_fan, 0), (yu_grid(3, 2).fan, 0)):
             result = small_modification(fan, ray)
             assert result.fan.rays == fan.rays
@@ -313,9 +295,9 @@ class TestSmallModification:
             # the star of the ray now has codimension-one bases everywhere
             for ci in result.fan.star(ray):
                 cone = result.fan.cones[ci]
-                base = remaining_cone(cone, fan.rays[ray])
+                base = Cone.from_rays(fan.ambient_rank, [r for r in cone.rays if r != fan.rays[ray]])
                 assert base.dim == fan.ambient_rank - 1
-            assert is_q_cartier(result.fan, divisor)
+            assert cartier_data(result.fan, divisor, mode="rational") is not None
 
 
 class TestFaceFanFixtures:
@@ -344,14 +326,15 @@ class TestFaceFanFixtures:
         return cone, cls
 
     def test_not_pyramidal(self, monkeypatch):
-        _, cls = self.classified(FACE_FAN_NOT_PYRAMIDAL, monkeypatch)
+        cone, cls = self.classified(FACE_FAN_NOT_PYRAMIDAL, monkeypatch)
         assert cls.kind is PyramidalKind.NOT_PYRAMIDAL
-        assert len(cls.beyond_facets) == 2 and not cls.tangent_facets
+        _, _, _, beyond, tangent = brute_force_pyramidal(4, cone.rays)[cls.ray]
+        assert len(beyond) == 2 and not tangent
 
     def test_pyramidal_split(self, monkeypatch):
         cone, cls = self.classified(FACE_FAN_SPLIT, monkeypatch)
         assert cls.kind is PyramidalKind.PYRAMIDAL and cls.splits
-        _check_split(cone, cls.base, cls.update, cls.eta_rays)
+        _check_split(cone, *cls.pieces, cls.eta_rays)
 
 
 class TestSplitCoverage:
@@ -452,6 +435,21 @@ class TestHypothesisReport:
             assert report.egyptian.verdict and report.modification_checks.passed, (n, u)
             assert report.divisor_fan_iso is not None and report.projective.feasible == (u == 1)
             assert report.growth.degree == 1, (n, u)
+
+    def test_campaign_on_random_threefolds(self):
+        # The threefold statement at every ray of 35 seeded complete 3-fans,
+        # four of them flipped out of the projective ones, keyed by (seed,
+        # index): every star quotient is a complete 2-fan, so projective.
+        fans = {(seed, i): fan for seed, count in ((0, 26), (4, 9))
+                for i, fan in enumerate(random_complete_threefolds(seed, count))}
+        non_projective = {key for key, fan in fans.items() if not is_projective(fan).feasible}
+        assert non_projective == {(0, 0), (0, 25), (4, 7), (4, 8)}
+        rays = 0
+        for key, fan in fans.items():
+            for ray in range(len(fan.rays)):
+                assert hypothesis_report(fan, ray).growth is not None, (key, ray)
+                rays += 1
+        assert rays == 257
 
     @pytest.mark.parametrize("name", sorted(COMPLETE_3D_FANS))
     def test_threefold_statement_at_every_ray(self, name):

@@ -22,7 +22,6 @@ from toricfan.exactlin import (
     dot,
     hermite_normal_form,
     identity_matrix,
-    integral_kernel,
     mat_mul,
     mat_vec,
     matrix_rank,
@@ -268,7 +267,7 @@ class TestSolveLinear:
                 assert mat_vec(a, sol.particular) == tuple(b)
                 assert all(v == 0 for k in sol.kernel for v in mat_vec(a, k))
                 if t % 4 != 3:
-                    assert sol.kernel == integral_kernel(a)
+                    assert sol.kernel == solve_linear(a, [0] * len(a), mode="integral").kernel
             else:
                 assert not brute
             seen.add((sol is not None, rows > matrix_rank(a), t % 4 == 3))
@@ -702,7 +701,7 @@ def test_integral_kernel_properties(sympy):
     @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @hyp.given(_integer_matrices(hyp.strategies))
     def check(m):
-        kernel = integral_kernel(m)
+        kernel = solve_linear(m, [0] * len(m), mode="integral").kernel
         assert len(kernel) == len(m[0]) - sympy.Matrix(m).rank()
         for k in kernel:
             assert all(x == 0 for x in mat_vec(m, k))

@@ -87,6 +87,14 @@ class TestConstruction:
         assert tuple(map(tuple, yu.fan.max_cones)) == tuple(cones)
         assert yu.labels == labels
 
+    def test_labels_distinct_past_two_digit_indices(self):
+        # Without a separator sigma_12 would name both sigma_12 and sigma_1,2 from n = 12 on.
+        for n in range(3, 14):
+            labels = yu_fan(n, 1).labels
+            assert len(set(labels)) == len(labels), n
+        assert yu_fan(9, 1).labels[9:11] == ("sigma_12", "sigma_13")
+        assert yu_fan(12, 1).labels[11:13] == ("sigma_12", "sigma_1,2")
+
 
 class TestCombinatorics:
     @pytest.mark.parametrize("n,u", [(3, 1), (3, 2), (4, 3), (5, 1)])

@@ -296,7 +296,7 @@ def derived_cones(fan, ray):
         if fan.cones[ci].dim == n:
             cls = classify_pyramidal(fan.cones[ci], fan.rays[ray])
             if cls.splits:
-                pieces += [cls.base, cls.update]
+                pieces += cls.pieces
     return pieces + list(fan.quotient(ray).cones if n > 1 else ())
 
 
