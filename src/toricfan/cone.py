@@ -14,11 +14,14 @@ primitivizes and deduplicates them, then runs it on the dual (the
 generators as inequalities) for the span equations, facet normals and
 facet incidences; pointedness, the extreme rays, their order and the
 facets' ray sets are read off the zero sets in one pass
-(``Cone._from_primitive``).  Rays known to be primitive and distinct (a
-validated fan's, a run's own, a cone's own) go to that pass directly, with
-no second primitivization.  Converting a dual description runs it on the
-constraints themselves; meeting two cones starts it from the first cone's
-rays and facet incidences and adds only the second cone's constraints.
+(``Cone._from_primitive``).  The generators go into the run sorted, so
+when every one is extreme, as on a valid fan, the zero sets are already the
+facets' masks over the sorted rays.  Rays known to be primitive and
+distinct (a validated fan's, a run's own, a cone's own) go to that pass
+directly, with no second primitivization.  Converting a dual description
+runs it on the constraints themselves; meeting two cones starts it from
+the first cone's rays and facet incidences and adds only the second cone's
+constraints.
 
 Not every cone comes from a run of its own.  A full-dimensional cone whose
 extreme rays and facets are already known is made by ``Cone._from_facets``,
@@ -144,9 +147,11 @@ class Cone:
     @classmethod
     def _from_primitive(cls, ambient_rank: int, gens: list) -> "Cone":
         """The cone on ``gens``, distinct primitive generators (unchecked):
-        one run, then one pass over its zero sets."""
+        one run on them sorted, then one pass over its zero sets, which are
+        already the facets' masks when every generator is extreme."""
         if not gens:
             return cls._zero(ambient_rank)
+        gens = sorted(gens)
         # The dual cone {y : g.y >= 0 for every generator g} has the span's
         # orthogonal complement as lineality and the facet normals as extreme
         # rays; the zero set of a normal is the set of generators on its facet.
@@ -165,12 +170,12 @@ class Cone:
                 low = rest & -rest
                 meets[low.bit_length() - 1] &= z
                 rest ^= low
-        order = sorted((i for i, m in enumerate(meets) if m == 1 << i), key=gens.__getitem__)
-        # Each facet's rays as a mask over the sorted extreme rays.
-        bit_of = [0] * len(gens)
-        for j, i in enumerate(order):
-            bit_of[i] = 1 << j
-        facet_normals, incidence = _ordered(len(order), [(_remap(z, bit_of), m) for z, m in zip(zeros, normals)])
+        order = [i for i, m in enumerate(meets) if m == 1 << i]
+        facets = zip(zeros, normals)
+        if len(order) < len(gens):  # each facet's rays as a mask over the extreme rays
+            bit_of = [1 << order.index(i) if i in order else 0 for i in range(len(gens))]
+            facets = [(_remap(z, bit_of), m) for z, m in facets]
+        facet_normals, incidence = _ordered(len(order), facets)
         span_eqs = tuple(sorted(_sign_canonical(v) for v in lineality))
         return cls._make(ambient_rank, tuple(gens[i] for i in order), ambient_rank - len(lineality), span_eqs,
                          facet_normals, incidence)

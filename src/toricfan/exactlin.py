@@ -377,6 +377,12 @@ def _double_description(n: int, equalities, inequalities, start=None) -> tuple[l
     passes, and every constraint's width is checked once on entry.  Holding
     more than ``_DD_RAY_LIMIT`` rays raises ``ResourceLimitError``.
 
+    The first cut of a cold start takes every (positive, negative) pair as
+    an edge, with no scan.  Every constraint before it pivoted, shifting L
+    and the rays by multiples of l and then keeping l as a ray or dropping
+    it, so they stay linearly independent: the cone modulo L is simplicial,
+    and any two of its rays span a face.  Later cuts and warm starts scan.
+
     ``start = (rays, zeros, k)`` begins from a known pointed pair instead of
     the whole space: the extreme rays, one each, of a cone C cut out by the
     first k inequalities and by equalities that are not passed, with their
@@ -400,6 +406,7 @@ def _double_description(n: int, equalities, inequalities, start=None) -> tuple[l
         if len(rays) > _DD_RAY_LIMIT:
             raise ResourceLimitError(f"double description passed its {_DD_RAY_LIMIT}-ray limit")
     done = (1 << known) - 1  # bitmask of the inequalities added so far
+    scan = start is not None  # a cold start's first cut takes every pair as an edge
     constraints = [(0, e) for e in equalities] + [(1 << j, a) for j, a in enumerate(inequalities) if j >= known]
     for _, a in constraints:
         if len(a) != n:
@@ -437,7 +444,7 @@ def _double_description(n: int, equalities, inequalities, start=None) -> tuple[l
                 for q, vq in negative:
                     common = zeros[p] & zeros[q]
                     passes = 0
-                    for z in zeros:
+                    for z in zeros if scan else ():
                         if z & common == common:
                             passes += 1
                             if passes == 3:
@@ -450,6 +457,7 @@ def _double_description(n: int, equalities, inequalities, start=None) -> tuple[l
                             raise ResourceLimitError(f"double description passed its {_DD_RAY_LIMIT}-ray limit")
             rays = [r for r, _ in kept]
             zeros = [z for _, z in kept]
+            scan = True
         done |= bit
     return lineality, rays, zeros
 

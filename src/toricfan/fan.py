@@ -13,9 +13,10 @@ indices pass, so its rays, checked primitive and distinct, go straight to
 ``Cone._from_primitive`` with no second primitivization.  Each maximal cone
 is checked in one pass: each of its rays is looked up once as a global bit
 (a ray off the fan gets the sentinel bit ``len(rays)``), and those bits give
-the extremality check, the used-ray mask and the facet map.  The wall check
-passes on a valid fan exactly when it is complete, so its verdict is kept,
-and so is the facet map it ran on (each facet with the cones it bounds).
+the extremality check, the used-ray mask and the facet map (a facet's mask
+is the cone's less the rays off the facet).  The wall check passes on a
+valid fan exactly when it is complete, so its verdict is kept, and so is
+the facet map it ran on (each facet with the cones it bounds).
 Walls (the codimension-one cones) are built from that map on first use;
 ``find_wall`` looks one up in it.  Star quotients are memoized per ray.
 Quotient fans and small modifications are validated, with the same checks,
@@ -98,15 +99,15 @@ class Fan:
         per index list, drawn after that list's index checks.
 
         One pass per cone: each built ray becomes one global bit (``len(rays)``
-        off the fan); the bits must sum to the index mask and remap the facets."""
+        off the fan); the bits must sum to the index mask, which proves them
+        distinct, and a facet's mask is that mask less the rays off the facet."""
         ray_list = [tuple(r) for r in rays]
         for i, r in enumerate(ray_list):
             if len(r) != n:
                 raise ValueError(f"ray {i} has length {len(r)}, expected {n}")
-            if all(x == 0 for x in r):
-                raise ValueError(f"ray {i} is zero")
-            if gcd(*r) != 1:
-                raise ValueError(f"ray {i} = {r} is not primitive")
+            g = gcd(*r)  # 0 exactly for the zero vector
+            if g != 1:
+                raise ValueError(f"ray {i} is zero" if g == 0 else f"ray {i} = {r} is not primitive")
         if len(set(ray_list)) != len(ray_list):
             raise ValueError("duplicate rays")
         if not max_cones:
@@ -138,8 +139,9 @@ class Fan:
             mc_list.append(tuple(idx))
             cones.append(cone)
             if cone.dim == n:
+                full = (1 << len(bits)) - 1
                 for inc, normal in cone.facet_pairs():
-                    facets.setdefault(_remap(inc, bits), []).append((j, normal))
+                    facets.setdefault(mask ^ _remap(full ^ inc, bits), []).append((j, normal))
 
         if used != (1 << count) - 1:
             unused = ~used & (used + 1)  # the lowest zero bit

@@ -156,3 +156,37 @@ def test_fan_loads_match_validation_on_reference_cones(yu_grid, random_threefold
     assert {True, False} <= verdicts and len(verdicts) == len(rejected)
     assert load(rejected[-2]) == "maximal cone 0 has a ray index out of range"
     assert load(rejected[-1]) == "ray 2 does not appear in any maximal cone"  # the lower of rays 2 and 3
+
+
+def test_builds_do_not_depend_on_generator_order(yu_grid, random_threefolds):
+    """Three seeded shuffles of each generator list build the same cone, or
+    raise the same message, through ``from_rays`` and, deduplicated, through
+    ``_from_primitive``: the seeded lists of the read-off test and every
+    maximal cone of the fan cases.  A fan load with each index list shuffled
+    gives the same fan.  The tally keeps the lists that reach the read-off's
+    other branches: lower-dimensional cones, whose span equations come from
+    the run's lineality, and non-extreme generators, whose zero sets are
+    remapped."""
+    rng = random.Random(2024)
+    lists = [random_generators(rng) for _ in range(1200)]
+    cases = fan_cases(yu_grid, random_threefolds)
+    lists += [(n, [tuple(rays[i]) for i in mc]) for n, rays, cones in cases for mc in cones]
+    seen = {"lower-dimensional": 0, "non-extreme": 0}
+    shuffle = random.Random(33)
+    for n, gens in lists:
+        if not gens:
+            continue
+        expected = outcome(Cone.from_rays, n, gens)
+        for _ in range(3):
+            shuffled = shuffle.sample(gens, len(gens))
+            assert outcome(Cone.from_rays, n, shuffled) == expected, (n, gens, shuffled)
+            distinct = list(dict.fromkeys(map(primitive, shuffled)))
+            assert outcome(Cone._from_primitive, n, distinct) == expected, (n, gens, shuffled)
+        if not isinstance(expected, str):
+            seen["lower-dimensional"] += expected[2] < n
+            seen["non-extreme"] += len(expected[1]) < len(set(map(primitive, gens)))
+    assert min(seen.values()) >= 100, seen
+    for n, rays, cones in cases:
+        expected = load((n, rays, cones))
+        for _ in range(3):
+            assert load((n, rays, [shuffle.sample(mc, len(mc)) for mc in cones])) == expected

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from oracles import brute_force_cone, brute_force_meet, reference_double_description
+from oracles import brute_force_cone, brute_force_meet, kernel_basis, reference_double_description
 from toricfan.cone import Cone, _double_description
 
 hyp = pytest.importorskip("hypothesis")
@@ -48,9 +48,12 @@ def generator_sets(draw, n=None, pointed=None):
 def test_double_description_matches_reference():
     """The kernel returns the reference routine's ``(lineality, rays, zeros)``,
     order included.  Entries in [-3, 3] give zero rows, repeated rows,
-    implicit equalities and lines; the tally checks that they all occur."""
+    implicit equalities and lines; the tally checks that they all occur.  It
+    also counts the runs whose first cut comes right after n pivots (the
+    first n rows are independent): the cut that takes every pair as an edge
+    with no scan, on n independent rays."""
     rng = random.Random(1996)
-    seen = {"line": 0, "implicit equality": 0, "zero row": 0, "repeated row": 0}
+    seen = {"line": 0, "implicit equality": 0, "zero row": 0, "repeated row": 0, "cut after n pivots": 0}
     for _ in range(2500):
         n = rng.randint(1, 5)
         eqs, ineqs = ([tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, hi))]
@@ -62,6 +65,8 @@ def test_double_description_matches_reference():
         seen["implicit equality"] += any(any(a) and all(z >> j & 1 for z in zeros) for j, a in enumerate(ineqs))
         seen["zero row"] += any(not any(a) for a in eqs + ineqs)
         seen["repeated row"] += len(set(ineqs)) < len(ineqs)
+        rows = eqs + ineqs
+        seen["cut after n pivots"] += len(rows) > n and not kernel_basis(rows[:n], n)
     assert min(seen.values()) >= 50, seen
 
 
