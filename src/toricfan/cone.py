@@ -40,16 +40,14 @@ positive, zero or negative on it (``egyptian.classify_pyramidal``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exactlin import LatticeVector, _double_description, dot, identity_matrix, primitive
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A face of a cone, as indices into the parent cone's ray list."""
 
     ray_indices: tuple[int, ...]
@@ -58,7 +56,12 @@ class Face:
 
 def _bits(mask: int) -> tuple[int, ...]:
     """The sorted indices of the set bits of ``mask``."""
-    return tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _remap(mask: int, bit_of) -> int:
@@ -275,38 +278,42 @@ class Cone:
         """All faces as ray-index masks (closure of the facet masks under
         ``&``), each with its dimension.
 
-        A face of at most two rays has as many dimensions as rays, since two
+        The facets have dimension dim - 1 and the whole cone dim.  Any other
+        face of at most two rays has as many dimensions as rays, since two
         extreme rays of a pointed cone are independent.  The face lattice is
         graded, so a larger face's dimension is 1 + the largest dimension of
         a face strictly below it, among its meets with the facets that do not
-        contain it: smaller sets, so one pass in order of size suffices.  The
-        faces are also grouped by dimension, each group sorted once.
+        contain it: smaller sets, so one pass in order of size suffices.
         """
-        cache = self._faces_cache
-        if cache is not None:
-            return cache
-        incidence = self._incidence
-        found, new = set(), {(1 << len(self.rays)) - 1, 0}
+        faces = self._faces_cache
+        if faces is not None:
+            return faces
+        incidence, full = self._incidence, (1 << len(self.rays)) - 1
+        found, new = set(), {full, 0}
         while new:
             found |= new
             new = {s & inc for s in new for inc in incidence} - found
-        faces: dict[int, int] = {}
-        for s in sorted(found, key=int.bit_count):
+        faces = dict.fromkeys(incidence, self.dim - 1)
+        faces[full] = self.dim
+        for s in sorted(found - faces.keys(), key=int.bit_count):
             size = s.bit_count()
             faces[s] = size if size < 3 else max([faces[t] for t in [s & inc for inc in incidence] if t != s]) + 1
-        by_dim: list[list[Face]] = [[] for _ in range(self.dim + 1)]
-        for key, k in sorted([(_bits(s), k) for s, k in faces.items()]):
-            by_dim[k].append(Face(key, k))
         object.__setattr__(self, "_faces_cache", faces)
-        object.__setattr__(self, "_faces_by_dim", tuple(tuple(group) for group in by_dim))
         return faces
 
     def faces(self, k: int) -> list[Face]:
-        """All k-dimensional faces, 0 <= k <= dim, sorted by ray indices."""
+        """All k-dimensional faces, 0 <= k <= dim, sorted by ray indices:
+        the first call groups every face by dimension, each group sorted once."""
         if not 0 <= k <= self.dim:
             raise ValueError(f"face dimension {k} out of range 0..{self.dim}")
-        self._face_sets()
-        return list(self._faces_by_dim[k])
+        by_dim = self._faces_by_dim
+        if by_dim is None:
+            by_dim = [[] for _ in range(self.dim + 1)]
+            for key, j in sorted([(_bits(s), j) for s, j in self._face_sets().items()]):
+                by_dim[j].append(Face(key, j))
+            by_dim = tuple(map(tuple, by_dim))
+            object.__setattr__(self, "_faces_by_dim", by_dim)
+        return list(by_dim[k])
 
     def facet_pairs(self) -> tuple[tuple[int, LatticeVector], ...]:
         """Each facet as (the mask of its rays, bit i for ``rays[i]``, its

@@ -20,12 +20,11 @@ are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from math import lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cone import Cone
 from .errors import InvariantError
@@ -49,24 +48,21 @@ from .fan import Fan
 ToricDivisor = Sequence[int]
 
 
-@dataclass(frozen=True)
-class CartierData:
+class CartierData(NamedTuple):
     """One character per maximal cone; `mode` records integral vs rational."""
 
     characters: tuple
     mode: str
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(NamedTuple):
     """Intersection of halfspaces {m : normal . m >= -offset}, with vertices."""
 
     inequalities: tuple  # (normal, offset) pairs
     vertices: tuple
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     """Predicted leading term of the top Chern numbers of the induced bundle family."""
 
     n: int
@@ -75,8 +71,7 @@ class GrowthReport:
     note: str = "coefficients below the leading term are not determined"
 
 
-@dataclass(frozen=True)
-class ProjectivityResult:
+class ProjectivityResult(NamedTuple):
     feasible: bool
     witness_divisor: Optional[tuple[int, ...]]
     witness_data: Optional[CartierData]

@@ -26,10 +26,9 @@ never merged into beneath.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cone import Cone, _bits, _remap
 from . import divisor as divisor_ops
@@ -44,17 +43,20 @@ class PyramidalKind(enum.Enum):
     NOT_PYRAMIDAL = "not_pyramidal"
 
 
-@dataclass(frozen=True)
-class PyramidalClassification:
-    """The verdict on (sigma, rho).  When Pyramidal, ``eta_rays`` holds the
-    beyond facet's sorted rays, ``eta_normal`` its primitive normal, inward
-    for the base, and ``pieces`` the split, made on first access."""
-
+class _PyramidalClassification(NamedTuple):
     kind: PyramidalKind
     sigma: Cone
     ray: LatticeVector
     eta_rays: tuple = ()
     eta_normal: LatticeVector = ()
+
+
+class PyramidalClassification(_PyramidalClassification):
+    """The verdict on (sigma, rho).  When Pyramidal, ``eta_rays`` holds the
+    beyond facet's sorted rays, ``eta_normal`` its primitive normal, inward
+    for the base, and ``pieces`` the split, made on first access.  This
+    subclass has no ``__slots__``, so its instances keep ``pieces`` in a
+    ``__dict__`` beside the fields."""
 
     @cached_property
     def pieces(self) -> Optional[tuple[Cone, Cone]]:
@@ -90,21 +92,18 @@ class PyramidalClassification:
         return self.kind is PyramidalKind.PYRAMIDAL
 
 
-@dataclass(frozen=True)
-class EgyptianReport:
+class EgyptianReport(NamedTuple):
     ray: int
     per_cone: tuple  # (maximal cone index, PyramidalClassification) pairs
     verdict: bool
 
 
-@dataclass(frozen=True)
-class ExceptionalWall:
+class ExceptionalWall(NamedTuple):
     ray_indices: tuple[int, ...]
     siblings: tuple[int, int]  # (base cone index, update cone index) in the refined fan
 
 
-@dataclass(frozen=True)
-class ModificationResult:
+class ModificationResult(NamedTuple):
     original: Fan
     fan: Fan
     split_cones: tuple          # (original index, (base index, update index)) pairs
@@ -112,8 +111,7 @@ class ModificationResult:
     strict_transform_ray: int
 
 
-@dataclass(frozen=True)
-class ModificationChecks:
+class ModificationChecks(NamedTuple):
     wall_curves: tuple      # (wall rays, kind, ok)
     update_maximal: tuple   # (wall rays, ok)
     quotient_preserved: bool
@@ -124,8 +122,7 @@ class ModificationChecks:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """The hypothesis at one ray, step by step; a failed step leaves the later fields None."""
 
     egyptian: EgyptianReport

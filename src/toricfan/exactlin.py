@@ -31,13 +31,12 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import compress
 from math import gcd, lcm
 from operator import and_, mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvariantError, ResourceLimitError
 
@@ -277,8 +276,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntegerMatrix, Intege
     return tuple(map(tuple, a)), tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
-@dataclass(frozen=True)
-class LinearSolution:
+class LinearSolution(NamedTuple):
     """A particular solution together with a kernel basis."""
 
     particular: tuple
@@ -462,22 +460,29 @@ def _double_description(n: int, equalities, inequalities, start=None) -> tuple[l
     return lineality, rays, zeros
 
 
-@dataclass(frozen=True)
-class StrictSystem:
-    """A homogeneous system: equality rows ``= 0`` and strict rows ``> 0``."""
-
+class _StrictSystem(NamedTuple):
     equalities: tuple
     strict_inequalities: tuple
     dim: int
 
-    def __post_init__(self):
-        for row in list(self.equalities) + list(self.strict_inequalities):
-            if len(row) != self.dim:
-                raise ValueError(f"row of length {len(row)} in a system of dimension {self.dim}")
+
+class StrictSystem(_StrictSystem):
+    """A homogeneous system: equality rows ``= 0`` and strict rows ``> 0``."""
+
+    __slots__ = ()
+
+    def __new__(cls, equalities: tuple, strict_inequalities: tuple, dim: int):
+        for row in list(equalities) + list(strict_inequalities):
+            if len(row) != dim:
+                raise ValueError(f"row of length {len(row)} in a system of dimension {dim}")
+        return super().__new__(cls, equalities, strict_inequalities, dim)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     feasible: bool
     witness: Optional[LatticeVector]
     rays: tuple = ()  # the extreme rays whose sum is the witness; () when infeasible
@@ -514,23 +519,31 @@ def strict_feasible(system: StrictSystem) -> FeasibilityResult:
 # Finitely generated abelian groups (for divisor class computations)
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
-    """Rank plus invariant factors ``d_1 | d_2 | ...`` (all >= 2)."""
-
+class _FGAbelianGroup(NamedTuple):
     rank: int
     invariant_factors: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if self.rank < 0:
+
+class FGAbelianGroup(_FGAbelianGroup):
+    """Rank plus invariant factors ``d_1 | d_2 | ...`` (all >= 2), kept as a tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, rank: int, invariant_factors: Sequence[int] = ()):
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        factors = tuple(self.invariant_factors)
+        factors = tuple(invariant_factors)
         for d in factors:
             if d < 2:
                 raise ValueError("invariant factors must be at least 2")
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
+        return super().__new__(cls, rank, factors)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     @property
     def is_trivial(self) -> bool:

@@ -14,9 +14,8 @@ each of those statements from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .divisor import GrowthReport, ProjectivityResult, cartier_index, is_ample, is_projective, picard_group
 from .egyptian import EgyptianReport, ModificationChecks, ModificationResult, hypothesis_report
@@ -25,20 +24,27 @@ from .exactlin import FGAbelianGroup
 from .fan import Fan, FanIsomorphism
 
 
-@dataclass(frozen=True)
-class YuConfig:
+class _YuConfig(NamedTuple):
     n: int
     u: int
 
-    def __post_init__(self):
-        if self.n < 3:
+
+class YuConfig(_YuConfig):
+    __slots__ = ()
+
+    def __new__(cls, n: int, u: int):
+        if n < 3:
             raise ValueError("n must be at least 3")
-        if self.u < 1:
+        if u < 1:
             raise ValueError("u must be positive")
+        return super().__new__(cls, n, u)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class YuFan:
+class YuFan(NamedTuple):
     """The fan of Y_u with its labelled maximal cones.
 
     Ray order: index 0 is e, indices 1..n are f_1..f_n, indices n+1..2n are
@@ -105,8 +111,7 @@ def yu_fan(n: int, u: int) -> YuFan:
     return YuFan(config, fan, tuple(label for label, _, _ in table))
 
 
-@dataclass(frozen=True)
-class YuCombinatoricsReport:
+class YuCombinatoricsReport(NamedTuple):
     failures: tuple[str, ...]
 
     @property
@@ -168,8 +173,7 @@ def projective_space_fan(d: int) -> Fan:
     return Fan.from_cones(d, rays, cones)
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(NamedTuple):
     """Aggregated verdicts for one member of the family."""
 
     config: YuConfig

@@ -30,11 +30,10 @@ split star cone off the cone's facets and its beyond facet
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import reduce
 from math import gcd, lcm
 from operator import add, and_
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cone import Cone, _bits, _remap
 from .errors import InvariantError
@@ -57,8 +56,7 @@ class WallCurveKind(enum.Enum):
     PROJECTIVE = "projective"  # in exactly two: P^1
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """A codimension-one cone of the fan with its incident maximal cones."""
 
     ray_indices: tuple[int, ...]
@@ -66,8 +64,7 @@ class Wall:
     incident: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FanIsomorphism:
+class FanIsomorphism(NamedTuple):
     """A unimodular map together with the ray bijection it induces."""
 
     matrix: tuple[LatticeVector, ...]

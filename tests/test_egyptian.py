@@ -1,6 +1,5 @@
 """Pyramidal classification, Egyptian position, small modifications."""
 
-import dataclasses
 import random
 import time
 
@@ -274,7 +273,7 @@ class TestSmallModification:
         (wall,) = result.exceptional_walls
         keep = [mc for i, mc in enumerate(result.fan.max_cones) if i != wall.siblings[1]]
         broken_fan = Fan.from_cones(3, result.fan.rays, keep)
-        broken = dataclasses.replace(result, fan=broken_fan)
+        broken = result._replace(fan=broken_fan)
         checks = verify_modification(broken)
         assert not checks.passed
         assert any("wall" in f for f in checks.failures)
@@ -283,7 +282,7 @@ class TestSmallModification:
         result = small_modification(suspension_fan, 0)
         (wall,) = result.exceptional_walls
         # A ray of the wall itself adds nothing to it, and a wall is no maximal cone.
-        checks = verify_modification(dataclasses.replace(result, strict_transform_ray=wall.ray_indices[0]))
+        checks = verify_modification(result._replace(strict_transform_ray=wall.ray_indices[0]))
         assert checks.update_maximal == ((wall.ray_indices, False),)
         assert f"wall {wall.ray_indices}: wall + ray is not a maximal cone" in checks.failures
 
@@ -464,7 +463,7 @@ class TestHypothesisReport:
     def test_stops_after_a_failed_egyptian_verdict(self, cube_suspension_fan):
         report = hypothesis_report(cube_suspension_fan, 0)
         assert not report.egyptian.verdict
-        later = [f.name for f in dataclasses.fields(report) if f.name != "egyptian"]
+        later = [name for name in report._fields if name != "egyptian"]
         assert all(getattr(report, name) is None for name in later)
 
     def test_stops_after_a_non_projective_divisor(self, p3_fan, monkeypatch):

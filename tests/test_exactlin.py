@@ -413,6 +413,13 @@ class TestFGAbelianGroup:
         assert not g.is_trivial
         assert str(g) == "Z^2 + Z/2 + Z/6"
 
+    def test_keeps_the_checked_tuple(self):
+        g = FGAbelianGroup(0, [2, 4])
+        assert g.invariant_factors == (2, 4) and type(g.invariant_factors) is tuple
+        assert g == FGAbelianGroup(0, (2, 4))
+        assert hash(g) == hash(FGAbelianGroup(0, (2, 4)))
+        assert g._replace(invariant_factors=iter([3])).invariant_factors == (3,)
+
 
 # ---------------------------------------------------------------------------
 # The fraction-free elimination behind rank, kernel and rational solving,

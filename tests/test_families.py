@@ -1,6 +1,5 @@
 """The Y_u family: construction, combinatorics, and the pipeline report."""
 
-import dataclasses
 from itertools import combinations
 
 import pytest
@@ -104,7 +103,7 @@ class TestCombinatorics:
 
     def test_config_swap_fails_the_circuits_through_u(self, yu_grid):
         # u enters only the relations of sigma_n (u*e) and sigma_in ((u + 1)*h).
-        yu = dataclasses.replace(yu_grid(4, 2), config=YuConfig(4, 1))
+        yu = yu_grid(4, 2)._replace(config=YuConfig(4, 1))
         report = verify_yu_combinatorics(yu)
         assert report.failures == tuple(f"circuit of sigma_{c} failed" for c in ("4", "14", "24", "34"))
 
@@ -134,7 +133,7 @@ class TestCombinatorics:
             broken_fan = Fan.from_cones(3, rays, [list(mc) for mc in yu.fan.max_cones])
         except ValueError:
             return  # the corruption already fails fan validation: acceptable
-        broken = dataclasses.replace(yu, fan=broken_fan)
+        broken = yu._replace(fan=broken_fan)
         report = verify_yu_combinatorics(broken)
         assert not report.passed
         assert any("circuit" in f for f in report.failures)
