@@ -19,6 +19,13 @@ print("rays:", square.rays)
 print("facet normals:", square.facet_normals)
 print("2-faces:", [f.ray_indices for f in square.faces(2)])
 
+# Intersections are exact too.  The neighbour lies beyond the square cone's
+# facet on (1,0,1) and (0,1,1), so the two meet in that common face.
+neighbour = Cone.from_rays(3, [(1, 0, 1), (0, 1, 1), (1, 1, 0)])
+meet = square.intersect(neighbour)
+print(f"\nmeet: {meet.rays}  face of square: {meet.is_face_of(square)}  "
+      f"face of neighbour: {meet.is_face_of(neighbour)}")
+
 # Redundant generators are dropped and inputs are primitivized.
 c = Cone.from_rays(2, [(2, 0), (1, 1), (0, 1)])
 print("\nextreme rays only:", c.rays)

@@ -23,16 +23,18 @@ runs it on the constraints themselves; meeting two cones starts it from
 the first cone's rays and facet incidences and adds only the second cone's
 constraints.
 
-Not every cone comes from a run of its own.  A full-dimensional cone whose
-extreme rays and facets are already known is made by ``Cone._from_facets``,
-which only sorts them.  Full-dimensional meets and conversions are read off
-their own run that way (``Cone._read_off``); the pieces of a split star cone
-(``egyptian.split_star``) and the star-quotient cones (``Fan.quotient``)
-are read off a parent cone's facets, which callers get as (ray-index mask,
-normal) pairs from ``Cone.facet_pairs``: bit i of a mask stands for
-``rays[i]``, from the run's zero sets to the face lattice, which is closed
-under ``&`` on the masks (Kaibel & Pfetsch, "Computing the face lattice of
-a polytope from its vertex-facet incidences", 2002).
+Not every cone comes from a run of its own.  A full-dimensional meet or
+conversion is read off the run that found its rays (``Cone._read_off``):
+the rays are sorted once, each row's tight set is read as a mask over the
+sorted rays, and the maximal ones are the facet masks, with no remap.  A
+full-dimensional cone whose extreme rays and facets are already known is
+made by ``Cone._from_facets``, which only sorts them: the pieces of a split
+star cone (``egyptian.split_star``) and the star-quotient cones
+(``Fan.quotient``) are read off a parent cone's facets, which callers get
+as (ray-index mask, normal) pairs from ``Cone.facet_pairs``: bit i of a
+mask stands for ``rays[i]``, from the run's zero sets to the face lattice,
+which is closed under ``&`` on the masks (Kaibel & Pfetsch, "Computing the
+face lattice of a polytope from its vertex-facet incidences", 2002).
 
 A point is beneath, on or beyond a facet as the facet's inward normal is
 positive, zero or negative on it (``egyptian.classify_pyramidal``).
@@ -199,8 +201,10 @@ class Cone:
         The description must define a pointed cone: a nonzero lineality
         space raises.  The nonzero inequalities are made primitive, and one
         ``_double_description`` run gives the extreme rays and their zero
-        sets, from which ``_read_off`` makes the cone.
+        sets, from which ``_read_off`` makes the cone.  Both row lists are
+        read once, so any iterables will do.
         """
+        equalities = tuple(equalities)
         inequalities = [primitive(row) if any(row) else row for row in inequalities]
         lineality, rays, zeros = _double_description(ambient_rank, equalities, inequalities)
         if lineality:
@@ -224,7 +228,14 @@ class Cone:
         spans a face, so the facets' ray sets are the inclusion-maximal proper
         tight sets.  A facet's hyperplane is spanned by its rays, so every row
         defining it, a primitive positive multiple of the inward normal, is
-        that normal.
+        that normal; of the rows with one tight set the first is kept.
+
+        The rays are sorted once and the zero sets transposed in that order,
+        so each tight set is already a mask over the sorted rays and the
+        facets go to ``_ordered`` with no remap.  A facet holds at least n - 1
+        rays, so only tight sets that large are tested, largest first, each
+        against the facets accepted so far: a set under a larger tight set also
+        lies under a maximal one, which is larger still and so came first.
 
         Zero, lower-dimensional and 1-ray cones go to ``_from_primitive``
         (the rays are primitive and distinct already), whose own run fixes
@@ -232,12 +243,16 @@ class Cone:
         """
         if equalities or len(rays) < 2 or reduce(and_, zeros):
             return cls._from_primitive(ambient_rank, rays)
-        tight: dict[int, int] = {}  # ray-index bitmask -> a row vanishing exactly there
-        for j, t in enumerate(_transpose(zeros, len(inequalities))):
-            tight.setdefault(t, j)
-        facets = [(t, inequalities[j]) for t, j in tight.items()
-                  if not any(t != u and t & u == t for u in tight)]
-        return cls._from_facets(ambient_rank, dict(enumerate(rays)), facets)
+        order = sorted(range(len(rays)), key=rays.__getitem__)
+        tight: dict[int, LatticeVector] = {}  # mask over the sorted rays -> the first row tight exactly there
+        for t, row in zip(_transpose([zeros[i] for i in order], len(inequalities)), inequalities):
+            tight.setdefault(t, row)
+        facets: list[int] = []
+        for t in sorted([t for t in tight if t.bit_count() >= ambient_rank - 1], key=int.bit_count, reverse=True):
+            if not any(t & u == t for u in facets):
+                facets.append(t)
+        facet_normals, incidence = _ordered(len(rays), [(t, tight[t]) for t in facets])
+        return cls._make(ambient_rank, tuple([rays[i] for i in order]), ambient_rank, (), facet_normals, incidence)
 
     @classmethod
     def _from_facets(cls, ambient_rank: int, rays: dict, facets) -> "Cone":

@@ -359,7 +359,12 @@ def _double_description(n: int, equalities, inequalities, start=None) -> tuple[l
     (equality).  The rays stay extreme, since all but l lie in the
     hyperplane.  Any other constraint splits the rays by sign, keeps the
     allowed side, and combines each adjacent (positive, negative) pair into
-    the ray where their edge crosses the hyperplane.
+    the ray where their edge crosses the hyperplane.  That cut is one signed
+    pass over the rays: it keeps the rays, with their new zero sets, and it
+    gathers the (ray, zero set, value) triples of either side, which the
+    pairs combine from directly.  While the lineality is still the identity,
+    as on a cold start before the first pivot, a row's values on it are its
+    own entries, so they are read, not computed.
 
     Why the combinatorial adjacency test suffices: modulo L the cone is
     pointed and the rays are exactly its extreme rays, one each.  The
@@ -405,14 +410,16 @@ def _double_description(n: int, equalities, inequalities, start=None) -> tuple[l
             raise ResourceLimitError(f"double description passed its {_DD_RAY_LIMIT}-ray limit")
     done = (1 << known) - 1  # bitmask of the inequalities added so far
     scan = start is not None  # a cold start's first cut takes every pair as an edge
+    fresh = start is None  # the lineality is still the identity, so a row's values are its entries
     constraints = [(0, e) for e in equalities] + [(1 << j, a) for j, a in enumerate(inequalities) if j >= known]
     for _, a in constraints:
         if len(a) != n:
             raise ValueError(f"dimension mismatch: {len(a)} vs {n}")
     for bit, a in constraints:
-        values = [sum(map(mul, a, v)) for v in lineality]
+        values = list(a) if fresh else [sum(map(mul, a, v)) for v in lineality]
         k = next(compress(range(len(values)), values), None)
         if k is not None:
+            fresh = False
             pivot, scale = lineality.pop(k), values.pop(k)
             if scale < 0:
                 pivot, scale = tuple([-x for x in pivot]), -scale
@@ -432,15 +439,22 @@ def _double_description(n: int, equalities, inequalities, start=None) -> tuple[l
                 if len(rays) > _DD_RAY_LIMIT:
                     raise ResourceLimitError(f"double description passed its {_DD_RAY_LIMIT}-ray limit")
         else:
-            values = [sum(map(mul, a, r)) for r in rays]
-            kept = [(r, z | bit if v == 0 else z) for r, z, v in zip(rays, zeros, values)
-                    if v == 0 or (bit and v > 0)]
-            negative = [(q, vq) for q, vq in enumerate(values) if vq < 0]
-            for p, vp in enumerate(values):
-                if vp <= 0:
-                    continue
-                for q, vq in negative:
-                    common = zeros[p] & zeros[q]
+            kept_rays, kept_zeros, positive, negative = [], [], [], []
+            for r, z in zip(rays, zeros):
+                v = sum(map(mul, a, r))
+                if v > 0:
+                    if bit:
+                        kept_rays.append(r)
+                        kept_zeros.append(z)
+                    positive.append((r, z, v))
+                elif v:
+                    negative.append((r, z, v))
+                else:
+                    kept_rays.append(r)
+                    kept_zeros.append(z | bit)
+            for rp, zp, vp in positive:
+                for rq, zq, vq in negative:
+                    common = zp & zq
                     passes = 0
                     for z in zeros if scan else ():
                         if z & common == common:
@@ -448,13 +462,13 @@ def _double_description(n: int, equalities, inequalities, start=None) -> tuple[l
                             if passes == 3:
                                 break
                     else:
-                        edge = [vp * x - vq * y for x, y in zip(rays[q], rays[p])]
+                        edge = [vp * x - vq * y for x, y in zip(rq, rp)]
                         g = gcd(*edge)
-                        kept.append((tuple(edge) if g == 1 else tuple([x // g for x in edge]), common | bit))
-                        if len(kept) > _DD_RAY_LIMIT:
+                        kept_rays.append(tuple(edge) if g == 1 else tuple([x // g for x in edge]))
+                        kept_zeros.append(common | bit)
+                        if len(kept_rays) > _DD_RAY_LIMIT:
                             raise ResourceLimitError(f"double description passed its {_DD_RAY_LIMIT}-ray limit")
-            rays = [r for r, _ in kept]
-            zeros = [z for _, z in kept]
+            rays, zeros = kept_rays, kept_zeros
             scan = True
         done |= bit
     return lineality, rays, zeros
@@ -467,12 +481,14 @@ class _StrictSystem(NamedTuple):
 
 
 class StrictSystem(_StrictSystem):
-    """A homogeneous system: equality rows ``= 0`` and strict rows ``> 0``."""
+    """A homogeneous system: equality rows ``= 0`` and strict rows ``> 0``,
+    each kept as a tuple of tuples."""
 
     __slots__ = ()
 
-    def __new__(cls, equalities: tuple, strict_inequalities: tuple, dim: int):
-        for row in list(equalities) + list(strict_inequalities):
+    def __new__(cls, equalities: Sequence[Sequence], strict_inequalities: Sequence[Sequence], dim: int):
+        equalities, strict_inequalities = tuple(map(tuple, equalities)), tuple(map(tuple, strict_inequalities))
+        for row in equalities + strict_inequalities:
             if len(row) != dim:
                 raise ValueError(f"row of length {len(row)} in a system of dimension {dim}")
         return super().__new__(cls, equalities, strict_inequalities, dim)

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from oracles import brute_force_meet, feasible_by_vertex_enumeration
-from toricfan import exactlin
+from toricfan import cone as cone_module, exactlin
 from toricfan.cone import Cone
 from toricfan.errors import InvariantError, ResourceLimitError
 from toricfan.exactlin import dot
@@ -202,6 +202,19 @@ class TestIntersect:
         assert (meet.rays, meet.dim, meet.facet_normals, meet._incidence) == (((1,),), 1, ((1,),), (0,))
         assert half_line.meet_rays(opposite) == opposite.meet_rays(half_line) == ()
         assert half_line.intersect(opposite).dim == 0
+
+    def test_iterator_rows_give_the_same_cone_in_one_run(self, monkeypatch, square_cone):
+        # Both row lists are read once; an exhausted iterator of equalities
+        # would still be truthy and send the read-off to a second, cold run.
+        runs = []
+        dd = cone_module._double_description
+        monkeypatch.setattr(cone_module, "_double_description", lambda *a, **k: runs.append(a) or dd(*a, **k))
+        back = Cone.from_inequalities(3, iter(square_cone.span_equations), iter(square_cone.facet_normals))
+        assert (back.rays, back.dim, back.span_equations, back.facet_normals, back._incidence) == \
+            (square_cone.rays, 3, (), square_cone.facet_normals, square_cone._incidence)
+        assert len(runs) == 1
+        flat = Cone.from_rays(3, [(1, 0, 0), (1, 1, 0)])
+        assert Cone.from_inequalities(3, (e for e in flat.span_equations), flat.facet_normals) == flat
 
     def test_zero_intersection(self):
         c1 = Cone.from_rays(2, [(1, 0)])

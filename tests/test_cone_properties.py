@@ -9,6 +9,7 @@ the last coordinate of ``c``, which is positive, so no line can occur.
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -157,28 +158,69 @@ def _random_cone(rng, n):
         return None
 
 
+def _pairs(rng):
+    """2,000 pairs of ``_random_cone``s in one random dimension from 1 to 5,
+    then 250 pairs of 5-D cones over 8-12 random vertices of the 0/1 4-cube
+    at height one: their square 2-faces are 3-D faces of four rays, so a row
+    can vanish on n - 1 rays that span no facet."""
+    pairs = 0
+    while pairs < 2000:
+        n = rng.randint(1, 5)
+        a, b = _random_cone(rng, n), _random_cone(rng, n)
+        if a is not None and b is not None:
+            pairs += 1
+            yield n, a, b
+    corners = list(product((0, 1), repeat=4))
+    for _ in range(250):
+        a, b = (Cone.from_rays(5, [c + (1,) for c in rng.sample(corners, rng.randint(8, 12))]) for _ in "ab")
+        yield 5, a, b
+
+
+def _read_off_cases(n, dim, inequalities, rays, zeros):
+    """The cases of ``Cone._read_off`` that one run's output exercises, for a
+    cone of dimension ``dim``: from the rays and their zero sets over
+    ``inequalities``, read as each row's tight set of rays."""
+    if len(rays) < 2:
+        return []
+    if dim < n:
+        return ["lower-dimensional fallback"]
+    tight = [frozenset(i for i, z in enumerate(zeros) if z >> j & 1) for j in range(len(inequalities))]
+    if any(len(t) == len(rays) for t in tight):  # a zero row, which also sends the read-off to a cold build
+        return []
+    large = [t for t in tight if len(t) >= n - 1]
+    cases = []
+    if len(set(large)) < len(large):
+        cases.append("repeated tight set")
+    if any(t < u for t in large for u in tight):
+        cases.append("non-facet tight set of n - 1 rays")
+    return cases
+
+
 def test_warm_meet_and_read_off_match_cold_builds():
     """``meet_rays`` (started from the first cone's rays) equals a cold run
     on both cones' constraints; ``intersect`` and ``from_inequalities``
     (read off that run) equal a cold ``_from_primitive`` build on the same
     rays, attribute for attribute.  The tally checks that every kind of meet
-    and of inequality row occurs."""
+    and of inequality row occurs, and every case of the read-off: a tight set
+    of at least n - 1 rays met twice (the first row is kept) or lying under a
+    larger one (it is no facet), 2-D meets, whose facets have one ray, and
+    the fallback to a cold build when the cone spans less than Q^n."""
     rng = random.Random(1986)
-    seen = {"full-dimensional": 0, "lower-dimensional": 0, "zero": 0,
-            "redundant row": 0, "repeated row": 0, "non-primitive row": 0, "zero row": 0}
-    pairs = 0
-    while pairs < 2000:
-        n = rng.randint(1, 5)
-        a, b = _random_cone(rng, n), _random_cone(rng, n)
-        if a is None or b is None:
-            continue
-        pairs += 1
+    seen = {"full-dimensional": 0, "lower-dimensional": 0, "zero": 0, "2-D meet": 0,
+            "redundant row": 0, "repeated row": 0, "non-primitive row": 0, "zero row": 0,
+            "repeated tight set": 0, "non-facet tight set of n - 1 rays": 0, "lower-dimensional fallback": 0}
+    for n, a, b in _pairs(rng):
         rays = a.meet_rays(b)
-        _, cold, _ = _double_description(n, a.span_equations + b.span_equations, a.facet_normals + b.facet_normals)
+        eqs = a.span_equations + b.span_equations
+        _, cold, _ = _double_description(n, eqs, a.facet_normals + b.facet_normals)
         assert rays == tuple(sorted(cold)), (a, b)
         meet = a.intersect(b)
         assert _attributes(meet) == _attributes(Cone._from_primitive(n, list(rays))), (a, b)
         seen["zero" if not rays else "full-dimensional" if meet.dim == n else "lower-dimensional"] += 1
+        seen["2-D meet"] += n == meet.dim == 2
+        warm, zeros, ineqs = a._meet(b)
+        for case in _read_off_cases(n, meet.dim, ineqs, warm, zeros):
+            seen[case] += 1
 
         normals = list(a.facet_normals)
         extra = []
@@ -198,7 +240,9 @@ def test_warm_meet_and_read_off_match_cold_builds():
         ineqs = normals + extra
         rng.shuffle(ineqs)
         back = Cone.from_inequalities(n, a.span_equations, ineqs)
-        _, cold, _ = _double_description(n, a.span_equations, ineqs)
+        _, cold, zeros = _double_description(n, a.span_equations, ineqs)
         assert _attributes(back) == _attributes(Cone._from_primitive(n, cold)), (a, ineqs)
         assert back == a
+        for case in _read_off_cases(n, back.dim, ineqs, cold, zeros):
+            seen[case] += 1
     assert min(seen.values()) >= 50, seen

@@ -390,6 +390,25 @@ class TestStrictFeasible:
         with pytest.raises(ValueError):
             StrictSystem(((1, 0),), (), 1)
 
+    def test_generator_rows_are_kept(self):
+        # The length check reads the rows once; a stored generator would then be empty.
+        system = StrictSystem((), (r for r in [(1, 0), (-1, 0)]), 2)
+        assert system.strict_inequalities == ((1, 0), (-1, 0))
+        assert not strict_feasible(system).feasible
+        assert StrictSystem((r for r in [(1, -1)]), [(1, 0)], 2).equalities == ((1, -1),)
+
+    def test_list_rows_are_kept_as_tuples(self):
+        from_lists = StrictSystem([[1, -1, 0]], [[1, 0, 0], [0, 0, 1]], 3)
+        from_tuples = StrictSystem(((1, -1, 0),), ((1, 0, 0), (0, 0, 1)), 3)
+        assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+        assert type(from_lists.equalities) is tuple and all(type(r) is tuple for r in from_lists.strict_inequalities)
+
+    def test_replace_keeps_rows_as_tuples(self):
+        system = StrictSystem((), ((1, 0),), 2)._replace(strict_inequalities=iter([[0, 1], [1, 1]]))
+        expected = StrictSystem((), ((0, 1), (1, 1)), 2)
+        assert system == expected and hash(system) == hash(expected)
+        assert strict_feasible(system).feasible
+
     def test_row_limit_is_a_resource_limit(self, monkeypatch):
         system = StrictSystem((), ((1, 1), (1, -1), (-1, 2)), 2)
         assert strict_feasible(system).feasible
