@@ -222,13 +222,14 @@ class Cone:
         full-dimensional.  The rows of a system that vanish on all of C are its
         implicit equalities, and they cut out C's affine hull (Schrijver,
         *Theory of Linear and Integer Programming*, 1986, §8.2).  So with no
-        explicit equalities and no inequality zero on every extreme ray, C
-        spans Q^n.  Every facet of a full-dimensional cone is then defined by
-        some row of the system, and a row's tight set (the rays it vanishes on)
-        spans a face, so the facets' ray sets are the inclusion-maximal proper
-        tight sets.  A facet's hyperplane is spanned by its rays, so every row
-        defining it, a primitive positive multiple of the inward normal, is
-        that normal; of the rows with one tight set the first is kept.
+        explicit equalities and no nonzero inequality zero on every extreme
+        ray (a zero row cuts nothing), C spans Q^n.  Every facet of a
+        full-dimensional cone is then defined by some row of the system, and a
+        row's tight set (the rays it vanishes on) spans a face, so the facets'
+        ray sets are the inclusion-maximal proper tight sets.  A facet's
+        hyperplane is spanned by its rays, so every row defining it, a
+        primitive positive multiple of the inward normal, is that normal; of
+        the rows with one tight set the first is kept.
 
         The rays are sorted once and the zero sets transposed in that order,
         so each tight set is already a mask over the sorted rays and the
@@ -241,12 +242,15 @@ class Cone:
         (the rays are primitive and distinct already), whose own run fixes
         their span equations and relative facet normals.
         """
-        if equalities or len(rays) < 2 or reduce(and_, zeros):
+        if equalities or len(rays) < 2 or (common := reduce(and_, zeros)) and any(
+                any(inequalities[j]) for j in _bits(common)):
             return cls._from_primitive(ambient_rank, rays)
         order = sorted(range(len(rays)), key=rays.__getitem__)
         tight: dict[int, LatticeVector] = {}  # mask over the sorted rays -> the first row tight exactly there
         for t, row in zip(_transpose([zeros[i] for i in order], len(inequalities)), inequalities):
             tight.setdefault(t, row)
+        if common:  # only zero rows are tight on every ray, and that set is no facet
+            del tight[(1 << len(rays)) - 1]
         facets: list[int] = []
         for t in sorted([t for t in tight if t.bit_count() >= ambient_rank - 1], key=int.bit_count, reverse=True):
             if not any(t & u == t for u in facets):

@@ -187,21 +187,24 @@ def classify_pyramidal(sigma: Cone, ray: Sequence[int]) -> PyramidalClassificati
 
 
 def egyptian_report(fan: Fan, ray: int, allow_incomplete: bool = False) -> EgyptianReport:
-    """Classify every full-dimensional star cone of the ray.
+    """Classify every full-dimensional star cone of the ray, once per fan.
 
     The verdict is true when no star cone classifies NotPyramidal.  Complete
     fans are the intended setting; pass ``allow_incomplete`` to classify
-    stars in partial fans (used by fixtures and diagnostics).
+    stars in partial fans (used by fixtures and diagnostics).  Both checks
+    run on every call; a report, once made, is memoized on the fan.
     """
     if not allow_incomplete and not fan.is_complete():
         raise ValueError("egyptian position is defined over a complete fan "
                          "(pass allow_incomplete=True to override)")
     if not 0 <= ray < len(fan.rays):
         raise ValueError(f"unknown ray index {ray}")
-    entries = tuple((ci, classify_pyramidal(fan.cones[ci], fan.rays[ray]))
-                    for ci in fan.star(ray) if fan.cones[ci].dim == fan.ambient_rank)
-    verdict = all(cls.kind is not PyramidalKind.NOT_PYRAMIDAL for _, cls in entries)
-    return EgyptianReport(ray, entries, verdict)
+    if ray not in fan._reports:
+        entries = tuple((ci, classify_pyramidal(fan.cones[ci], fan.rays[ray]))
+                        for ci in fan.star(ray) if fan.cones[ci].dim == fan.ambient_rank)
+        verdict = all(cls.kind is not PyramidalKind.NOT_PYRAMIDAL for _, cls in entries)
+        fan._reports[ray] = EgyptianReport(ray, entries, verdict)
+    return fan._reports[ray]
 
 
 def small_modification(fan: Fan, ray: int, allow_incomplete: bool = False) -> ModificationResult:
@@ -217,11 +220,11 @@ def split_star(fan: Fan, report: EgyptianReport) -> ModificationResult:
     unchanged.  The pieces are read off the star cone's facets and the beyond
     facet's normal (``PyramidalClassification.pieces``), so no double
     description runs.  The result is validated as a fan on these cones, not
-    rebuilt, keeps exactly the original rays, stays complete when the input
-    was, and each split is checked exactly to cover its cone
-    (``_check_split``): the beyond facet is a facet of both pieces with
-    opposite normals, and every other facet of either piece lies on a facet
-    of the original cone.
+    rebuilt, keeps exactly the original rays (and shares the fan's quotient
+    lattices), stays complete when the input was, and each split is checked
+    exactly to cover its cone (``_check_split``): the beyond facet is a
+    facet of both pieces with opposite normals, and every other facet of
+    either piece lies on a facet of the original cone.
     """
     if not report.verdict:
         raise ValueError("ray not in Egyptian position")
@@ -245,7 +248,7 @@ def split_star(fan: Fan, report: EgyptianReport) -> ModificationResult:
         splits.append((ci, (base_idx, base_idx + 1)))
         walls.append(ExceptionalWall(tuple(sorted(gidx[r] for r in cls.eta_rays)), (base_idx, base_idx + 1)))
 
-    refined = Fan._validated(fan.ambient_rank, fan.rays, new_cones, pieces)
+    refined = Fan._validated(fan.ambient_rank, fan.rays, new_cones, pieces, fan._lattices)
     if fan.is_complete() and not refined.is_complete():
         raise InvariantError("modification of a complete fan must stay complete")
     return ModificationResult(fan, refined, tuple(splits), tuple(walls), report.ray)
@@ -285,7 +288,9 @@ def verify_modification(result: ModificationResult) -> ModificationChecks:
     maximal cone of the refined fan, so the strict transform meets each
     exceptional curve in a single point; (3) the quotient fan at the ray is
     unchanged up to unimodular equivalence, so the strict transform maps
-    isomorphically onto the original divisor.  Both quotients are memoized.
+    isomorphically onto the original divisor.  Both quotients are memoized,
+    and the refined fan shares the original's lattice basis at the ray, so
+    after ``original.quotient(ray)`` no Hermite form runs here.
     """
     fan = result.fan
     rho = result.strict_transform_ray

@@ -4,8 +4,9 @@ Everything here runs on Python's arbitrary-precision integers.  Rank,
 kernels and rational solving share one fraction-free elimination on integer
 rows (row-by-row cross-multiplication, each row divided by its gcd);
 ``fractions.Fraction`` appears only in rational particular solutions.
-``Fan.isomorphism`` gets its spanning rays and their inverse matrix from the
-same elimination, run once on the rays beside an identity block.
+``Fan.isomorphism`` gets its spanning rays and their inverse matrix, and a
+star quotient its section (the inverse of a ray's Hermite completion), from
+the same elimination, run once beside an identity block.
 Lattice questions read one column Hermite form: a square matrix is
 unimodular iff its form is the identity; integral solving, integer kernels
 and the divisor layer's characters share ``_hermite_coordinates``; and the
@@ -380,11 +381,12 @@ def _double_description(n: int, equalities, inequalities, start=None) -> tuple[l
     passes, and every constraint's width is checked once on entry.  Holding
     more than ``_DD_RAY_LIMIT`` rays raises ``ResourceLimitError``.
 
-    The first cut of a cold start takes every (positive, negative) pair as
-    an edge, with no scan.  Every constraint before it pivoted, shifting L
-    and the rays by multiples of l and then keeping l as a ray or dropping
-    it, so they stay linearly independent: the cone modulo L is simplicial,
-    and any two of its rays span a face.  Later cuts and warm starts scan.
+    A cold start takes every (positive, negative) pair as an edge, with no
+    scan, until a cut makes a crossing ray.  Every constraint before that
+    pivoted, shifting L and the rays by multiples of l and then keeping l as
+    a ray or dropping it, or cut with no crossing, keeping some of the rays,
+    so they stay linearly independent: the cone modulo L is simplicial, and
+    any two of its rays span a face.  Later cuts and warm starts scan.
 
     ``start = (rays, zeros, k)`` begins from a known pointed pair instead of
     the whole space: the extreme rays, one each, of a cone C cut out by the
@@ -409,7 +411,7 @@ def _double_description(n: int, equalities, inequalities, start=None) -> tuple[l
         if len(rays) > _DD_RAY_LIMIT:
             raise ResourceLimitError(f"double description passed its {_DD_RAY_LIMIT}-ray limit")
     done = (1 << known) - 1  # bitmask of the inequalities added so far
-    scan = start is not None  # a cold start's first cut takes every pair as an edge
+    scan = start is not None  # a cold start takes every pair as an edge until a cut crosses
     fresh = start is None  # the lineality is still the identity, so a row's values are its entries
     constraints = [(0, e) for e in equalities] + [(1 << j, a) for j, a in enumerate(inequalities) if j >= known]
     for _, a in constraints:
@@ -469,7 +471,7 @@ def _double_description(n: int, equalities, inequalities, start=None) -> tuple[l
                         if len(kept_rays) > _DD_RAY_LIMIT:
                             raise ResourceLimitError(f"double description passed its {_DD_RAY_LIMIT}-ray limit")
             rays, zeros = kept_rays, kept_zeros
-            scan = True
+            scan = scan or bool(positive and negative)
         done |= bit
     return lineality, rays, zeros
 

@@ -18,7 +18,9 @@ is the cone's less the rays off the facet).  The wall check passes on a
 valid fan exactly when it is complete, so its verdict is kept, and so is
 the facet map it ran on (each facet with the cones it bounds).
 Walls (the codimension-one cones) are built from that map on first use;
-``find_wall`` looks one up in it.  Star quotients are memoized per ray.
+``find_wall`` looks one up in it.  Memoized per ray: star quotients,
+Egyptian reports (``egyptian.egyptian_report``) and the quotient lattices'
+bases, which a small modification, on the same rays, shares.
 Quotient fans and small modifications are validated, with the same checks,
 on the cones they were built from.  Those cones run no double description
 of their own: a quotient cone of a full-dimensional star cone is read off
@@ -37,15 +39,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cone import Cone, _bits, _remap
 from .errors import InvariantError
-from .exactlin import (
-    LatticeVector,
-    _eliminate,
-    dot,
-    hermite_normal_form,
-    identity_matrix,
-    primitive,
-    transpose,
-)
+from .exactlin import LatticeVector, _eliminate, dot, hermite_normal_form, identity_matrix, primitive
 
 
 class WallCurveKind(enum.Enum):
@@ -74,7 +68,8 @@ class FanIsomorphism(NamedTuple):
 class Fan:
     """A validated fan of strictly convex rational polyhedral cones."""
 
-    __slots__ = ("ambient_rank", "rays", "max_cones", "cones", "_complete", "_facets", "_walls", "_quotients")
+    __slots__ = ("ambient_rank", "rays", "max_cones", "cones", "_complete", "_facets", "_walls", "_quotients",
+                 "_lattices", "_reports")
 
     def __init__(self, *_a, **_k):
         raise TypeError("use Fan.from_cones")
@@ -91,9 +86,10 @@ class Fan:
         return cls._validated(ambient_rank, rays, max_cones, built)
 
     @classmethod
-    def _validated(cls, n: int, rays, max_cones, built: Iterable[Cone]) -> "Fan":
+    def _validated(cls, n: int, rays, max_cones, built: Iterable[Cone], lattices=None) -> "Fan":
         """The fan on ``max_cones``, validated on ``built``: their cones, one
-        per index list, drawn after that list's index checks.
+        per index list, drawn after that list's index checks (``lattices``: a
+        quotient-lattice memo to share).
 
         One pass per cone: each built ray becomes one global bit (``len(rays)``
         off the fan); the bits must sum to the index mask, which proves them
@@ -157,6 +153,8 @@ class Fan:
         object.__setattr__(self, "_facets", {mask: tuple([j for j, _ in pairs]) for mask, pairs in facets.items()})
         object.__setattr__(self, "_walls", None)
         object.__setattr__(self, "_quotients", {})
+        object.__setattr__(self, "_lattices", {} if lattices is None else lattices)
+        object.__setattr__(self, "_reports", {})
         return self
 
     def __setattr__(self, name, value):
@@ -219,9 +217,10 @@ class Fan:
         """The star fan in the quotient lattice by the ray, memoized per ray (errors are not).
 
         The quotient coordinates come from a Hermite-form completion of the
-        primitive ray generator to a lattice basis, so the result is
-        deterministic.  The star cones correspond one-to-one to the maximal
-        cones of the quotient; this is re-verified during validation.
+        primitive ray generator to a lattice basis (``_quotient_lattice``,
+        memoized per ray vector and shared with a small modification), so the
+        result is deterministic.  The star cones correspond one-to-one to the
+        maximal cones of the quotient; this is re-verified during validation.
 
         A full-dimensional star cone's image is read off its own facets
         (``_star_image``), with no double description; a lower-dimensional
@@ -239,24 +238,12 @@ class Fan:
                              "which a Fan cannot hold")
         n = self.ambient_rank
         l_rho = self.rays[ray]
-        h, u = hermite_normal_form([l_rho])
-        if h[0][0] != 1 or any(x != 0 for x in h[0][1:]):
-            raise InvariantError("primitive ray should complete to a lattice basis")
-        # Rows 1..n-1 of U^T give integer quotient coordinates with kernel Z*ray.
-        proj_rows = [tuple(u[i][j] for i in range(n)) for j in range(1, n)]
-
-        def project(x):
-            return tuple(dot(row, x) for row in proj_rows)
-
-        # U^T is unimodular, so its Hermite form is I and the transform is
-        # (U^T)^-1: columns 1..n-1 are lifts w_j with project(w_j) = e_j.
-        _, v = hermite_normal_form(transpose(u))
-        section = [tuple(row[j] for row in v) for j in range(1, n)]
-        if [project(w) for w in section] != [tuple(int(i == j) for i in range(n - 1)) for j in range(n - 1)]:
-            raise InvariantError("quotient section does not lift the quotient basis")
+        if l_rho not in self._lattices:
+            self._lattices[l_rho] = _quotient_lattice(l_rho)
+        proj_rows, section = self._lattices[l_rho]
         # The primitive image of every other ray of the star, each projected once.
-        others = {k for ci in star for k in self.max_cones[ci]} - {ray}
-        image = {self.rays[k]: primitive(project(self.rays[k])) for k in others}
+        others = {self.rays[k] for ci in star for k in self.max_cones[ci]} - {l_rho}
+        image = {x: primitive(tuple(dot(row, x) for row in proj_rows)) for x in others}
         mapped: dict[LatticeVector, LatticeVector] = {}  # each wall's normals, mapped once
 
         def normal_image(m):  # the cone across a wall has the opposite normal
@@ -471,6 +458,28 @@ def _covers_once(n: int, cones: Sequence[Cone], facets: dict) -> bool:
         return all((v := dot(m, p)) > 0 or v == 0 and m > zero for m in cone.facet_normals)
 
     return sum(map(contains_generic_point, cones)) == 1
+
+
+def _quotient_lattice(l_rho: LatticeVector) -> tuple[tuple, tuple]:
+    """(projection rows, section) of the quotient by the primitive ``l_rho``.
+
+    The Hermite form l_rho @ U = e_0 makes columns 1..n-1 of U integer
+    coordinates with kernel Z*l_rho.  One elimination of [U | I], as in
+    ``isomorphism``, leaves row i gcd-reduced in its row space, so equal to
+    +-(e_i | row i of U^-1); rows 1..n-1 of U^-1 lift the quotient basis,
+    which is re-checked.
+    """
+    n = len(l_rho)
+    h, u = hermite_normal_form([l_rho])
+    if h[0][0] != 1 or any(h[0][1:]):
+        raise InvariantError("primitive ray should complete to a lattice basis")
+    proj_rows = tuple(zip(*u))[1:]
+    work = [list(row) + list(e) for row, e in zip(u, identity_matrix(n))]
+    _eliminate(work, n)
+    section = tuple(tuple([x // row[j] for x in row[n:]]) for j, row in enumerate(work) if j)
+    if tuple(tuple(dot(p, w) for p in proj_rows) for w in section) != identity_matrix(n - 1):
+        raise InvariantError("quotient section does not lift the quotient basis")
+    return proj_rows, section
 
 
 def _star_image(sigma: Cone, i: int, image: dict, normal_image) -> Cone:

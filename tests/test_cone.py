@@ -216,6 +216,31 @@ class TestIntersect:
         flat = Cone.from_rays(3, [(1, 0, 0), (1, 1, 0)])
         assert Cone.from_inequalities(3, (e for e in flat.span_equations), flat.facet_normals) == flat
 
+    @pytest.mark.parametrize("where", ["last", "first", "both"])
+    def test_zero_rows_give_the_same_cone_in_one_run(self, monkeypatch, square_cone, where):
+        # A zero row vanishes on every ray but cuts nothing: it is no implicit
+        # equality, so it sends the read-off to no second run, and its tight
+        # set, every ray, is no facet.
+        runs = []
+        dd = cone_module._double_description
+        monkeypatch.setattr(cone_module, "_double_description", lambda *a, **k: runs.append(a) or dd(*a, **k))
+        zero, normals = [(0, 0, 0)], list(square_cone.facet_normals)
+        rows = {"last": normals + zero, "first": zero + normals, "both": zero + normals + zero}[where]
+        back = Cone.from_inequalities(3, [], rows)
+        assert len(runs) == 1
+        plain = Cone.from_inequalities(3, [], normals)
+        for cone in (back, plain):
+            assert (cone.rays, cone.dim, cone.span_equations, cone.facet_normals, cone._incidence) == \
+                (square_cone.rays, 3, (), square_cone.facet_normals, square_cone._incidence)
+
+    def test_zero_row_beside_an_implicit_equality_still_runs_again(self, monkeypatch):
+        runs = []
+        dd = cone_module._double_description
+        monkeypatch.setattr(cone_module, "_double_description", lambda *a, **k: runs.append(a) or dd(*a, **k))
+        flat = Cone.from_inequalities(3, [], [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert len(runs) == 2
+        assert flat == Cone.from_rays(3, [(0, 1, 0), (0, 0, 1)]) and flat.dim == 2
+
     def test_zero_intersection(self):
         c1 = Cone.from_rays(2, [(1, 0)])
         c2 = Cone.from_rays(2, [(-1, 1)])

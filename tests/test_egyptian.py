@@ -565,7 +565,66 @@ class TestOneClassificationPerCall:
         yu_report(3, 2)
         assert sorted(classified) == self.star_cones(yu_grid(3, 2).fan, 0)
 
-    def test_small_modification(self, classified, yu_grid):
-        fan = yu_grid(3, 2).fan
+    def test_small_modification(self, classified):
+        fan = yu_fan(3, 2).fan  # fresh: a shared fan may already hold its report
         small_modification(fan, 0)
         assert sorted(classified) == self.star_cones(fan, 0)
+
+    def test_second_call_classifies_nothing(self, classified):
+        fan = yu_fan(3, 2).fan
+        report = egyptian_report(fan, 0)
+        first = small_modification(fan, 0)
+        assert sorted(classified) == self.star_cones(fan, 0)
+        classified.clear()
+        assert egyptian_report(fan, 0) is report
+        second = small_modification(fan, 0)
+        assert classified == []
+        assert second == first and all(a is b for a, b in zip(second.fan.cones, first.fan.cones))
+
+    def test_checks_run_on_every_call(self, classified):
+        fan = Fan.from_cones(2, [(1, 0), (0, 1), (-1, 0)], [[0, 1], [1, 2]])  # incomplete
+        report = egyptian_report(fan, 1, allow_incomplete=True)
+        with pytest.raises(ValueError, match="complete fan"):
+            egyptian_report(fan, 1)
+        with pytest.raises(ValueError, match="unknown ray index 3"):
+            egyptian_report(fan, 3, allow_incomplete=True)
+        assert egyptian_report(fan, 1, allow_incomplete=True) is report
+        assert len(classified) == 2  # both star cones, once
+
+    def test_a_failed_call_stores_nothing(self, monkeypatch):
+        import toricfan.egyptian as egyptian
+        fan = yu_fan(3, 2).fan
+
+        def failing(sigma, ray):
+            raise InvariantError("injected")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(egyptian, "classify_pyramidal", failing)
+            with pytest.raises(InvariantError, match="injected"):
+                egyptian_report(fan, 0)
+        assert egyptian_report(fan, 0).verdict
+
+
+class TestSharedQuotientLattice:
+    """A small modification keeps the rays, so it shares the fan's quotient lattices."""
+
+    def test_verify_modification_runs_no_hermite_form(self, monkeypatch):
+        fan = yu_fan(4, 2).fan
+        result = small_modification(fan, 0)
+        assert result.fan._lattices is fan._lattices
+        fan.quotient(0)
+        calls = []
+        hermite = fan_module.hermite_normal_form
+        monkeypatch.setattr(fan_module, "hermite_normal_form", lambda m: calls.append(m) or hermite(m))
+        checks = verify_modification(result)
+        assert checks.passed and checks.quotient_preserved
+        assert calls == []
+
+    def test_cli_modify_runs_one_hermite_form(self, monkeypatch, tmp_path):
+        path = tmp_path / "y.json"
+        path.write_text(cli.fan_to_json(yu_fan(3, 2).fan))
+        calls = []
+        hermite = fan_module.hermite_normal_form
+        monkeypatch.setattr(fan_module, "hermite_normal_form", lambda m: calls.append(m) or hermite(m))
+        assert cli.run(["modify", "--fan", str(path), "--ray", "0"]) == cli.EXIT_OK
+        assert len(calls) == 1  # the ray's completion, for both quotients

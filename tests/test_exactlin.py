@@ -491,6 +491,24 @@ def _check_kernel(m, kernel):
         assert all(v == 0 for v in mat_vec(m, k))
 
 
+def test_leading_zero_row_changes_only_its_own_bit():
+    """A zero inequality cuts the cold start's empty ray set and crosses
+    nothing, so the rays stay independent and the next cut still takes
+    every pair as an edge; the run must match the one without the row, its
+    zero sets shifted by the row's bit, which every ray has."""
+    rng = random.Random(3602)
+    crossed = 0
+    for _ in range(1000):
+        n = rng.randint(1, 5)
+        eqs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, 2))]
+        ineqs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, 8))]
+        lineality, rays, zeros = exactlin._double_description(n, eqs, ineqs)
+        got = exactlin._double_description(n, eqs, [(0,) * n] + ineqs)
+        assert got == (lineality, rays, [z << 1 | 1 for z in zeros]), (n, eqs, ineqs)
+        crossed += len(rays) > n - len(lineality)  # more rays than independent ones: some cut crossed
+    assert crossed >= 50, crossed
+
+
 class TestEliminationDifferential:
     def test_rank_and_kernel_match_sympy(self, sympy):
         for m in _seeded_matrices(71, 150):

@@ -9,7 +9,8 @@ import toricfan.fan as fan_module
 from oracles import wall_criterion_complete
 from toricfan.cone import Cone
 from toricfan.egyptian import classify_pyramidal, egyptian_report, small_modification, split_star
-from toricfan.exactlin import primitive
+from toricfan.errors import InvariantError
+from toricfan.exactlin import dot, hermite_normal_form, primitive, transpose
 from toricfan.fan import Fan, Wall, WallCurveKind
 from toricfan.families import projective_space_fan, yu_fan
 
@@ -106,6 +107,49 @@ class TestQuotient:
         for ray in range(len(p3_fan.rays)):
             assert p3_fan.quotient(ray) is p3_fan.quotient(ray)
         assert p3_fan.quotient(0) is not p3_fan.quotient(1)
+
+    def test_section_is_the_inverse_read_by_the_old_hermite_form(self):
+        rng = random.Random(3601)
+        for n in range(2, 7):
+            for bound in [1] * 20 + [9] * 40 + [99] * 20:
+                v = [0] * n
+                while not any(v):
+                    v = [rng.randint(-bound, bound) for _ in range(n)]
+                v = primitive(v)
+                _, u = hermite_normal_form([v])
+                _, w = hermite_normal_form(transpose(u))  # (U^T)^-1, the section's old source
+                proj_rows, section = fan_module._quotient_lattice(v)
+                assert section == tuple(tuple(row[j] for row in w) for j in range(1, n))
+                assert proj_rows == tuple(tuple(row[j] for row in u) for j in range(1, n))
+                assert all(dot(row, v) == 0 for row in proj_rows)
+
+    def test_section_lift_is_rechecked(self, monkeypatch):
+        eliminate = fan_module._eliminate
+
+        def flipped(work, cols):  # the right pivots, and one lift's sign wrong
+            pivots = eliminate(work, cols)
+            work[1][cols:] = [-x for x in work[1][cols:]]
+            return pivots
+
+        monkeypatch.setattr(fan_module, "_eliminate", flipped)
+        fan = Fan.from_cones(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                             [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+        with pytest.raises(InvariantError, match="section does not lift"):
+            fan.quotient(0)
+        assert fan._lattices == {} and fan._quotients == {}
+
+    def test_lattice_is_memoized_per_ray_vector(self, monkeypatch):
+        fan = yu_fan(3, 1).fan
+        calls = []
+        lattice = fan_module._quotient_lattice
+        monkeypatch.setattr(fan_module, "_quotient_lattice", lambda v: calls.append(v) or lattice(v))
+        for ray in range(len(fan.rays)):
+            fan.quotient(ray)
+        assert calls == list(fan.rays)
+        refined = small_modification(fan, 0).fan
+        for ray in range(len(fan.rays)):
+            refined.quotient(ray)
+        assert calls == list(fan.rays)
 
     def test_ray_that_is_a_maximal_cone_has_the_zero_quotient(self, monkeypatch):
         fan = Fan.from_cones(2, [(1, 0), (0, 1), (-1, 0)], [[0, 1], [2]])
