@@ -14,16 +14,15 @@ relations and its strict-convexity rows, all in divisor coordinates.
 Divisor polytopes take one double description, and projectivity is one
 ``strict_feasible`` system.  The degree d! * vol(P) of an integral
 polytope is the normalized volume of a pulling triangulation of the cone
-over P, summed as |det| per simplex from the Hermite form.  All decisions
-are exact.
+over P: a sum of |det| per simplex, each one elimination's last pivot.
+All decisions are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from math import lcm
-from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .cone import Cone
@@ -31,11 +30,11 @@ from .errors import InvariantError
 from .exactlin import (
     FGAbelianGroup,
     StrictSystem,
+    _abs_det,
     _double_description,
     _hermite_coordinates,
     cokernel_group,
     dot,
-    hermite_normal_form,
     mat_vec,
     matrix_rank,
     rational_kernel,
@@ -295,7 +294,7 @@ def polytope_degree(polytope: Polytope) -> int:
     cones every facet of the face that misses it over that ray, recursively,
     which cuts P into lattice simplices (De Loera, Rambau & Santos,
     *Triangulations*, 2010).  A simplex's normalized volume is |det| of its
-    lifted vertices, the product of its Hermite form's diagonal.
+    lifted vertices, the last pivot of one elimination (``_abs_det``).
     """
     if not polytope.vertices:
         raise ValueError("empty polytope")
@@ -316,8 +315,7 @@ def polytope_degree(polytope: Polytope) -> int:
         return [(apex,) + s for facet in facets if not facet >> apex & 1 and faces[facet] == faces[face] - 1
                 for s in simplices(facet)]
 
-    forms = (hermite_normal_form([cone.rays[i] for i in s])[0] for s in simplices((1 << len(cone.rays)) - 1))
-    return sum(reduce(mul, (h[i][i] for i in range(d + 1))) for h in forms)
+    return sum(_abs_det([cone.rays[i] for i in s]) for s in simplices((1 << len(cone.rays)) - 1))
 
 
 _SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")

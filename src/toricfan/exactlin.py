@@ -1,16 +1,15 @@
 """Exact integer and rational linear algebra.
 
 Everything here runs on Python's arbitrary-precision integers.  Rank,
-kernels and rational solving share one fraction-free elimination on integer
-rows (row-by-row cross-multiplication, each row divided by its gcd);
-``fractions.Fraction`` appears only in rational particular solutions.
-``Fan.isomorphism`` gets its spanning rays and their inverse matrix, and a
-star quotient its section (the inverse of a ray's Hermite completion), from
-the same elimination, run once beside an identity block.
-Lattice questions read one column Hermite form: a square matrix is
-unimodular iff its form is the identity; integral solving, integer kernels
-and the divisor layer's characters share ``_hermite_coordinates``; and the
-Smith form alternates Hermite forms of a matrix and its transpose.
+kernels, rational solving and determinants share one fraction-free
+Gauss-Jordan (Bareiss) elimination on integer rows, ``_eliminate``, whose
+pivots all end equal to one minor d; ``fractions.Fraction`` appears only in
+rational particular solutions.  ``Fan.isomorphism`` gets its spanning rays
+and d times their inverse, and a star quotient its section (the inverse of
+a ray's Hermite completion), from it run once beside an identity block;
+|det| is its last pivot (``_abs_det``).  Integral solving and the divisor
+layer's characters share one column Hermite form (``_hermite_coordinates``),
+and the Smith form alternates Hermite forms of a matrix and its transpose.
 Polyhedral questions share one integer double-description routine,
 ``_double_description``: the cone layer (``toricfan.cone``) builds, converts
 and meets cones with it (a meet starts from one cone's known rays and adds
@@ -104,17 +103,23 @@ def _integer_rows(rows: Sequence[Sequence], width: int) -> list[list[int]]:
 
 
 def _eliminate(work: list[list[int]], cols: int) -> list[int]:
-    """Fraction-free elimination of integer rows, in place; returns the pivot columns.
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place; returns the pivot columns.
 
     Pivots are taken in the first ``cols`` columns only, so an augmented
-    right-hand side is carried along but never pivoted on.  Rows are updated
-    by cross-multiplication, ``row * p - pivot_row * q``, above and below
-    each pivot, and every updated row is divided by its gcd: the first
-    ``len(pivots)`` rows are then a reduced echelon form up to one integer
-    scale per row, and the rest are zero in the first ``cols`` columns.
+    right-hand side is carried along but never pivoted on.  Each pivot row
+    is made positive, and every other row becomes ``(row * p - pivot_row *
+    q) // prev``, prev the previous pivot (Bareiss, *Math. Comp.* 22, 1968).
+    After k pivots a row past the pivot rows holds the (k+1)-minors on the
+    pivot rows and columns and its own, and pivot row i the k-minors on the
+    pivot rows and columns with column i swapped for the entry's (Sylvester,
+    Cramer; some input rows negated).  So each division is exact, every
+    pivot ends as one d > 0, alone in its column, and the rows past the rank
+    are zero in the first ``cols`` columns.  An identity block beside square
+    pivot columns M ends as d * M^-1 (the adjugate up to sign): d = |det M|.
     """
     rows_n = len(work)
     pivots: list[int] = []
+    prev = 1
     for col in range(cols):
         r = len(pivots)
         for pivot in range(r, rows_n):
@@ -123,37 +128,41 @@ def _eliminate(work: list[list[int]], cols: int) -> list[int]:
         else:
             continue
         work[r], work[pivot] = work[pivot], work[r]
+        if work[r][col] < 0:
+            work[r] = [-x for x in work[r]]
         pr = work[r]
         p = pr[col]
         for i, row in enumerate(work):
             q = row[col]
-            if q and i != r:
-                row = [x * p - y * q for x, y in zip(row, pr)]
-                g = gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
-                work[i] = row
+            if i != r and (q or p != prev):
+                work[i] = [(x * p - y * q) // prev for x, y in zip(row, pr)]
+        prev = p
         pivots.append(col)
         if len(pivots) == rows_n:
             break
     return pivots
 
 
+def _abs_det(m: Sequence[Sequence[int]]) -> int:
+    """|det m| of a nonempty square integer matrix: ``_eliminate``'s last pivot, or 0 when singular."""
+    work = [list(row) for row in m]
+    _eliminate(work, len(work))
+    return work[-1][-1]
+
+
 def _kernel_of(work: list[list[int]], pivots: list[int], cols: int) -> tuple[LatticeVector, ...]:
-    """Primitive kernel vectors read off reduced rows, one per free column (see ``rational_kernel``)."""
+    """Primitive kernel vectors, one per free column f: d at f and -row[f] at each pivot row's pivot."""
     free = [True] * cols
     for p in pivots:
         free[p] = False
+    d = work[0][pivots[0]] if pivots else 1
     basis = []
     for f in compress(range(cols), free):
-        used = [(row, p) for row, p in zip(work, pivots) if row[f]]
-        scale = lcm(*[row[p] for row, p in used])
         vec = [0] * cols
-        vec[f] = scale
-        for row, p in used:
-            vec[p] = -row[f] * scale // row[p]
-        g = gcd(*vec)
-        basis.append(tuple(vec) if g == 1 else tuple([x // g for x in vec]))
+        vec[f] = d
+        for row, p in zip(work, pivots):
+            vec[p] = -row[f]
+        basis.append(primitive(vec))
     return tuple(basis)
 
 

@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import enum
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
 from operator import add, and_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cone import Cone, _bits, _remap
 from .errors import InvariantError
-from .exactlin import LatticeVector, _eliminate, dot, hermite_normal_form, identity_matrix, primitive
+from .exactlin import LatticeVector, _abs_det, _eliminate, dot, hermite_normal_form, identity_matrix, primitive
 
 
 class WallCurveKind(enum.Enum):
@@ -330,17 +330,16 @@ class Fan:
         if sorted(val1) != sorted(val2):
             return None
         # One elimination of [rays as columns | I]: its pivot columns are the greedy spanning
-        # subset, the columns of R, and it leaves row i equal to d_i * (e_i | row i of R^{-1})
-        # on the pivot and identity columns.  So with scale = lcm(d_i), row i of scale * R^{-1}
-        # is that row's last n entries times scale // d_i.
+        # subset, the columns of R, every pivot ends equal to d = |det R|, and the last n
+        # columns end as d * R^{-1} (``_eliminate``).
         work = [list(row) + list(e) for row, e in zip(zip(*self.rays), identity_matrix(n))]
         pivot = _eliminate(work, len(self.rays))
         # Non-spanning fans: only the identity case above is handled.  other needs no rank test:
         # an accepted map is unimodular and maps the rays bijectively, so other then spans too.
         if len(pivot) < n:
             return None
-        scale = lcm(*[row[p] for row, p in zip(work, pivot)])
-        scaled_cols = tuple(zip(*[[x * (scale // row[p]) for x in row[-n:]] for row, p in zip(work, pivot)]))
+        scale = work[0][pivot[0]]
+        scaled_cols = tuple(zip(*[row[-n:] for row in work]))
 
         other_index = {r: i for i, r in enumerate(other.rays)}
         other_cone_sets = {frozenset(mc) for mc in other.max_cones}
@@ -355,10 +354,10 @@ class Fan:
             raw = [[dot(s_cols[i], col) for col in scaled_cols] for i in range(n)]
             if any(x % scale for row in raw for x in row):
                 return None
-            a = tuple(tuple(x // scale for x in row) for row in raw)
-            # A square integer matrix is unimodular iff its Hermite form is I.
-            if hermite_normal_form(a)[0] != identity_matrix(n):
+            # An integral A is unimodular iff |det A| = |det S| / |det R| is 1.
+            if _abs_det(s_cols) != scale:
                 return None
+            a = tuple(tuple(x // scale for x in row) for row in raw)
             ray_map = []
             for r in self.rays:
                 img = tuple(dot(row, r) for row in a)
@@ -465,9 +464,9 @@ def _quotient_lattice(l_rho: LatticeVector) -> tuple[tuple, tuple]:
 
     The Hermite form l_rho @ U = e_0 makes columns 1..n-1 of U integer
     coordinates with kernel Z*l_rho.  One elimination of [U | I], as in
-    ``isomorphism``, leaves row i gcd-reduced in its row space, so equal to
-    +-(e_i | row i of U^-1); rows 1..n-1 of U^-1 lift the quotient basis,
-    which is re-checked.
+    ``isomorphism``, leaves d * U^-1 beside d * I, and d = |det U| = 1, so
+    row i is (e_i | row i of U^-1); rows 1..n-1 of U^-1 lift the quotient
+    basis, which is re-checked.
     """
     n = len(l_rho)
     h, u = hermite_normal_form([l_rho])
@@ -476,7 +475,7 @@ def _quotient_lattice(l_rho: LatticeVector) -> tuple[tuple, tuple]:
     proj_rows = tuple(zip(*u))[1:]
     work = [list(row) + list(e) for row, e in zip(u, identity_matrix(n))]
     _eliminate(work, n)
-    section = tuple(tuple([x // row[j] for x in row[n:]]) for j, row in enumerate(work) if j)
+    section = tuple(tuple(row[n:]) for row in work[1:])
     if tuple(tuple(dot(p, w) for p in proj_rows) for w in section) != identity_matrix(n - 1):
         raise InvariantError("quotient section does not lift the quotient basis")
     return proj_rows, section

@@ -24,7 +24,7 @@ from oracles import (
     scan_degree,
     subset_vertex_polytope,
 )
-from test_fan import cross_polytope_fan, cube_face_fan, random_complete_threefolds
+from test_fan import count_hermite_forms, cross_polytope_fan, cube_face_fan, random_complete_threefolds
 from toricfan import divisor
 from toricfan.cone import Cone
 from toricfan.divisor import (
@@ -52,7 +52,7 @@ from toricfan.exactlin import (
     transpose,
 )
 from toricfan.egyptian import small_modification
-from toricfan.families import projective_space_fan
+from toricfan.families import projective_space_fan, yu_fan
 from toricfan.fan import Fan
 
 
@@ -514,6 +514,16 @@ class TestPolytopes:
         p = divisor_polytope(p1xp1_fan, [2, 3, 0, 0])
         assert count_lattice_points(p, 1) == 3 * 4
         assert polytope_degree(p) == scan_degree(p) == 2 * 2 * 3  # 2! * area of a 2x3 box
+
+    def test_y_grid_ample_degrees_run_no_hermite_form(self, monkeypatch):
+        # Each simplex's normalized volume is |det|, the last pivot of one elimination.
+        polytopes = {}
+        for n in range(5, 9):
+            fan = yu_fan(n, 1).fan
+            polytopes[n] = divisor_polytope(fan, is_projective(fan).witness_divisor)
+        calls = count_hermite_forms(monkeypatch)
+        assert {n: polytope_degree(p) for n, p in polytopes.items()} == {5: 75, 6: 186, 7: 441, 8: 1016}
+        assert calls == []
 
     def test_sheared_and_dilated(self, p2_fan, p3_fan):
         # Dilation by c multiplies the degree by c^d, far past any box scan;

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -604,6 +605,84 @@ def test_elimination_properties(sympy):
         assert sol.kernel == kernel
 
     check()
+
+
+class TestBareissElimination:
+    """``_eliminate`` is fraction-free Gauss-Jordan with exact division by the
+    previous pivot: every pivot ends equal to one minor d > 0, so an identity
+    block beside a square M ends as d * M^-1 and the last pivot is |det M|.
+    Checked against cofactor expansion, not ``det_bareiss``, which is the
+    same algorithm."""
+
+    @staticmethod
+    def square(rng, n):
+        if rng.random() < 0.3:  # singular: a product through a thinner middle
+            k = rng.randint(0, n - 1)
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+            right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            return [list(row) for row in mat_mul(left, right)] if k else [[0] * n for _ in range(n)]
+        return [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+
+    def test_abs_det_matches_cofactor_expansion(self):
+        rng = random.Random(3701)
+        singular = 0
+        for n in range(1, 6):
+            for _ in range(80):
+                m = self.square(rng, n)
+                det = det_cofactor(m)
+                assert exactlin._abs_det(m) == abs(det), m
+                singular += det == 0
+        assert singular >= 100, singular
+
+    def test_identity_block_ends_as_the_adjugate(self):
+        rng = random.Random(3702)
+        checked = 0
+        while checked < 300:
+            n = rng.randint(1, 5)
+            m = self.square(rng, n)
+            det = det_cofactor(m)
+            if not det:
+                continue
+            work = [row + list(e) for row, e in zip(m, identity_matrix(n))]
+            assert exactlin._eliminate(work, n) == list(range(n))
+            d = abs(det)
+            assert [row[:n] for row in work] == [[d * x for x in e] for e in identity_matrix(n)]
+            block = [row[n:] for row in work]
+            assert mat_mul(m, block) == tuple(tuple(d * x for x in e) for e in identity_matrix(n))
+            # d * M^-1 = (d / det) * adj(M), adj(M)[i][j] the (j, i) cofactor.
+            for i in range(n):
+                for j in range(n):
+                    minor = [[x for c, x in enumerate(row) if c != i] for r, row in enumerate(m) if r != j]
+                    cofactor = (-1) ** (i + j) * (det_cofactor(minor) if minor else 1)
+                    assert block[i][j] * det == d * cofactor
+            checked += 1
+
+    def test_pivots_are_one_minor_on_any_shape(self):
+        checked = deficient = 0
+        for m in _seeded_matrices(3703, 150):
+            cols = len(m[0])
+            work = exactlin._integer_rows(m, cols)
+            rows = [list(row) for row in work]
+            pivots = exactlin._eliminate(work, cols)
+            r = len(pivots)
+            assert r == matrix_rank(m)
+            if not r:
+                assert all(not any(row) for row in rows)
+                continue
+            d = work[0][pivots[0]]
+            assert d > 0
+            for i, p in enumerate(pivots):
+                assert [row[p] for row in work] == [d if k == i else 0 for k in range(len(work))]
+            assert all(not any(row[:cols]) for row in work[r:])
+            # d is |an r-minor| of the input on the pivot columns, and no (r+1)-minor is nonzero.
+            minors = {abs(det_cofactor([[row[p] for p in pivots] for row in chosen]))
+                      for chosen in combinations(rows, r)}
+            assert d in minors
+            assert not any(det_cofactor([[row[c] for c in cs] for row in chosen])
+                           for chosen in combinations(rows, r + 1) for cs in combinations(range(cols), r + 1))
+            checked += 1
+            deficient += r < min(len(rows), cols)
+        assert checked >= 120 and deficient >= 40, (checked, deficient)
 
 
 def test_strict_feasible_equality_pivots():

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 import toricfan.fan as fan_module
+from toricfan import divisor, exactlin
 from oracles import wall_criterion_complete
 from toricfan.cone import Cone
 from toricfan.egyptian import classify_pyramidal, egyptian_report, small_modification, split_star
@@ -233,6 +234,33 @@ class TestIsomorphism:
         assert p1xp1_fan.isomorphism(rotated) is None
         assert rotated.isomorphism(p1xp1_fan) is None
 
+    def test_orientation_reversing_map_is_accepted(self):
+        # A smooth complete surface with self-intersections -1, -1, -3, -1, -2, -1, 0 around
+        # its rays: no symmetry of that cycle, so the only map onto its mirror image is the
+        # mirror itself, of det -1.  The search compares |det S| with the pivot d.
+        rays = [(1, 0), (1, 1), (0, 1), (-1, 2), (-1, 1), (-1, 0), (0, -1)]
+        cones = [[i, (i + 1) % 7] for i in range(7)]
+        fan = Fan.from_cones(2, rays, cones)
+        mirror = Fan.from_cones(2, [(x, -y) for x, y in rays], cones)
+        for source, target in ((fan, mirror), (mirror, fan)):
+            iso = source.isomorphism(target)
+            assert iso is not None and iso.matrix == ((1, 0), (0, -1))
+            assert iso.ray_map == tuple(range(7))
+
+    def test_runs_no_hermite_form(self, monkeypatch, p1xp1_fan):
+        # R^-1 and d come from one elimination and |det S| from another, so accepted and
+        # rejected maps alike run no Hermite form (the quotients, whose completions do, are
+        # built before counting starts).
+        pairs = [(yu_fan(n, u).fan.quotient(0), projective_space_fan(n - 1)) for n in (3, 4, 5) for u in (1, 2)]
+        rotated = Fan.from_cones(2, [(1, 1), (1, -1), (-1, -1), (-1, 1)], [list(mc) for mc in p1xp1_fan.max_cones])
+        calls = count_hermite_forms(monkeypatch)
+        dets = []
+        abs_det = fan_module._abs_det
+        monkeypatch.setattr(fan_module, "_abs_det", lambda m: dets.append(m) or abs_det(m))
+        assert all(q.isomorphism(pn) is not None for q, pn in pairs)
+        assert p1xp1_fan.isomorphism(rotated) is None
+        assert calls == [] and len(dets) >= len(pairs) + 1
+
     def test_spanning_against_non_spanning(self):
         # Same ray and cone counts, cone sizes and valences.  From the spanning side the
         # search runs and accepts no map, since a unimodular map keeps the rays spanning;
@@ -250,6 +278,15 @@ class TestProjectiveSpaceFan:
             assert len(f.rays) == d + 1
             assert len(f.max_cones) == d + 1
             assert f.is_complete()
+
+
+def count_hermite_forms(monkeypatch) -> list:
+    """Count every Hermite form run from now on, wherever the library looks it up."""
+    calls = []
+    hermite = exactlin.hermite_normal_form
+    for module in (exactlin, fan_module, divisor):
+        monkeypatch.setattr(module, "hermite_normal_form", lambda m: calls.append(m) or hermite(m), raising=False)
+    return calls
 
 
 def cube_face_fan(d):
