@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import divisor as divisor_ops
-from .egyptian import egyptian_report, hypothesis_report, split_star, verify_modification
+from .egyptian import egyptian_report, hypothesis_report, small_modification, verify_modification
 from .errors import InvariantError, ResourceLimitError
 from .exactlin import primitive
 from .fan import Fan
@@ -333,7 +333,7 @@ def _cmd_modify(args, report):
         report["egyptian"] = False
         report["error"] = "ray not in Egyptian position"
         return EXIT_PROPERTY_FAILS
-    result = _stage(report, "split_s", lambda: split_star(fan, probe))
+    result = _stage(report, "split_s", lambda: small_modification(fan, ray, allow_incomplete=True))
     checks = _stage(report, "verify_s", lambda: verify_modification(result))  # exit 2 if the ray is a maximal cone
     report["egyptian"] = True
     report["max_cones"] = len(result.fan.max_cones)

@@ -29,7 +29,7 @@ the rays are sorted once, each row's tight set is read as a mask over the
 sorted rays, and the maximal ones are the facet masks, with no remap.  A
 full-dimensional cone whose extreme rays and facets are already known is
 made by ``Cone._from_facets``, which only sorts them: the pieces of a split
-star cone (``egyptian.split_star``) and the star-quotient cones
+star cone (``egyptian.small_modification``) and the star-quotient cones
 (``Fan.quotient``) are read off a parent cone's facets, which callers get
 as (ray-index mask, normal) pairs from ``Cone.facet_pairs``: bit i of a
 mask stands for ``rays[i]``, from the run's zero sets to the face lattice,

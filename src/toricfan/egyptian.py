@@ -208,17 +208,14 @@ def egyptian_report(fan: Fan, ray: int, allow_incomplete: bool = False) -> Egypt
 
 
 def small_modification(fan: Fan, ray: int, allow_incomplete: bool = False) -> ModificationResult:
-    """Refine the fan by splitting every splittable star cone of the ray (``split_star``)."""
-    return split_star(fan, egyptian_report(fan, ray, allow_incomplete=allow_incomplete))
+    """Refine the fan by splitting every splittable star cone of the ray.
 
-
-def split_star(fan: Fan, report: EgyptianReport) -> ModificationResult:
-    """The small modification from ``report = egyptian_report(fan, ray)``, classifying nothing again.
-
-    Each star cone whose base is full-dimensional is replaced by the base and
-    the update cone simultaneously; everything else is carried over
-    unchanged.  The pieces are read off the star cone's facets and the beyond
-    facet's normal (``PyramidalClassification.pieces``), so no double
+    The star's classifications come from ``egyptian_report``, memoized on
+    the fan, so after ``egyptian_report(fan, ray)`` nothing is classified
+    again.  Each star cone whose base is full-dimensional is replaced by the
+    base and the update cone simultaneously; everything else is carried
+    over unchanged.  The pieces are read off the star cone's facets and the
+    beyond facet's normal (``PyramidalClassification.pieces``), so no double
     description runs.  The result is validated as a fan on these cones, not
     rebuilt, keeps exactly the original rays (and shares the fan's quotient
     lattices), stays complete when the input was, and each split is checked
@@ -226,6 +223,7 @@ def split_star(fan: Fan, report: EgyptianReport) -> ModificationResult:
     facet of both pieces with opposite normals, and every other facet of
     either piece lies on a facet of the original cone.
     """
+    report = egyptian_report(fan, ray, allow_incomplete=allow_incomplete)
     if not report.verdict:
         raise ValueError("ray not in Egyptian position")
     classifications = dict(report.per_cone)
@@ -251,7 +249,7 @@ def split_star(fan: Fan, report: EgyptianReport) -> ModificationResult:
     refined = Fan._validated(fan.ambient_rank, fan.rays, new_cones, pieces, fan._lattices)
     if fan.is_complete() and not refined.is_complete():
         raise InvariantError("modification of a complete fan must stay complete")
-    return ModificationResult(fan, refined, tuple(splits), tuple(walls), report.ray)
+    return ModificationResult(fan, refined, tuple(splits), tuple(walls), ray)
 
 
 def _check_split(sigma: Cone, base: Cone, update: Cone, eta_rays: tuple) -> None:
@@ -339,7 +337,7 @@ def hypothesis_report(fan: Fan, ray: int) -> HypothesisReport:
     projective = divisor_ops.is_projective(quotient)
     if not projective.feasible:
         return HypothesisReport(egyptian, quotient, projective)
-    modification = split_star(fan, egyptian)
+    modification = small_modification(fan, ray)
     checks = verify_modification(modification)
     if not checks.passed:
         return HypothesisReport(egyptian, quotient, projective, modification, checks)

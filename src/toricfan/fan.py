@@ -26,7 +26,7 @@ on the cones they were built from.  Those cones run no double description
 of their own: a quotient cone of a full-dimensional star cone is read off
 that cone's facets through the ray (``_star_image``), and the pieces of a
 split star cone off the cone's facets and its beyond facet
-(``egyptian.split_star``).
+(``egyptian.small_modification``).
 """
 
 from __future__ import annotations

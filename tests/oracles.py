@@ -19,6 +19,9 @@ description as the one-pass read-off that replaced it.
 library's earlier degree: a bounding-box scan of t*P for t = 0..d and a
 Vandermonde solve, the reference for the triangulation's volume on small
 polytopes.
+``intersection_degree`` is the degree's other reference, for witnesses of
+any size: the toric intersection recursion over stars and quotient fans,
+on the fan's rays and maximal cones alone.
 """
 
 from __future__ import annotations
@@ -531,6 +534,76 @@ def scan_degree(polytope) -> Fraction:
     d! * vol(P) when P is d-dimensional, by the box scan."""
     coeffs = counting_polynomial(polytope)
     return coeffs[-1] * factorial(len(coeffs) - 1)
+
+
+def _quotient_rows(u):
+    """Rows 2..n of a unimodular U with U @ u = (+-1, 0, ..., 0), for a
+    primitive u: the map Z^n -> Z^n / Zu.  Euclid's algorithm on u's
+    entries, each step a row operation applied to U as well."""
+    n = len(u)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = list(u)
+    while any(v[1:]):
+        i = min((k for k in range(n) if v[k]), key=lambda k: abs(v[k]))
+        v[0], v[i], rows[0], rows[i] = v[i], v[0], rows[i], rows[0]
+        for k in range(1, n):
+            q = v[k] // v[0]
+            v[k] -= q * v[0]
+            rows[k] = [x - q * y for x, y in zip(rows[k], rows[0])]
+    return rows[1:]
+
+
+def intersection_degree(rays, cones, coefficients) -> Fraction:
+    """D^d for D = sum a_k D_k on the complete fan with these rays and maximal
+    cones (ray-index lists), D Q-Cartier, by the toric intersection recursion
+    (Fulton, *Introduction to Toric Varieties*, 5.1; Cox, Little and Schenck,
+    *Toric Varieties*, ch. 6 and 12).  No triangulation, no library solve.
+
+    D^d = sum_k a_k (D'|V(rho_k))^(d-1), where D' = D + div(chi^m) and m is
+    the character of one cone sigma of rho_k's star (a ``kernel_basis``
+    solve in Fractions), so that a'_k = 0.  The quotient fan at rho_k has
+    one ray per ray rho that spans a 2-face with rho_k (a face is every ray
+    on all the facet normals that vanish on it, the normals from
+    ``brute_force_extreme_rays``); if rho projects to g times that ray, the
+    ray's coefficient is a'_rho / g.  In dimension 1, P^1, the degree is
+    the sum of the two coefficients.
+    """
+    n = len(rays[0])
+    a = [Fraction(x) for x in coefficients]
+    if n == 1:
+        return sum(a)
+    total = Fraction(0)
+    for k, a_k in enumerate(a):
+        if a_k == 0:
+            continue
+        star = [cone for cone in cones if k in cone]
+        # m.u_i = -a_i on sigma's rays, which span Q^n: one kernel vector (t m, t), t != 0.
+        kernel = kernel_basis([tuple(rays[i]) + (a[i],) for i in star[0]], n + 1)
+        if len(kernel) != 1:
+            raise ValueError("the divisor is not Q-Cartier")
+        *m, t = kernel[0]
+        shifted = [x + Fraction(_dot(m, r), t) for x, r in zip(a, rays)]
+        projection = _quotient_rows(rays[k])
+        q_index, q_rays, q_coefficients, q_cones = {}, [], [], []
+        for cone in star:
+            normals = brute_force_extreme_rays(n, [], [rays[i] for i in cone])
+            tight = {i: {j for j, normal in enumerate(normals) if _dot(normal, rays[i]) == 0} for i in cone}
+            q_cone = []
+            for i in cone:
+                on = tight[i] & tight[k]
+                if i == k or {r for r in cone if on <= tight[r]} != {i, k}:
+                    continue
+                image = [_dot(row, rays[i]) for row in projection]
+                g = gcd(*image)
+                ray = tuple(x // g for x in image)
+                if ray not in q_index:
+                    q_index[ray] = len(q_rays)
+                    q_rays.append(ray)
+                    q_coefficients.append(shifted[i] / g)
+                q_cone.append(q_index[ray])
+            q_cones.append(q_cone)
+        total += a_k * intersection_degree(q_rays, q_cones, q_coefficients)
+    return total
 
 
 def _combine(coeffs, vectors):

@@ -24,7 +24,7 @@ from oracles import (
     scan_degree,
     subset_vertex_polytope,
 )
-from test_fan import count_hermite_forms, cross_polytope_fan, cube_face_fan, random_complete_threefolds
+from test_fan import count_hermite_forms, cross_polytope_fan, cube_face_fan, random_complete_threefolds, random_face_fan
 from toricfan import divisor
 from toricfan.cone import Cone
 from toricfan.divisor import (
@@ -39,6 +39,7 @@ from toricfan.divisor import (
     polytope_degree,
 )
 from toricfan import exactlin
+from toricfan import fan as fan_module
 from toricfan.errors import InvariantError, ResourceLimitError
 from toricfan.exactlin import (
     StrictSystem,
@@ -636,6 +637,49 @@ class TestDegreeDifferential:
                 polytopes.append(polytope)
         compared, past = self._compare(polytopes, monkeypatch)
         assert compared == count, (compared, past)
+
+
+class TestIntersectionOracle:
+    """``polytope_degree`` against ``oracles.intersection_degree``, the toric
+    intersection recursion.  The oracle runs no library code: it reads the
+    fan's rays and maximal cones and does its own Fraction solves, lattice
+    projections and facet scans.  What it trusts is its input, a complete
+    fan as ``Fan.from_cones`` validated it, and the witnesses come from
+    ``is_projective``.  The library's degree is taken first; the oracle then
+    runs with ``_eliminate``, ``_characters`` and ``polytope_degree`` made
+    to raise, so it cannot reach them."""
+
+    @staticmethod
+    def _face_fans():
+        for d, seeds in ((3, range(8)), (4, range(4))):
+            for seed in seeds:
+                rng = random.Random(38 + seed)
+                fan = None
+                while fan is None:
+                    fan = random_face_fan(rng, d, box=2)
+                yield fan
+
+    def test_degrees_agree(self, p2_fan, monkeypatch):
+        cases = [(p2_fan, (1, 1, 1), 9)]
+        for make, want in ((cube_face_fan, 8), (cross_polytope_fan, 48)):
+            fan = Fan.from_cones(*make(3))
+            cases.append((fan, (1,) * len(fan.rays), want))
+        for n, want in ((3, 9), (4, 28)):
+            fan = yu_fan(n, 1).fan
+            cases.append((fan, is_projective(fan).witness_divisor, want))
+        for fan in self._face_fans():
+            cases.append((fan, is_projective(fan).witness_divisor, None))
+        degrees = [polytope_degree(divisor_polytope(fan, coeffs)) for fan, coeffs, _ in cases]
+        assert [want for _, _, want in cases[:5]] == degrees[:5]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached the library")
+
+        for module, name in ((exactlin, "_eliminate"), (fan_module, "_eliminate"),
+                             (divisor, "_characters"), (divisor, "polytope_degree")):
+            monkeypatch.setattr(module, name, forbidden)
+        for (fan, coeffs, _), degree in zip(cases, degrees):
+            assert oracles.intersection_degree(fan.rays, fan.max_cones, coeffs) == degree, (fan.rays, coeffs)
 
 
 def polytope_inputs(yu_grid):

@@ -9,7 +9,7 @@ import toricfan.fan as fan_module
 from toricfan import divisor, exactlin
 from oracles import wall_criterion_complete
 from toricfan.cone import Cone
-from toricfan.egyptian import classify_pyramidal, egyptian_report, small_modification, split_star
+from toricfan.egyptian import classify_pyramidal, egyptian_report, small_modification
 from toricfan.errors import InvariantError
 from toricfan.exactlin import dot, hermite_normal_form, primitive, transpose
 from toricfan.fan import Fan, Wall, WallCurveKind
@@ -600,9 +600,8 @@ class TestConeReuse:
         fans = []
         for fan in sources:
             for ray in range(len(fan.rays)):
-                report = egyptian_report(fan, ray)
-                if report.verdict:
-                    fans.append(split_star(fan, report).fan)
+                if egyptian_report(fan, ray).verdict:
+                    fans.append(small_modification(fan, ray).fan)
                 if fan.ambient_rank > 1:
                     fans.append(fan.quotient(ray))
         yu_grid = request.getfixturevalue("yu_grid")
@@ -680,11 +679,11 @@ class TestConeReuse:
         Cone.from_rays(2, [(2, 0), (0, 1), (1, 1)])
         assert built[-1] == 2 and len(built) == 23
 
-    def test_split_star_builds_only_the_pieces(self, yu_grid, monkeypatch):
+    def test_small_modification_builds_only_the_pieces(self, yu_grid, monkeypatch):
         fan = yu_grid(6, 2).fan
-        report = egyptian_report(fan, 0)
+        egyptian_report(fan, 0)  # the star is classified before counting
         built = count_builds(monkeypatch)
-        result = split_star(fan, report)
+        result = small_modification(fan, 0)
         assert result.split_cones
         assert len(built) == 0  # the pieces are read off their cones' facets
 
