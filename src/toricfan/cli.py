@@ -7,11 +7,12 @@ divisor files align to it by index.  Divisor files are JSON objects with a
 single key ``coefficients`` (list of integers, one per ray).
 
 Exit codes: 0 the command ran and the queried property holds (or data was
-produced); 1 the command ran and the property fails; 2 input error; 3
-internal invariant violation.
+produced); 1 the command ran and the property fails; 2 input error, a
+command line the parser rejects included; 3 internal invariant violation.
 
 Each command is one row of ``_COMMANDS``: handler, help text and declared
-inputs, from which ``_build_parser`` adds its options.  Handlers run each
+inputs, from which ``_build_parser`` adds its options, the files, the ray and
+the family's parameters as required ones.  Handlers run each
 library stage through ``_stage``, which times it into ``timings`` even when
 it raises and turns a ``ValueError`` into an input error.
 """
@@ -203,20 +204,10 @@ def _stage(report: dict, key: Optional[str], call):
 
 def _load_fan(args, report: dict) -> tuple[Fan, Optional[list[str]], list[str]]:
     """Read, parse and validate ``--fan`` as the stage ``load_s``."""
-    if not args.fan:
-        raise InputError("this command needs --fan PATH")
     return _stage(report, "load_s", lambda: parse_fan_file(_read_file(args.fan)))
 
 
-def _load_divisor(args, fan: Fan) -> tuple[int, ...]:
-    if not args.divisor:
-        raise InputError("this command needs --divisor PATH")
-    return parse_divisor_file(_read_file(args.divisor), fan)
-
-
 def _need_ray(args, fan: Fan) -> int:
-    if args.ray is None:
-        raise InputError("this command needs --ray INDEX")
     if not 0 <= args.ray < len(fan.rays):
         raise InputError(f"ray index {args.ray} out of range 0..{len(fan.rays) - 1}")
     return args.ray
@@ -264,7 +255,7 @@ def _cmd_complete(args, report):
 
 def _cmd_cartier(args, report):
     fan, _, _ = _load_fan(args, report)
-    coeffs = _load_divisor(args, fan)
+    coeffs = parse_divisor_file(_read_file(args.divisor), fan)
     # The divisor is Cartier exactly when its rational characters are integral.
     rational = divisor_ops.cartier_data(fan, coeffs, mode="rational")
     integral = rational is not None and all(x.denominator == 1 for m in rational.characters for x in m)
@@ -279,7 +270,7 @@ def _cmd_cartier(args, report):
 
 def _cmd_index(args, report):
     fan, _, _ = _load_fan(args, report)
-    coeffs = _load_divisor(args, fan)
+    coeffs = parse_divisor_file(_read_file(args.divisor), fan)
     index = _stage(report, "index_s", lambda: divisor_ops.cartier_index(fan, coeffs))
     report["q_cartier"] = index is not None
     report["cartier_index"] = index
@@ -353,7 +344,7 @@ def _cmd_modify(args, report):
 
 def _cmd_degree(args, report):
     fan, _, _ = _load_fan(args, report)
-    coeffs = _load_divisor(args, fan)
+    coeffs = parse_divisor_file(_read_file(args.divisor), fan)
     polytope = _stage(report, None, lambda: divisor_ops.divisor_polytope(fan, coeffs))
     degree = _stage(report, "degree_s", lambda: divisor_ops.polytope_degree(polytope))
     report["vertices"] = [[str(Fraction(x)) for x in v] for v in polytope.vertices]
@@ -362,10 +353,6 @@ def _cmd_degree(args, report):
 
 
 def _cmd_family(args, report):
-    if args.which != "yu":
-        raise InputError(f"unknown family {args.which!r} (available: yu)")
-    if args.n is None or args.u is None:
-        raise InputError("family yu needs --n and --u")
     yu = _stage(report, None, lambda: yu_fan(args.n, args.u))
     report["family"] = "yu"
     report["n"], report["u"] = args.n, args.u
@@ -436,6 +423,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes argparse's usage and error lines, then rejects the command line as an ``InputError``."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise InputError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built on the first ``run`` and reused after.
@@ -444,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ``parse_args`` leaves the parser unchanged and returns a fresh namespace
     holding every default again.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toricfan",
         description="Exact computations on rational polyhedral fans and toric divisors.",
     )
@@ -452,15 +448,15 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, inputs) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if "family" in inputs:
-            p.add_argument("which", help="family name (yu)")
-            p.add_argument("--n", type=int, help="ambient dimension (>= 3)")
-            p.add_argument("--u", type=int, help="family parameter (>= 1)")
+            p.add_argument("which", choices=("yu",), help="family name")
+            p.add_argument("--n", type=int, required=True, help="ambient dimension (>= 3)")
+            p.add_argument("--u", type=int, required=True, help="family parameter (>= 1)")
         if "fan" in inputs:
-            p.add_argument("--fan", help="path to a fan file (JSON)")
+            p.add_argument("--fan", required=True, help="path to a fan file (JSON)")
         if "divisor" in inputs:
-            p.add_argument("--divisor", help="path to a divisor file (JSON)")
+            p.add_argument("--divisor", required=True, help="path to a divisor file (JSON)")
         if "ray" in inputs:
-            p.add_argument("--ray", type=int, help="ray index into the fan file's ray list")
+            p.add_argument("--ray", type=int, required=True, help="ray index into the fan file's ray list")
         if "allow_incomplete" in inputs:
             p.add_argument("--allow-incomplete", action="store_true",
                            help="classify stars in a non-complete fan")
@@ -473,16 +469,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str]) -> int:
     """Run one command; prints a report and returns the exit code.
 
-    May be called any number of times in one process.
+    A command line the parser rejects is an input error like any other; only
+    ``--help`` prints no report.  May be called any number of times in one process.
     """
-    try:
-        args = _build_parser().parse_args(list(argv))
-    except SystemExit as exc:
-        return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
     report: dict = {"command": " ".join(argv)}
+    as_json = "--json" in argv  # until the parser has read the flag
     started = time.perf_counter()
     try:
+        args = _build_parser().parse_args(list(argv))
+        as_json = args.json
         code = _COMMANDS[args.command][0](args, report)
+    except SystemExit:  # --help, the parser's only exit: its text and no report
+        return EXIT_OK
     except InputError as exc:
         report["error"] = str(exc)
         code = EXIT_INPUT_ERROR
@@ -499,7 +497,7 @@ def run(argv: Sequence[str]) -> int:
     loaded = report.pop("timings", {})  # load_s and the stage timings; timings stay the last key
     report["exit_code"] = code
     report["timings"] = {"total_s": total_s, **loaded}
-    _print_report(report, getattr(args, "json", False))
+    _print_report(report, as_json)
     return code
 
 

@@ -1,5 +1,6 @@
 """Command dispatch, file formats, exit codes, and report round trips."""
 
+import argparse
 import json
 import re
 import time
@@ -167,6 +168,18 @@ class TestExitCodes:
     def test_report_has_no_allow_incomplete_flag(self, yu_file, capsys):
         assert run(["report", "--fan", str(yu_file), "--ray", "0", "--allow-incomplete"]) == EXIT_INPUT_ERROR
         assert "unrecognized arguments: --allow-incomplete" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", ["nosuchcommand", "picard", "egyptian --fan f.json --ray notanint",
+                                      "report --fan f.json --ray 0 --allow-incomplete", "family nope",
+                                      "family yu --n 3"])
+    def test_rejected_command_line_keeps_argparse_stderr(self, capsys, monkeypatch, argv):
+        # The report goes to stdout; stderr holds what argparse's own error() writes.
+        assert run(argv.split()) == EXIT_INPUT_ERROR
+        ours = capsys.readouterr().err
+        monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+        with pytest.raises(SystemExit, match="2"):
+            cli._build_parser().parse_args(argv.split())
+        assert capsys.readouterr().err == ours and ours.endswith("\n") and ": error: " in ours
 
 
 P2 = '{"dim":2,"rays":[[1,0],[0,1],[-1,-1]],"max_cones":[[0,1],[0,2],[1,2]]}'

@@ -19,8 +19,11 @@ Cartier index against ``oracles.cartier_index_by_scan`` whenever
 ``oracles.denominator_lcm``, which the scan walks up to, is at most
 ``SCAN_LIMIT``.  The degrees of ``degree`` and ``report`` are checked
 against ``oracles.scan_degree`` whenever its box holds at most
-``SCAN_LIMIT`` points.  The work is bounded by the number of cases, not by
-a timer.
+``SCAN_LIMIT`` points, and every ``report`` degree, on a complete fan,
+against ``oracles.intersection_degree`` of its witness on the quotient.
+``degree``'s random divisors keep the scan alone: the recursion gives D^d,
+which is the polytope's volume only for nef D.  The work is bounded by the
+number of cases, not by a timer.
 """
 
 import contextlib
@@ -118,7 +121,10 @@ def test_random_fans_keep_the_exit_code_contract(tmp_path, monkeypatch):
                 assert want is None or report["degree"] == want, (fan, divisor, report)
             if command == "report" and code == 0:
                 seen["growth"] += 1
-                want = scanned_degree(fan.quotient(int(ray)), report["ample_divisor_on_divisor_fan"])
+                quotient, witness = fan.quotient(int(ray)), report["ample_divisor_on_divisor_fan"]
+                assert oracles.intersection_degree(quotient.rays, quotient.max_cones, witness) == report["degree"], \
+                    (fan, ray, report)
+                want = scanned_degree(quotient, witness)
                 seen["degree scanned" if want is not None else "degree past the scan"] += 1
                 assert want is None or report["degree"] == want, (fan, ray, report)
             if command == "index":

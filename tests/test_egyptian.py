@@ -6,7 +6,7 @@ import time
 import pytest
 
 import toricfan.fan as fan_module
-from oracles import brute_force_pyramidal
+from oracles import brute_force_pyramidal, intersection_degree
 from test_fan import attributes, cross_polytope_fan, cube_face_fan, random_complete_threefolds, random_face_fan
 from toricfan import cli
 from toricfan.cone import Cone
@@ -439,6 +439,7 @@ class TestHypothesisReport:
         # The threefold statement at every ray of 35 seeded complete 3-fans,
         # four of them flipped out of the projective ones, keyed by (seed,
         # index): every star quotient is a complete 2-fan, so projective.
+        # Each growth degree is also the intersection recursion's D^2.
         fans = {(seed, i): fan for seed, count in ((0, 26), (4, 9))
                 for i, fan in enumerate(random_complete_threefolds(seed, count))}
         non_projective = {key for key, fan in fans.items() if not is_projective(fan).feasible}
@@ -446,7 +447,11 @@ class TestHypothesisReport:
         rays = 0
         for key, fan in fans.items():
             for ray in range(len(fan.rays)):
-                assert hypothesis_report(fan, ray).growth is not None, (key, ray)
+                report = hypothesis_report(fan, ray)
+                assert report.growth is not None, (key, ray)
+                quotient, witness = report.quotient, report.quotient_projective.witness_divisor
+                assert intersection_degree(quotient.rays, quotient.max_cones, witness) == report.growth.degree, \
+                    (key, ray)
                 rays += 1
         assert rays == 257
 

@@ -5,10 +5,11 @@
 ``python -S`` hides site-packages, so only the standard library and
 ``toricfan`` can import.  Run as a script, this file runs every row of
 ``ROWS`` in process through ``toricfan.cli.run`` (re-entrant), the
-ample-witness degrees, the demos' expected lines and three process-level
-checks, prints every failure and exits 1 if there is one.  Under pytest,
-``test_stdlib_smoke`` runs it the same way in a fresh ``python -S``
-process, so tier-1 holds the contract on every Python it runs on.
+ample-witness degrees, every demo with its expected lines and three
+process-level checks, prints every failure and exits 1 if there is one.
+Under pytest, ``test_stdlib_smoke`` runs it the same way in a fresh
+``python -S`` process, so tier-1 holds the contract on every Python it runs
+on.
 """
 
 import contextlib
@@ -41,10 +42,19 @@ def fan(rays, cones):
     return {"dim": len(rays[0]), "rays": rays, "max_cones": cones}
 
 
+def suspension(d):
+    """The d-cube's face fan lifted to height 1 and closed below by -e_(d+1): no ray is Egyptian."""
+    base = cube(d)
+    top = len(base["rays"])
+    return fan([[*r, 1] for r in base["rays"]] + [[0] * d + [-1]],
+               [list(range(top))] + [cone + [top] for cone in base["max_cones"]])
+
+
 def divisor(*coefficients):
     return {"coefficients": list(coefficients)}
 
 
+# Each file as a dict written as JSON, or as a string written verbatim (malformed files).
 FILES = {
     "cube4.json": cube(4),
     "cube3.json": cube(3),
@@ -59,45 +69,84 @@ FILES = {
     "large_lcm_divisor.json": divisor(0, 0, 3, 2, 3, 2, 1, 0, 3),
     "p2_mod3.json": fan([[2, -1], [-1, 2], [-1, -1]], [[0, 1], [1, 2], [0, 2]]),
     "p112.json": fan([[1, 0], [1, 2], [-1, -1]], [[0, 1], [1, 2], [0, 2]]),
+    "p112_alt.json": fan([[1, 0], [0, 1], [-1, -2]], [[0, 1], [0, 2], [1, 2]]),  # the same in other coordinates
     "d0.json": divisor(1, 0, 0),
     "p2.json": fan([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2]]),
     "h.json": divisor(1, 0, 0),
     "h3.json": divisor(1, 1, 1),
     "quadrant.json": fan([[1, 0], [0, 1]], [[0, 1]]),
     "zero.json": divisor(0, 0),
+    "ones2.json": divisor(1, 1),
+    "de.json": divisor(1, *[0] * 7),  # on Y_{3,2}
+    "short.json": divisor(1, 0),
+    "bool_divisor.json": divisor(True, *[0] * 7),
     "cross3.json": fan([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
                          [[0, 2, 4], [0, 2, 5], [0, 3, 4], [0, 3, 5], [1, 2, 4], [1, 2, 5], [1, 3, 4], [1, 3, 5]]),
     "ones6.json": divisor(*[1] * 6),
     "ones8.json": divisor(*[1] * 8),
     "overlap.json": fan([[1, 0], [1, 2], [2, 1], [0, 1]], [[0, 1], [2, 3]]),
+    "overlap_inner.json": fan([[1, 0], [1, 2], [1, 1], [0, 1]], [[0, 1], [2, 3]]),
     "two.json": fan([[1, 0], [0, 1], [-1, 1]], [[0, 1], [1, 2]]),
     "inner.json": fan([[1, 0], [1, 1], [0, 1]], [[0, 1, 2]]),
     "line.json": fan([[1, 0], [-1, 0], [0, 1]], [[0, 1, 2]]),
+    "line_pair.json": fan([[1, 0], [-1, 0]], [[0], [1]]),
     "unused.json": fan([[1, 0], [0, 1], [-1, 0], [0, -1]], [[0, 1]]),
     "negative.json": fan([[1, 0], [0, 1]], [[0, -1]]),
     "repeated.json": fan([[1, 0], [0, 1]], [[0, 1, 1]]),
     "p1.json": fan([[1], [-1]], [[0], [1]]),
     "one_ray.json": fan([[-1, -3]], [[0]]),
+    # One 4-D cone on six rays: an incomplete fan in which ray 5's star is not pyramidal.
+    "np.json": fan([[1, 1, 0, 1], [1, -1, 0, 1], [-1, -1, 0, 1], [-1, 1, 0, 1], [0, 0, 1, 1], [0, 3, -1, 1]],
+                   [list(range(6))]),
+    "suspension.json": suspension(3),
+    "oops.json": "{oops",
+    "bool_dim.json": '{"dim": true, "rays": [[true], [-1]], "max_cones": [[0], [1]]}',
+    "bool_ray.json": '{"dim": 1, "rays": [[true], [-1]], "max_cones": [[0], [1]]}',
+    "bool_index.json": '{"dim": 1, "rays": [[1], [-1]], "max_cones": [[false], [1]]}',
 }
 
 COMMANDS = "validate complete cartier index picard classgroup projective egyptian modify degree family report"
 REPORT_AT_0 = {"degree": 1, "modification.verified": True, "modification.max_cones": 9}
 
 # (argv, exit code, {JSON key path: expected value}[, seconds]), run in order in the files' directory.
+# The value "<missing>" expects the key to be absent.  A command line the parser rejects gets the
+# report of every other input error, so rows pin argparse's error messages too.
 ROWS = [
     ("--help", 0, {}),
     ("nosuchcommand", 2, {}),
+    ("nosuchcommand --json", 2, {"error": "argument command: invalid choice: 'nosuchcommand' (choose from "
+                                          + ", ".join(map(repr, COMMANDS.split())) + ")"}),
     *((f"{command} --help", 0, {}) for command in COMMANDS.split()),
+    ("picard --json", 2, {"error": "the following arguments are required: --fan"}),
+    ("family nope", 2, {}),
+    ("family nope --json", 2, {"error": "argument which: invalid choice: 'nope' (choose from 'yu')"}),
+    ("family yu --n 3 --json", 2, {"error": "the following arguments are required: --u"}),
+    ("family yu --n 2 --u 1 --json", 2, {"error": "n must be at least 3"}),
+    ("family yu --n 3 --u 1 --json", 0, {"fan.dim": 3, "fan.rays": [[0, 0, 1], [1, 0, 0], [0, 1, 0], [-1, -1, 0],
+                                                                      [-1, 0, -1], [0, -1, -1], [1, 1, -1], [0, 0, -1]]}),
     ("family yu --n 3 --u 2 --emit y.json", 0, {}),
     ("validate --fan y.json", 0, {}),
+    ("complete --fan y.json", 0, {}),
     ("picard --fan y.json", 0, {}),
-    ("picard --json --fan y.json", 0, {"picard.rank": 0}),
-    ("projective --fan y.json", 1, {}),
-    ("egyptian --fan y.json --ray 0", 0, {}),
+    ("picard --json --fan y.json", 0, {"picard.rank": 0, "picard.trivial": True}),
+    ("classgroup --json --fan y.json", 0, {"class_group.rank": 5}),
+    *[("projective --fan y.json", 1, {})] * 3,  # the same verdict on every call
+    ("projective --json --fan y.json", 1, {"verdict": "Infeasible"}),
+    ("egyptian --json --fan y.json --ray 0", 0, {"egyptian": True}),
+    ("egyptian --json --fan y.json --ray notanint", 2, {"error": "argument --ray: invalid int value: 'notanint'"}),
+    ("egyptian --json --fan y.json", 2, {"error": "the following arguments are required: --ray"}),
     ("modify --fan y.json --ray 0 --emit m.json", 0, {}),
     ("validate --fan m.json", 0, {}),  # Fan.from_cones rebuilds every cone of the refined fan
     ("egyptian --fan m.json --ray 0", 0, {}),
-    ("report --json --fan y.json --ray 0", 0, REPORT_AT_0),
+    ("report --json --fan y.json --ray 0", 0,
+     {**REPORT_AT_0, "egyptian": True, "divisor_projective": True, "growth": "c₃(E_t) = t² + O(t)"}),
+    ("report --json --fan y.json --ray 0 --allow-incomplete", 2, {"error": "unrecognized arguments: --allow-incomplete"}),
+    ("cartier --json --fan y.json", 2, {"error": "the following arguments are required: --divisor"}),
+    ("cartier --json --fan y.json --divisor de.json", 1, {"cartier": False, "q_cartier": False}),
+    ("index --fan y.json --divisor de.json", 1, {}),
+    ("index --json --fan m.json --divisor de.json", 0, {"q_cartier": True, "cartier_index": 1}),
+    ("cartier --json --fan y.json --divisor short.json", 2, {"error": "divisor has 2 coefficients but the fan has 8 rays"}),
+    ("cartier --json --fan y.json --divisor bool_divisor.json", 2, {"error": "coefficients must be a list of integers"}),
     ("family yu --n 3 --u 1 --emit y1.json", 0, {}),
     ("picard --json --fan y1.json", 0, {"picard.rank": 1}),
     ("projective --fan y1.json", 0, {}),
@@ -106,6 +155,8 @@ ROWS = [
     ("egyptian --fan cube4.json --ray 0", 1, {}),
     ("modify --fan cube4.json --ray 0", 1, {}),
     ("report --json --fan cube4.json --ray 0", 1, {"egyptian": False}),
+    ("report --json --fan suspension.json --ray 0", 1, {"egyptian": False, "modification": "<missing>"}),
+    ("modify --fan suspension.json --ray 0", 1, {}),
     # Ray 0 splits the 3-cube's three square star cones: 6 - 3 + 2 * 3 = 9 cones.
     ("modify --json --fan cube3.json --ray 0 --emit cube3_mod.json", 0,
      {"max_cones": 9, "exceptional_walls": [[1, 2], [1, 4], [2, 4]]}),
@@ -114,23 +165,48 @@ ROWS = [
     ("index --json --fan large_lcm.json --divisor large_lcm_divisor.json", 0, {"cartier_index": 333839880}, 20),
     ("classgroup --json --fan p2_mod3.json", 0, {"class_group.rank": 1, "class_group.invariant_factors": [3]}),
     ("cartier --json --fan p112.json --divisor d0.json", 1, {"q_cartier": True}),  # half-integral character
+    ("cartier --json --fan p112_alt.json --divisor d0.json", 1,
+     {"cartier": False, "q_cartier": True, "rational_characters": [["-1", "0"], ["-1", "1/2"], ["0", "0"]],
+      "characters": "<missing>"}),
+    # degree refuses a divisor that is only Q-Cartier; its multiple by the Cartier index is answered.
+    ("degree --json --fan p112.json --divisor d0.json", 2,
+     {"error": "scale divisor to its Cartier index first: polytope has non-integral vertices"}),
+    ("validate --json --fan p2.json", 0, {"valid": True, "complete": True}),
     ("degree --fan p2.json --divisor h.json", 0, {}),
-    ("degree --fan quadrant.json --divisor zero.json", 2, {}),  # an unbounded polytope
+    ("degree --json --fan p2.json --divisor h.json", 0, {"degree": 1}),
+    ("degree --json --fan quadrant.json --divisor zero.json", 2, {"error": "polytope is unbounded"}),
+    ("degree --json --fan quadrant.json --divisor ones2.json", 2, {"error": "polytope is unbounded"}),
     ("degree --json --fan p2.json --divisor h3.json", 0, {"degree": 9}),
     ("degree --json --fan cross3.json --divisor ones6.json", 0, {"degree": 48}),  # the cube [-1, 1]^3
     ("degree --json --fan cube3.json --divisor ones8.json", 0, {"degree": 8}),  # the octahedron
-    ("picard --fan quadrant.json", 2, {}),
+    ("complete --fan quadrant.json", 1, {}),
+    ("picard --json --fan quadrant.json", 2, {"error": "picard group computation requires a complete fan"}),
+    ("projective --json --fan quadrant.json", 2, {"error": "projectivity test requires a complete fan"}),
+    ("classgroup --json --fan line_pair.json", 2, {"error": "rays do not span the ambient space"}),
     ("egyptian --fan quadrant.json --ray 0", 2, {}),
     ("egyptian --fan quadrant.json --ray 0 --allow-incomplete", 0, {}),
+    ("egyptian --json --fan np.json --ray 5", 2,
+     {"error": "egyptian position is defined over a complete fan (pass --allow-incomplete to override)"}),
+    ("egyptian --fan np.json --ray 5 --allow-incomplete", 1, {}),
+    ("report --json --fan np.json --ray 5", 2, {"error": "report requires a complete fan"}),
+    ("picard --json --fan nope.json", 2, {"error": "cannot read nope.json: [Errno 2] No such file or directory: 'nope.json'"}),
+    ("validate --json --fan oops.json", 2,
+     {"error": "parse error at line 1, column 2: Expecting property name enclosed in double quotes"}),
+    ("validate --json --fan bool_dim.json", 2, {"error": "dim must be a positive integer"}),
+    ("validate --json --fan bool_ray.json", 2, {"error": "rays must be a list of integer vectors"}),
+    ("validate --json --fan bool_index.json", 2, {"error": "max_cones must be a list of ray-index lists"}),
     ("validate --fan overlap.json", 1, {}),
+    ("validate --json --fan overlap_inner.json", 1,
+     {"valid": False, "error": "not a fan: cones 0,1 overlap badly; intersection rays [(1, 1), (1, 2)]"}),
     ("validate --fan two.json", 0, {}),
     ("validate --json --fan inner.json", 1, {"error": "maximal cone 0 lists a non-extreme generator"}),
     ("validate --json --fan line.json", 1, {"error": "cone contains a line"}),
     ("validate --json --fan unused.json", 1, {"error": "ray 2 does not appear in any maximal cone"}),
     ("validate --json --fan negative.json", 1, {"error": "maximal cone 0 has a ray index out of range"}),
     ("validate --json --fan repeated.json", 1, {"error": "maximal cone 0 repeats a ray index"}),
-    ("report --json --fan p1.json --ray 0", 2,  # a 1-dimensional fan has no quotient by a ray
-     {"error": "report needs a fan of dimension at least 2, not 1"}),
+    *((f"{command} --json --fan p1.json --ray 0", 2,  # a 1-dimensional fan has no quotient by a ray
+       {"error": f"{command} needs a fan of dimension at least 2, not 1"})
+      for command in ("report", "modify")),
     ("egyptian --fan one_ray.json --ray 0 --allow-incomplete", 0, {}),
     ("modify --fan one_ray.json --ray 0 --allow-incomplete", 2, {}),  # its star quotient is the zero fan
 ]
@@ -139,6 +215,7 @@ ROWS = [
 # lattice points, and Y_{7,1}'s has the largest simplex determinant here.
 WITNESS_DEGREES = {6: 186, 7: 441}
 
+# Every demo runs; these are the lines some of them must print.
 DEMOS = {
     "01_exact_feasibility.py": ["feasible: True  witness: (2, 2, 2)"],
     "02_cones_and_fans.py": ["verdict at (1, 0, 1): pyramidal",
@@ -192,17 +269,21 @@ def process_failures():
 
 def main():
     failures = process_failures()
-    for name, lines in DEMOS.items():
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    if len(demos) < 4:
+        failures.append(f"found {len(demos)} demos, expected at least 4")
+    for demo in demos:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            runpy.run_path(str(ROOT / "demos" / name), run_name="__main__")
-        failures += [f"demo {name} printed no line {line!r}" for line in lines if line not in out.getvalue().splitlines()]
+            runpy.run_path(str(demo), run_name="__main__")
+        failures += [f"demo {demo.name} printed no line {line!r}"
+                     for line in DEMOS.get(demo.name, []) if line not in out.getvalue().splitlines()]
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         try:
             for name, data in FILES.items():
-                Path(name).write_text(json.dumps(data))
+                Path(name).write_text(data if isinstance(data, str) else json.dumps(data))
             for row in ROWS:
                 failures += check(*row)[1]
             for n, degree in WITNESS_DEGREES.items():
