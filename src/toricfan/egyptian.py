@@ -217,8 +217,8 @@ def small_modification(fan: Fan, ray: int, allow_incomplete: bool = False) -> Mo
     over unchanged.  The pieces are read off the star cone's facets and the
     beyond facet's normal (``PyramidalClassification.pieces``), so no double
     description runs.  The result is validated as a fan on these cones, not
-    rebuilt, keeps exactly the original rays (and shares the fan's quotient
-    lattices), stays complete when the input was, and each split is checked
+    rebuilt, keeps exactly the original rays (whose quotient lattices are
+    cached), stays complete when the input was, and each split is checked
     exactly to cover its cone (``_check_split``): the beyond facet is a
     facet of both pieces with opposite normals, and every other facet of
     either piece lies on a facet of the original cone.
@@ -246,7 +246,7 @@ def small_modification(fan: Fan, ray: int, allow_incomplete: bool = False) -> Mo
         splits.append((ci, (base_idx, base_idx + 1)))
         walls.append(ExceptionalWall(tuple(sorted(gidx[r] for r in cls.eta_rays)), (base_idx, base_idx + 1)))
 
-    refined = Fan._validated(fan.ambient_rank, fan.rays, new_cones, pieces, fan._lattices)
+    refined = Fan._validated(fan.ambient_rank, fan.rays, new_cones, pieces)
     if fan.is_complete() and not refined.is_complete():
         raise InvariantError("modification of a complete fan must stay complete")
     return ModificationResult(fan, refined, tuple(splits), tuple(walls), ray)
@@ -287,8 +287,8 @@ def verify_modification(result: ModificationResult) -> ModificationChecks:
     exceptional curve in a single point; (3) the quotient fan at the ray is
     unchanged up to unimodular equivalence, so the strict transform maps
     isomorphically onto the original divisor.  Both quotients are memoized,
-    and the refined fan shares the original's lattice basis at the ray, so
-    after ``original.quotient(ray)`` no Hermite form runs here.
+    and the refined fan's reads the lattice basis cached for the ray vector,
+    so after ``original.quotient(ray)`` no Hermite form runs here.
     """
     fan = result.fan
     rho = result.strict_transform_ray

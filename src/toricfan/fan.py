@@ -18,9 +18,9 @@ is the cone's less the rays off the facet).  The wall check passes on a
 valid fan exactly when it is complete, so its verdict is kept, and so is
 the facet map it ran on (each facet with the cones it bounds).
 Walls (the codimension-one cones) are built from that map on first use;
-``find_wall`` looks one up in it.  Memoized per ray: star quotients,
-Egyptian reports (``egyptian.egyptian_report``) and the quotient lattices'
-bases, which a small modification, on the same rays, shares.
+``find_wall`` looks one up in it.  Memoized per ray: star quotients and
+Egyptian reports (``egyptian.egyptian_report``); per ray vector, for every
+fan alike, the quotient lattices' bases (``_quotient_lattice``).
 Quotient fans and small modifications are validated, with the same checks,
 on the cones they were built from.  Those cones run no double description
 of their own: a quotient cone of a full-dimensional star cone is read off
@@ -32,7 +32,7 @@ split star cone off the cone's facets and its beyond facet
 from __future__ import annotations
 
 import enum
-from functools import reduce
+from functools import cache, reduce
 from math import gcd
 from operator import add, and_
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -69,7 +69,7 @@ class Fan:
     """A validated fan of strictly convex rational polyhedral cones."""
 
     __slots__ = ("ambient_rank", "rays", "max_cones", "cones", "_complete", "_facets", "_walls", "_quotients",
-                 "_lattices", "_reports")
+                 "_reports")
 
     def __init__(self, *_a, **_k):
         raise TypeError("use Fan.from_cones")
@@ -86,10 +86,9 @@ class Fan:
         return cls._validated(ambient_rank, rays, max_cones, built)
 
     @classmethod
-    def _validated(cls, n: int, rays, max_cones, built: Iterable[Cone], lattices=None) -> "Fan":
+    def _validated(cls, n: int, rays, max_cones, built: Iterable[Cone]) -> "Fan":
         """The fan on ``max_cones``, validated on ``built``: their cones, one
-        per index list, drawn after that list's index checks (``lattices``: a
-        quotient-lattice memo to share).
+        per index list, drawn after that list's index checks.
 
         One pass per cone: each built ray becomes one global bit (``len(rays)``
         off the fan); the bits must sum to the index mask, which proves them
@@ -153,7 +152,6 @@ class Fan:
         object.__setattr__(self, "_facets", {mask: tuple([j for j, _ in pairs]) for mask, pairs in facets.items()})
         object.__setattr__(self, "_walls", None)
         object.__setattr__(self, "_quotients", {})
-        object.__setattr__(self, "_lattices", {} if lattices is None else lattices)
         object.__setattr__(self, "_reports", {})
         return self
 
@@ -218,7 +216,7 @@ class Fan:
 
         The quotient coordinates come from a Hermite-form completion of the
         primitive ray generator to a lattice basis (``_quotient_lattice``,
-        memoized per ray vector and shared with a small modification), so the
+        cached per ray vector, for every fan with that ray), so the
         result is deterministic.  The star cones correspond one-to-one to the
         maximal cones of the quotient; this is re-verified during validation.
 
@@ -238,9 +236,7 @@ class Fan:
                              "which a Fan cannot hold")
         n = self.ambient_rank
         l_rho = self.rays[ray]
-        if l_rho not in self._lattices:
-            self._lattices[l_rho] = _quotient_lattice(l_rho)
-        proj_rows, section = self._lattices[l_rho]
+        proj_rows, section = _quotient_lattice(l_rho)
         # The primitive image of every other ray of the star, each projected once.
         others = {self.rays[k] for ci in star for k in self.max_cones[ci]} - {l_rho}
         image = {x: primitive(tuple(dot(row, x) for row in proj_rows)) for x in others}
@@ -459,6 +455,7 @@ def _covers_once(n: int, cones: Sequence[Cone], facets: dict) -> bool:
     return sum(map(contains_generic_point, cones)) == 1
 
 
+@cache
 def _quotient_lattice(l_rho: LatticeVector) -> tuple[tuple, tuple]:
     """(projection rows, section) of the quotient by the primitive ``l_rho``.
 
@@ -466,7 +463,7 @@ def _quotient_lattice(l_rho: LatticeVector) -> tuple[tuple, tuple]:
     coordinates with kernel Z*l_rho.  One elimination of [U | I], as in
     ``isomorphism``, leaves d * U^-1 beside d * I, and d = |det U| = 1, so
     row i is (e_i | row i of U^-1); rows 1..n-1 of U^-1 lift the quotient
-    basis, which is re-checked.
+    basis, which is re-checked.  Cached per ray vector; errors are not.
     """
     n = len(l_rho)
     h, u = hermite_normal_form([l_rho])

@@ -7,7 +7,8 @@ import pytest
 
 import toricfan.fan as fan_module
 from oracles import brute_force_pyramidal, intersection_degree
-from test_fan import attributes, cross_polytope_fan, cube_face_fan, random_complete_threefolds, random_face_fan
+from test_fan import (attributes, count_hermite_forms, cross_polytope_fan, cube_face_fan, random_complete_threefolds,
+                      random_face_fan)
 from toricfan import cli
 from toricfan.cone import Cone
 from toricfan.divisor import cartier_data, is_projective
@@ -611,16 +612,13 @@ class TestOneClassificationPerCall:
 
 
 class TestSharedQuotientLattice:
-    """A small modification keeps the rays, so it shares the fan's quotient lattices."""
+    """A small modification keeps the rays, so its quotients read the fan's cached lattices."""
 
     def test_verify_modification_runs_no_hermite_form(self, monkeypatch):
         fan = yu_fan(4, 2).fan
         result = small_modification(fan, 0)
-        assert result.fan._lattices is fan._lattices
         fan.quotient(0)
-        calls = []
-        hermite = fan_module.hermite_normal_form
-        monkeypatch.setattr(fan_module, "hermite_normal_form", lambda m: calls.append(m) or hermite(m))
+        calls = count_hermite_forms(monkeypatch)
         checks = verify_modification(result)
         assert checks.passed and checks.quotient_preserved
         assert calls == []
@@ -628,8 +626,7 @@ class TestSharedQuotientLattice:
     def test_cli_modify_runs_one_hermite_form(self, monkeypatch, tmp_path):
         path = tmp_path / "y.json"
         path.write_text(cli.fan_to_json(yu_fan(3, 2).fan))
-        calls = []
-        hermite = fan_module.hermite_normal_form
-        monkeypatch.setattr(fan_module, "hermite_normal_form", lambda m: calls.append(m) or hermite(m))
+        fan_module._quotient_lattice.cache_clear()  # the cache is process-wide
+        calls = count_hermite_forms(monkeypatch)
         assert cli.run(["modify", "--fan", str(path), "--ray", "0"]) == cli.EXIT_OK
         assert len(calls) == 1  # the ray's completion, for both quotients

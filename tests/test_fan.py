@@ -133,24 +133,23 @@ class TestQuotient:
             return pivots
 
         monkeypatch.setattr(fan_module, "_eliminate", flipped)
+        fan_module._quotient_lattice.cache_clear()  # the cache is process-wide
         fan = Fan.from_cones(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
                              [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
         with pytest.raises(InvariantError, match="section does not lift"):
             fan.quotient(0)
-        assert fan._lattices == {} and fan._quotients == {}
+        assert fan_module._quotient_lattice.cache_info().currsize == 0 and fan._quotients == {}
 
     def test_lattice_is_memoized_per_ray_vector(self, monkeypatch):
         fan = yu_fan(3, 1).fan
-        calls = []
-        lattice = fan_module._quotient_lattice
-        monkeypatch.setattr(fan_module, "_quotient_lattice", lambda v: calls.append(v) or lattice(v))
-        for ray in range(len(fan.rays)):
-            fan.quotient(ray)
-        assert calls == list(fan.rays)
         refined = small_modification(fan, 0).fan
-        for ray in range(len(fan.rays)):
-            refined.quotient(ray)
-        assert calls == list(fan.rays)
+        fresh = Fan.from_cones(*as_case(fan))  # equal to fan, with no quotient memoized
+        fan_module._quotient_lattice.cache_clear()  # the cache is process-wide
+        calls = count_hermite_forms(monkeypatch)
+        for each in (fan, refined, fresh):
+            for ray in range(len(fan.rays)):
+                each.quotient(ray)
+            assert calls == [[r] for r in fan.rays]  # one completion per ray vector
 
     def test_ray_that_is_a_maximal_cone_has_the_zero_quotient(self, monkeypatch):
         fan = Fan.from_cones(2, [(1, 0), (0, 1), (-1, 0)], [[0, 1], [2]])

@@ -7,6 +7,8 @@
 ``ROWS`` in process through ``toricfan.cli.run`` (re-entrant), the
 ample-witness degrees, every demo with its expected lines and three
 process-level checks, prints every failure and exits 1 if there is one.
+A ``--json`` row that prints no JSON and a demo that raises are failures
+like any other, and the run goes on.
 Under pytest, ``test_stdlib_smoke`` runs it the same way in a fresh
 ``python -S`` process, so tier-1 holds the contract on every Python it runs
 on.
@@ -54,6 +56,9 @@ def divisor(*coefficients):
     return {"coefficients": list(coefficients)}
 
 
+P2 = fan([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2]])
+
+
 # Each file as a dict written as JSON, or as a string written verbatim (malformed files).
 FILES = {
     "cube4.json": cube(4),
@@ -71,7 +76,7 @@ FILES = {
     "p112.json": fan([[1, 0], [1, 2], [-1, -1]], [[0, 1], [1, 2], [0, 2]]),
     "p112_alt.json": fan([[1, 0], [0, 1], [-1, -2]], [[0, 1], [0, 2], [1, 2]]),  # the same in other coordinates
     "d0.json": divisor(1, 0, 0),
-    "p2.json": fan([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2]]),
+    "p2.json": P2,
     "h.json": divisor(1, 0, 0),
     "h3.json": divisor(1, 1, 1),
     "quadrant.json": fan([[1, 0], [0, 1]], [[0, 1]]),
@@ -103,6 +108,13 @@ FILES = {
     "bool_dim.json": '{"dim": true, "rays": [[true], [-1]], "max_cones": [[0], [1]]}',
     "bool_ray.json": '{"dim": 1, "rays": [[true], [-1]], "max_cones": [[0], [1]]}',
     "bool_index.json": '{"dim": 1, "rays": [[1], [-1]], "max_cones": [[false], [1]]}',
+    "array.json": [1, 2],
+    "no_rays.json": {"dim": 2, "max_cones": [[0]]},
+    "long_ray.json": fan([[1, 0], [0, 1, 1]], [[0, 1]]),
+    "int_labels.json": {**P2, "labels": [1, 2, 3]},
+    "short_labels.json": {**P2, "labels": ["a"]},
+    "array_divisor.json": [1, 0, 0],
+    "cut_divisor.json": '{"coefficients":[1,0',
 }
 
 COMMANDS = "validate complete cartier index picard classgroup projective egyptian modify degree family report"
@@ -145,7 +157,8 @@ ROWS = [
     ("cartier --json --fan y.json --divisor de.json", 1, {"cartier": False, "q_cartier": False}),
     ("index --fan y.json --divisor de.json", 1, {}),
     ("index --json --fan m.json --divisor de.json", 0, {"q_cartier": True, "cartier_index": 1}),
-    ("cartier --json --fan y.json --divisor short.json", 2, {"error": "divisor has 2 coefficients but the fan has 8 rays"}),
+    *((f"{command} --json --fan y.json --divisor short.json", 2,  # the library's check, for every divisor command
+       {"error": "divisor has 2 coefficients but the fan has 8 rays"}) for command in ("cartier", "index", "degree")),
     ("cartier --json --fan y.json --divisor bool_divisor.json", 2, {"error": "coefficients must be a list of integers"}),
     ("family yu --n 3 --u 1 --emit y1.json", 0, {}),
     ("picard --json --fan y1.json", 0, {"picard.rank": 1}),
@@ -195,6 +208,18 @@ ROWS = [
     ("validate --json --fan bool_dim.json", 2, {"error": "dim must be a positive integer"}),
     ("validate --json --fan bool_ray.json", 2, {"error": "rays must be a list of integer vectors"}),
     ("validate --json --fan bool_index.json", 2, {"error": "max_cones must be a list of ray-index lists"}),
+    # The input errors only the CLI can see: the files' JSON shape and the --ray index.
+    ("validate --json --fan array.json", 2, {"error": "fan file must be a JSON object"}),
+    ("validate --json --fan no_rays.json", 2, {"error": "fan file is missing the key 'rays'"}),
+    ("validate --json --fan long_ray.json", 2, {"error": "ray 1 has length 3, expected 2"}),
+    ("validate --json --fan int_labels.json", 2, {"error": "labels must be a list of strings"}),
+    ("validate --json --fan short_labels.json", 2, {"error": "labels must match max_cones in length"}),
+    ("cartier --json --fan p2.json --divisor array_divisor.json", 2,
+     {"error": "divisor file must be a JSON object with a 'coefficients' key"}),
+    ("cartier --json --fan p2.json --divisor cut_divisor.json", 2,
+     {"error": "parse error at line 1, column 21: Expecting ',' delimiter"}),
+    ("egyptian --json --fan p2.json --ray 3", 2, {"error": "ray index 3 out of range 0..2"}),
+    ("report --json --fan p2.json --ray -1", 2, {"error": "ray index -1 out of range 0..2"}),
     ("validate --fan overlap.json", 1, {}),
     ("validate --json --fan overlap_inner.json", 1,
      {"valid": False, "error": "not a fan: cones 0,1 overlap badly; intersection rays [(1, 1), (1, 2)]"}),
@@ -240,8 +265,13 @@ def check(argv, code, expected, seconds=None):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         got = cli.run(argv.split())
     elapsed = time.perf_counter() - started
-    report = json.loads(out.getvalue()) if "--json" in argv.split() else {}
     failures = [f"exit {got}, expected {code}"] if got != code else []
+    report = {}
+    if "--json" in argv.split():
+        try:
+            report = json.loads(out.getvalue())
+        except json.JSONDecodeError:
+            failures.append("printed no JSON report")
     if report and report["exit_code"] != got:
         failures.append(f"report exit_code {report['exit_code']}, returned {got}")
     if seconds is not None and elapsed > seconds:
@@ -274,8 +304,12 @@ def main():
         failures.append(f"found {len(demos)} demos, expected at least 4")
     for demo in demos:
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            runpy.run_path(str(demo), run_name="__main__")
+        try:
+            with contextlib.redirect_stdout(out):
+                runpy.run_path(str(demo), run_name="__main__")
+        except Exception as exc:  # reported like any failure, and the other demos still run
+            failures.append(f"demo {demo.name} raised {type(exc).__name__}: {exc}")
+            continue
         failures += [f"demo {demo.name} printed no line {line!r}"
                      for line in DEMOS.get(demo.name, []) if line not in out.getvalue().splitlines()]
     here = os.getcwd()
@@ -298,6 +332,14 @@ def main():
         print(failure)
     print(f"stdlib smoke: {len(failures)} failed")
     return 1 if failures else 0
+
+
+def test_a_row_that_prints_no_json_fails_and_the_run_goes_on(monkeypatch):
+    monkeypatch.setattr(cli, "run", lambda argv: 0)
+    report, failures = check("picard --json --fan y.json", 0, {"picard.rank": 0})
+    assert report == {}
+    assert failures == ["toricfan picard --json --fan y.json: printed no JSON report",
+                        "toricfan picard --json --fan y.json: picard.rank = '<missing>', expected 0"]
 
 
 def test_stdlib_smoke():
