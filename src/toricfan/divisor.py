@@ -5,12 +5,12 @@ A divisor is a plain sequence of integer coefficients, one per fan ray, in
 the fan's ray order.  Cartier data assigns to every maximal cone a character
 vector that evaluates to minus the coefficient on each of the cone's rays;
 the divisor is Cartier when integral characters exist, Q-Cartier when
-rational ones do.  One rational character per cone (``_characters``; the
-Hermite one on a lower-dimensional cone) decides both, and the lcm of its
-denominators is the Cartier index, re-checked in integers.  One per-cone
-construction serves the Picard group and projectivity: a rational kernel of
-a cone's rays followed by the rays outside it gives the cone's linear
-relations and its strict-convexity rows, all in divisor coordinates.
+rational ones do.  One rational character per cone (``_characters``)
+decides both, and the lcm of its denominators is the Cartier index,
+re-checked in integers.  One elimination per full-dimensional cone, cached
+(``_cone_block``), gives its characters, its linear relations and its
+strict-convexity rows in divisor coordinates, for the Picard group and
+projectivity; a lower-dimensional cone takes the Hermite character.
 Divisor polytopes take one double description, and projectivity is one
 ``strict_feasible`` system.  The degree d! * vol(P) of an integral
 polytope is the normalized volume of a pulling triangulation of the cone
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .cone import Cone
@@ -32,13 +32,14 @@ from .exactlin import (
     StrictSystem,
     _abs_det,
     _double_description,
+    _eliminate,
     _hermite_coordinates,
     cokernel_group,
     dot,
+    identity_matrix,
     mat_vec,
     matrix_rank,
-    rational_kernel,
-    solve_linear,
+    primitive,
     strict_feasible,
     transpose,
 )
@@ -88,36 +89,50 @@ def _check_divisor(fan: Fan, divisor: ToricDivisor) -> tuple[int, ...]:
     return coeffs
 
 
-def _characters(fan: Fan, coeffs: Sequence[int]) -> Optional[tuple[tuple[Fraction, ...], ...]]:
-    """One rational character per maximal cone sigma, m_sigma(l_k) = -a_k on
-    its rays, or None when D is not Q-Cartier.
+@cache
+def _cone_block(rays: tuple) -> tuple:
+    """``(d, E, relations)`` of the full-dimensional cone on ``rays`` (A):
+    one ``_eliminate`` of ``[A | I]`` ends with pivot rows ``(d e_i | E_i)``,
+    so E A = d I, then rows ``(0 | R_j)``, R_j A = 0, whose primitive R_j
+    are a basis of the cone's linear relations.  Cached per ray tuple."""
+    n = len(rays[0])
+    work = [list(ray) + list(e) for ray, e in zip(rays, identity_matrix(len(rays)))]
+    _eliminate(work, n)
+    return work[0][0], tuple(tuple(row[n:]) for row in work[:n]), tuple(primitive(row[n:]) for row in work[n:])
 
-    On a full-dimensional sigma it is the unique solution.  On a lower-
-    dimensional one it is U' y from ``_hermite_coordinates`` on sigma's rays,
-    and integral characters of c*D on sigma exist iff c y is integral, iff
+
+def _characters(fan: Fan, coeffs: Sequence[int]) -> Optional[tuple[tuple[int, tuple[int, ...]], ...]]:
+    """One rational character per maximal cone sigma, m_sigma(l_k) = -a_k on
+    its rays, as ``(d, numerators)``, or None when D is not Q-Cartier.
+
+    On a full-dimensional sigma it is E b / d, b = -a on sigma's rays, if
+    every relation of ``_cone_block`` vanishes on b.  On a lower-dimensional
+    one it is U' y from ``_hermite_coordinates`` on sigma's rays, and
+    integral characters of c*D on sigma exist iff c y is integral, iff
     c U' y is, U' being part of a unimodular U.  Either way c*D is Cartier
     iff every c m_sigma is integral: the Cartier index is the lcm of their
     denominators (``_least_multiple``).
     """
     characters = []
     for mc, cone in zip(fan.max_cones, fan.cones):
-        rows = [fan.rays[k] for k in mc]
-        rhs = [-coeffs[k] for k in mc]
+        b = [-coeffs[k] for k in mc]
         if cone.dim == fan.ambient_rank:
-            sol = solve_linear(rows, rhs)
-            character = None if sol is None else sol.particular
-        else:
-            y, basis, _ = _hermite_coordinates(rows, rhs)
-            character = None if y is None else mat_vec(basis, y)
-        if character is None:
+            d, e, relations = _cone_block(tuple(fan.rays[k] for k in mc))
+            if any(dot(row, b) for row in relations):
+                return None
+            characters.append((d, mat_vec(e, b)))
+            continue
+        y, basis, _ = _hermite_coordinates([fan.rays[k] for k in mc], b)
+        if y is None:
             return None
-        characters.append(character)
+        d = lcm(*(x.denominator for x in y))
+        characters.append((d, mat_vec(basis, [x.numerator * (d // x.denominator) for x in y])))
     return tuple(characters)
 
 
 def _least_multiple(characters) -> int:
-    """The lcm of the characters' denominators: the least c >= 1 with c*D Cartier (see ``_characters``)."""
-    return lcm(*(x.denominator for character in characters for x in character))
+    """The least c >= 1 with c*D Cartier (see ``_characters``): the lcm of d / gcd(d, numerators)."""
+    return lcm(*(d // gcd(d, *nums) for d, nums in characters))
 
 
 def cartier_data(fan: Fan, divisor: ToricDivisor, mode: str = "integral") -> Optional[CartierData]:
@@ -133,10 +148,10 @@ def cartier_data(fan: Fan, divisor: ToricDivisor, mode: str = "integral") -> Opt
     if characters is None:
         return None
     if mode == "rational":
-        return CartierData(characters, mode)
-    if any(x.denominator != 1 for character in characters for x in character):
+        return CartierData(tuple(tuple(Fraction(x, d) for x in nums) for d, nums in characters), mode)
+    if any(x % d for d, nums in characters for x in nums):
         return None
-    return CartierData(tuple(tuple(x.numerator for x in character) for character in characters), mode)
+    return CartierData(tuple(tuple(x // d for x in nums) for d, nums in characters), mode)
 
 
 def cartier_index(fan: Fan, divisor: ToricDivisor) -> Optional[int]:
@@ -148,8 +163,8 @@ def cartier_index(fan: Fan, divisor: ToricDivisor) -> Optional[int]:
     if characters is None:
         return None
     index = _least_multiple(characters)
-    for mc, character in zip(fan.max_cones, characters):
-        point, rest = zip(*(divmod(index * x.numerator, x.denominator) for x in character))
+    for mc, (d, nums) in zip(fan.max_cones, characters):
+        point, rest = zip(*(divmod(index * x, d) for x in nums))
         if any(rest) or any(dot(point, fan.rays[k]) != -index * coeffs[k] for k in mc):
             raise InvariantError("the Cartier index does not give an integral character")
     return index
@@ -162,24 +177,19 @@ def class_group(fan: Fan) -> FGAbelianGroup:
     return cokernel_group(fan.rays, len(fan.rays))
 
 
-def _cone_rows(fan: Fan, mc, outside=()) -> list[list[int]]:
-    """Ray-indexed rows of one rational kernel of sigma's rays, then ``outside``'s.
+def _cone_rows(fan: Fan, mc, outside=()) -> list[tuple[int, ...]]:
+    """Ray-indexed rows of a full-dimensional sigma: its relations, then one per ``outside`` ray.
 
-    On a full-dimensional sigma all n pivots fall in sigma's columns, so
-    the free columns are sigma's |sigma| - n others, whose rows are sigma's
-    linear relations, then one per outside ray k: a row v, zero off sigma
-    and k, with v_k > 0 and ``sum_j v_j l_j = 0``.  On a divisor a with
-    character m_sigma on sigma, v . a = v_k * (a_k + m_sigma(l_k)): v is
-    the strict-convexity row of sigma at k, scaled by v_k.
+    ``_cone_block``'s relations R_j, then at each outside ray k the primitive
+    v with v_k = d, -E^T l_k on sigma and 0 elsewhere: ``sum_j v_j l_j = 0``,
+    and v . a = d * (a_k + m_sigma(l_k)) with m_sigma = E b / d (b = -a on
+    sigma), the strict-convexity row of sigma at k scaled by d > 0.
     """
-    order = list(mc) + list(outside)
-    rows = []
-    for vector in rational_kernel(transpose([fan.rays[k] for k in order])):
-        row = [0] * len(fan.rays)
-        for k, c in zip(order, vector):
-            row[k] = c
-        rows.append(row)
-    return rows
+    d, e, relations = _cone_block(tuple(fan.rays[k] for k in mc))
+    columns = transpose(e)
+    vectors = [dict(zip(mc, v)) for v in relations]
+    vectors += [dict(zip(mc + (k,), [-dot(c, fan.rays[k]) for c in columns] + [d])) for k in outside]
+    return [primitive([v.get(j, 0) for j in range(len(fan.rays))]) for v in vectors]
 
 
 def picard_group(fan: Fan) -> FGAbelianGroup:
@@ -191,13 +201,12 @@ def picard_group(fan: Fan) -> FGAbelianGroup:
     column of the ray matrix, must vanish on it.  Then ``rank Pic = r - n -
     rank(rows)`` and Pic has no torsion (Cox, Little & Schenck, *Toric
     Varieties*, Prop. 4.2.5; Fulton 1993, section 3.4).  Proof: on a complete
-    fan every maximal cone is full-dimensional, so characters are fixed by
-    coefficients, and ``a`` is Q-Cartier iff each ``a`` restricted to sigma
-    lies in the column span of sigma's rays, iff every relation vanishes on
-    it.  Clearing denominators, Cartier divisors span that space: rank CDiv
-    = r - rank(rows).  The rays span, so M embeds: rank Pic = rank CDiv - n.
-    If ``d * D = div(m)``, then ``d * m_sigma = m`` on a full-dimensional
-    sigma, so ``m / d = m_sigma`` is integral and ``D = div(m_sigma)``.
+    fan every maximal cone is full-dimensional, so ``a`` is Q-Cartier iff
+    every relation vanishes on it (``_characters``).  Clearing denominators,
+    Cartier divisors span that space: rank CDiv = r - rank(rows).  The rays
+    span, so M embeds: rank Pic = rank CDiv - n.  If ``d * D = div(m)``, then
+    ``d * m_sigma = m`` on a full-dimensional sigma, so ``m / d = m_sigma``
+    is integral and ``D = div(m_sigma)``.
     """
     if not fan.is_complete():
         raise ValueError("picard group computation requires a complete fan")
@@ -238,14 +247,14 @@ def _strictly_convex(fan: Fan, coeffs, characters) -> bool:
 def is_projective(fan: Fan) -> ProjectivityResult:
     """Search for an ample divisor in divisor coordinates.
 
-    ``_cone_rows`` gives each maximal cone's relations, whose common zeros
-    are the Q-Cartier divisors, and its strict-convexity rows, which on a
-    complete fan decide ampleness (Cox, Little & Schenck, *Toric
-    Varieties*, ch. 6).  ``strict_feasible`` decides {relations = 0, rows
-    > 0}.  The witness sums its extreme rays, each scaled to its least
-    Cartier multiple (``_least_multiple``), so it is Cartier and still
-    positive on every row.  Its Cartier data and strict convexity are
-    re-checked.
+    Each maximal cone's ``_cone_block`` gives its relations, whose common
+    zeros are the Q-Cartier divisors, and its strict-convexity rows
+    (``_cone_rows``), which on a complete fan decide ampleness (Cox, Little
+    & Schenck, *Toric Varieties*, ch. 6).  ``strict_feasible`` decides
+    {relations = 0, rows > 0}.  The witness sums its extreme rays, each
+    scaled to its least Cartier multiple (``_least_multiple``, on the same
+    blocks), so it is Cartier and still positive on every row.  Its Cartier
+    data and strict convexity are re-checked.
     """
     if not fan.is_complete():
         raise ValueError("projectivity test requires a complete fan")

@@ -4,12 +4,13 @@ Everything here runs on Python's arbitrary-precision integers.  Rank,
 kernels, rational solving and determinants share one fraction-free
 Gauss-Jordan (Bareiss) elimination on integer rows, ``_eliminate``, whose
 pivots all end equal to one minor d; ``fractions.Fraction`` appears only in
-rational particular solutions.  ``Fan.isomorphism`` gets its spanning rays
-and d times their inverse, and a star quotient its section (the inverse of
-a ray's Hermite completion), from it run once beside an identity block;
-|det| is its last pivot (``_abs_det``).  Integral solving and the divisor
-layer's characters share one column Hermite form (``_hermite_coordinates``),
-and the Smith form alternates Hermite forms of a matrix and its transpose.
+rational particular solutions.  Beside an identity block it gives
+``Fan.isomorphism`` its spanning rays and d times their inverse, a star
+quotient its section (the inverse of a ray's Hermite completion), and
+``divisor._cone_block`` a full-dimensional cone's E A = d I and relations;
+|det| is its last pivot (``_abs_det``).  Integral solving and the characters
+of lower-dimensional cones share one column Hermite form
+(``_hermite_coordinates``); the Smith form alternates Hermite forms of M and M^T.
 Polyhedral questions share one integer double-description routine,
 ``_double_description``: the cone layer (``toricfan.cone``) builds, converts
 and meets cones with it (a meet starts from one cone's known rays and adds

@@ -5,7 +5,7 @@ import random
 import time
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -45,6 +45,8 @@ from toricfan.exactlin import (
     StrictSystem,
     dot,
     hermite_normal_form,
+    identity_matrix,
+    mat_mul,
     mat_vec,
     primitive,
     smith_normal_form,
@@ -264,6 +266,98 @@ class TestCartierIndex:
             cartier_index(weighted_p112_fan, [1, 0, 0])
 
 
+def _block_fans(yu_grid):
+    """Complete fans with non-simplicial cones: the 3- and 4-cube face fans,
+    Y_{n,u} for n = 3..5, and the threefold campaign's 35 fans."""
+    fans = [Fan.from_cones(*cube_face_fan(3)), Fan.from_cones(*cube_face_fan(4))]
+    fans += [yu_grid(n, u).fan for n in range(3, 6) for u in range(1, 4)]
+    return fans + [fan for seed, count in ((0, 26), (4, 9)) for fan in random_complete_threefolds(seed, count)]
+
+
+def _q_cartier_space(fan):
+    """A basis of the Q-Cartier divisors from ``oracles.kernel_basis`` alone:
+    the common kernel of every cone's ray relations, spread to ray indices."""
+    rows = []
+    for mc in fan.max_cones:
+        for relation in oracles.kernel_basis(transpose([fan.rays[k] for k in mc]), len(mc)):
+            row = [0] * len(fan.rays)
+            for k, c in zip(mc, relation):
+                row[k] = c
+            rows.append(row)
+    return oracles.kernel_basis(rows, len(fan.rays))
+
+
+class TestConeBlock:
+    """``_cone_block`` and what is read off it, on complete fans with
+    non-simplicial cones, against the oracles' Cramer solves and scan."""
+
+    def test_characters_and_index_match_the_oracles(self, yu_grid):
+        # Random divisors (on a non-simplicial fan mostly not Q-Cartier) and
+        # random combinations of a Q-Cartier basis.  The index scan tries
+        # every c up to the denominator lcm, so it runs only where that is
+        # at most 2,000; on the random threefolds most lcms are far larger.
+        rng = random.Random(41)
+        outcomes, scanned = set(), 0
+        for fan in _block_fans(yu_grid):
+            n, space = fan.ambient_rank, _q_cartier_space(fan)
+            divisors = [tuple(rng.randint(-2, 3) for _ in fan.rays) for _ in range(2)]
+            for _ in range(3):
+                weights = [rng.randint(-2, 2) for _ in space]
+                divisors.append(tuple(sum(w * v[k] for w, v in zip(weights, space)) for k in range(len(fan.rays))))
+            for d in divisors:
+                characters, disagrees = [], False
+                for mc in fan.max_cones:
+                    basis = next(s for s in combinations(mc, n) if oracles.det_bareiss([fan.rays[k] for k in s]))
+                    den, nums = oracles.cramer_numerators([fan.rays[k] for k in basis], [-d[k] for k in basis])
+                    disagrees |= any(dot(nums, fan.rays[k]) != -d[k] * den for k in mc)
+                    characters.append(tuple(Fraction(x, den) for x in nums))
+                rational = cartier_data(fan, d, mode="rational")
+                assert (rational is None) == disagrees, (fan.rays, d)
+                assert rational is None or rational.characters == tuple(characters), (fan.rays, d)
+                bound = oracles.denominator_lcm(fan, d)
+                if bound is None or bound <= 2000:
+                    index = cartier_index(fan, d)
+                    assert index == cartier_index_by_scan(fan, d), (fan.rays, d)
+                    outcomes.add("none" if index is None else "one" if index == 1 else "more")
+                    scanned += 1
+        assert outcomes == {"none", "one", "more"} and scanned >= 100
+
+    def test_block_inverts_and_relates(self, yu_grid):
+        # E A = d I, R A = 0, and R is a primitive basis of the relations.
+        for fan in _block_fans(yu_grid):
+            n = fan.ambient_rank
+            for mc in fan.max_cones:
+                rays = tuple(fan.rays[k] for k in mc)
+                d, e, relations = divisor._cone_block(rays)
+                assert d > 0 and mat_mul(e, rays) == tuple(tuple(d * x for x in row) for row in identity_matrix(n))
+                assert not any(map(any, mat_mul(relations, rays)))
+                assert len(relations) == len(mc) - n and all(gcd(*row) == 1 for row in relations)
+                assert len(oracles.kernel_basis(relations, len(mc))) == n
+
+    def test_each_cone_is_eliminated_once(self, monkeypatch):
+        # After one is_projective, Cartier data, index and Picard group read
+        # cached blocks, on the fan, on an equal fan built afresh, and on the
+        # small modification, whose is_projective eliminates only new cones.
+        eliminations = []
+        eliminate = divisor._eliminate
+        monkeypatch.setattr(divisor, "_eliminate", lambda work, cols: eliminations.append(cols) or eliminate(work, cols))
+        divisor._cone_block.cache_clear()
+        fan = yu_fan(4, 1).fan
+        witness = is_projective(fan).witness_divisor
+        assert len(eliminations) == len(fan.max_cones)
+        modified = small_modification(fan, 0).fan
+        cones = [{tuple(f.rays[k] for k in mc) for mc in f.max_cones} for f in (fan, modified)]
+        eliminations.clear()
+        is_projective(modified)
+        assert len(eliminations) == len(cones[1] - cones[0]) > 0
+        eliminations.clear()
+        fans = (fan, yu_fan(4, 1).fan, modified)
+        assert [cartier_index(f, witness) for f in fans] == [1, 1, 1]
+        assert all(cartier_data(f, witness) is not None for f in fans)
+        assert [picard_group(f).rank for f in fans] == [1, 1, 2]
+        assert eliminations == []
+
+
 class TestClassGroup:
     def test_p2(self, p2_fan):
         g = class_group(p2_fan)
@@ -311,10 +405,12 @@ class TestPicardGroup:
     def test_principal_coordinates_are_checked(self, monkeypatch):
         # Every cone of the 3-cube's face fan has 4 rays in rank 3, so one
         # relation each.  A unit vector is no relation among nonzero rays,
-        # and the principal divisors fail to vanish on it.
+        # and the principal divisors fail to vanish on it.  It is fed in
+        # through ``_cone_block``, past the cache of the true blocks.
         cube = Fan.from_cones(*cube_face_fan(3))
         assert picard_group(cube).rank == 1
-        monkeypatch.setattr(divisor, "rational_kernel", lambda rows: ((1,) + (0,) * (len(rows[0]) - 1),))
+        block = divisor._cone_block
+        monkeypatch.setattr(divisor, "_cone_block", lambda rays: block(rays)[:2] + (((1,) + (0,) * (len(rays) - 1),),))
         with pytest.raises(InvariantError, match="principal divisor is not Cartier"):
             picard_group(cube)
 
@@ -755,7 +851,7 @@ class TestPolytopeVertices:
             raise AssertionError("divisor_polytope left the double description")
 
         monkeypatch.setattr(divisor, "_double_description", counting)
-        for name in ("solve_linear", "matrix_rank"):
+        for name in ("_cone_block", "matrix_rank"):
             monkeypatch.setattr(divisor, name, refused)
         monkeypatch.setattr(Cone, "_from_primitive", classmethod(refused))
         assert divisor_polytope(yu.fan, witness).vertices
