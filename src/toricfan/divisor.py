@@ -7,10 +7,10 @@ vector that evaluates to minus the coefficient on each of the cone's rays;
 the divisor is Cartier when integral characters exist, Q-Cartier when
 rational ones do.  One rational character per cone (``_characters``)
 decides both, and the lcm of its denominators is the Cartier index,
-re-checked in integers.  One elimination per full-dimensional cone, cached
-(``_cone_block``), gives its characters, its linear relations and its
-strict-convexity rows in divisor coordinates, for the Picard group and
-projectivity; a lower-dimensional cone takes the Hermite character.
+re-checked in integers.  One lattice block per maximal cone, cached
+(``_cone_block``), gives its characters and its linear relations, and on a
+full-dimensional cone its strict-convexity rows in divisor coordinates,
+for the Picard group and projectivity.
 Divisor polytopes take one double description, and projectivity is one
 ``strict_feasible`` system.  The degree d! * vol(P) of an integral
 polytope is the normalized volume of a pulling triangulation of the cone
@@ -32,11 +32,9 @@ from .exactlin import (
     StrictSystem,
     _abs_det,
     _double_description,
-    _eliminate,
-    _hermite_coordinates,
+    _lattice_block,
     cokernel_group,
     dot,
-    identity_matrix,
     mat_vec,
     matrix_rank,
     primitive,
@@ -86,47 +84,40 @@ def _check_divisor(fan: Fan, divisor: ToricDivisor) -> tuple[int, ...]:
         raise ValueError(
             f"divisor has {len(coeffs)} coefficients but the fan has {len(fan.rays)} rays"
         )
+    for x in coeffs:
+        if type(x) is not int:
+            raise ValueError(f"divisor coefficient {x!r} is not an integer")
     return coeffs
 
 
 @cache
 def _cone_block(rays: tuple) -> tuple:
-    """``(d, E, relations)`` of the full-dimensional cone on ``rays`` (A):
-    one ``_eliminate`` of ``[A | I]`` ends with pivot rows ``(d e_i | E_i)``,
-    so E A = d I, then rows ``(0 | R_j)``, R_j A = 0, whose primitive R_j
-    are a basis of the cone's linear relations.  Cached per ray tuple."""
-    n = len(rays[0])
-    work = [list(ray) + list(e) for ray, e in zip(rays, identity_matrix(len(rays)))]
-    _eliminate(work, n)
-    return work[0][0], tuple(tuple(row[n:]) for row in work[:n]), tuple(primitive(row[n:]) for row in work[n:])
+    """``(d, E, relations)`` of the cone on ``rays`` (A), from ``_lattice_block``:
+    A E A = d A, with E A = d I on a full-dimensional cone, and the
+    primitive R_j, R_j A = 0, are a basis of the cone's linear relations.
+    Cached per ray tuple."""
+    return _lattice_block(rays)[:3]
 
 
 def _characters(fan: Fan, coeffs: Sequence[int]) -> Optional[tuple[tuple[int, tuple[int, ...]], ...]]:
     """One rational character per maximal cone sigma, m_sigma(l_k) = -a_k on
     its rays, as ``(d, numerators)``, or None when D is not Q-Cartier.
 
-    On a full-dimensional sigma it is E b / d, b = -a on sigma's rays, if
-    every relation of ``_cone_block`` vanishes on b.  On a lower-dimensional
-    one it is U' y from ``_hermite_coordinates`` on sigma's rays, and
-    integral characters of c*D on sigma exist iff c y is integral, iff
-    c U' y is, U' being part of a unimodular U.  Either way c*D is Cartier
-    iff every c m_sigma is integral: the Cartier index is the lcm of their
+    It is E b / d, b = -a on sigma's rays, if every relation of
+    ``_cone_block`` vanishes on b: the unique character on a
+    full-dimensional sigma, and on a lower-dimensional one a character that
+    is integral whenever D has an integral one on sigma (``_lattice_block``).
+    As c m_sigma is the same block's character of c*D, c*D is Cartier iff
+    every c m_sigma is integral: the Cartier index is the lcm of their
     denominators (``_least_multiple``).
     """
     characters = []
-    for mc, cone in zip(fan.max_cones, fan.cones):
+    for mc in fan.max_cones:
         b = [-coeffs[k] for k in mc]
-        if cone.dim == fan.ambient_rank:
-            d, e, relations = _cone_block(tuple(fan.rays[k] for k in mc))
-            if any(dot(row, b) for row in relations):
-                return None
-            characters.append((d, mat_vec(e, b)))
-            continue
-        y, basis, _ = _hermite_coordinates([fan.rays[k] for k in mc], b)
-        if y is None:
+        d, e, relations = _cone_block(tuple(fan.rays[k] for k in mc))
+        if any(dot(row, b) for row in relations):
             return None
-        d = lcm(*(x.denominator for x in y))
-        characters.append((d, mat_vec(basis, [x.numerator * (d // x.denominator) for x in y])))
+        characters.append((d, mat_vec(e, b)))
     return tuple(characters)
 
 

@@ -5,12 +5,12 @@ kernels, rational solving and determinants share one fraction-free
 Gauss-Jordan (Bareiss) elimination on integer rows, ``_eliminate``, whose
 pivots all end equal to one minor d; ``fractions.Fraction`` appears only in
 rational particular solutions.  Beside an identity block it gives
-``Fan.isomorphism`` its spanning rays and d times their inverse, a star
-quotient its section (the inverse of a ray's Hermite completion), and
-``divisor._cone_block`` a full-dimensional cone's E A = d I and relations;
-|det| is its last pivot (``_abs_det``).  Integral solving and the characters
-of lower-dimensional cones share one column Hermite form
-(``_hermite_coordinates``); the Smith form alternates Hermite forms of M and M^T.
+``Fan.isomorphism`` its spanning rays and d times their inverse, and
+``_lattice_block`` an E with A E A = d A, run again on the nonzero columns
+of a rank-deficient A's column Hermite form: every integral solve, every
+cone's characters (``divisor._cone_block``) and a star quotient's section
+(the inverse of a ray's Hermite completion).  |det| is its last pivot
+(``_abs_det``); the Smith form alternates Hermite forms of M and M^T.
 Polyhedral questions share one integer double-description routine,
 ``_double_description``: the cone layer (``toricfan.cone``) builds, converts
 and meets cones with it (a meet starts from one cone's known rays and adds
@@ -300,7 +300,7 @@ def solve_linear(a: Sequence[Sequence], b: Sequence, mode: str = "rational") -> 
     In ``rational`` mode returns a particular rational solution and a basis of
     the rational kernel, or ``None`` when inconsistent.  In ``integral`` mode
     returns an integer particular solution and a basis of the full integer
-    kernel lattice (decided via Hermite form), or ``None`` when no integer
+    kernel lattice (read off ``_lattice_block``), or ``None`` when no integer
     solution exists.
     """
     if mode not in ("rational", "integral"):
@@ -321,32 +321,45 @@ def solve_linear(a: Sequence[Sequence], b: Sequence, mode: str = "rational") -> 
             particular[p] = Fraction(work[r][cols], work[r][p])
         return LinearSolution(tuple(particular), _kernel_of(work, pivots, cols))
 
-    # Integral mode: clear denominators row by row, then read Hermite coordinates.
+    # Integral mode: clear denominators row by row, then read the lattice block.
     scaled = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)], cols + 1)
-    y, basis, kernel = _hermite_coordinates([row[:cols] for row in scaled], [row[cols] for row in scaled])
-    if y is None or any(x.denominator != 1 for x in y):
+    d, e, relations, kernel = _lattice_block([row[:cols] for row in scaled])
+    rhs = [row[cols] for row in scaled]
+    x = mat_vec(e, rhs)
+    if any(dot(row, rhs) for row in relations) or any(v % d for v in x):
         return None
-    particular = mat_vec(basis, [x.numerator for x in y])
+    particular = tuple([v // d for v in x])
     if any(dot(row[:cols], particular) != row[cols] for row in scaled):
         raise InvariantError("hermite form is not A @ U: its solution breaks a row of A")
     return LinearSolution(particular, kernel)
 
 
-def _hermite_coordinates(a: Sequence[Sequence[int]], b: Sequence) -> tuple:
-    """``(y, U', kernel)`` for ``a @ x = b``, from the Hermite form ``H = a @ U``.
+def _lattice_block(a: Sequence[Sequence[int]]) -> tuple:
+    """``(d, E, relations, kernel)`` of a nonempty integer matrix A (m x n).
 
-    The nonzero columns H' of the echelon H are a basis of the lattice
-    a Z^n, since U is unimodular.  So ``a x = b`` is consistent iff
-    ``H' y = b`` is, y is then unique, and the solutions are ``U' y`` (U'
-    the matching columns of U, returned as rows) plus the kernel, U's other
-    columns: integer ones exist iff y is integral.  y is None when
-    ``a x = b`` is inconsistent.
+    A E A = d A with d > 0 dividing every entry of E A; the primitive
+    relations are a basis of {r : r A = 0}, the kernel one of the integer
+    lattice {x : A x = 0}.  So A x = b is solvable iff every relation
+    vanishes on b, and then E b / d solves it, integrally if anything does.
+    One ``_eliminate`` of [A | I] ends with pivot rows (d e_i | W_i), then
+    rows (0 | R_j).  At full column rank E = W, so E A = d I.  Otherwise the
+    nonzero columns H' of the Hermite form H = A U are a basis of A Z^n, the
+    same elimination of [H' | I] gives W H' = d I and the relations, U's
+    other columns are the kernel, and E = U' W, U' the matching columns:
+    E b = d U' y for H' y = b, and U' y is integral iff y is.
     """
-    h, u = hermite_normal_form(a)
-    rank = sum(1 for j in range(len(u)) if any(row[j] for row in h))
-    kernel = tuple(tuple(row[j] for row in u) for j in range(rank, len(u)))
-    sol = solve_linear([row[:rank] for row in h], b)
-    return None if sol is None else sol.particular, tuple(row[:rank] for row in u), kernel
+    m, n = len(a), len(a[0])
+    work = [list(row) + list(e) for row, e in zip(a, identity_matrix(m))]
+    rank = len(_eliminate(work, n))
+    u = kernel = ()
+    if rank < n:
+        h, u = hermite_normal_form(a)
+        kernel = tuple(zip(*u))[rank:]
+        work = [list(row[:rank]) + list(e) for row, e in zip(h, identity_matrix(m))]
+        _eliminate(work, rank)
+    w = tuple(tuple(row[rank:]) for row in work[:rank])
+    e = tuple(tuple(sum(x * v[j] for x, v in zip(row, w)) for j in range(m)) for row in u) if u else w
+    return work[0][0] if rank else 1, e, tuple(primitive(row[rank:]) for row in work[rank:]), kernel
 
 
 # ---------------------------------------------------------------------------

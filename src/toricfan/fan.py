@@ -39,7 +39,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cone import Cone, _bits, _remap
 from .errors import InvariantError
-from .exactlin import LatticeVector, _abs_det, _eliminate, dot, hermite_normal_form, identity_matrix, primitive
+from .exactlin import (LatticeVector, _abs_det, _eliminate, _lattice_block, dot, hermite_normal_form, identity_matrix,
+                       primitive)
 
 
 class WallCurveKind(enum.Enum):
@@ -361,8 +362,6 @@ class Fan:
                 if j is None:
                     return None
                 ray_map.append(j)
-            if len(set(ray_map)) != len(ray_map):
-                return None
             mapped = {frozenset(ray_map[i] for i in mc) for mc in self.max_cones}
             if mapped != other_cone_sets:
                 return None
@@ -460,20 +459,16 @@ def _quotient_lattice(l_rho: LatticeVector) -> tuple[tuple, tuple]:
     """(projection rows, section) of the quotient by the primitive ``l_rho``.
 
     The Hermite form l_rho @ U = e_0 makes columns 1..n-1 of U integer
-    coordinates with kernel Z*l_rho.  One elimination of [U | I], as in
-    ``isomorphism``, leaves d * U^-1 beside d * I, and d = |det U| = 1, so
-    row i is (e_i | row i of U^-1); rows 1..n-1 of U^-1 lift the quotient
+    coordinates with kernel Z*l_rho.  U's lattice block has E U = d I with
+    d = |det U| = 1, so E = U^-1, and rows 1..n-1 of U^-1 lift the quotient
     basis, which is re-checked.  Cached per ray vector; errors are not.
     """
-    n = len(l_rho)
     h, u = hermite_normal_form([l_rho])
     if h[0][0] != 1 or any(h[0][1:]):
         raise InvariantError("primitive ray should complete to a lattice basis")
     proj_rows = tuple(zip(*u))[1:]
-    work = [list(row) + list(e) for row, e in zip(u, identity_matrix(n))]
-    _eliminate(work, n)
-    section = tuple(tuple(row[n:]) for row in work[1:])
-    if tuple(tuple(dot(p, w) for p in proj_rows) for w in section) != identity_matrix(n - 1):
+    section = _lattice_block(u)[1][1:]
+    if tuple(tuple(dot(p, w) for p in proj_rows) for w in section) != identity_matrix(len(l_rho) - 1):
         raise InvariantError("quotient section does not lift the quotient basis")
     return proj_rows, section
 

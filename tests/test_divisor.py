@@ -71,6 +71,13 @@ LARGE_LCM_FAN = (
 )
 LARGE_LCM_DIVISOR = (0, 0, 3, 2, 3, 2, 1, 0, 3)
 
+# Lower-dimensional maximal cones: a ray (2, 1, 0), on which the rational
+# solve's character is not the integral one, beside a 2-cone and a ray; and
+# the square cone in x_4 = 0 of Q^4, whose rays satisfy one relation, beside
+# the ray e_4.
+LOW_FAN = (3, [(2, 1, 0), (0, 1, 2), (2, 0, 1), (1, 1, 3)], [[0], [1, 2], [3]])
+SQUARE_FAN = (4, [(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0), (0, 0, 0, 1)], [[0, 1, 2, 3], [4]])
+
 COMPLETE_FIXTURES = (
     "p1_fan", "p2_fan", "p3_fan", "p1xp1_fan", "weighted_p112_fan",
     "suspension_fan", "cube_suspension_fan",
@@ -234,7 +241,7 @@ class TestCartierIndex:
         # (2, 1, 0) the rational solve pins it to (-a_0 / 2, 0, 0), yet
         # (0, -a_0, 0) is integral: the index reads coordinates in a Hermite
         # basis instead.
-        fan = Fan.from_cones(3, [(2, 1, 0), (0, 1, 2), (2, 0, 1), (1, 1, 3)], [[0], [1, 2], [3]])
+        fan = Fan.from_cones(*LOW_FAN)
         assert cartier_index(fan, (1, 0, 0, 0)) == 1
         assert cartier_index(Fan.from_cones(2, [(2, 1), (0, 1)], [[0, 1]]), (1, 0)) == 2
         rng = random.Random(23)
@@ -242,11 +249,20 @@ class TestCartierIndex:
             d = tuple(rng.randint(-3, 5) for _ in fan.rays)
             assert cartier_index(fan, d) == cartier_index_by_scan(fan, d), d
 
+    def test_lower_dimensional_relation_must_vanish(self):
+        # The square's relation l_0 + l_2 = l_1 + l_3 is 2 on (1, 0, 1, 0):
+        # no character of any multiple exists on the square cone.
+        fan = Fan.from_cones(*SQUARE_FAN)
+        assert cartier_data(fan, (1, 0, 1, 0, 0)) is None
+        assert cartier_data(fan, (1, 0, 1, 0, 0), mode="rational") is None
+        assert cartier_index(fan, (1, 0, 1, 0, 0)) is None is cartier_index_by_scan(fan, (1, 0, 1, 0, 0))
+        assert cartier_index(fan, (1, 1, 1, 1, 3)) == 1 == cartier_index_by_scan(fan, (1, 1, 1, 1, 3))
+
     def test_rational_characters_carry_the_index(self):
         # On the ray (2, 1, 0) the rref solve gave D = (1, 0, 0, 0) the character
         # (-1/2, 0, 0) although D is Cartier: each character's denominators must
         # divide the index, and D is Cartier exactly when the index is 1.
-        fan = Fan.from_cones(3, [(2, 1, 0), (0, 1, 2), (2, 0, 1), (1, 1, 3)], [[0], [1, 2], [3]])
+        fan = Fan.from_cones(*LOW_FAN)
         rng = random.Random(23)
         divisors = [(1, 0, 0, 0)] + [tuple(rng.randint(-3, 5) for _ in fan.rays) for _ in range(30)]
         for d in divisors:
@@ -334,13 +350,33 @@ class TestConeBlock:
                 assert len(relations) == len(mc) - n and all(gcd(*row) == 1 for row in relations)
                 assert len(oracles.kernel_basis(relations, len(mc))) == n
 
+    def test_lower_dimensional_blocks(self):
+        # A E A = d A, R A = 0 and d | E A, which fails without the Hermite
+        # step on the ray (2, 1, 0); R is a primitive basis of the relations.
+        # The facets of one 4-cube cone are non-simplicial 3-cones in Q^4.
+        cube = Fan.from_cones(*cube_face_fan(4)).cones[0]
+        boundary = Fan.from_cones(4, cube.rays, [f.ray_indices for f in cube.facets()])
+        seen = 0
+        for fan in (Fan.from_cones(*LOW_FAN), Fan.from_cones(*SQUARE_FAN), boundary):
+            for mc, cone in zip(fan.max_cones, fan.cones):
+                a = tuple(fan.rays[k] for k in mc)
+                d, e, relations = divisor._cone_block(a)
+                ea = mat_mul(e, a)
+                assert d > 0 and mat_mul(a, ea) == tuple(tuple(d * x for x in row) for row in a)
+                assert not any(map(any, mat_mul(relations, a))) and not any(x % d for row in ea for x in row)
+                assert len(relations) == len(mc) - cone.dim and all(gcd(*row) == 1 for row in relations)
+                assert len(oracles.kernel_basis(relations, len(mc))) == cone.dim
+                seen += cone.dim < fan.ambient_rank and len(mc) > cone.dim
+        assert seen == 7  # non-simplicial and lower-dimensional: the square and the six cube facets
+
     def test_each_cone_is_eliminated_once(self, monkeypatch):
         # After one is_projective, Cartier data, index and Picard group read
         # cached blocks, on the fan, on an equal fan built afresh, and on the
         # small modification, whose is_projective eliminates only new cones.
+        # An incomplete fan's lower-dimensional cones are cached too.
         eliminations = []
-        eliminate = divisor._eliminate
-        monkeypatch.setattr(divisor, "_eliminate", lambda work, cols: eliminations.append(cols) or eliminate(work, cols))
+        block = divisor._lattice_block
+        monkeypatch.setattr(divisor, "_lattice_block", lambda a: eliminations.append(a) or block(a))
         divisor._cone_block.cache_clear()
         fan = yu_fan(4, 1).fan
         witness = is_projective(fan).witness_divisor
@@ -356,6 +392,10 @@ class TestConeBlock:
         assert all(cartier_data(f, witness) is not None for f in fans)
         assert [picard_group(f).rank for f in fans] == [1, 1, 2]
         assert eliminations == []
+        low = Fan.from_cones(*LOW_FAN)
+        assert cartier_index(low, (1, 0, 0, 0)) == 1 and len(eliminations) == len(low.max_cones)
+        assert cartier_data(Fan.from_cones(*LOW_FAN), (1, 0, 0, 0), mode="rational") is not None
+        assert len(eliminations) == len(low.max_cones)
 
 
 class TestClassGroup:

@@ -13,6 +13,7 @@ from toricfan import cli
 from toricfan.cone import Cone
 from toricfan.divisor import cartier_data, is_projective
 from toricfan.egyptian import (
+    ExceptionalWall,
     PyramidalKind,
     _check_split,
     classify_pyramidal,
@@ -278,6 +279,16 @@ class TestSmallModification:
         checks = verify_modification(broken)
         assert not checks.passed
         assert any("wall" in f for f in checks.failures)
+
+    def test_wall_missing_from_the_refined_fan(self, yu_grid):
+        # (1, 2, 3) spans no cone of the refined Y_{3,1}: it is no wall to find.
+        result = small_modification(yu_grid(3, 1).fan, 0)
+        extra = ExceptionalWall((1, 2, 3), (0, 1))
+        checks = verify_modification(result._replace(exceptional_walls=result.exceptional_walls + (extra,)))
+        assert not checks.passed and checks.failures == ("wall (1, 2, 3) missing from the refined fan",)
+        assert checks.wall_curves[-1] == ((1, 2, 3), None, False)
+        assert checks.update_maximal[-1] == ((1, 2, 3), False)
+        assert verify_modification(result).passed
 
     def test_wall_plus_a_ray_on_it_is_not_maximal(self, suspension_fan):
         result = small_modification(suspension_fan, 0)

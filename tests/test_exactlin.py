@@ -20,6 +20,7 @@ from toricfan.errors import InvariantError, ResourceLimitError
 from toricfan.exactlin import (
     FGAbelianGroup,
     StrictSystem,
+    cokernel_group,
     dot,
     hermite_normal_form,
     identity_matrix,
@@ -277,11 +278,12 @@ class TestSolveLinear:
         assert {f for _, _, f in seen} == {True, False}
 
     def test_hermite_form_mismatch_is_an_invariant_error(self, monkeypatch):
-        # H = I is echelon, but U = diag(2, 1) makes H != A @ U: the solution
-        # read off H breaks its own pivot row 0 when checked against A.
-        monkeypatch.setattr(exactlin, "hermite_normal_form", lambda m: (((1, 0), (0, 1)), ((2, 0), (0, 1))))
+        # A rank-deficient system reads the Hermite form.  H = (1 0) is
+        # echelon, but U = diag(2, 1) makes H != A @ U: the solution read
+        # off H breaks its own pivot row 0 when checked against A.
+        monkeypatch.setattr(exactlin, "hermite_normal_form", lambda m: (((1, 0),), ((2, 0), (0, 1))))
         with pytest.raises(InvariantError, match="hermite"):
-            solve_linear([[1, 0], [0, 1]], [1, 1], mode="integral")
+            solve_linear([[1, 0]], [1], mode="integral")
 
 
 class TestStrictFeasible:
@@ -439,6 +441,11 @@ class TestFGAbelianGroup:
         assert g == FGAbelianGroup(0, (2, 4))
         assert hash(g) == hash(FGAbelianGroup(0, (2, 4)))
         assert g._replace(invariant_factors=iter([3])).invariant_factors == (3,)
+
+    def test_cokernel_of_no_columns_is_free(self):
+        # No generators, so nothing is divided out: Z^r itself.
+        assert cokernel_group([], 3) == FGAbelianGroup(3)
+        assert cokernel_group([[], []], 2) == FGAbelianGroup(2)
 
 
 # ---------------------------------------------------------------------------

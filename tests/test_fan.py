@@ -125,17 +125,17 @@ class TestQuotient:
                 assert all(dot(row, v) == 0 for row in proj_rows)
 
     def test_section_lift_is_rechecked(self, monkeypatch):
-        eliminate = fan_module._eliminate
+        eliminate = exactlin._eliminate
 
         def flipped(work, cols):  # the right pivots, and one lift's sign wrong
             pivots = eliminate(work, cols)
             work[1][cols:] = [-x for x in work[1][cols:]]
             return pivots
 
-        monkeypatch.setattr(fan_module, "_eliminate", flipped)
-        fan_module._quotient_lattice.cache_clear()  # the cache is process-wide
         fan = Fan.from_cones(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
                              [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+        monkeypatch.setattr(exactlin, "_eliminate", flipped)  # the one the lattice block runs
+        fan_module._quotient_lattice.cache_clear()  # the cache is process-wide
         with pytest.raises(InvariantError, match="section does not lift"):
             fan.quotient(0)
         assert fan_module._quotient_lattice.cache_info().currsize == 0 and fan._quotients == {}
@@ -259,6 +259,30 @@ class TestIsomorphism:
         assert all(q.isomorphism(pn) is not None for q, pn in pairs)
         assert p1xp1_fan.isomorphism(rotated) is None
         assert calls == [] and len(dets) >= len(pairs) + 1
+
+    def test_invariants_rejected_before_the_search(self, p1_fan, p2_fan):
+        # Equal ray and cone counts throughout; each pair differs first in the ambient
+        # rank, then in the cone sizes (1 and 2 against 2 and 2), then in the valences
+        # (cones of sizes 3, 3 and 2: rays 0 and 1 in two cones against ray 0 in three).
+        sizes = (Fan.from_cones(2, [(1, 0), (0, 1), (-1, 0)], [[0, 1], [2]]),
+                 Fan.from_cones(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2]]))
+        valences = (Fan.from_cones(3, [(0, 0, 1), (1, 0, 0), (0, 1, 0), (0, -1, 0), (-1, 0, 0), (-1, -1, -1)],
+                                   [[0, 1, 2], [0, 1, 3], [4, 5]]),
+                    Fan.from_cones(3, [(0, 0, 1), (1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (1, -1, -1)],
+                                   [[0, 1, 2], [0, 3, 4], [0, 5]]))
+        for source, target in ((p1_fan, p2_fan), sizes, valences):
+            assert source.isomorphism(target) is None and target.isomorphism(source) is None
+
+    def test_rays_mapped_onto_rays_but_not_the_cones(self):
+        # (1, 0), (0, 1), (-1, -2) satisfy one relation, l_0 + 2 l_1 + l_2 = 0, so the
+        # maps that permute them are the identity and the swap of rays 0 and 2.  Both
+        # carry every ray onto a ray, and neither carries the cones {0, 1}, {2} onto
+        # {0, 2}, {1}.
+        rays = [(1, 0), (0, 1), (-1, -2)]
+        source, target = Fan.from_cones(2, rays, [[0, 1], [2]]), Fan.from_cones(2, rays, [[0, 2], [1]])
+        assert source.isomorphism(target) is None and target.isomorphism(source) is None
+        swapped = Fan.from_cones(2, rays, [[1, 2], [0]])
+        assert source.isomorphism(swapped).ray_map == (2, 1, 0)
 
     def test_spanning_against_non_spanning(self):
         # Same ray and cone counts, cone sizes and valences.  From the spanning side the

@@ -7,16 +7,18 @@ reassigned.
 """
 
 import re
+from fractions import Fraction
 
 import pytest
 
 from toricfan.cone import Cone
-from toricfan.divisor import cartier_data, is_ample, is_projective
+from toricfan.divisor import cartier_data, cartier_index, divisor_polytope, is_ample, is_projective
 from toricfan.exactlin import StrictSystem, dot, hermite_normal_form, rational_kernel, solve_linear, strict_feasible
 from toricfan.families import projective_space_fan
 from toricfan.fan import Fan
 
 P2 = projective_space_fan(2)
+P3 = projective_space_fan(3)
 QUADRANT = Fan.from_cones(2, [(1, 0), (0, 1)], [[0, 1]])
 PLANE_CONE = Cone.from_rays(2, [(1, 0), (0, 1)])
 SPACE_CONE = Cone.from_rays(3, [(1, 0, 0)])
@@ -46,6 +48,15 @@ CHECKS = [
     ("solve_linear empty", lambda: solve_linear([], []), ValueError, "empty system has unknown width"),
     ("cartier_data mode", lambda: cartier_data(P2, (1, 0, 0), mode="modular"), ValueError, "unknown mode 'modular'"),
     ("is_ample", lambda: is_ample(QUADRANT, (0, 0)), ValueError, "ampleness requires a complete fan"),
+    ("cartier_data float", lambda: cartier_data(P3, [0.5, 0, 0, 0]), ValueError,
+     "divisor coefficient 0.5 is not an integer"),
+    ("cartier_index Fraction", lambda: cartier_index(P3, [Fraction(1, 2), 0, 0, 0]), ValueError,
+     "divisor coefficient Fraction(1, 2) is not an integer"),
+    ("divisor_polytope Fraction", lambda: divisor_polytope(P3, [0, Fraction(1, 2), 0, 0]), ValueError,
+     "divisor coefficient Fraction(1, 2) is not an integer"),
+    ("is_ample bool", lambda: is_ample(P3, [True, 0, 0, 0]), ValueError, "divisor coefficient True is not an integer"),
+    ("from_cones ray length", lambda: Fan.from_cones(2, [(1, 0), (0, 1, 0)], [[0, 1]]), ValueError,
+     "ray 1 has length 3, expected 2"),
     ("projective_space_fan", lambda: projective_space_fan(0), ValueError, "dimension must be positive"),
 ]
 
