@@ -217,36 +217,33 @@ def small_modification(fan: Fan, ray: int, allow_incomplete: bool = False) -> Mo
     over unchanged.  The pieces are read off the star cone's facets and the
     beyond facet's normal (``PyramidalClassification.pieces``), so no double
     description runs.  The result is validated as a fan on these cones, not
-    rebuilt, keeps exactly the original rays (whose quotient lattices are
-    cached), stays complete when the input was, and each split is checked
-    exactly to cover its cone (``_check_split``): the beyond facet is a
-    facet of both pieces with opposite normals, and every other facet of
-    either piece lies on a facet of the original cone.
+    rebuilt, with each index list read off its cone; a split's siblings are
+    its pieces' positions in the cone list.  It keeps exactly the original
+    rays (whose quotient lattices are cached), stays complete when the input
+    was, and each split is checked exactly to cover its cone
+    (``_check_split``): the beyond facet is a facet of both pieces with
+    opposite normals, and every other facet of either piece lies on a facet
+    of the original cone.
     """
     report = egyptian_report(fan, ray, allow_incomplete=allow_incomplete)
     if not report.verdict:
         raise ValueError("ray not in Egyptian position")
     classifications = dict(report.per_cone)
-    gidx = {r: i for i, r in enumerate(fan.rays)}  # every piece is spanned by rays of sigma
-    new_cones: list[list[int]] = []
     pieces: list[Cone] = []
     splits: list[tuple[int, tuple[int, int]]] = []
     walls: list[ExceptionalWall] = []
-    for ci, mc in enumerate(fan.max_cones):
+    for ci, sigma in enumerate(fan.cones):
         cls = classifications.get(ci)
         if cls is None or not cls.splits:
-            new_cones.append(list(mc))
-            pieces.append(fan.cones[ci])
+            pieces.append(sigma)
             continue
-        _check_split(fan.cones[ci], *cls.pieces, cls.eta_rays)
-        base_idx = len(new_cones)
-        for piece in cls.pieces:
-            new_cones.append(sorted(gidx[r] for r in piece.rays))
-            pieces.append(piece)
-        splits.append((ci, (base_idx, base_idx + 1)))
-        walls.append(ExceptionalWall(tuple(sorted(gidx[r] for r in cls.eta_rays)), (base_idx, base_idx + 1)))
+        _check_split(sigma, *cls.pieces, cls.eta_rays)
+        siblings = (len(pieces), len(pieces) + 1)  # base and update, at their positions in the refined fan
+        pieces += cls.pieces
+        splits.append((ci, siblings))
+        walls.append(ExceptionalWall(tuple(sorted(map(fan.ray_index, cls.eta_rays))), siblings))
 
-    refined = Fan._validated(fan.ambient_rank, fan.rays, new_cones, pieces)
+    refined = Fan._validated(fan.ambient_rank, fan.rays, pieces)
     if fan.is_complete() and not refined.is_complete():
         raise InvariantError("modification of a complete fan must stay complete")
     return ModificationResult(fan, refined, tuple(splits), tuple(walls), ray)

@@ -8,25 +8,25 @@ sides, and a generic point lies in exactly one cone.  That proves a complete
 fan in one pass over the facets.  Anything else (a lower-dimensional cone,
 an unmatched facet, an incomplete fan or a non-fan) goes to the pairwise
 check: every intersection of maximal cones must be a common face, and no
-maximal cone may contain another.  A cone is built only after its ray
-indices pass, so its rays, checked primitive and distinct, go straight to
-``Cone._from_primitive`` with no second primitivization.  Each maximal cone
-is checked in one pass: each of its rays is looked up once as a global bit
-(a ray off the fan gets the sentinel bit ``len(rays)``), and those bits give
-the extremality check, the used-ray mask and the facet map (a facet's mask
-is the cone's less the rays off the facet).  The wall check passes on a
-valid fan exactly when it is complete, so its verdict is kept, and so is
-the facet map it ran on (each facet with the cones it bounds).
-Walls (the codimension-one cones) are built from that map on first use;
-``find_wall`` looks one up in it.  Memoized per ray: star quotients and
-Egyptian reports (``egyptian.egyptian_report``); per ray vector, for every
-fan alike, the quotient lattices' bases (``_quotient_lattice``).
-Quotient fans and small modifications are validated, with the same checks,
-on the cones they were built from.  Those cones run no double description
-of their own: a quotient cone of a full-dimensional star cone is read off
-that cone's facets through the ray (``_star_image``), and the pieces of a
-split star cone off the cone's facets and its beyond facet
-(``egyptian.small_modification``).
+maximal cone may contain another.  Validation takes the cones alone: each
+ray of a maximal cone is looked up once as a global bit in the ray index,
+which the fan keeps for ``ray_index``, and those bits give the cone's index
+tuple, the used-ray mask and the facet map (a facet's mask is the cone's
+less the rays off the facet).  ``from_cones`` checks its caller's index
+lists and builds their cones after the ray checks, so the rays, checked
+primitive and distinct, go straight to ``Cone._from_primitive`` with no
+second primitivization.  The wall check passes on a valid fan exactly when
+it is complete, so its verdict is kept, and so is the facet map it ran on
+(each facet with the cones it bounds).  Walls (the codimension-one cones)
+are built from that map on first use; ``find_wall`` looks one up in it.
+Memoized per ray: star quotients and Egyptian reports
+(``egyptian.egyptian_report``); per ray vector, for every fan alike, the
+quotient lattices' bases (``_quotient_lattice``).  Quotient fans and small
+modifications are validated, with the same checks, on their cones alone.
+Those cones run no double description of their own: a quotient cone of a
+full-dimensional star cone is read off that cone's facets through the ray
+(``_star_image``), and the pieces of a split star cone off the cone's
+facets and its beyond facet (``egyptian.small_modification``).
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class FanIsomorphism(NamedTuple):
 class Fan:
     """A validated fan of strictly convex rational polyhedral cones."""
 
-    __slots__ = ("ambient_rank", "rays", "max_cones", "cones", "_complete", "_facets", "_walls", "_quotients",
-                 "_reports")
+    __slots__ = ("ambient_rank", "rays", "max_cones", "cones", "_index", "_complete", "_facets", "_walls",
+                 "_quotients", "_reports")
 
     def __init__(self, *_a, **_k):
         raise TypeError("use Fan.from_cones")
@@ -82,18 +82,36 @@ class Fan:
         rays: Sequence[Sequence[int]],
         max_cones: Sequence[Sequence[int]],
     ) -> "Fan":
-        """Validate and build a fan from global rays and ray-index cones."""
-        built = (Cone._from_primitive(ambient_rank, [tuple(rays[i]) for i in mc]) for mc in max_cones)
-        return cls._validated(ambient_rank, rays, max_cones, built)
+        """Validate and build a fan from global rays and ray-index cones.
+
+        Each index list is checked, and its cone built, when validation draws
+        it after the ray checks; a listed generator the cone drops is not extreme."""
+        def built():
+            if not max_cones:
+                raise ValueError("fan needs at least one maximal cone")
+            for j, mc in enumerate(max_cones):
+                idx = sorted(set(mc))
+                if len(idx) != len(list(mc)):
+                    raise ValueError(f"maximal cone {j} repeats a ray index")
+                if not idx:  # an empty list repeats no index and has none out of range
+                    raise ValueError("cone needs at least one generator")
+                if idx[0] < 0 or idx[-1] >= len(rays):
+                    raise ValueError(f"maximal cone {j} has a ray index out of range")
+                cone = Cone._from_primitive(ambient_rank, [tuple(rays[i]) for i in mc])
+                if len(cone.rays) != len(idx):
+                    raise ValueError(f"maximal cone {j} lists a non-extreme generator")
+                yield cone
+
+        return cls._validated(ambient_rank, rays, built())
 
     @classmethod
-    def _validated(cls, n: int, rays, max_cones, built: Iterable[Cone]) -> "Fan":
-        """The fan on ``max_cones``, validated on ``built``: their cones, one
-        per index list, drawn after that list's index checks.
+    def _validated(cls, n: int, rays, cones: Iterable[Cone]) -> "Fan":
+        """The fan of ``cones`` on ``rays``, drawn after the ray checks.
 
-        One pass per cone: each built ray becomes one global bit (``len(rays)``
-        off the fan); the bits must sum to the index mask, which proves them
-        distinct, and a facet's mask is that mask less the rays off the facet."""
+        One pass per cone: each of its rays becomes one global bit, the bits
+        sum to the cone's mask, whose bits are its index tuple, and a facet's
+        mask is that mask less the rays off the facet.  A ray off the fan is
+        an ``InvariantError``: only library code hands over such a cone."""
         ray_list = [tuple(r) for r in rays]
         for i, r in enumerate(ray_list):
             if len(r) != n:
@@ -103,34 +121,22 @@ class Fan:
                 raise ValueError(f"ray {i} is zero" if g == 0 else f"ray {i} = {r} is not primitive")
         if len(set(ray_list)) != len(ray_list):
             raise ValueError("duplicate rays")
-        if not max_cones:
-            raise ValueError("fan needs at least one maximal cone")
 
         count = len(ray_list)
         index_of = {r: i for i, r in enumerate(ray_list)}
-        mc_list: list[tuple[int, ...]] = []
-        given = iter(built)
-        cones: list[Cone] = []
+        cones = list(cones)
+        max_cones: list[tuple[int, ...]] = []
         used = 0
         # Each facet of a full-dimensional cone, keyed by the bitmask of its global
         # ray indices, with the cones it is a facet of and their inward normals.
         facets: dict[int, list[tuple[int, LatticeVector]]] = {}
-        for j, mc in enumerate(max_cones):
-            idx = sorted(set(mc))
-            if len(idx) != len(list(mc)):
-                raise ValueError(f"maximal cone {j} repeats a ray index")
-            if not idx:  # an empty list repeats no index and has none out of range
-                raise ValueError("cone needs at least one generator")
-            if idx[0] < 0 or idx[-1] >= count:
-                raise ValueError(f"maximal cone {j} has a ray index out of range")
-            cone = next(given)
+        for j, cone in enumerate(cones):
             bits = [1 << index_of.get(r, count) for r in cone.rays]
-            mask = sum([1 << i for i in idx])
-            if sum(bits) != mask:
-                raise ValueError(f"maximal cone {j} lists a non-extreme generator")
+            mask = sum(bits)
+            if mask >> count:
+                raise InvariantError(f"maximal cone {j} has a ray off the fan")
             used |= mask
-            mc_list.append(tuple(idx))
-            cones.append(cone)
+            max_cones.append(_bits(mask))
             if cone.dim == n:
                 full = (1 << len(bits)) - 1
                 for inc, normal in cone.facet_pairs():
@@ -147,8 +153,9 @@ class Fan:
         self = object.__new__(cls)
         object.__setattr__(self, "ambient_rank", n)
         object.__setattr__(self, "rays", tuple(ray_list))
-        object.__setattr__(self, "max_cones", tuple(mc_list))
+        object.__setattr__(self, "max_cones", tuple(max_cones))
         object.__setattr__(self, "cones", tuple(cones))
+        object.__setattr__(self, "_index", index_of)
         object.__setattr__(self, "_complete", complete)
         object.__setattr__(self, "_facets", {mask: tuple([j for j, _ in pairs]) for mask, pairs in facets.items()})
         object.__setattr__(self, "_walls", None)
@@ -196,10 +203,9 @@ class Fan:
         return f"Fan(rank={self.ambient_rank}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
 
     def ray_index(self, ray: Sequence[int]) -> int:
-        r = primitive(ray)
         try:
-            return self.rays.index(r)
-        except ValueError:
+            return self._index[primitive(ray)]
+        except KeyError:
             raise ValueError(f"unknown ray {tuple(ray)}") from None
 
     def is_complete(self) -> bool:
@@ -219,11 +225,12 @@ class Fan:
         primitive ray generator to a lattice basis (``_quotient_lattice``,
         cached per ray vector, for every fan with that ray), so the
         result is deterministic.  The star cones correspond one-to-one to the
-        maximal cones of the quotient; this is re-verified during validation.
+        maximal cones of the quotient; distinct images are re-checked here.
 
         A full-dimensional star cone's image is read off its own facets
         (``_star_image``), with no double description; a lower-dimensional
         one (only in an incomplete fan) is built from its projected rays.
+        The quotient's rays are the images' rays in order of first use.
         At a ray that is itself a maximal cone (again only in an incomplete
         fan) the quotient is the zero fan, which no ``Fan`` holds: that raises.
         """
@@ -249,27 +256,17 @@ class Fan:
                 mapped[tuple(-x for x in m)] = tuple(-x for x in mapped[m])
             return mapped[m]
 
-        q_rays: list[LatticeVector] = []
-        q_index: dict[LatticeVector, int] = {}
-        q_cones: list[list[int]] = []
         images = []
         for ci in star:
             sigma = self.cones[ci]
             if sigma.dim == n:
-                cone = _star_image(sigma, sigma.rays.index(l_rho), image, normal_image)
+                images.append(_star_image(sigma, sigma.rays.index(l_rho), image, normal_image))
             else:
-                cone = Cone.from_rays(n - 1, [image[x] for x in sigma.rays if x != l_rho])
-            images.append(cone)
-            idx = []
-            for r in cone.rays:
-                if r not in q_index:
-                    q_index[r] = len(q_rays)
-                    q_rays.append(r)
-                idx.append(q_index[r])
-            q_cones.append(sorted(idx))
+                images.append(Cone.from_rays(n - 1, [image[x] for x in sigma.rays if x != l_rho]))
         if len({c.rays for c in images}) != len(star):
             raise InvariantError("star cones collapse in the quotient")
-        self._quotients[ray] = Fan._validated(n - 1, q_rays, q_cones, images)
+        q_rays = list(dict.fromkeys(r for cone in images for r in cone.rays))  # in order of first use
+        self._quotients[ray] = Fan._validated(n - 1, q_rays, images)
         return self._quotients[ray]
 
     def wall_kind(self, wall: Wall) -> WallCurveKind:
@@ -283,7 +280,7 @@ class Fan:
             return WallCurveKind.AFFINE
         if count == 2:
             return WallCurveKind.PROJECTIVE
-        raise InvariantError("a wall of a valid fan lies in at most two full cones")
+        raise ValueError(f"a wall lies in at most two full cones, not {count}")
 
     def find_wall(self, ray_indices: Iterable[int]) -> Wall:
         """The wall on the given rays, from the facet map or the maximal (n-1)-cones."""
@@ -338,7 +335,6 @@ class Fan:
         scale = work[0][pivot[0]]
         scaled_cols = tuple(zip(*[row[-n:] for row in work]))
 
-        other_index = {r: i for i, r in enumerate(other.rays)}
         other_cone_sets = {frozenset(mc) for mc in other.max_cones}
         candidates_by_pos = [
             [j for j in range(len(other.rays)) if val2[j] == val1[pivot[k]]]
@@ -358,7 +354,7 @@ class Fan:
             ray_map = []
             for r in self.rays:
                 img = tuple(dot(row, r) for row in a)
-                j = other_index.get(img)
+                j = other._index.get(img)
                 if j is None:
                     return None
                 ray_map.append(j)

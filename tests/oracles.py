@@ -10,9 +10,10 @@ T-Cartier divisors, built on the library's integral kernels;
 ``smith_by_pivoting``, the library's earlier pivot-and-restart Smith form,
 and ``projective_by_cartier_lattice`` decides projectivity on it with
 ``strict_feasible``.  ``cartier_index_by_scan`` tries every divisor of the
-denominator lcm with one integral ``solve_linear`` per cone, the bound
-coming from one rational ``solve_linear`` per cone, not from the library's
-per-cone characters.
+denominator lcm, deciding each cone's integral solve on its own
+``smith_by_pivoting`` (``integral_solvable``), not on the library's lattice
+block; the bound comes from one rational ``solve_linear`` per cone, not from
+the library's per-cone characters.
 ``reference_build`` is the cone layer's earlier read-off, on the same double
 description as the one-pass read-off that replaced it.
 ``count_lattice_points``, ``counting_polynomial`` and ``scan_degree`` are the
@@ -693,16 +694,27 @@ def denominator_lcm(fan, divisor):
 def cartier_index_by_scan(fan, divisor):
     """Least c >= 1 with c*D Cartier, or None when D is not Q-Cartier, by
     trying every divisor of ``denominator_lcm`` L in increasing order, each
-    with one integral solve per cone.  The loop runs over ``range(1, L + 1)``:
+    with one ``integral_solvable`` per cone.  The loop runs over ``range(1, L + 1)``:
     keep L small."""
     bound = denominator_lcm(fan, divisor)
     if bound is None:
         return None
     for c in range(1, bound + 1):
-        if bound % c == 0 and all(solve_linear(rows, [c * b for b in rhs], mode="integral") is not None
+        if bound % c == 0 and all(integral_solvable(rows, [c * b for b in rhs])
                                   for rows, rhs in _cone_systems(fan, divisor)):
             return c
     raise AssertionError("the denominator lcm itself must give a Cartier multiple")
+
+
+def integral_solvable(rows, rhs) -> bool:
+    """Whether ``rows @ x = rhs`` has an integer solution, read off
+    ``smith_by_pivoting``: with S = U @ A @ V and y = U @ rhs, exactly when
+    s_i divides y_i below the rank and y_i = 0 from the rank on."""
+    s, u, _ = smith_by_pivoting(rows)
+    y = mat_vec(u, rhs)
+    diagonal = [s[i][i] for i in range(min(len(s), len(s[0])))]
+    rank = sum(1 for d in diagonal if d)  # the pivots come first
+    return all(y[i] % diagonal[i] == 0 for i in range(rank)) and not any(y[rank:])
 
 
 def smith_by_pivoting(m):

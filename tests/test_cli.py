@@ -9,9 +9,10 @@ import pytest
 
 from toricfan import cli
 from toricfan import divisor as divisor_ops
-from toricfan import exactlin
+from toricfan import egyptian, exactlin
 from toricfan.cli import (
     EXIT_INPUT_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_OK,
     EXIT_PROPERTY_FAILS,
     InputError,
@@ -19,7 +20,7 @@ from toricfan.cli import (
     parse_fan_file,
     run,
 )
-from toricfan.egyptian import egyptian_report
+from toricfan.egyptian import ModificationChecks, egyptian_report
 from toricfan.fan import Fan
 from test_divisor import LARGE_LCM_DIVISOR, LARGE_LCM_FAN
 from test_fan import cross_polytope_fan, cube_face_fan
@@ -350,6 +351,34 @@ class TestClassGroupCommand:
         assert run(["classgroup", "--fan", str(yu_file), "--json"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["class_group"]["rank"] == 5
+
+
+class TestInternalErrors:
+    """Exit 3: a failed re-check of the library, or any unexpected exception."""
+
+    FAILED = ModificationChecks((), (), False, ("wall (1, 2): incident cones (0,), expected (0, 1)",
+                                                "quotient fan at the ray changed under the modification"))
+
+    @pytest.mark.parametrize("command", ["modify", "report"])
+    def test_failed_modification_checks_exit_3(self, tmp_path, capsys, monkeypatch, command):
+        path = tmp_path / "y31.json"
+        assert run(["family", "yu", "--n", "3", "--u", "1", "--emit", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "verify_modification", lambda result: self.FAILED)  # modify's import
+        monkeypatch.setattr(egyptian, "verify_modification", lambda result: self.FAILED)  # hypothesis_report's
+        code, report = _json_run([command, "--fan", str(path), "--ray", "0"], capsys)
+        assert code == EXIT_INTERNAL_ERROR
+        assert report["internal_error"] == "; ".join(self.FAILED.failures)
+
+    def test_unexpected_exception_exits_3(self, yu_file, capsys, monkeypatch):
+        def picard_group(fan):
+            raise KeyError("x")
+
+        monkeypatch.setattr(divisor_ops, "picard_group", picard_group)
+        code, report = _json_run(["picard", "--fan", str(yu_file)], capsys)
+        assert code == EXIT_INTERNAL_ERROR
+        assert report["internal_error"] == "KeyError: 'x'"
+        assert "picard_s" in report["timings"]  # the stage is timed though it raised
 
 
 class TestReportCommand:

@@ -14,6 +14,7 @@ from toricfan.cone import Cone
 from toricfan.divisor import cartier_data, is_projective
 from toricfan.egyptian import (
     ExceptionalWall,
+    ModificationChecks,
     PyramidalKind,
     _check_split,
     classify_pyramidal,
@@ -492,6 +493,16 @@ class TestHypothesisReport:
         assert report.egyptian.verdict and report.quotient is not None
         assert not report.quotient_projective.feasible
         assert report.modification is None and report.checks is None and report.growth is None
+
+    def test_stops_after_failed_modification_checks(self, monkeypatch):
+        # Every fixture's modification passes its checks, so they are forced to fail here.
+        import toricfan.egyptian as egyptian
+        failed = ModificationChecks((), (), False, ("quotient fan at the ray changed under the modification",))
+        monkeypatch.setattr(egyptian, "verify_modification", lambda result: failed)
+        report = hypothesis_report(yu_fan(3, 1).fan, 0)
+        assert report.egyptian.verdict and report.quotient_projective.feasible
+        assert report.modification is not None and report.checks is failed
+        assert report.growth is None
 
     def test_one_quotient_per_fan(self, monkeypatch):
         # The original fan's quotient is built once, memoized on the fan and

@@ -12,6 +12,7 @@ from oracles import (
     det_cofactor,
     feasible_by_vertex_enumeration,
     gcd_of_minors,
+    integral_solvable,
     scan_integral_solutions,
     smith_by_pivoting,
 )
@@ -104,6 +105,27 @@ def test_integral_solutions_oracle_matches_full_scan():
         assert fast == scan_integral_solutions(a, b, box=4)
         kinds.add((bool(fast), any(row[-1] for row in a)))
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_smith_solvability_oracle_matches_the_scan_and_the_library():
+    # The Cartier-index oracle's integral solvability, read off its own Smith
+    # form, against the box scan and the library's integral solve, on seeded
+    # systems of every rank, a third of them with a planted solution.
+    rng = random.Random(0x5E17)
+    seen = set()
+    for case in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 3)
+        a = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        if case % 3 == 0:
+            b = list(mat_vec(a, [rng.randint(-3, 3) for _ in range(cols)]))
+        else:
+            b = [rng.randint(-6, 6) for _ in range(rows)]
+        solvable = integral_solvable(a, b)
+        if brute_force_integral_solutions(a, b, box=4):
+            assert solvable, (a, b)
+        assert solvable == (solve_linear(a, b, mode="integral") is not None), (a, b)
+        seen.add((solvable, matrix_rank(a) < min(rows, cols)))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestHermite:

@@ -15,7 +15,7 @@ from toricfan.cone import Cone
 from toricfan.divisor import cartier_data, cartier_index, divisor_polytope, is_ample, is_projective
 from toricfan.exactlin import StrictSystem, dot, hermite_normal_form, rational_kernel, solve_linear, strict_feasible
 from toricfan.families import projective_space_fan
-from toricfan.fan import Fan
+from toricfan.fan import Fan, Wall
 
 P2 = projective_space_fan(2)
 P3 = projective_space_fan(3)
@@ -57,6 +57,9 @@ CHECKS = [
     ("is_ample bool", lambda: is_ample(P3, [True, 0, 0, 0]), ValueError, "divisor coefficient True is not an integer"),
     ("from_cones ray length", lambda: Fan.from_cones(2, [(1, 0), (0, 1, 0)], [[0, 1]]), ValueError,
      "ray 1 has length 3, expected 2"),
+    ("wall_kind dimension", lambda: P2.wall_kind(Wall((0, 1), 2, (0,))), ValueError, "wall must have dimension n-1"),
+    ("wall_kind count", lambda: P2.wall_kind(Wall((0,), 1, (0, 1, 2))), ValueError,
+     "a wall lies in at most two full cones, not 3"),
     ("projective_space_fan", lambda: projective_space_fan(0), ValueError, "dimension must be positive"),
 ]
 
