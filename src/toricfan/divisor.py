@@ -171,16 +171,22 @@ def class_group(fan: Fan) -> FGAbelianGroup:
 def _cone_rows(fan: Fan, mc, outside=()) -> list[tuple[int, ...]]:
     """Ray-indexed rows of a full-dimensional sigma: its relations, then one per ``outside`` ray.
 
-    ``_cone_block``'s relations R_j, then at each outside ray k the primitive
-    v with v_k = d, -E^T l_k on sigma and 0 elsewhere: ``sum_j v_j l_j = 0``,
-    and v . a = d * (a_k + m_sigma(l_k)) with m_sigma = E b / d (b = -a on
-    sigma), the strict-convexity row of sigma at k scaled by d > 0.
+    ``_cone_block``'s relations R_j placed at sigma's rays (primitive: zeros keep the gcd), then at
+    each outside ray k the primitive v with v_k = d, -E^T l_k on sigma and 0 elsewhere:
+    ``sum_j v_j l_j = 0``, and v . a = d * (a_k + m_sigma(l_k)) with m_sigma = E b / d (b = -a
+    on sigma), the strict-convexity row of sigma at k scaled by d > 0.
     """
     d, e, relations = _cone_block(tuple(fan.rays[k] for k in mc))
-    columns = transpose(e)
-    vectors = [dict(zip(mc, v)) for v in relations]
-    vectors += [dict(zip(mc + (k,), [-dot(c, fan.rays[k]) for c in columns] + [d])) for k in outside]
-    return [primitive([v.get(j, 0) for j in range(len(fan.rays))]) for v in vectors]
+
+    def placed(at, values) -> tuple[int, ...]:
+        row = [0] * len(fan.rays)
+        for j, x in zip(at, values):
+            row[j] = x
+        return tuple(row)
+
+    columns = transpose(e) if outside else ()
+    strict = [primitive(placed(mc + (k,), [-dot(c, fan.rays[k]) for c in columns] + [d])) for k in outside]
+    return [placed(mc, v) for v in relations] + strict
 
 
 def picard_group(fan: Fan) -> FGAbelianGroup:

@@ -80,9 +80,12 @@ def primitive(v: Sequence[int]) -> LatticeVector:
     """Divide an integer vector by the gcd of its entries.
 
     The result generates the same ray; raises on the zero vector, which has
-    no primitive representative.
+    no primitive representative, and on a non-integer entry.
     """
-    g = gcd(*v)
+    try:
+        g = gcd(*v)
+    except TypeError:
+        raise ValueError(f"vector {tuple(v)} has a non-integer entry") from None
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple([x // g for x in v])

@@ -9,11 +9,13 @@ read from it.  The family is interesting because the resulting complete
 toric variety is projective exactly for u = 1, has trivial Picard group
 for u > 1, and always carries the ray e in Egyptian position with divisor
 isomorphic to projective (n-1)-space; the pipeline report below recomputes
-each of those statements from scratch.
+each of those statements from scratch, against the fan of projective
+(n-1)-space that ``projective_space_fan`` makes once per dimension.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from typing import NamedTuple, Optional
 
@@ -159,11 +161,13 @@ def verify_yu_combinatorics(yu: YuFan) -> YuCombinatoricsReport:
     return YuCombinatoricsReport(tuple(failures))
 
 
+@cache
 def projective_space_fan(d: int) -> Fan:
     """The standard complete fan of projective d-space.
 
     Rays are the d standard basis vectors plus their negated sum; maximal
-    cones are all d-subsets of the d + 1 rays.
+    cones are all d-subsets of the d + 1 rays.  Made and validated once per
+    d and shared, as a ``Fan`` is immutable: every later call returns it.
     """
     if d < 1:
         raise ValueError("dimension must be positive")

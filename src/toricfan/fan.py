@@ -97,7 +97,11 @@ class Fan:
                     raise ValueError("cone needs at least one generator")
                 if idx[0] < 0 or idx[-1] >= len(rays):
                     raise ValueError(f"maximal cone {j} has a ray index out of range")
-                cone = Cone._from_primitive(ambient_rank, [tuple(rays[i]) for i in mc])
+                try:
+                    gens = [tuple(rays[i]) for i in mc]
+                except TypeError:
+                    raise ValueError(f"maximal cone {j} has a non-integer ray index") from None
+                cone = Cone._from_primitive(ambient_rank, gens)
                 if len(cone.rays) != len(idx):
                     raise ValueError(f"maximal cone {j} lists a non-extreme generator")
                 yield cone
@@ -116,7 +120,10 @@ class Fan:
         for i, r in enumerate(ray_list):
             if len(r) != n:
                 raise ValueError(f"ray {i} has length {len(r)}, expected {n}")
-            g = gcd(*r)  # 0 exactly for the zero vector
+            try:
+                g = gcd(*r)  # 0 exactly for the zero vector
+            except TypeError:
+                raise ValueError(f"ray {i} = {r} has a non-integer entry") from None
             if g != 1:
                 raise ValueError(f"ray {i} is zero" if g == 0 else f"ray {i} = {r} is not primitive")
         if len(set(ray_list)) != len(ray_list):

@@ -303,6 +303,16 @@ def _q_cartier_space(fan):
     return oracles.kernel_basis(rows, len(fan.rays))
 
 
+def _dict_cone_rows(fan, mc, outside=()):
+    """``_cone_rows`` as it was assembled before its rows were placed by
+    index: each row a dict from ray index to entry, spread and made primitive."""
+    d, e, relations = divisor._cone_block(tuple(fan.rays[k] for k in mc))
+    columns = transpose(e)
+    vectors = [dict(zip(mc, v)) for v in relations]
+    vectors += [dict(zip(mc + (k,), [-dot(c, fan.rays[k]) for c in columns] + [d])) for k in outside]
+    return [primitive([v.get(j, 0) for j in range(len(fan.rays))]) for v in vectors]
+
+
 class TestConeBlock:
     """``_cone_block`` and what is read off it, on complete fans with
     non-simplicial cones, against the oracles' Cramer solves and scan."""
@@ -349,6 +359,23 @@ class TestConeBlock:
                 assert not any(map(any, mat_mul(relations, rays)))
                 assert len(relations) == len(mc) - n and all(gcd(*row) == 1 for row in relations)
                 assert len(oracles.kernel_basis(relations, len(mc))) == n
+
+    def test_rows_match_the_dict_assembly(self, yu_grid):
+        # Row for row, relations alone and with every outside ray's strict row.
+        fans = [yu_grid(n, u).fan for n in range(3, 7) for u in range(1, 4)]
+        fans += [Fan.from_cones(*case) for case in (cube_face_fan(3), cube_face_fan(4), cross_polytope_fan(4))]
+        fans += [fan for seed, count in ((0, 26), (4, 9)) for fan in random_complete_threefolds(seed, count)]
+        relations = stricts = 0
+        for fan in fans:
+            for mc in fan.max_cones:
+                outside = [k for k in range(len(fan.rays)) if k not in mc]
+                assert divisor._cone_rows(fan, mc) == _dict_cone_rows(fan, mc), (fan.rays, mc)
+                rows = divisor._cone_rows(fan, mc, outside)
+                assert rows == _dict_cone_rows(fan, mc, outside), (fan.rays, mc)
+                assert all(type(row) is tuple and len(row) == len(fan.rays) for row in rows)
+                relations += len(rows) - len(outside)
+                stricts += len(outside)
+        assert (len(fans), relations, stricts) == (50, 207, 2738)
 
     def test_lower_dimensional_blocks(self):
         # A E A = d A, R A = 0 and d | E A, which fails without the Hermite

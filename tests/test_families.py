@@ -177,3 +177,45 @@ class TestQuotientIsProjectiveSpace:
         assert len(q.rays) == n
         assert len(q.max_cones) == n
         assert q.isomorphism(projective_space_fan(n - 1)) is not None
+
+
+def fresh_projective_space_fan(d):
+    """The fan of projective d-space built and validated afresh, sharing nothing with the memo."""
+    memo = projective_space_fan(d)
+    return Fan.from_cones(d, memo.rays, [list(mc) for mc in memo.max_cones])
+
+
+class TestProjectiveSpaceFanIsShared:
+    """``projective_space_fan`` makes each fan once; every later call returns that fan."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_one_fan_per_dimension(self, d):
+        assert projective_space_fan(d) is projective_space_fan(d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_equals_a_fresh_build(self, d):
+        memo, fresh = projective_space_fan(d), fresh_projective_space_fan(d)
+        assert memo is not fresh
+        assert (memo.rays, memo.max_cones) == (fresh.rays, fresh.max_cones)
+        assert memo.rays[-1] == (-1,) * d and len(memo.max_cones) == d + 1
+        for a, b in zip(memo.cones, fresh.cones, strict=True):
+            assert (a.rays, a.facet_normals, a.facet_pairs()) == (b.rays, b.facet_normals, b.facet_pairs())
+        assert memo.is_complete() and fresh.is_complete()
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_quotients_match_a_fresh_build(self, d):
+        memo, fresh = projective_space_fan(d), fresh_projective_space_fan(d)
+        for ray in range(d + 1):
+            q, r = memo.quotient(ray), fresh.quotient(ray)
+            assert (q.ambient_rank, q.rays, q.max_cones) == (r.ambient_rank, r.rays, r.max_cones)
+
+    def test_later_calls_validate_nothing(self, monkeypatch):
+        projective_space_fan(4)
+        built = []
+        from_cones = Fan.from_cones.__func__
+        monkeypatch.setattr(Fan, "from_cones", classmethod(lambda cls, *a: built.append(a) or from_cones(cls, *a)))
+        for _ in range(3):
+            projective_space_fan(4)
+        assert built == []
+        fresh_projective_space_fan(4)  # a fan of its own is validated in full
+        assert len(built) == 1

@@ -249,8 +249,10 @@ class TestIsomorphism:
     def test_runs_no_hermite_form(self, monkeypatch, p1xp1_fan):
         # R^-1 and d come from one elimination and |det S| from another, so accepted and
         # rejected maps alike run no Hermite form (the quotients, whose completions do, are
-        # built before counting starts).
-        pairs = [(yu_fan(n, u).fan.quotient(0), projective_space_fan(n - 1)) for n in (3, 4, 5) for u in (1, 2)]
+        # built before counting starts).  Each P^(n-1) is a fan of its own: the shared
+        # one may hold what an earlier test memoized on it.
+        pairs = [(yu_fan(n, u).fan.quotient(0), Fan.from_cones(*as_case(projective_space_fan(n - 1))))
+                 for n in (3, 4, 5) for u in (1, 2)]
         rotated = Fan.from_cones(2, [(1, 1), (1, -1), (-1, -1), (-1, 1)], [list(mc) for mc in p1xp1_fan.max_cones])
         calls = count_hermite_forms(monkeypatch)
         dets = []

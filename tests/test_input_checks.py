@@ -61,6 +61,13 @@ CHECKS = [
     ("wall_kind count", lambda: P2.wall_kind(Wall((0,), 1, (0, 1, 2))), ValueError,
      "a wall lies in at most two full cones, not 3"),
     ("projective_space_fan", lambda: projective_space_fan(0), ValueError, "dimension must be positive"),
+    ("ray_index float", lambda: P2.ray_index((1.0, 0)), ValueError, "vector (1.0, 0) has a non-integer entry"),
+    ("from_rays float", lambda: Cone.from_rays(2, [(1.0, 0), (0, 1)]), ValueError,
+     "vector (1.0, 0) has a non-integer entry"),
+    ("from_cones float ray", lambda: Fan.from_cones(2, [(1.0, 0), (0, 1)], [[0, 1]]), ValueError,
+     "ray 0 = (1.0, 0) has a non-integer entry"),
+    ("from_cones float index", lambda: Fan.from_cones(2, [(1, 0), (0, 1)], [[0.0, 1]]), ValueError,
+     "maximal cone 0 has a non-integer ray index"),
 ]
 
 
@@ -68,6 +75,13 @@ CHECKS = [
 def test_bad_input_raises(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_bool_entries_are_integers():
+    # bool is an int subclass: True and False pass as 1 and 0, as they always have.
+    assert P2.ray_index((True, False)) == 0
+    assert Cone.from_rays(2, [(True, 0), (0, 1)]).rays == PLANE_CONE.rays
+    assert Fan.from_cones(2, [(True, 0), (0, 1)], [[False, True]]).max_cones == QUADRANT.max_cones
 
 
 def test_results_are_true_exactly_when_feasible():
